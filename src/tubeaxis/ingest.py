@@ -143,6 +143,57 @@ def _tokens(path):
 
 
 def load_off(path):
+    """Read an ASCII OFF file; returns (vertices, faces), polygons
+    fan-triangulated.
+
+    A plain all-triangle file (no comments, exactly "x y z" vertex lines
+    and "3 i j k" face lines) is parsed in one pass over its tokens. Every
+    other file, including every malformed one, goes through the
+    line-by-line reader, which also reports where a file is broken.
+    """
+    with open(path) as fh:
+        text = fh.read()
+    parsed = _parse_off_triangles(text)
+    if parsed is not None:
+        return parsed
+    return _load_off_lines(path)
+
+
+def _parse_off_triangles(text):
+    """(vertices, faces) of a plain all-triangle OFF text, or None for any
+    other text. What it accepts, _load_off_lines reads to the same arrays;
+    everything else, errors included, is left to that reader."""
+    if "#" in text:
+        return None
+    lines = text.split("\n")
+    magic = lines[0].split()
+    if magic[:1] != ["OFF"]:
+        return None
+    # the counts follow the magic on its line or on the next one
+    body = 1 if len(magic) > 1 else 2
+    counts = " ".join(lines[:body]).split()[1:]
+    try:
+        nv, nf = int(counts[0]), int(counts[1])
+    except (ValueError, IndexError):
+        return None
+    end = body + nv + nf
+    if nv < 0 or nf < 0 or len(lines) < end:
+        return None
+    if list(map(len, map(str.split, lines[body:end]))) != [3] * nv + [4] * nf:
+        return None
+    try:
+        vertices = np.array(" ".join(lines[body:body + nv]).split(), dtype=float)
+        records = np.array(" ".join(lines[body + nv:end]).split(), dtype=np.int64)
+    except (ValueError, OverflowError):
+        return None
+    records = records.reshape(nf, 4)
+    faces = records[:, 1:]
+    if np.any(records[:, 0] != 3) or np.any(faces < 0) or np.any(faces >= nv):
+        return None
+    return vertices.reshape(nv, 3), np.ascontiguousarray(faces)
+
+
+def _load_off_lines(path):
     tok = _tokens(path)
     try:
         ln, first = next(tok)
@@ -185,7 +236,7 @@ def load_off(path):
                 raise ValueError
         except ValueError:
             raise ParseError(f"bad face line {parts!r}", line=ln, path=path)
-        if np.any(np.asarray(poly) >= nv):
+        if max(poly) >= nv or min(poly) < 0:
             raise ParseError(f"face index out of range on line {ln}", line=ln, path=path)
         faces.extend(_fan_triangulate(poly))
     return vertices, np.asarray(faces, dtype=np.int64).reshape(-1, 3)
@@ -419,10 +470,10 @@ def write_decomposition_csv(decomposition, path):
 
 
 def write_face_scalar_csv(values, path):
+    values = np.asarray(values, dtype=float).ravel().tolist()
     with open(path, "w") as fh:
         fh.write("face,value\n")
-        for i, v in enumerate(np.asarray(values).ravel()):
-            fh.write(f"{i},{_fmt(v)}\n")
+        fh.write("".join(map("%d,%.9g\n".__mod__, enumerate(values))))
 
 
 def write_artifacts(out_dir, centerline, decomposition=None, meshes=None,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .core import frame_from_direction, normalize
 from .errors import DegenerateTangent, EmptyInput, TooSmall
@@ -12,6 +13,8 @@ from .ingest import TriMesh
 from .track import _polyline_directions
 
 _EPS = 1e-12
+_CANDIDATES = 8       # segments measured per point before the full scan
+_REACH_MARGIN = 1e-6  # relative padding of the candidate reach for rounding
 
 
 def sweep_tube(centerline, radius, sides=24) -> TriMesh:
@@ -67,7 +70,15 @@ def sweep_tube(centerline, radius, sides=24) -> TriMesh:
 
 
 def distance_to_polyline(points, polyline, closed=False):
-    """Exact distance from query points to a polyline, per point."""
+    """Exact distance from query points to a polyline, per point.
+
+    The segment holding a point's nearest polyline location has its
+    midpoint within (distance to the nearest midpoint) + (longest half
+    segment) of the point. So each point measures only its _CANDIDATES
+    nearest segments by midpoint, unless even the last of those is within
+    that reach; such points measure every segment. Both use the same
+    per-pair formula, so the result is that of the full F x P scan.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     poly = np.atleast_2d(np.asarray(polyline, dtype=float))
     if len(poly) == 0:
@@ -80,19 +91,40 @@ def distance_to_polyline(points, polyline, closed=False):
         a = np.vstack([a, poly[-1]])
         b = np.vstack([b, poly[0]])
     ab = b - a
-    ab_len2 = np.maximum(np.einsum("ij,ij->i", ab, ab), _EPS)
+    a_ab = (a * ab).sum(axis=1)
+    len2 = np.einsum("ij,ij->i", ab, ab)
+    ab_len2 = np.maximum(len2, _EPS)
+    half = 0.5 * float(np.sqrt(len2.max()))
+    k = min(len(a), _CANDIDATES)
+    tree = cKDTree(0.5 * (a + b))
 
-    best = np.full(len(points), np.inf)
-    chunk = max(1, int(1_000_000 // max(len(a), 1)))
+    best = np.empty(len(points))
+    chunk = max(1, int(1_000_000 // k))
+    dense_chunk = max(1, int(1_000_000 // len(a)))
     for s in range(0, len(points), chunk):
         p = points[s:s + chunk]
-        # t[i, j]: clamped parameter of the projection of point i on segment j
-        t = np.einsum("ik,jk->ij", p, ab) - (a * ab).sum(axis=1)
-        t = np.clip(t / ab_len2, 0.0, 1.0)
-        proj = a[None, :, :] + t[:, :, None] * ab[None, :, :]
-        d2 = np.sum((p[:, None, :] - proj) ** 2, axis=2)
-        best[s:s + chunk] = np.sqrt(d2.min(axis=1))
+        out = best[s:s + chunk]
+        mid_dist, cand = (x.reshape(len(p), k) for x in tree.query(p, k=k))
+        reach = (mid_dist[:, 0] + half) * (1.0 + _REACH_MARGIN)
+        dense = (mid_dist[:, -1] <= reach) & (k < len(a))
+        c = cand[~dense]
+        out[~dense] = _nearest_distance(p[~dense], a[c], ab[c], a_ab[c], ab_len2[c])
+        rows = np.flatnonzero(dense)
+        for t in range(0, len(rows), dense_chunk):
+            r = rows[t:t + dense_chunk]
+            out[r] = _nearest_distance(p[r], a, ab, a_ab, ab_len2)
     return best
+
+
+def _nearest_distance(p, a, ab, a_ab, ab_len2):
+    """Distance from each p[i] to the nearest of its segments: a, ab are
+    (S, 3) segments shared by all points, or (F, k, 3) per point."""
+    # t[i, j]: clamped parameter of the projection of point i on segment j
+    t = np.einsum("ik,jk->ij" if a.ndim == 2 else "ik,ijk->ij", p, ab) - a_ab
+    t = np.clip(t / ab_len2, 0.0, 1.0)
+    proj = a + t[:, :, None] * ab
+    d2 = np.sum((p[:, None, :] - proj) ** 2, axis=2)
+    return np.sqrt(d2.min(axis=1))
 
 
 def error_map(faces, centerline, radius):

@@ -16,11 +16,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import CoincidentPoint, TooFewPoints
 from .track import Centerline, _polyline_directions
 
 _MIN_DIST = 1e-12
+_BALL_MARGIN = 1e-9  # relative radius padding of the candidate ball query
 
 
 @dataclass(frozen=True)
@@ -44,17 +46,28 @@ class SectionAssociation:
 
 
 def section_points(centerline, faces, i, acc_radius, track_step,
-                   use_areas=False) -> SectionAssociation:
+                   use_areas=False, tree=None) -> SectionAssociation:
     """Face centers within acc_radius of C_i whose axial offset along the
-    local direction d_i falls in the slab (-track_step/2, +track_step/2]."""
+    local direction d_i falls in the slab (-track_step/2, +track_step/2],
+    in face order.
+
+    ``tree`` is a cKDTree over ``faces.centers``; callers that take
+    sections at many points build it once. Its ball query only gathers
+    candidates (with a margin for its own rounding); the distance and
+    slab tests below decide, so the selection is that of a full scan.
+    """
+    if tree is None:
+        tree = cKDTree(faces.centers)
     c = centerline.points[i]
     d = centerline.directions[i]
-    rel = faces.centers - c
+    near = tree.query_ball_point(c, acc_radius * (1.0 + _BALL_MARGIN))
+    near = np.sort(np.asarray(near, dtype=np.intp))
+    rel = faces.centers[near] - c
     dist = np.linalg.norm(rel, axis=1)
     proj = rel @ d
-    sel = (dist <= acc_radius) & (proj > -0.5 * track_step) & (proj <= 0.5 * track_step)
-    if int(sel.sum()) < 3:
-        raise TooFewPoints(f"only {int(sel.sum())} surface points near centerline point {i}")
+    sel = near[(dist <= acc_radius) & (proj > -0.5 * track_step) & (proj <= 0.5 * track_step)]
+    if len(sel) < 3:
+        raise TooFewPoints(f"only {len(sel)} surface points near centerline point {i}")
     weights = faces.areas[sel] if use_areas else None
     return SectionAssociation(index=i, points=faces.centers[sel], weights=weights)
 
@@ -119,10 +132,12 @@ def optimize_centerline(centerline, faces, params: RefineParams) -> Centerline:
     """
     pts = centerline.points.copy()
     refined = np.zeros(len(pts), dtype=bool)
+    tree = cKDTree(faces.centers)
     for i in range(len(pts)):
         try:
             assoc = section_points(centerline, faces, i, params.acc_radius,
-                                   params.track_step, use_areas=params.area_weighting)
+                                   params.track_step, use_areas=params.area_weighting,
+                                   tree=tree)
         except TooFewPoints:
             continue
         pts[i], _, _ = optimize_point(pts[i], assoc.points, params.radius,

@@ -64,10 +64,14 @@ class Centerline:
 
 
 def _sample_trilinear(values, domain, points):
-    """Trilinear interpolation of a voxel grid at world points (0 outside)."""
+    """Trilinear interpolation of a voxel grid at world points (0 outside).
+
+    The grid is read in its own dtype; map_coordinates interpolates in
+    float64 whatever the input dtype, so no float copy of the grid is made.
+    """
     points = np.atleast_2d(points)
     coords = (points - domain.origin) / domain.gridstep - 0.5
-    return ndimage.map_coordinates(values.astype(float), coords.T, order=1,
+    return ndimage.map_coordinates(values, coords.T, order=1, output=np.float64,
                                    mode="constant", cval=0.0)
 
 

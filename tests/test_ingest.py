@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import tubeaxis as tx
-from tubeaxis.ingest import (load_obj, load_off, load_pgm,
+from tubeaxis.ingest import (_load_off_lines, _parse_off_triangles, _fmt,
+                             load_obj, load_off, load_pgm,
                              write_centerline_csv, write_decomposition_csv,
-                             write_off)
+                             write_face_scalar_csv, write_off)
 
 
 def _write(path, text):
@@ -49,6 +50,70 @@ def test_off_rejects_wrong_magic(tmp_path):
     p = _write(tmp_path / "x.off", "PLY\n0 0 0\n")
     with pytest.raises(tx.ParseError):
         load_off(p)
+
+
+_SQUARE = "0 0 0\n1 0 0\n1 1 0\n0 1 0\n"
+
+
+@pytest.mark.parametrize("text, bulk", [
+    ("OFF\n4 2 0\n" + _SQUARE + "3 0 1 2\n3 0 2 3\n", True),
+    ("OFF 4 2 0\n" + _SQUARE + "3 0 1 2\n3 0 2 3\n", True),
+    ("OFF\r\n4 2 0\r\n" + _SQUARE.replace("\n", "\r\n") + "3 0 1 2\r\n3 0 2 3\r\n", True),
+    ("OFF\n4 2 0\n" + _SQUARE + "3 0 1 2\n3 0 2 3\n\n\ntrailing text\n", True),
+    ("OFF\n# made by hand\n4 2 0\n" + _SQUARE + "3 0 1 2  # first\n3 0 2 3\n", False),
+    ("OFF\n4 2 0\n" + _SQUARE + "4 0 1 2 3\n5 0 1 2 3 0\n", False),
+    ("OFF\n4 1 0\n0 0 0 255 0 0\n1 0 0 255 0 0\n1 1 0\n0 1 0\n3 0 1 2 7\n", False),
+    ("OFF\n\n4 2 0\n" + _SQUARE + "\n3 0 1 2\n\n3 0 2 3\n", False),
+    ("4 2 0\n" + _SQUARE + "3 0 1 2\n3 0 2 3\n", False),
+])
+def test_off_bulk_and_line_parsers_agree(tmp_path, text, bulk):
+    p = tmp_path / "m.off"
+    p.write_bytes(text.encode())
+    v_ref, f_ref = _load_off_lines(p)
+    v, f = load_off(p)
+    assert np.array_equal(v, v_ref) and v.dtype == v_ref.dtype
+    assert np.array_equal(f, f_ref) and f.dtype == f_ref.dtype
+    # the plain files really take the bulk path, the others fall back
+    assert (_parse_off_triangles(p.read_text()) is not None) == bulk
+
+
+def test_off_bulk_parser_matches_line_parser_on_a_tube(tmp_path):
+    mesh, _ = tx.gen_tube([tx.Straight(20.0), tx.Arc(15.0, 1.2)], radius=3.0,
+                          mesh_step=0.7)
+    path = tmp_path / "tube.off"
+    write_off(mesh, path)
+    bulk = _parse_off_triangles(path.read_text())
+    assert bulk is not None
+    v_ref, f_ref = _load_off_lines(path)
+    assert np.array_equal(bulk[0], v_ref)
+    assert np.array_equal(bulk[1], f_ref)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("OFF\n3 1 0\n0 0 0\n1 0\n0 1 0\n3 0 1 2\n", 4),        # short vertex line
+    ("OFF\n3 1 0\n0 0 0\n1 0\n0 0 1 0\n3 0 1 2\n", 4),      # 2 + 4 tokens
+    ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 3\n", 6),      # index == nv
+    ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 -1 0 1\n", 6),     # negative index
+    ("OFF\n# c\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 -1 0 1\n", 7),
+    ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n4 0 1 2 -3\n", 6),
+    ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 1.5\n", 6),
+    ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 99999999999999999999\n", 6),
+    ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n", None),             # truncated
+])
+def test_off_errors_keep_their_line_numbers(tmp_path, text, line):
+    p = _write(tmp_path / "bad.off", text)
+    with pytest.raises(tx.ParseError) as err:
+        load_off(p)
+    assert err.value.line == line
+
+
+def test_write_face_scalar_csv_matches_row_by_row_writer(tmp_path):
+    values = np.array([0.0, -0.0, 1e-300, 1e12, -2.5, -1e-7, 0.1, 123456789.123,
+                       np.inf, np.nan, 5e-324, -1.7976931348623157e308])
+    path = tmp_path / "error_map.csv"
+    write_face_scalar_csv(values, path)
+    expected = "face,value\n" + "".join(f"{i},{_fmt(v)}\n" for i, v in enumerate(values))
+    assert path.read_bytes() == expected.encode()
 
 
 def test_obj_parses_and_ignores_normals(tmp_path):

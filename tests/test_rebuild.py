@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import tubeaxis as tx
+from tubeaxis import rebuild
 from tubeaxis.track import Centerline
 
 
@@ -78,10 +79,25 @@ def _brute_distance(points, polyline, closed=False):
         best = np.inf
         for a, b in segs:
             ab = b - a
-            tt = np.clip(np.dot(p - a, ab) / np.dot(ab, ab), 0.0, 1.0)
+            ab2 = np.dot(ab, ab)
+            tt = np.clip(np.dot(p - a, ab) / ab2, 0.0, 1.0) if ab2 > 0 else 0.0
             best = min(best, np.linalg.norm(p - (a + tt * ab)))
         out.append(best)
     return np.asarray(out)
+
+
+def _dense_distance(points, polyline, closed=False):
+    """Every point against every segment with the library's per-pair
+    formula, as distance_to_polyline computed it before its k-d tree."""
+    a, b = polyline[:-1], polyline[1:]
+    if closed:
+        a, b = np.vstack([a, polyline[-1]]), np.vstack([b, polyline[0]])
+    ab = b - a
+    ab_len2 = np.maximum(np.einsum("ij,ij->i", ab, ab), 1e-12)
+    t = np.einsum("ik,jk->ij", points, ab) - (a * ab).sum(axis=1)
+    t = np.clip(t / ab_len2, 0.0, 1.0)
+    proj = a[None, :, :] + t[:, :, None] * ab[None, :, :]
+    return np.sqrt(np.sum((points[:, None, :] - proj) ** 2, axis=2).min(axis=1))
 
 
 def test_distance_to_polyline_matches_brute_force():
@@ -90,6 +106,45 @@ def test_distance_to_polyline_matches_brute_force():
     pts = rng.normal(size=(50, 3)) * 4
     got = tx.distance_to_polyline(pts, poly)
     assert np.allclose(got, _brute_distance(pts, poly), atol=1e-12)
+
+
+@pytest.mark.parametrize("closed", [False, True])
+@pytest.mark.parametrize("poly", [
+    np.cumsum(np.random.default_rng(1).normal(size=(30, 3)), axis=0),
+    np.array([[1.0, 2.0, 3.0], [4.0, -1.0, 0.5]]),                   # one segment
+    np.array([[0.0, 0, 0], [3.0, 0, 0], [3.0, 0, 0], [3.0, 4.0, 0],  # repeated vertex
+              [0.0, 5.0, 1.0]]),
+], ids=["walk", "single", "repeated"])
+def test_distance_to_polyline_candidates_equal_full_scan(poly, closed):
+    rng = np.random.default_rng(2)
+    pts = poly.mean(axis=0) + rng.normal(size=(300, 3)) * 3
+    pts = np.vstack([pts, poly, 0.5 * (poly[:-1] + poly[1:])])
+    got = tx.distance_to_polyline(pts, poly, closed=closed)
+    assert np.allclose(got, _brute_distance(pts, poly, closed), atol=1e-12)
+    # the candidate search returns exactly what the dense F x P pass does
+    assert np.array_equal(got, _dense_distance(pts, poly, closed))
+
+
+def test_distance_to_polyline_falls_back_near_a_circle_center(monkeypatch):
+    # every midpoint of a finely sampled circle is about as far from its
+    # center as the nearest one, so no k nearest segments are enough
+    poly = _circle_centerline(n=400, r=10.0).points
+    rng = np.random.default_rng(3)
+    pts = np.vstack([rng.normal(size=(50, 3)) * 0.5,
+                     rng.normal(size=(50, 3)) * 3 + [10.0, 0.0, 0.0]])
+    calls = []
+    full_scan = rebuild._nearest_distance
+
+    def spy(p, a, *args):
+        if a.ndim == 2:
+            calls.append(len(p))
+        return full_scan(p, a, *args)
+
+    monkeypatch.setattr(rebuild, "_nearest_distance", spy)
+    got = tx.distance_to_polyline(pts, poly, closed=True)
+    assert sum(calls) >= 50
+    assert np.allclose(got, _brute_distance(pts, poly, closed=True), atol=1e-12)
+    assert np.array_equal(got, _dense_distance(pts, poly, closed=True))
 
 
 def test_distance_to_polyline_closed_wraps():

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from scipy.spatial import cKDTree
+
 import tubeaxis as tx
 from tubeaxis.track import Centerline
 
@@ -151,6 +153,46 @@ def test_section_slab_bounds():
     assert tuple(centers[4]) in got
     assert tuple(centers[2]) not in got
     assert tuple(centers[3]) not in got
+
+
+def _full_scan_section(cl, centers, i, acc_radius, track_step):
+    rel = centers - cl.points[i]
+    proj = rel @ cl.directions[i]
+    sel = ((np.linalg.norm(rel, axis=1) <= acc_radius)
+           & (proj > -0.5 * track_step) & (proj <= 0.5 * track_step))
+    return centers[sel]
+
+
+def test_section_tree_query_equals_full_scan():
+    # C_1 = (4, 0, 0) looks along +x: ball radius 5, slab (-2, +2]
+    d2 = np.array([2.0, -1.0, 0.5]) / np.linalg.norm([2.0, -1.0, 0.5])
+    cl = Centerline(points=np.array([[0.0, 0, 0], [4.0, 0, 0], [8.0, 0, 0]]),
+                    directions=np.array([[1.0, 0, 0], [1.0, 0, 0], d2]))
+    planted = np.array([
+        [4.0, 5.0, 0.0],          # on the sphere: in
+        [4.0, 0.0, -5.0],         # on the sphere: in
+        [4.0, 5.0 + 1e-12, 0.0],  # just outside the sphere: out
+        [6.0, 3.0, 0.0],          # on the upper slab plane: in
+        [2.0, 3.0, 0.0],          # on the lower slab plane: out
+        [7.0, 4.0, 0.0],          # on the sphere beyond the slab: out
+    ])
+    rng = np.random.default_rng(7)
+    cloud = [4.0, 0.0, 0.0] + rng.normal(size=(600, 3)) * 3.0
+    centers = np.vstack([cloud[:300], planted, cloud[300:]])
+    faces = tx.OrientedFaceSet(centers, np.tile([0.0, 1, 0], (len(centers), 1)),
+                               rng.uniform(0.5, 1.5, len(centers)))
+    tree = cKDTree(centers)
+    for i in range(3):
+        expected = _full_scan_section(cl, centers, i, 5.0, 4.0)
+        own = tx.section_points(cl, faces, i, 5.0, 4.0, use_areas=True)
+        shared = tx.section_points(cl, faces, i, 5.0, 4.0, use_areas=True, tree=tree)
+        assert len(expected) >= 3
+        assert np.array_equal(own.points, expected)
+        assert np.array_equal(shared.points, expected)
+        assert np.array_equal(own.weights, shared.weights)
+    got = tx.section_points(cl, faces, 1, 5.0, 4.0, tree=tree).points
+    kept = [bool((got == p).all(axis=1).any()) for p in planted]
+    assert kept == [True, True, False, True, False, False]
 
 
 def test_section_needs_three_points():

@@ -59,6 +59,20 @@ def test_trilinear_reproduces_linear_fields():
                        atol=1e-9)
 
 
+def test_trilinear_on_count_grid_equals_its_float_copy():
+    # counts are sampled in their own dtype; the result must be bit-equal
+    # to sampling the float64 copy the tracker used to make
+    domain = GridDomain(origin=np.array([0.5, -1.0, 2.0]), gridstep=0.7,
+                        dims=(9, 11, 7))
+    rng = np.random.default_rng(3)
+    counts = rng.integers(0, 4_000_000_000, size=domain.dims, dtype=np.uint32)
+    # points inside, on the border and outside the grid
+    pts = domain.origin + rng.uniform(-1.0, 9.0, size=(400, 3))
+    got = _sample_trilinear(counts, domain, pts)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, _sample_trilinear(counts.astype(float), domain, pts))
+
+
 def test_patch_frame_and_pixels():
     res = _straight_ridge()
     center = np.array([20.0, 10.5, 10.5])
