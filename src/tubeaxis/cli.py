@@ -106,6 +106,8 @@ def _load_input(args, timings):
     normal_radius = args.normal_radius
     if normal_radius is None:
         normal_radius = max(2.0, 0.5 * args.radius)
+    elif not (math.isfinite(normal_radius) and normal_radius > 0):
+        raise UsageError("--normal-radius must be positive and finite")
     # staircase face normals vote poorly, so voxel inputs default to smoothed
     normals_mode = args.normals
     if normals_mode is None:

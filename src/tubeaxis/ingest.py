@@ -288,22 +288,52 @@ def load_mesh(path, fmt=None) -> TriMesh:
 
 
 def load_volume(path) -> VoxelSet:
-    """Load an ASCII "x y z" voxel list; duplicates are removed."""
+    """Load an ASCII "x y z" voxel list; duplicates are removed.
+
+    A plain file (no comments, 3 tokens on every non-blank line) is parsed
+    in one pass over its tokens. Every other file, including every
+    malformed one, goes through the line-by-line reader, which also
+    reports where a file is broken.
+    """
+    with open(path) as fh:
+        text = fh.read()
+    pts = _parse_voxel_list(text)
+    if pts is None:
+        pts = _load_volume_lines(path)
+    unique = np.unique(pts, axis=0)
+    if len(unique) != len(pts):
+        logger.warning("%s: removed %d duplicate voxel(s)", path, len(pts) - len(unique))
+    return VoxelSet(unique)
+
+
+def _parse_voxel_list(text):
+    """(N, 3) int64 points of a plain voxel list text, or None for any
+    other text. What it accepts, _load_volume_lines reads to the same
+    array; everything else, errors included, is left to that reader."""
+    if "#" in text:
+        return None
+    if not set(map(len, map(str.split, text.split("\n")))) <= {0, 3}:
+        return None
+    try:
+        return np.array(text.split(), dtype=np.int64).reshape(-1, 3)
+    except (ValueError, OverflowError):
+        return None
+
+
+def _load_volume_lines(path):
+    info = np.iinfo(np.int64)
     points = []
     for ln, parts in _tokens(path):
         if len(parts) != 3:
             raise ParseError(f"expected 3 integers, got {parts!r}", line=ln, path=path)
         try:
-            points.append([int(parts[0]), int(parts[1]), int(parts[2])])
+            point = [int(parts[0]), int(parts[1]), int(parts[2])]
         except ValueError:
             raise ParseError(f"non-integer token in {parts!r}", line=ln, path=path)
-    if not points:
-        return VoxelSet(np.empty((0, 3), dtype=np.int64))
-    pts = np.asarray(points, dtype=np.int64)
-    unique = np.unique(pts, axis=0)
-    if len(unique) != len(pts):
-        logger.warning("%s: removed %d duplicate voxel(s)", path, len(pts) - len(unique))
-    return VoxelSet(unique)
+        if not all(info.min <= v <= info.max for v in point):
+            raise ParseError(f"integer out of int64 range in {parts!r}", line=ln, path=path)
+        points.append(point)
+    return np.asarray(points, dtype=np.int64).reshape(-1, 3)
 
 
 def load_pgm(path):

@@ -69,22 +69,53 @@ def digital_surface_faces(voxels) -> OrientedFaceSet:
 
     A voxel at lattice point p occupies the unit cube [p, p+1]^3; every cube
     face adjacent to a non-set voxel becomes one facet of area 1 centered on
-    that cube face. Pass the result through estimate_digital_normals to get
-    smoothed inward normals.
+    that cube face. Facets come in voxel order, and per voxel in
+    _FACET_DIRS order. Pass the result through estimate_digital_normals to
+    get smoothed inward normals.
     """
     pts = np.asarray(voxels.points, dtype=np.int64).reshape(-1, 3)
     if len(pts) == 0:
         raise EmptyInput("voxel set is empty")
-    occupied = set(map(tuple, pts))
-    centers, normals = [], []
-    for p in pts:
-        for d in _FACET_DIRS:
-            if tuple(p + d) not in occupied:
-                centers.append(p + 0.5 + 0.5 * d)
-                normals.append(d)
-    return OrientedFaceSet(np.asarray(centers, dtype=float),
-                           np.asarray(normals, dtype=float),
-                           np.ones(len(centers)))
+    keys, strides = _lattice_keys(pts)
+    # a neighbour p+d is set iff its key is among the sorted voxel keys
+    nbr = keys[:, None] + _FACET_DIRS @ strides
+    sorted_keys = np.sort(keys)
+    pos = np.searchsorted(sorted_keys, nbr)
+    absent = sorted_keys[np.minimum(pos, len(pts) - 1)] != nbr
+    vox, facet = np.nonzero(absent)
+    dirs = _FACET_DIRS[facet]
+    return OrientedFaceSet(pts[vox] + 0.5 + 0.5 * dirs,
+                           dirs.astype(float),
+                           np.ones(len(vox)))
+
+
+def _lattice_keys(pts):
+    """(keys, strides): distinct int64 keys for lattice points and their
+    6 neighbours.
+
+    Each axis is compressed to the sorted distinct values of x-1, x and x+1
+    over the points, so a point's neighbours are exactly one rank away and
+    p+d has key key(p) + d @ strides. Keys are mixed-radix over the axis
+    sizes; the product of the sizes is checked to fit in int64, so no two
+    lattice points share a key.
+    """
+    info = np.iinfo(np.int64)
+    if pts.min() <= info.min or pts.max() >= info.max:
+        raise ValueError("voxel coordinates must lie strictly inside the int64 range")
+    ranks = np.empty_like(pts)
+    sizes = []
+    for axis in range(3):
+        # return_inverse also keeps np.unique on its sorting path, which
+        # is far faster than hashing for millions of distinct values
+        values, inverse = np.unique(pts[:, axis, None] + np.array([-1, 0, 1]),
+                                    return_inverse=True)
+        ranks[:, axis] = inverse.reshape(-1, 3)[:, 1]
+        sizes.append(len(values))
+    if sizes[0] * sizes[1] * sizes[2] > info.max:
+        raise ValueError(f"voxel coordinates too spread out to index "
+                         f"({sizes[0]} x {sizes[1]} x {sizes[2]} distinct values)")
+    strides = np.array([sizes[1] * sizes[2], sizes[2], 1], dtype=np.int64)
+    return ranks @ strides, strides
 
 
 def estimate_digital_normals(faces: OrientedFaceSet, radius: float) -> OrientedFaceSet:
@@ -93,24 +124,44 @@ def estimate_digital_normals(faces: OrientedFaceSet, radius: float) -> OrientedF
     Each facet's normal becomes the smallest-eigenvalue eigenvector of the
     covariance of facet centers within `radius`, signed opposite to the
     provisional outward normal (so the result points inward). Facets with
-    fewer than 3 neighbors keep their provisional normal untouched.
+    fewer than 3 neighbors get their negated provisional normal.
+
+    Neighbourhoods are gathered per size k, and each group's covariances
+    go through one batched eigh; the arithmetic is that of np.cov with
+    bias=True, so every normal equals the per-facet computation bit for bit.
     """
     centers = faces.centers
-    tree = cKDTree(centers)
-    neighborhoods = tree.query_ball_point(centers, r=float(radius))
-    normals = faces.normals.copy()
-    for i, idx in enumerate(neighborhoods):
-        if len(idx) < 3:
-            continue
-        local = centers[idx]
-        cov = np.cov(local.T, bias=True)
-        w, v = np.linalg.eigh(cov)
-        n = v[:, 0]
+    counts, members = _ball_neighbourhoods(centers, float(radius))
+    starts = np.cumsum(counts) - counts
+    normals = -faces.normals
+    for k in np.unique(counts[counts >= 3]):
+        rows = np.flatnonzero(counts == k)
+        # (m, 3, k): the k neighbour centers of each facet, centred
+        local = centers[members[starts[rows, None] + np.arange(k)]]
+        local = np.ascontiguousarray(local.transpose(0, 2, 1))
+        local -= local.mean(axis=2, keepdims=True)
+        cov = local @ local.transpose(0, 2, 1)
+        cov *= 1.0 / k
+        n = np.linalg.eigh(cov)[1][:, :, 0]
         # sign-match to outward, then flip inward
-        if np.dot(n, faces.normals[i]) < 0:
-            n = -n
-        normals[i] = -n
+        opposed = (n * faces.normals[rows]).sum(axis=1) < 0
+        normals[rows] = np.where(opposed[:, None], n, -n)
     return OrientedFaceSet(centers, normals, faces.areas)
+
+
+def _ball_neighbourhoods(centers, radius):
+    """Ascending indices of the centers within `radius` of each center, in
+    CSR form: (counts, members), the neighbours of i being
+    members[sum(counts[:i]) : sum(counts[:i + 1])]. Same sets as
+    cKDTree.query_ball_point, each center included."""
+    n = len(centers)
+    pairs = cKDTree(centers).query_pairs(radius, output_type="ndarray")
+    self_pairs = np.arange(n)
+    first = np.concatenate([pairs[:, 0], pairs[:, 1], self_pairs])
+    second = np.concatenate([pairs[:, 1], pairs[:, 0], self_pairs])
+    # sorting i*n + j orders by facet, then by neighbour
+    flat = np.sort(first * n + second)
+    return np.bincount(first, minlength=n), flat % n
 
 
 def orient_inward(faces: OrientedFaceSet, mesh=None, mode="auto",

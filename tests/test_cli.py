@@ -68,6 +68,17 @@ def test_pipeline_failure_is_exit_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("value", ["0", "-1.5", "nan", "inf"])
+def test_bad_normal_radius_is_exit_1(tmp_path, capsys, value):
+    vox = tmp_path / "v.xyz"
+    vox.write_text("".join(f"{i} {j} 0\n" for i in range(6) for j in range(6)))
+    rc = run(["accumulate", "--input", vox, "--radius", 2,
+              "--normal-radius", value, "--out-dir", tmp_path / "out"])
+    assert rc == 1
+    assert "--normal-radius must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
 def test_accumulate_writes_grids(tube_off, tmp_path):
     out = tmp_path / "acc"
     rc = run(["accumulate", "--input", tube_off, "--radius", 4,

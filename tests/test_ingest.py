@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import tubeaxis as tx
-from tubeaxis.ingest import (_load_off_lines, _parse_off_triangles, _fmt,
+from tubeaxis.ingest import (_load_off_lines, _load_volume_lines,
+                             _parse_off_triangles, _parse_voxel_list, _fmt,
                              load_obj, load_off, load_pgm,
                              write_centerline_csv, write_decomposition_csv,
                              write_face_scalar_csv, write_off)
@@ -164,6 +165,59 @@ def test_load_volume_dedupes(tmp_path):
     p = _write(tmp_path / "v.csv", "1 2 3\n4 5 6\n1 2 3\n")
     vol = tx.load_volume(p)
     assert len(vol.points) == 2
+
+
+@pytest.mark.parametrize("text, bulk", [
+    ("1 2 3\n4 5 6\n", True),
+    ("1 2 3\n4 5 6", True),
+    ("", True),
+    ("1 2 3\r\n-4 +5 6\r\n", True),
+    ("1 2 3\r4 5 6\r", True),
+    ("\n1 2 3\n\n   \n4\t5\t6\n\n", True),
+    ("+1 -2 +0\n-0 3 -4\n-9223372036854775808 9223372036854775807 0\n", True),
+    ("1 2 3\n4 5 6\n1 2 3\n1 2 3\n", True),
+    ("# x y z\n1 2 3  # first\n4 5 6\n1 2 3\n", False),
+    ("1 2 3\r\n# c\r\n\r\n-4 +5 6\r\n", False),
+])
+def test_volume_bulk_and_line_parsers_agree(tmp_path, text, bulk):
+    p = tmp_path / "v.xyz"
+    p.write_bytes(text.encode())
+    ref = _load_volume_lines(p)
+    assert ref.dtype == np.int64 and ref.shape[1:] == (3,)
+    fast = _parse_voxel_list(p.read_text())
+    # the plain files really take the bulk path, the others fall back
+    assert (fast is not None) == bulk
+    if bulk:
+        assert np.array_equal(fast, ref) and fast.dtype == ref.dtype
+    vol = tx.load_volume(p)
+    assert np.array_equal(vol.points, np.unique(ref, axis=0))
+
+
+@pytest.mark.parametrize("text", ["1 2 3\n4 5 6\n1 2 3\n",
+                                  "# c\n1 2 3\n4 5 6\n1 2 3\n"])
+def test_volume_duplicates_warn_on_both_paths(tmp_path, text, caplog):
+    p = _write(tmp_path / "v.xyz", text)
+    with caplog.at_level("WARNING", logger="tubeaxis.ingest"):
+        vol = tx.load_volume(p)
+    assert len(vol) == 2
+    assert "removed 1 duplicate voxel(s)" in caplog.text
+
+
+@pytest.mark.parametrize("text, line", [
+    ("1 2 3\n4 5\n6 7 8\n", 2),                        # 2 tokens
+    ("1 2 3\n\n4 5 6 7\n", 3),                          # 4 tokens
+    ("1 2 3 4\n5 6\n", 1),                              # 4 + 2 tokens
+    ("1 2 3\n1.5 2 3\n", 2),
+    ("# c\n1 2 3\n1 2 x\n", 3),
+    ("1 2 3\n9223372036854775808 0 0\n", 2),           # int64 overflow
+    ("# c\n1 2 3\n0 -9223372036854775809 0\n", 3),
+    ("1 2 3\n4 5 6 # trailing\n7 8\n", 3),
+])
+def test_volume_errors_keep_their_line_numbers(tmp_path, text, line):
+    p = _write(tmp_path / "bad.xyz", text)
+    with pytest.raises(tx.ParseError) as err:
+        tx.load_volume(p)
+    assert err.value.line == line
 
 
 def test_pgm_ascii_and_binary_agree(tmp_path):

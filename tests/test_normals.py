@@ -2,8 +2,49 @@
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 import tubeaxis as tx
+from tubeaxis.normals import _FACET_DIRS, _ball_neighbourhoods
+
+
+def _facets_by_set_lookup(points):
+    """Reference: probe a set of tuples for each voxel's six neighbours."""
+    pts = np.asarray(points, dtype=np.int64).reshape(-1, 3)
+    occupied = set(map(tuple, pts))
+    centers, normals = [], []
+    for p in pts:
+        for d in _FACET_DIRS:
+            if tuple(p + d) not in occupied:
+                centers.append(p + 0.5 + 0.5 * d)
+                normals.append(d)
+    return (np.asarray(centers, dtype=float).reshape(-1, 3),
+            np.asarray(normals, dtype=float).reshape(-1, 3))
+
+
+def _normals_by_facet_cov(faces, radius):
+    """Reference: one np.cov and one eigh per facet."""
+    centers = faces.centers
+    neighborhoods = cKDTree(centers).query_ball_point(centers, r=float(radius))
+    normals = -faces.normals
+    for i, idx in enumerate(neighborhoods):
+        if len(idx) < 3:
+            continue
+        w, v = np.linalg.eigh(np.cov(centers[idx].T, bias=True))
+        n = v[:, 0]
+        if np.dot(n, faces.normals[i]) < 0:
+            n = -n
+        normals[i] = -n
+    return normals
+
+
+def _assert_facets_match_reference(points):
+    fs = tx.digital_surface_faces(tx.VoxelSet(points))
+    centers, normals = _facets_by_set_lookup(points)
+    assert np.array_equal(fs.centers, centers)
+    assert np.array_equal(fs.normals, normals)
+    assert np.array_equal(fs.areas, np.ones(len(centers)))
+    return fs
 
 
 def test_triangle_normal_area_center():
@@ -37,9 +78,7 @@ def test_flipped_negates_normals():
 
 
 def test_single_voxel_has_six_facets():
-    vol = tx.VoxelSet(points=np.array([[4, 5, 6]]), origin=np.zeros(3),
-                      gridstep=1.0)
-    fs = tx.digital_surface_faces(vol)
+    fs = _assert_facets_match_reference(np.array([[4, 5, 6]]))
     assert len(fs) == 6
     # outward unit axis normals, one per cube side
     assert sorted(map(tuple, fs.normals.astype(int))) == sorted(
@@ -55,6 +94,108 @@ def test_solid_block_facet_count():
     vol = tx.VoxelSet(points=pts, origin=np.zeros(3), gridstep=1.0)
     fs = tx.digital_surface_faces(vol)
     assert len(fs) == 24  # 6 sides x 4 unit facets
+
+
+def test_facets_match_set_lookup_on_random_blobs():
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        pts = rng.integers(-4, 5, size=(rng.integers(1, 120), 3))
+        _assert_facets_match_reference(pts)
+
+
+def test_facets_with_duplicate_points():
+    # VoxelSet keeps duplicates; each copy yields its own facets
+    pts = np.array([[0, 0, 0], [1, 0, 0], [0, 0, 0], [5, 5, 5], [5, 5, 5]])
+    fs = _assert_facets_match_reference(pts)
+    assert len(fs) == 10 + 5 + 6 + 6
+
+
+def test_facets_with_negative_coordinates():
+    pts = np.array([(i, j, k) for i in range(-3, 1) for j in range(-2, 2)
+                    for k in range(-7, -5) if (i + j + k) % 3])
+    _assert_facets_match_reference(pts)
+
+
+def test_facets_with_coordinates_spread_past_2_pow_21():
+    # wider than 2^21 per axis: a bounding-box key of 3 x 21 bits would alias
+    far = 2 ** 22 + 3
+    pts = np.array([[0, 0, 0], [1, 0, 0], [far, 0, 0], [far, far, far],
+                    [far, far, far + 1], [-far, 5, -far], [0, far, 0],
+                    [2 ** 62, -2 ** 62, 7], [2 ** 62 + 1, -2 ** 62, 7]])
+    fs = _assert_facets_match_reference(pts)
+    assert len(fs) == 9 * 6 - 3 * 2
+
+
+@pytest.mark.parametrize("bad", [2 ** 63 - 1, -2 ** 63])
+def test_facets_reject_int64_extremes(bad):
+    with pytest.raises(ValueError, match="int64"):
+        tx.digital_surface_faces(tx.VoxelSet(np.array([[0, 0, 0], [bad, 1, 2]])))
+
+
+def test_facets_reject_key_space_beyond_int64():
+    # 700,000 voxels spaced 3 apart along the diagonal need 2.1M distinct
+    # values per axis, and 2.1M^3 keys do not fit in int64
+    pts = np.repeat(3 * np.arange(700_000, dtype=np.int64)[:, None], 3, axis=1)
+    with pytest.raises(ValueError, match="too spread out"):
+        tx.digital_surface_faces(tx.VoxelSet(pts))
+
+
+def test_facets_of_empty_set_raise():
+    with pytest.raises(tx.EmptyInput):
+        tx.digital_surface_faces(tx.VoxelSet(np.empty((0, 3), dtype=np.int64)))
+
+
+def _mixed_voxels():
+    """A slab, an isolated voxel and a short rod: small and large
+    neighbourhoods side by side."""
+    slab = [(i, j, 0) for i in range(6) for j in range(5)]
+    rod = [(20, 20, k) for k in range(3)]
+    return np.array(slab + [(-10, 4, 4)] + rod)
+
+
+@pytest.mark.parametrize("radius", [0.6, 0.9, 1.0, 1.6, 2.5])
+def test_estimated_normals_match_per_facet_cov_with_mixed_sizes(radius):
+    fs = tx.digital_surface_faces(tx.VoxelSet(_mixed_voxels()))
+    est = tx.estimate_digital_normals(fs, radius)
+    assert np.array_equal(est.normals, _normals_by_facet_cov(fs, radius))
+    assert np.array_equal(est.centers, fs.centers)
+
+
+def test_mixed_voxels_give_mixed_neighbourhood_sizes():
+    fs = tx.digital_surface_faces(tx.VoxelSet(_mixed_voxels()))
+    sizes = {r: set(_ball_neighbourhoods(fs.centers, r)[0].tolist())
+             for r in (0.6, 0.9, 1.6, 2.5)}
+    assert sizes[0.6] == {1}
+    assert min(sizes[0.9]) < 3 < max(sizes[0.9])
+    assert len(sizes[1.6]) > 5 and len(sizes[2.5]) > 10
+
+
+@pytest.mark.parametrize("radius", [2.0, 3.0])
+def test_estimated_normals_match_per_facet_cov_on_capped_tube(radius):
+    mesh, _ = tx.gen_tube(tx.parse_tube_spec("S:12,A:8:60,S:6"), 3.0, 1.0,
+                          cap_ends=True)
+    fs = _assert_facets_match_reference(tx.voxelize(mesh, 1.0).points)
+    est = tx.estimate_digital_normals(fs, radius)
+    assert np.array_equal(est.normals, _normals_by_facet_cov(fs, radius))
+
+
+@pytest.mark.parametrize("radius", [0.6, 1.0, 2 ** 0.5, 2.5])
+def test_ball_neighbourhoods_match_query_ball_point(radius):
+    fs = tx.digital_surface_faces(tx.VoxelSet(_mixed_voxels()))
+    counts, members = _ball_neighbourhoods(fs.centers, radius)
+    ref = cKDTree(fs.centers).query_ball_point(fs.centers, r=radius)
+    assert counts.tolist() == [len(i) for i in ref]
+    assert members.tolist() == [j for i in ref for j in i]
+
+
+def test_estimated_normals_point_inward_below_three_neighbours():
+    # at radius 0.9 flat slab facets see fewer than 3 neighbours
+    pts = np.array([(i, j, 0) for i in range(12) for j in range(12)])
+    fs = tx.digital_surface_faces(tx.VoxelSet(pts))
+    est = tx.estimate_digital_normals(fs, radius=0.9)
+    counts, _ = _ball_neighbourhoods(fs.centers, 0.9)
+    assert counts.min() < 3
+    assert np.all(np.einsum("ij,ij->i", est.normals, fs.normals) <= 0)
 
 
 def test_estimated_normals_on_digital_plane():
