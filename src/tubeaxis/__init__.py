@@ -7,8 +7,9 @@ straight and arc sections, and optionally rebuild an ideal tube to measure
 per-face deviation.
 """
 
-from .accumulate import (AccumulationParams, AccumulationResult,
-                         accumulation_domain, compute_accumulation)
+from .accumulate import (AccumulationParams, AccumulationResult, VoteCounts,
+                         accumulate_counts, accumulation_domain,
+                         compute_accumulation)
 from .core import (GridDomain, OrthonormalFrame, ScalarGrid3, VectorGrid3,
                    digitize, frame_from_direction, load_grid, normalize,
                    save_grid)
@@ -36,8 +37,8 @@ from .track import (Centerline, Patch, extract_centerline, extract_patch,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccumulationParams", "AccumulationResult", "accumulation_domain",
-    "compute_accumulation",
+    "AccumulationParams", "AccumulationResult", "VoteCounts",
+    "accumulate_counts", "accumulation_domain", "compute_accumulation",
     "GridDomain", "OrthonormalFrame", "ScalarGrid3", "VectorGrid3",
     "digitize", "frame_from_direction", "load_grid", "normalize", "save_grid",
     "Decomposition", "Segment", "TangentSpacePolygon", "decompose_centerline",

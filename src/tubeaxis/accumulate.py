@@ -8,6 +8,16 @@ direction per voxel. For an ideal tube of radius R and accRadius slightly
 above R, votes pile up on the axis and the per-voxel direction aligns with
 it.
 
+The votes are kept in a table of the visited voxels, not in grids sized by
+the bounding box: the sorted int64 linear ids of the voxels that received
+a vote (C order over the domain dims), with a uint32 count and a float64
+direction sum beside each. Rays only visit a shell around the axis, so the
+table grows with faces x steps while the domain grows with the volume of
+the box. Readers look voxels up with searchsorted on the ids; a voxel
+missing from the table holds 0. The dense `acc` and `directions` grids of
+a result are scattered from the table the first time they are read (to
+write them out, say); tracking never reads them.
+
 The implementation is fully vectorized but reproduces the sequential
 per-face, per-step semantics exactly: votes are order-free, and the
 direction update (whose sign choice depends on the running value) is
@@ -19,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -43,14 +54,14 @@ class AccumulationParams:
     min_norm: float = 0.1
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
-        if self.gridstep <= 0:
-            raise ValueError("gridstep must be positive")
+        if not (math.isfinite(self.radius) and self.radius > 0):
+            raise ValueError("radius must be positive and finite")
+        if not (math.isfinite(self.gridstep) and self.gridstep > 0):
+            raise ValueError("gridstep must be positive and finite")
         if self.epsilon is None:
             object.__setattr__(self, "epsilon", 0.1 * self.radius)
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
+            raise ValueError("epsilon must be >= 0 and finite")
         if not 0 < self.min_norm < 1:
             raise ValueError("min_norm must be in (0, 1)")
 
@@ -65,12 +76,40 @@ class AccumulationParams:
 
 
 @dataclass
-class AccumulationResult:
-    acc: ScalarGrid3
-    directions: VectorGrid3
+class VoteCounts:
+    """Votes per visited voxel: sorted linear ids and their counts.
+
+    `acc` is the dense count grid, scattered from the table on first read.
+    """
+
+    domain: GridDomain = field(repr=False)
+    keys: np.ndarray = field(repr=False)    # sorted int64 linear voxel ids
+    counts: np.ndarray = field(repr=False)  # uint32, one per key
     max_acc: int
+
+    @cached_property
+    def acc(self) -> ScalarGrid3:
+        grid = ScalarGrid3.zeros(self.domain)
+        grid.values.reshape(-1)[self.keys] = self.counts
+        return grid
+
+
+@dataclass
+class AccumulationResult(VoteCounts):
+    """Vote counts plus the per-voxel direction sums and the seed voxel.
+
+    `directions` is the dense direction grid, scattered from the table on
+    first read.
+    """
+
+    dirs: np.ndarray = field(repr=False)  # (n_keys, 3) float64
     max_pt: tuple
-    domain: GridDomain = field(repr=False, default=None)
+
+    @cached_property
+    def directions(self) -> VectorGrid3:
+        grid = VectorGrid3.zeros(self.domain)
+        grid.values.reshape(-1, 3)[self.keys] = self.dirs
+        return grid
 
 
 def accumulation_domain(points, params: AccumulationParams) -> GridDomain:
@@ -86,38 +125,57 @@ def accumulation_domain(points, params: AccumulationParams) -> GridDomain:
     return GridDomain(origin=lo, gridstep=params.gridstep, dims=tuple(dims))
 
 
-def _march_events(faces, params, domain):
-    """All (face, step) -> voxel visit events, in scan order.
+def _march(faces, params, domain):
+    """Linear voxel id of every (face, step) scan position, shape (F, S).
 
-    Returns (event voxel linear ids, event normals, n_voxels). Events are
-    ordered face-major then step-minor, which is the sequential visit order.
-    Out-of-domain positions are dropped; the domain box is convex so a ray
-    that exits never re-enters, making the drop a clean truncation.
+    Row f is face f's scan in step order, so the ravelled array is the
+    sequential visit order. Positions outside the domain get id -1; the
+    domain box is convex, so a ray that exits never re-enters and dropping
+    them is a clean truncation.
     """
+    if domain.voxel_count > np.iinfo(np.int64).max:
+        raise ValueError(f"domain of {domain.dims} voxels is too large to index")
     centers = faces.centers
     normals = faces.normals
-    nsteps = params.n_steps
-    steps = np.arange(nsteps, dtype=float) * params.gridstep
-
-    # positions[f, s] = center_f + s*gridstep*normal_f
-    pos = centers[:, None, :] + steps[None, :, None] * normals[:, None, :]
-    idx = np.floor((pos - domain.origin) / domain.gridstep).astype(np.int64)
     dims = np.asarray(domain.dims)
-    inb = np.all((idx >= 0) & (idx < dims), axis=2)
-    if not inb[:, 0].all():
-        bad = int(np.flatnonzero(~inb[:, 0])[0])
-        raise DomainTooSmall(f"scan of face {bad} starts outside the domain")
+    steps = np.arange(params.n_steps, dtype=float) * params.gridstep
+    ids = np.empty((len(faces), params.n_steps), dtype=np.int64)
+    for s, dist in enumerate(steps):
+        idx = np.floor((centers + dist * normals - domain.origin)
+                       / domain.gridstep).astype(np.int64)
+        inb = np.all((idx >= 0) & (idx < dims), axis=1)
+        if s == 0 and not inb.all():
+            bad = int(np.flatnonzero(~inb)[0])
+            raise DomainTooSmall(f"scan of face {bad} starts outside the domain")
+        ids[:, s] = np.where(inb, idx @ domain.strides, -1)
+    return ids
 
-    flat = idx[..., 0] * (dims[1] * dims[2]) + idx[..., 1] * dims[2] + idx[..., 2]
-    keep = inb.ravel()
-    ev_voxel = flat.ravel()[keep]
-    ev_normal = np.repeat(normals, nsteps, axis=0)[keep]
-    return ev_voxel, ev_normal, int(dims.prod())
+
+def _runs(sorted_ids):
+    """(starts, keys, counts) of the runs of equal ids in a sorted id
+    array that holds no out-of-domain (-1) entries."""
+    new = np.empty(len(sorted_ids), dtype=bool)
+    new[:1] = True
+    np.not_equal(sorted_ids[1:], sorted_ids[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    counts = np.diff(starts, append=len(sorted_ids))
+    return starts, sorted_ids[starts], counts
+
+
+def accumulate_counts(faces, params: AccumulationParams) -> VoteCounts:
+    """Vote counts only: no direction replay, no seed voxel."""
+    if len(faces) == 0:
+        raise EmptyInput("no faces to accumulate")
+    domain = accumulation_domain(faces.centers, params)
+    ids = np.sort(_march(faces, params, domain), axis=None)
+    _, keys, counts = _runs(ids[np.searchsorted(ids, 0):])
+    return VoteCounts(domain=domain, keys=keys, counts=counts.astype(np.uint32),
+                      max_acc=int(counts.max()))
 
 
 def compute_accumulation(faces, params: AccumulationParams,
                          domain: GridDomain | None = None) -> AccumulationResult:
-    """Run all scans and build the count and direction images.
+    """Run all scans and build the vote table with its directions.
 
     max_pt is the voxel whose count first reached the final maximum, in
     scan order (ties on the count value are impossible under the
@@ -128,54 +186,45 @@ def compute_accumulation(faces, params: AccumulationParams,
     if domain is None:
         domain = accumulation_domain(faces.centers, params)
 
-    ev_voxel, ev_normal, nvox = _march_events(faces, params, domain)
-    counts = np.bincount(ev_voxel, minlength=nvox)
+    ids = _march(faces, params, domain)
+    n_steps = ids.shape[1]
+    ids = ids.ravel()
+    # group events by voxel, keeping chronological order inside groups
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    del ids
+    n_out = int(np.searchsorted(sorted_ids, 0))
+    order = order[n_out:]
+    starts, keys, counts = _runs(sorted_ids[n_out:])
+    del sorted_ids
     max_acc = int(counts.max())
 
-    # group events by voxel, preserving chronological order inside groups
-    order = np.argsort(ev_voxel, kind="stable")
-    sorted_voxel = ev_voxel[order]
-    group_start = np.zeros(len(order), dtype=np.int64)
-    new_group = np.flatnonzero(sorted_voxel[1:] != sorted_voxel[:-1]) + 1
-    group_start[new_group] = new_group
-    np.maximum.accumulate(group_start, out=group_start)
-    rank = np.arange(len(order)) - group_start  # visit number within voxel
-
     # first voxel to reach the final maximum wins
-    at_max_rank = np.flatnonzero(rank == max_acc - 1)
-    winner_pos = at_max_rank[np.argmin(order[at_max_rank])]
-    dims = np.asarray(domain.dims)
-    v = int(sorted_voxel[winner_pos])
-    max_pt = (v // (dims[1] * dims[2]), (v // dims[2]) % dims[1], v % dims[2])
+    at_max = np.flatnonzero(counts == max_acc)
+    winner = at_max[np.argmin(order[starts[at_max] + max_acc - 1])]
+    max_pt = np.unravel_index(keys[winner], domain.dims)
 
-    # direction image: replay the sign-dependent update rank by rank
-    sorted_normal = ev_normal[order]
-    cross = np.empty_like(sorted_normal)
-    cross[0] = 0.0
-    cross[1:] = np.cross(sorted_normal[:-1], sorted_normal[1:])
-    eligible = (rank >= 1) & (np.linalg.norm(cross, axis=1) > params.min_norm)
-
-    # bucket eligible events by rank up front; scanning all events once per
-    # rank would cost O(max_acc * n_events) and break linear-time scaling
-    elig_idx = np.flatnonzero(eligible)
-    rorder = np.argsort(rank[elig_idx], kind="stable")
-    by_rank = elig_idx[rorder]
-    ranks_sorted = rank[elig_idx][rorder]
-    bounds = np.concatenate([[0], np.flatnonzero(np.diff(ranks_sorted)) + 1,
-                             [len(by_rank)]])
-
-    dir_flat = np.zeros((nvox, 3))
-    for b0, b1 in zip(bounds[:-1], bounds[1:]):
-        sel = by_rank[b0:b1]
-        # a voxel is visited at most once per rank, so these updates are
-        # independent and fancy-index += is safe
-        vox = sorted_voxel[sel]
-        axis = cross[sel]
-        sign = np.sign(np.einsum("ij,ij->i", axis, dir_flat[vox]))
+    # direction table: replay the sign-dependent update rank by rank. The
+    # r-th visits of all voxels are independent of each other. The voxels
+    # visited more than r times shrink from rank to rank, and each carries
+    # the normal of its previous visit along, so the replay stays linear
+    # in the events.
+    normals = faces.normals
+    dirs = np.zeros((len(keys), 3))
+    group = np.arange(len(keys))
+    current = normals.take(order[starts] // n_steps, axis=0)
+    for rank in range(1, max_acc):
+        more = counts[group] > rank
+        group = group[more]
+        previous = current[more]
+        current = normals.take(order[starts[group] + rank] // n_steps, axis=0)
+        axis = np.cross(previous, current)
+        ok = np.linalg.norm(axis, axis=1) > params.min_norm
+        updated, axis = group[ok], axis[ok]
+        sign = np.sign(np.einsum("ij,ij->i", axis, dirs[updated]))
         sign[sign == 0] = 1.0
-        dir_flat[vox] += axis * sign[:, None]
+        dirs[updated] += axis * sign[:, None]
 
-    acc = ScalarGrid3(domain, counts.reshape(domain.dims).astype(np.uint32))
-    directions = VectorGrid3(domain, dir_flat.reshape(domain.dims + (3,)))
-    return AccumulationResult(acc=acc, directions=directions, max_acc=max_acc,
-                              max_pt=tuple(int(i) for i in max_pt), domain=domain)
+    return AccumulationResult(domain=domain, keys=keys,
+                              counts=counts.astype(np.uint32), max_acc=max_acc,
+                              dirs=dirs, max_pt=tuple(int(i) for i in max_pt))

@@ -121,8 +121,8 @@ def _load_input(args, timings):
         faces = orient_inward(faces, mode=args.orient, radius=args.radius)
 
     gridstep = native_step if args.gridstep == "auto" else float(args.gridstep)
-    if gridstep <= 0:
-        raise UsageError("--gridstep must be positive")
+    if not (math.isfinite(gridstep) and gridstep > 0):
+        raise UsageError("--gridstep must be positive and finite")
     ctx["faces"] = faces
     ctx["gridstep"] = gridstep
     return ctx

@@ -87,6 +87,13 @@ class GridDomain:
         nx, ny, nz = self.dims
         return nx * ny * nz
 
+    @property
+    def strides(self):
+        """Linear voxel id of index (i, j, k) is (i, j, k) @ strides: C
+        order over dims, the flat index into a dense grid's values."""
+        _, ny, nz = self.dims
+        return np.array([ny * nz, nz, 1], dtype=np.int64)
+
     def voxel_center(self, index):
         return self.origin + self.gridstep * (np.asarray(index, dtype=float) + 0.5)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import DegenerateFace, EmptyInput
+from .errors import DegenerateFace, EmptyInput, SeedInvalid
 
 _FACET_DIRS = np.array([
     [1, 0, 0], [-1, 0, 0],
@@ -169,9 +169,10 @@ def orient_inward(faces: OrientedFaceSet, mesh=None, mode="auto",
     """Resolve the global inward/outward ambiguity of a face set.
 
     mode="flip" negates all normals, mode="keep" returns the input as is,
-    and mode="auto" probes both orientations with a coarse accumulation and
-    keeps whichever concentrates more votes (inward scans pile up on the
-    axis, outward scans disperse).
+    and mode="auto" counts the votes of both orientations on a lattice of
+    step radius/3 (no directions) and keeps whichever concentrates more
+    votes (inward scans pile up on the axis, outward scans disperse). A
+    tie raises SeedInvalid: the probe cannot tell the orientations apart.
     """
     if mode == "keep":
         return faces
@@ -180,20 +181,18 @@ def orient_inward(faces: OrientedFaceSet, mesh=None, mode="auto",
     if mode != "auto":
         raise ValueError(f"unknown orientation mode {mode!r}")
 
-    from .accumulate import AccumulationParams, accumulation_domain, compute_accumulation
+    from .accumulate import AccumulationParams, accumulate_counts
 
-    lo = faces.centers.min(axis=0)
-    hi = faces.centers.max(axis=0)
-    extent = float((hi - lo).max())
     if radius is None:
+        extent = float((faces.centers.max(axis=0) - faces.centers.min(axis=0)).max())
         radius = 0.25 * max(extent, 1e-9)
-    # coarse lattice: few-step scans are enough to tell the orientations apart
-    gridstep = max(extent / 48.0, radius / 3.0)
-    params = AccumulationParams(radius=radius, epsilon=0.0, gridstep=gridstep)
-    best = None
-    for cand in (faces, faces.flipped()):
-        domain = accumulation_domain(cand.centers, params)
-        res = compute_accumulation(cand, params, domain)
-        if best is None or res.max_acc > best[0]:
-            best = (res.max_acc, cand)
-    return best[1]
+    # 3 steps per scan whatever the extent: a step tied to the extent gave
+    # long tubes one-voxel scans, on which both orientations tie
+    params = AccumulationParams(radius=radius, epsilon=0.0, gridstep=radius / 3.0)
+    flipped = faces.flipped()
+    kept_max = accumulate_counts(faces, params).max_acc
+    flipped_max = accumulate_counts(flipped, params).max_acc
+    if kept_max == flipped_max:
+        raise SeedInvalid(f"orientation probe ties at {kept_max} votes; "
+                          "pass the orientation explicitly")
+    return faces if kept_max > flipped_max else flipped

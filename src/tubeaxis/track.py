@@ -3,22 +3,25 @@
 Starting from the global accumulation maximum, the tracker repeatedly steps
 along the local principal direction, samples a square cross-sectional patch
 of the count image one step ahead, and jumps to the patch argmax. Runs in
-both directions are stitched into one polyline.
+both directions are stitched into one polyline. Every read goes to the
+accumulation's table of visited voxels, never to a dense grid.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .core import OrthonormalFrame, digitize, frame_from_direction, normalize
 from .errors import SeedInvalid
 
 _MAX_TRACK_STEPS = 100000
 _ZERO_DIR = 1e-12
+# the 8 corners of a trilinear cell, last axis fastest
+_CORNERS = np.array(list(itertools.product((0, 1), repeat=3)))
 
 
 @dataclass
@@ -63,24 +66,57 @@ class Centerline:
         return np.linalg.norm(np.diff(self.points, axis=0), axis=1)
 
 
-def _sample_trilinear(values, domain, points):
-    """Trilinear interpolation of a voxel grid at world points (0 outside).
+def _lookup(keys, values, ids):
+    """values[i] (a scalar or a row) where ids equals keys[i], 0 where an
+    id is not among the sorted keys: a sparse grid read as if it were
+    dense."""
+    if len(keys) == 0:
+        return np.zeros(np.shape(ids) + values.shape[1:], dtype=values.dtype)
+    row = np.minimum(np.searchsorted(keys, ids), len(keys) - 1)
+    found = keys[row] == ids
+    return np.where(found.reshape(found.shape + (1,) * (values.ndim - 1)),
+                    values[row], 0)
 
-    The grid is read in its own dtype; map_coordinates interpolates in
-    float64 whatever the input dtype, so no float copy of the grid is made.
+
+def _sample_trilinear(keys, values, domain, points):
+    """Trilinear interpolation of a sparse voxel field at world points.
+
+    The field holds values[i] at linear voxel id keys[i] (sorted) and 0 at
+    every other voxel. The arithmetic is that of
+    ndimage.map_coordinates(grid, order=1, mode="constant", cval=0) on the
+    dense grid, so the two agree bit for bit: a point with any coordinate
+    outside [0, dims - 1] (in voxel-center units) is 0, the weights are
+    1 - t and 1 - (1 - t), and each corner's value times its x, y and z
+    weights is added in corner order.
     """
     points = np.atleast_2d(points)
     coords = (points - domain.origin) / domain.gridstep - 0.5
-    return ndimage.map_coordinates(values, coords.T, order=1, output=np.float64,
-                                   mode="constant", cval=0.0)
+    inside = np.all((coords >= 0) & (coords <= np.asarray(domain.dims) - 1), axis=1)
+    coords = coords[inside]
+    base = np.floor(coords)
+    low = 1.0 - (coords - base)
+    weights = np.stack([low, 1.0 - low], axis=1)  # (n, corner bit, axis)
+    # on the last voxel center of an axis the upper corner lies past the
+    # grid (its id is some other voxel's), but its weight there is 0
+    corner_ids = ((base.astype(np.int64) @ domain.strides)[:, None]
+                  + _CORNERS @ domain.strides)
+    terms = _lookup(keys, values, corner_ids) * weights[:, _CORNERS[:, 0], 0]
+    terms *= weights[:, _CORNERS[:, 1], 1]
+    terms *= weights[:, _CORNERS[:, 2], 2]
+    total = np.zeros(len(coords))
+    for corner in terms.T:
+        total += corner
+    out = np.zeros(len(points))
+    out[inside] = total
+    return out
 
 
 def _voxel_dir(res, point):
     """Direction image value at the voxel containing a world point."""
-    idx = np.floor((np.asarray(point) - res.domain.origin) / res.domain.gridstep).astype(int)
-    if np.any(idx < 0) or np.any(idx >= np.asarray(res.domain.dims)):
+    idx, inb = res.domain.index_array(point)
+    if not inb[0]:
         return np.zeros(3)
-    return res.directions.values[tuple(idx)]
+    return _lookup(res.keys, res.dirs, idx[0] @ res.domain.strides)
 
 
 def patch_size(acc_radius, gridstep):
@@ -104,13 +140,13 @@ def _ridge_direction(res, point, acc_radius):
     half = int(math.ceil(acc_radius / dom.gridstep))
     lo = np.maximum(np.asarray(idx) - half, 0)
     hi = np.minimum(np.asarray(idx) + half + 1, np.asarray(dom.dims))
-    sub = res.acc.values[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]].astype(float)
-    w = sub.ravel() ** 2
+    axes = np.meshgrid(*(np.arange(lo[a], hi[a]) for a in range(3)), indexing="ij")
+    box = np.stack([a.ravel() for a in axes], axis=1)
+    w = _lookup(res.keys, res.counts, box @ dom.strides).astype(float) ** 2
     total = w.sum()
     if total <= 0:
         return None
-    axes = np.meshgrid(*(np.arange(lo[a], hi[a]) for a in range(3)), indexing="ij")
-    pts = dom.origin + dom.gridstep * (np.stack([a.ravel() for a in axes], axis=1) + 0.5)
+    pts = dom.origin + dom.gridstep * (box + 0.5)
     mu = (w[:, None] * pts).sum(axis=0) / total
     cen = pts - mu
     cov = np.einsum("v,vi,vj->ij", w, cen, cen) / total
@@ -131,9 +167,11 @@ def _local_direction(res, point, acc_radius):
     return _ridge_direction(res, point, acc_radius)
 
 
-def extract_patch(acc, domain, center, direction, acc_radius) -> Patch:
-    """Sample the square patch orthogonal to `direction` centered on
-    `center`, with pixel pitch = gridstep and side covering 2*acc_radius."""
+def extract_patch(res, center, direction, acc_radius) -> Patch:
+    """Sample the square patch of the accumulation `res` orthogonal to
+    `direction` centered on `center`, with pixel pitch = gridstep and side
+    covering 2*acc_radius."""
+    domain = res.domain
     frame = frame_from_direction(normalize(np.asarray(direction, dtype=float)),
                                  center=center)
     size = patch_size(acc_radius, domain.gridstep)
@@ -142,7 +180,8 @@ def extract_patch(acc, domain, center, direction, acc_radius) -> Patch:
     pts = (frame.center
            + offs[:, None, None] * frame.u
            + offs[None, :, None] * frame.v)
-    values = _sample_trilinear(acc.values, domain, pts.reshape(-1, 3)).reshape(size, size)
+    values = _sample_trilinear(res.keys, res.counts, domain, pts.reshape(-1, 3))
+    values = values.reshape(size, size)
     return Patch(frame=frame, size=size, gridstep=domain.gridstep, values=values)
 
 
@@ -159,7 +198,7 @@ def is_inside_tube(res, current, previous, ref_value, inside_threshold=0.5,
     the test there. `direction` overrides the sampled direction image (the
     tracker passes its own estimate so both stages agree).
     """
-    level = _sample_trilinear(res.acc.values, res.domain, current)[0]
+    level = _sample_trilinear(res.keys, res.counts, res.domain, current)[0]
     if level < inside_threshold * ref_value:
         return False
     d = _voxel_dir(res, current) if direction is None else np.asarray(direction, dtype=float)
@@ -185,7 +224,7 @@ def track_direction(res, start, in_front, track_step, acc_radius,
     if d0 is None:
         raise SeedInvalid("direction image vanishes at the tracking seed")
     last_vect = d0 * (1.0 if in_front else -1.0)
-    levels = [_sample_trilinear(res.acc.values, res.domain, start)[0]]
+    levels = [_sample_trilinear(res.keys, res.counts, res.domain, start)[0]]
 
     current = start
     previous = start - last_vect * track_step
@@ -210,7 +249,7 @@ def track_direction(res, start, in_front, track_step, acc_radius,
         patch_center = current + dir_vect * track_step
         if not res.domain.contains_point(patch_center):
             break
-        patch = extract_patch(res.acc, res.domain, patch_center, dir_vect, acc_radius)
+        patch = extract_patch(res, patch_center, dir_vect, acc_radius)
         if patch.values.max() <= 0:
             break
         nxt = patch.argmax_world()
@@ -220,7 +259,8 @@ def track_direction(res, start, in_front, track_step, acc_radius,
         last_vect = dir_vect
         current = nxt
         points.append(current.copy())
-        levels.append(_sample_trilinear(res.acc.values, res.domain, current)[0])
+        levels.append(
+            _sample_trilinear(res.keys, res.counts, res.domain, current)[0])
         if step_i >= 2 and np.linalg.norm(current - start) < 0.75 * track_step:
             closed = True
             break

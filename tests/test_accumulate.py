@@ -1,6 +1,8 @@
-"""Vote accumulation against a plain sequential reference implementation."""
+"""Vote accumulation against a plain sequential reference implementation
+and against the dense-grid computation the vote table replaced."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,6 +42,50 @@ def sequential_accumulate(faces, params, domain):
                     dirs[i] = d + sign * axis
             last_normal[i] = n
     return counts, dirs, best, best_vox
+
+
+def dense_accumulate(faces, params, domain):
+    """Dense bounding-box grids built the way the vote table's
+    predecessor built them: (counts, directions, max_acc, max_pt)."""
+    nsteps = params.n_steps
+    steps = np.arange(nsteps, dtype=float) * params.gridstep
+    pos = (faces.centers[:, None, :]
+           + steps[None, :, None] * faces.normals[:, None, :])
+    idx = np.floor((pos - domain.origin) / domain.gridstep).astype(np.int64)
+    dims = np.asarray(domain.dims)
+    keep = np.all((idx >= 0) & (idx < dims), axis=2).ravel()
+    ev_voxel = np.ravel_multi_index(tuple(np.moveaxis(idx, 2, 0)), domain.dims,
+                                    mode="clip").ravel()[keep]
+    ev_normal = np.repeat(faces.normals, nsteps, axis=0)[keep]
+    nvox = int(dims.prod())
+    counts = np.bincount(ev_voxel, minlength=nvox)
+    max_acc = int(counts.max())
+
+    order = np.argsort(ev_voxel, kind="stable")
+    sorted_voxel = ev_voxel[order]
+    group_start = np.zeros(len(order), dtype=np.int64)
+    new_group = np.flatnonzero(sorted_voxel[1:] != sorted_voxel[:-1]) + 1
+    group_start[new_group] = new_group
+    np.maximum.accumulate(group_start, out=group_start)
+    rank = np.arange(len(order)) - group_start
+    at_max_rank = np.flatnonzero(rank == max_acc - 1)
+    winner = int(sorted_voxel[at_max_rank[np.argmin(order[at_max_rank])]])
+    max_pt = tuple(int(i) for i in np.unravel_index(winner, domain.dims))
+
+    sorted_normal = ev_normal[order]
+    cross = np.zeros_like(sorted_normal)
+    cross[1:] = np.cross(sorted_normal[:-1], sorted_normal[1:])
+    eligible = (rank >= 1) & (np.linalg.norm(cross, axis=1) > params.min_norm)
+    dir_flat = np.zeros((nvox, 3))
+    for r in range(1, max_acc):
+        sel = np.flatnonzero(eligible & (rank == r))
+        vox = sorted_voxel[sel]
+        axis = cross[sel]
+        sign = np.sign(np.einsum("ij,ij->i", axis, dir_flat[vox]))
+        sign[sign == 0] = 1.0
+        dir_flat[vox] += axis * sign[:, None]
+    return (counts.reshape(domain.dims).astype(np.uint32),
+            dir_flat.reshape(domain.dims + (3,)), max_acc, max_pt)
 
 
 def _random_faces(rng, n, box=10.0):
@@ -160,3 +206,99 @@ def test_cylinder_votes_concentrate_on_axis(cylinder):
     d = res.directions.values[res.max_pt]
     cos = abs(d[0]) / np.linalg.norm(d)
     assert cos > 0.99
+
+
+def _assert_table_matches_dense(res, faces, params):
+    counts, dirs, max_acc, max_pt = dense_accumulate(faces, params, res.domain)
+    assert res.keys.dtype == np.int64 and res.counts.dtype == np.uint32
+    assert np.array_equal(res.keys, np.flatnonzero(counts))
+    assert np.array_equal(res.counts, counts.ravel()[res.keys])
+    assert res.dirs.tobytes() == dirs.reshape(-1, 3)[res.keys].tobytes()
+    assert res.max_acc == max_acc and res.max_pt == max_pt
+    # the dense views scattered from the table are the old grids, byte for byte
+    assert res.acc.values.dtype == np.uint32
+    assert res.acc.values.tobytes() == counts.tobytes()
+    assert res.directions.values.tobytes() == dirs.tobytes()
+
+
+def _diagonal_tube(length, radius=3.0):
+    """Straight tube laid along the (1, 1, 1) diagonal, normals inward."""
+    mesh, _ = tx.gen_tube([tx.Straight(length)], radius=radius, mesh_step=1.0)
+    d = np.ones(3) / math.sqrt(3.0)
+    u = np.array([1.0, -1.0, 0.0]) / math.sqrt(2.0)
+    rot = np.stack([d, u, np.cross(d, u)], axis=1)  # maps +x onto d
+    return tx.face_normals(tx.TriMesh(mesh.vertices @ rot.T, mesh.faces)).flipped()
+
+
+@pytest.mark.parametrize("seed,n,radius,gridstep,min_norm", [
+    (0, 40, 3.0, 0.8, 0.1),
+    (1, 120, 2.0, 0.5, 0.1),
+    (2, 60, 4.0, 1.3, 0.3),
+])
+def test_table_matches_dense_grids(seed, n, radius, gridstep, min_norm):
+    faces = _random_faces(np.random.default_rng(seed), n)
+    params = tx.AccumulationParams(radius=radius, gridstep=gridstep,
+                                   min_norm=min_norm)
+    _assert_table_matches_dense(tx.compute_accumulation(faces, params),
+                                faces, params)
+
+
+def test_table_matches_dense_grids_on_bent_tube(bent_pipe):
+    _assert_table_matches_dense(bent_pipe["result"], bent_pipe["faces"],
+                                bent_pipe["params"])
+
+
+def test_table_matches_dense_grids_when_rays_leave_the_domain():
+    faces = _random_faces(np.random.default_rng(4), 80, box=6.0)
+    params = tx.AccumulationParams(radius=4.0, gridstep=0.5)
+    # just big enough for the ray starts; most rays run out of the box
+    dom = tx.GridDomain(origin=np.zeros(3), gridstep=0.5, dims=(12, 12, 12))
+    res = tx.compute_accumulation(faces, params, domain=dom)
+    assert res.counts.sum() < len(faces) * params.n_steps
+    _assert_table_matches_dense(res, faces, params)
+
+
+def test_counts_only_matches_the_full_table(bent_pipe):
+    res = bent_pipe["result"]
+    counts = tx.accumulate_counts(bent_pipe["faces"], bent_pipe["params"])
+    assert np.array_equal(counts.keys, res.keys)
+    assert np.array_equal(counts.counts, res.counts)
+    assert counts.max_acc == res.max_acc
+    assert counts.acc.values.tobytes() == res.acc.values.tobytes()
+
+
+def test_tracking_never_builds_the_dense_grids():
+    faces = _diagonal_tube(60.0)
+    params = tx.AccumulationParams(radius=3.0, gridstep=1.0)
+    res = tx.compute_accumulation(faces, params)
+    cl = tx.extract_centerline(res, track_step=3.0, acc_radius=params.acc_radius)
+    assert len(cl) > 10
+    assert "acc" not in vars(res) and "directions" not in vars(res)
+    assert res.acc is res.acc  # scattered once, on first read
+
+
+def test_memory_follows_the_votes_not_the_bounding_box():
+    # R=3, L=400 along the diagonal: 15,200 faces whose 60,800 votes
+    # land in a 14.5M-voxel box; dense grids would take 32 bytes a voxel
+    faces = _diagonal_tube(400.0)
+    params = tx.AccumulationParams(radius=3.0, gridstep=1.0)
+    domain_voxels = accumulation_domain(faces.centers, params).voxel_count
+    assert domain_voxels > 14_000_000
+    tracemalloc.start()
+    try:
+        res = tx.compute_accumulation(faces, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    events = int(res.counts.sum(dtype=np.int64))
+    assert events == len(faces) * params.n_steps
+    assert peak < 12 * 8 * events
+    assert peak < domain_voxels * 8 / 20
+
+
+@pytest.mark.parametrize("field_name", ["radius", "gridstep", "epsilon"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_params_rejected(field_name, value):
+    kwargs = {"radius": 2.0, field_name: value}
+    with pytest.raises(ValueError, match="finite"):
+        tx.AccumulationParams(**kwargs)

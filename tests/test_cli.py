@@ -79,6 +79,35 @@ def test_bad_normal_radius_is_exit_1(tmp_path, capsys, value):
     assert not (tmp_path / "out" / "summary.json").exists()
 
 
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "-inf"])
+def test_bad_gridstep_is_exit_1(tube_off, tmp_path, capsys, value):
+    rc = run(["pipeline", "--input", tube_off, "--radius", 4,
+              f"--gridstep={value}", "--out-dir", tmp_path / "out"])
+    assert rc == 1
+    assert "--gridstep must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("length,radius", [(200, 3), (400, 6)])
+def test_long_thin_tube_gives_a_straight_centerline(tmp_path, length, radius):
+    # both once went wrong in the orientation probe: S:200/R=3 exited 0
+    # with 3 points and an error-map RMS of 15,355, S:400/R=6 exited 2
+    rc = run(["synth", "--spec", f"S:{length}", "--radius", radius,
+              "--mesh-step", 1, "--out-dir", tmp_path / "tube"])
+    assert rc == 0
+    out = tmp_path / "out"
+    rc = run(["pipeline", "--input", tmp_path / "tube" / "tube.off",
+              "--radius", radius, "--out-dir", out])
+    assert rc == 0
+    results = json.loads((out / "summary.json").read_text())["results"]
+    assert results["kinds"] == "S"
+    assert results["error"]["rms"] < 0.1 * radius
+    pts, _ = tx.read_centerline_csv(out / "centerline.csv")
+    # the generated axis is the x axis from 0 to length
+    assert np.all(np.hypot(pts[:, 1], pts[:, 2]) < 0.25 * radius)
+    assert np.ptp(pts[:, 0]) > 0.9 * length
+
+
 def test_accumulate_writes_grids(tube_off, tmp_path):
     out = tmp_path / "acc"
     rc = run(["accumulate", "--input", tube_off, "--radius", 4,

@@ -237,3 +237,25 @@ def test_orient_auto_keeps_inward_cylinder(cylinder):
     kept = tx.orient_inward(cylinder.faces, mode="auto",
                             radius=cylinder.radius)
     assert np.allclose(kept.normals, cylinder.faces.normals)
+
+
+@pytest.mark.parametrize("length,radius", [(200.0, 3.0), (400.0, 6.0)])
+def test_orient_auto_fixes_outward_long_tubes(length, radius):
+    # once extent/48 >= radius a probe lattice of that step gives one-voxel
+    # scans and both orientations tie; the probe step is radius/3 instead
+    mesh, _ = tx.gen_tube([tx.Straight(length)], radius=radius, mesh_step=1.0)
+    fixed = tx.orient_inward(tx.face_normals(mesh), mode="auto", radius=radius)
+    toward = -fixed.centers
+    toward[:, 0] = 0.0  # axis is the x axis; compare radially
+    agree = np.einsum("ij,ij->i", fixed.normals, toward) > 0
+    assert agree.mean() > 0.99
+
+
+def test_orient_auto_tie_raises():
+    # a flat sheet votes the same way up and down: the probe cannot choose
+    xs, ys = np.meshgrid(np.arange(20.0), np.arange(20.0), indexing="ij")
+    centers = np.stack([xs.ravel(), ys.ravel(), np.zeros(xs.size)], axis=1)
+    normals = np.tile([0.0, 0.0, 1.0], (len(centers), 1))
+    sheet = tx.OrientedFaceSet(centers, normals, np.ones(len(centers)))
+    with pytest.raises(tx.SeedInvalid, match="tie"):
+        tx.orient_inward(sheet, mode="auto", radius=3.0)

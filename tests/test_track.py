@@ -4,23 +4,31 @@ import math
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 import tubeaxis as tx
 from tubeaxis.accumulate import AccumulationResult
-from tubeaxis.core import GridDomain, ScalarGrid3, VectorGrid3
-from tubeaxis.track import (Patch, _polyline_directions, _sample_trilinear,
-                            extract_patch, patch_size)
+from tubeaxis.core import GridDomain
+from tubeaxis.track import (Patch, _polyline_directions, _ridge_direction,
+                            _sample_trilinear, _voxel_dir, extract_patch,
+                            patch_size)
 
 
 def _field_result(domain, counts, dirs):
-    counts = counts.astype(np.uint32)
-    flat = int(np.argmax(counts))
-    max_pt = np.unravel_index(flat, domain.dims)
-    return AccumulationResult(acc=ScalarGrid3(domain, counts),
-                              directions=VectorGrid3(domain, dirs),
-                              max_acc=int(counts.max()),
-                              max_pt=tuple(int(i) for i in max_pt),
-                              domain=domain)
+    """Vote table of hand-built dense grids: every voxel whose count or
+    direction is nonzero becomes a row."""
+    counts = counts.astype(np.uint32).ravel()
+    dirs = np.asarray(dirs, dtype=float).reshape(-1, 3)
+    keys = np.flatnonzero((counts != 0) | np.any(dirs != 0, axis=1))
+    max_pt = np.unravel_index(int(np.argmax(counts)), domain.dims)
+    return AccumulationResult(domain=domain, keys=keys, counts=counts[keys],
+                              max_acc=int(counts.max()), dirs=dirs[keys],
+                              max_pt=tuple(int(i) for i in max_pt))
+
+
+def _sample_dense(values, domain, points):
+    """_sample_trilinear on a dense grid: every voxel is a table entry."""
+    return _sample_trilinear(np.arange(values.size), values.ravel(), domain, points)
 
 
 def _straight_ridge(nx=40, ny=21, nz=21, axis_y=10.5, axis_z=10.5,
@@ -54,7 +62,7 @@ def test_trilinear_reproduces_linear_fields():
     values = centers @ np.array([1.0, 2.0, 3.0]) + 4.0
     rng = np.random.default_rng(0)
     pts = domain.origin + rng.uniform(1.0, 3.5, size=(50, 3))
-    sampled = _sample_trilinear(values, domain, pts)
+    sampled = _sample_dense(values, domain, pts)
     assert np.allclose(sampled, pts @ np.array([1.0, 2.0, 3.0]) + 4.0,
                        atol=1e-9)
 
@@ -68,16 +76,116 @@ def test_trilinear_on_count_grid_equals_its_float_copy():
     counts = rng.integers(0, 4_000_000_000, size=domain.dims, dtype=np.uint32)
     # points inside, on the border and outside the grid
     pts = domain.origin + rng.uniform(-1.0, 9.0, size=(400, 3))
-    got = _sample_trilinear(counts, domain, pts)
+    got = _sample_dense(counts, domain, pts)
     assert got.dtype == np.float64
-    assert np.array_equal(got, _sample_trilinear(counts.astype(float), domain, pts))
+    assert np.array_equal(got, _sample_dense(counts.astype(float), domain, pts))
+
+
+def _map_coordinates(values, domain, points):
+    """The dense trilinear sampler the table lookups replaced."""
+    coords = (np.atleast_2d(points) - domain.origin) / domain.gridstep - 0.5
+    return ndimage.map_coordinates(values, coords.T, order=1, output=np.float64,
+                                   mode="constant", cval=0.0)
+
+
+def _border_points(domain, rng):
+    """Points exactly on each border face of the voxel-center box and one
+    ulp outside it, the other two coordinates random inside. Needs a
+    domain whose origin and gridstep keep the arithmetic exact."""
+    dims = np.asarray(domain.dims)
+    inner = rng.uniform(0, dims - 1, size=(20, 3))
+    pts, want = [], []
+    for axis in range(3):
+        for edge, outward in ((0, -np.inf), (dims[axis] - 1, np.inf)):
+            on = domain.origin[axis] + (edge + 0.5) * domain.gridstep
+            for value in (on, np.nextafter(on, outward)):
+                block = domain.origin + (inner + 0.5) * domain.gridstep
+                block[:, axis] = value
+                pts.append(block)
+    pts = np.concatenate(pts)
+    coords = (pts - domain.origin) / domain.gridstep - 0.5
+    on_face = np.any((coords == 0) | (coords == dims - 1), axis=1)
+    outside = np.any((coords < 0) | (coords > dims - 1), axis=1)
+    assert on_face.sum() == outside.sum() == len(pts) // 2
+    return pts
+
+
+@pytest.mark.parametrize("dtype", [np.uint32, np.float64])
+def test_sparse_sampler_is_bit_equal_to_map_coordinates(dtype):
+    domain = GridDomain(origin=np.array([0.5, -1.0, 2.0]), gridstep=0.5,
+                        dims=(9, 11, 7))
+    rng = np.random.default_rng(5)
+    grid = rng.integers(1, 4_000_000_000, size=domain.dims).astype(dtype)
+    if dtype == np.float64:
+        grid -= 2_000_000_000.5
+    grid[rng.random(domain.dims) < 0.6] = 0  # most voxels absent
+    keys = np.flatnonzero(grid)
+    ii, jj, kk = np.meshgrid(*(np.arange(d) for d in domain.dims), indexing="ij")
+    centers = domain.voxel_center(np.stack([ii, jj, kk], axis=-1).reshape(-1, 3))
+    for pts in (domain.origin + rng.uniform(-1.0, 7.0, size=(3000, 3)),
+                centers, _border_points(domain, rng)):
+        got = _sample_trilinear(keys, grid.ravel()[keys], domain, pts)
+        want = _map_coordinates(grid, domain, pts)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_sparse_sampler_of_empty_table_is_zero():
+    domain = GridDomain(origin=np.zeros(3), gridstep=1.0, dims=(4, 4, 4))
+    got = _sample_trilinear(np.zeros(0, dtype=np.int64), np.zeros(0, np.uint32),
+                            domain, np.full((5, 3), 2.0))
+    assert np.array_equal(got, np.zeros(5))
+
+
+def test_table_reads_equal_dense_grid_reads():
+    res = _straight_ridge(nx=30)
+    rng = np.random.default_rng(8)
+    pts = rng.uniform(-2.0, 32.0, size=(300, 3))
+    assert (_sample_trilinear(res.keys, res.counts, res.domain, pts).tobytes()
+            == _map_coordinates(res.acc.values, res.domain, pts).tobytes())
+    for p in pts:
+        idx, inb = res.domain.index_array(p)
+        want = res.directions.values[tuple(idx[0])] if inb[0] else np.zeros(3)
+        assert np.array_equal(_voxel_dir(res, p), want)
+    # the ridge box is read through the table; compare with the dense box
+    found = 0
+    for p in pts[:60]:
+        got = _ridge_direction(res, p, 5.0)
+        want = _ridge_from_dense(res, p, 5.0)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.tobytes() == want.tobytes()
+            found += 1
+    assert 0 < found < 60
+
+
+def _ridge_from_dense(res, point, acc_radius):
+    dom = res.domain
+    idx = tx.digitize(point, dom)
+    if idx is None:
+        return None
+    half = int(math.ceil(acc_radius / dom.gridstep))
+    lo = np.maximum(np.asarray(idx) - half, 0)
+    hi = np.minimum(np.asarray(idx) + half + 1, np.asarray(dom.dims))
+    sub = res.acc.values[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]].astype(float)
+    w = sub.ravel() ** 2
+    total = w.sum()
+    if total <= 0:
+        return None
+    axes = np.meshgrid(*(np.arange(lo[a], hi[a]) for a in range(3)), indexing="ij")
+    pts = dom.origin + dom.gridstep * (np.stack([a.ravel() for a in axes], axis=1) + 0.5)
+    mu = (w[:, None] * pts).sum(axis=0) / total
+    cen = pts - mu
+    cov = np.einsum("v,vi,vj->ij", w, cen, cen) / total
+    vals, vecs = np.linalg.eigh(cov)
+    if vals[2] <= 1e-12 or vals[2] < 2.0 * vals[1]:
+        return None
+    return vecs[:, 2]
 
 
 def test_patch_frame_and_pixels():
     res = _straight_ridge()
     center = np.array([20.0, 10.5, 10.5])
-    patch = extract_patch(res.acc, res.domain, center, np.array([1.0, 0, 0]),
-                          acc_radius=5.0)
+    patch = extract_patch(res, center, np.array([1.0, 0, 0]), acc_radius=5.0)
     assert patch.size == 11
     m = patch.size // 2
     assert np.allclose(patch.world_of_pixel(m, m), center)
