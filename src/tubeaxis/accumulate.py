@@ -162,6 +162,27 @@ def _runs(sorted_ids):
     return starts, sorted_ids[starts], counts
 
 
+def _group_events(ids, voxel_count):
+    """(order, sorted_ids) of the in-domain events, grouped by voxel id and
+    in chronological order inside each group, as a stable argsort would give.
+
+    One sort of the packed keys id * E + event index does it: they are
+    unique, so their order is the (id, index) order, and out-of-domain
+    events (id -1) pack to negative keys that sort first. The keys are
+    packed in place, so ``ids`` is overwritten.
+    """
+    n_events = len(ids)
+    if voxel_count * n_events > np.iinfo(np.int64).max:
+        raise ValueError(f"{n_events} vote events in {voxel_count} voxels "
+                         "overflow the int64 sort keys")
+    packed = ids
+    packed *= n_events
+    packed += np.arange(n_events, dtype=np.int64)
+    packed.sort()
+    packed = packed[np.searchsorted(packed, 0):]
+    return packed % n_events, packed // n_events
+
+
 def accumulate_counts(faces, params: AccumulationParams) -> VoteCounts:
     """Vote counts only: no direction replay, no seed voxel."""
     if len(faces) == 0:
@@ -188,14 +209,9 @@ def compute_accumulation(faces, params: AccumulationParams,
 
     ids = _march(faces, params, domain)
     n_steps = ids.shape[1]
-    ids = ids.ravel()
-    # group events by voxel, keeping chronological order inside groups
-    order = np.argsort(ids, kind="stable")
-    sorted_ids = ids[order]
+    order, sorted_ids = _group_events(ids.ravel(), domain.voxel_count)
     del ids
-    n_out = int(np.searchsorted(sorted_ids, 0))
-    order = order[n_out:]
-    starts, keys, counts = _runs(sorted_ids[n_out:])
+    starts, keys, counts = _runs(sorted_ids)
     del sorted_ids
     max_acc = int(counts.max())
 

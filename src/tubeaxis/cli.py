@@ -70,10 +70,31 @@ class _Timer:
         return False
 
 
+def _positive_finite(flag, value):
+    """The value as a float; a UsageError unless it is positive and finite."""
+    try:
+        value = float(value)
+    except ValueError:
+        raise UsageError(f"{flag} must be a number, got {value!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise UsageError(f"{flag} must be positive and finite")
+    return value
+
+
 def _load_input(args, timings):
-    """Load the input into an oriented face set; returns a context dict."""
+    """Load the input into an oriented face set; returns a context dict.
+
+    Explicit numeric options are checked before anything is loaded.
+    """
     if args.input is None:
         raise UsageError("--input is required")
+    gridstep = (None if args.gridstep == "auto"
+                else _positive_finite("--gridstep", args.gridstep))
+    normal_radius = args.normal_radius
+    if normal_radius is None:
+        normal_radius = max(2.0, 0.5 * args.radius)
+    else:
+        normal_radius = _positive_finite("--normal-radius", normal_radius)
     path = Path(args.input)
     if not path.exists():
         raise FileNotFoundError(f"input file {path} does not exist")
@@ -103,11 +124,6 @@ def _load_input(args, timings):
         else:
             raise UsageError(f"unknown input type {kind!r}")
 
-    normal_radius = args.normal_radius
-    if normal_radius is None:
-        normal_radius = max(2.0, 0.5 * args.radius)
-    elif not (math.isfinite(normal_radius) and normal_radius > 0):
-        raise UsageError("--normal-radius must be positive and finite")
     # staircase face normals vote poorly, so voxel inputs default to smoothed
     normals_mode = args.normals
     if normals_mode is None:
@@ -120,9 +136,9 @@ def _load_input(args, timings):
     with _Timer(timings, "orient"):
         faces = orient_inward(faces, mode=args.orient, radius=args.radius)
 
-    gridstep = native_step if args.gridstep == "auto" else float(args.gridstep)
-    if not (math.isfinite(gridstep) and gridstep > 0):
-        raise UsageError("--gridstep must be positive and finite")
+    if gridstep is None:
+        gridstep = _positive_finite("--gridstep auto (the median face size)",
+                                    native_step)
     ctx["faces"] = faces
     ctx["gridstep"] = gridstep
     return ctx
@@ -157,7 +173,7 @@ def _stage_centerline(ctx, args, timings):
 def _stage_refine(ctx, args, timings):
     params = ctx["acc_params"]
     rp = RefineParams(radius=args.radius, acc_radius=params.acc_radius,
-                      track_step=ctx["track_step"], step_scale=args.step_scale,
+                      track_step=ctx["track_step"],
                       epsilon_o=args.epsilon_o, max_iter=args.max_iter,
                       area_weighting=args.area_weighting)
     with _Timer(timings, "refine"):
@@ -214,7 +230,6 @@ def _params_dict(args, ctx):
         out.update({
             "epsilon_o": args.epsilon_o,
             "max_iter": args.max_iter,
-            "step_scale": args.step_scale,
             "area_weighting": args.area_weighting,
         })
     if hasattr(args, "alpha_flat"):
@@ -488,8 +503,6 @@ def _add_refine_args(p):
     p.add_argument("--epsilon-o", type=float, default=0.001,
                    help="energy-drop convergence threshold")
     p.add_argument("--max-iter", type=int, default=1000)
-    p.add_argument("--step-scale", type=float, default=0.5,
-                   help="initial gradient step = step-scale / point count")
     p.add_argument("--area-weighting", action="store_true",
                    help="weight each surface point force by its face area")
 
@@ -598,6 +611,8 @@ def main(argv=None):
         print("warning: --threads > 1 is not implemented; running sequentially",
               file=sys.stderr)
     try:
+        if getattr(args, "needs_radius", False):
+            _positive_finite("--radius", args.radius)
         return args.func(args)
     except UsageError as exc:
         print(f"tubeaxis {args.command}: error: {exc}", file=sys.stderr)

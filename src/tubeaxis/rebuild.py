@@ -13,7 +13,8 @@ from .ingest import TriMesh
 from .track import _polyline_directions
 
 _EPS = 1e-12
-_CANDIDATES = 8       # segments measured per point before the full scan
+_CANDIDATES = (4, 8)  # nearest segments tried in turn before all of them
+_CHUNK_PAIRS = 131_072  # point-segment pairs measured at once
 _REACH_MARGIN = 1e-6  # relative padding of the candidate reach for rounding
 
 
@@ -74,10 +75,12 @@ def distance_to_polyline(points, polyline, closed=False):
 
     The segment holding a point's nearest polyline location has its
     midpoint within (distance to the nearest midpoint) + (longest half
-    segment) of the point. So each point measures only its _CANDIDATES
-    nearest segments by midpoint, unless even the last of those is within
-    that reach; such points measure every segment. Both use the same
-    per-pair formula, so the result is that of the full F x P scan.
+    segment) of the point. So each point measures only its 4 nearest
+    segments by midpoint, unless even the last of those is within that
+    reach; such points try their 8 nearest (a centerline sampled finer
+    than about half the distance to the surface needs them), and the
+    points still unsure measure every segment. All use the same per-pair
+    formula, so the result is that of the full F x P scan.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     poly = np.atleast_2d(np.asarray(polyline, dtype=float))
@@ -93,26 +96,31 @@ def distance_to_polyline(points, polyline, closed=False):
     ab = b - a
     a_ab = (a * ab).sum(axis=1)
     len2 = np.einsum("ij,ij->i", ab, ab)
-    ab_len2 = np.maximum(len2, _EPS)
+    segments = (a, ab, a_ab, np.maximum(len2, _EPS))
     half = 0.5 * float(np.sqrt(len2.max()))
-    k = min(len(a), _CANDIDATES)
     tree = cKDTree(0.5 * (a + b))
 
     best = np.empty(len(points))
-    chunk = max(1, int(1_000_000 // k))
-    dense_chunk = max(1, int(1_000_000 // len(a)))
-    for s in range(0, len(points), chunk):
-        p = points[s:s + chunk]
-        out = best[s:s + chunk]
-        mid_dist, cand = (x.reshape(len(p), k) for x in tree.query(p, k=k))
-        reach = (mid_dist[:, 0] + half) * (1.0 + _REACH_MARGIN)
-        dense = (mid_dist[:, -1] <= reach) & (k < len(a))
-        c = cand[~dense]
-        out[~dense] = _nearest_distance(p[~dense], a[c], ab[c], a_ab[c], ab_len2[c])
-        rows = np.flatnonzero(dense)
-        for t in range(0, len(rows), dense_chunk):
-            r = rows[t:t + dense_chunk]
-            out[r] = _nearest_distance(p[r], a, ab, a_ab, ab_len2)
+    todo = np.arange(len(points))
+    for k in _CANDIDATES:
+        if k >= len(a):
+            break
+        unsure = [todo[:0]]
+        chunk = max(1, _CHUNK_PAIRS // k)
+        for s in range(0, len(todo), chunk):
+            rows = todo[s:s + chunk]
+            p = points[rows]
+            mid_dist, cand = tree.query(p, k=k)
+            reach = (mid_dist[:, 0] + half) * (1.0 + _REACH_MARGIN)
+            sure = mid_dist[:, -1] > reach
+            c = cand[sure]
+            best[rows[sure]] = _nearest_distance(p[sure], *(x[c] for x in segments))
+            unsure.append(rows[~sure])
+        todo = np.concatenate(unsure)
+    chunk = max(1, _CHUNK_PAIRS // len(a))
+    for s in range(0, len(todo), chunk):
+        rows = todo[s:s + chunk]
+        best[rows] = _nearest_distance(points[rows], *segments)
     return best
 
 

@@ -1,18 +1,25 @@
 """Centerline refinement by known-radius least squares.
 
 Each centerline point C collects nearby surface points M_j (a slab
-orthogonal to the local tangent) and descends the energy
+orthogonal to the local tangent) and minimises the energy
 
-    E(C) = sum_j (|C M_j| - R)^2
+    E(C) = sum_j w_j (|C M_j| - R)^2
 
-whose gradient is g = 2 sum_j (CM_j/|CM_j|) (R - |CM_j|). The update walks
-along the resultant force f = sum_j (CM_j/|CM_j|)(|CM_j| - R), which equals
--g/2 exactly, with backtracking step halving so E never increases.
+whose gradient is g = 2 sum_j w_j u_j (R - |CM_j|), with u_j = CM_j/|CM_j|
+the unit vector from C to M_j. The resultant force f = sum_j w_j u_j
+(|CM_j| - R) equals -g/2 exactly. Each residual |CM_j| - R has gradient
+-u_j, so the Gauss-Newton step delta solves H delta = f with
+H = sum_j w_j u_j u_j^T (Ahn, Rauh & Warnecke, "Least-squares orthogonal
+distances fitting of circle, sphere, ellipse, hyperbola, and parabola",
+Pattern Recognition 2001). H is singular when every u_j lies in one
+plane (C inside the plane of a ring); the least-squares solve then gives
+the step of least norm, which stays in that plane. The step is halved
+until E does not increase, so E never increases from one accepted point
+to the next.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +37,6 @@ class RefineParams:
     radius: float
     acc_radius: float
     track_step: float
-    step_scale: float = 0.5       # initial step = step_scale / (number of points)
     epsilon_o: float = 0.001      # stop when |E_prev - E| drops below this
     max_iter: int = 1000
     area_weighting: bool = False
@@ -92,22 +98,37 @@ def energy_and_gradient(c, points, radius, weights=None):
     return e, g, f
 
 
-def optimize_point(c0, points, radius, step_scale=0.5, epsilon_o=0.001,
-                   max_iter=1000, weights=None):
-    """Gradient walk of a single center along f with backtracking halving.
+def _gauss_newton_step(c, points, weights, f):
+    """Least-squares solution delta of H delta = f, where
+    H = sum_j w_j u_j u_j^T over the unit vectors u_j from c to the points."""
+    rel = points - c
+    unit = rel / np.linalg.norm(rel, axis=1)[:, None]
+    weighted = unit if weights is None else unit * weights[:, None]
+    return np.linalg.lstsq(weighted.T @ unit, f, rcond=None)[0]
 
+
+def optimize_point(c0, points, radius, epsilon_o=0.001, max_iter=1000,
+                   weights=None):
+    """Gauss-Newton descent of a single center with backtracking halving.
+
+    Each iteration evaluates one candidate c + step * delta: the full
+    Gauss-Newton step first, then half of the previous candidate's step
+    whenever E would increase or the candidate hits a surface point.
     Accepted iterations never increase E; stops when the accepted energy
     drop falls below epsilon_o or the iteration budget runs out. Returns
     (refined point, final energy, iterations used).
     """
     c = np.asarray(c0, dtype=float).copy()
-    denom = len(np.atleast_2d(points)) if weights is None else float(np.sum(weights))
-    step = step_scale / max(denom, _MIN_DIST)
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if weights is not None:
+        weights = np.asarray(weights, dtype=float)
     e, _, f = energy_and_gradient(c, points, radius, weights)
+    delta = _gauss_newton_step(c, points, weights, f)
+    step = 1.0
     for it in range(1, max_iter + 1):
         if np.linalg.norm(f) <= _MIN_DIST:
             return c, e, it
-        cand = c + step * f
+        cand = c + step * delta
         try:
             e_new, _, f_new = energy_and_gradient(cand, points, radius, weights)
         except CoincidentPoint:
@@ -120,6 +141,8 @@ def optimize_point(c0, points, radius, step_scale=0.5, epsilon_o=0.001,
         c, e, f = cand, e_new, f_new
         if moved < epsilon_o:
             return c, e, it
+        delta = _gauss_newton_step(c, points, weights, f)
+        step = 1.0
     return c, e, max_iter
 
 
@@ -141,7 +164,6 @@ def optimize_centerline(centerline, faces, params: RefineParams) -> Centerline:
         except TooFewPoints:
             continue
         pts[i], _, _ = optimize_point(pts[i], assoc.points, params.radius,
-                                      step_scale=params.step_scale,
                                       epsilon_o=params.epsilon_o,
                                       max_iter=params.max_iter,
                                       weights=assoc.weights)

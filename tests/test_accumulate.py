@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import tubeaxis as tx
-from tubeaxis.accumulate import accumulation_domain
+from tubeaxis.accumulate import _group_events, accumulation_domain
 
 from conftest import random_unit_vectors
 
@@ -184,6 +184,41 @@ def test_face_outside_domain_raises():
     params = tx.AccumulationParams(radius=1.0, gridstep=1.0)
     dom = tx.GridDomain(origin=np.zeros(3), gridstep=1.0, dims=(4, 4, 4))
     with pytest.raises(tx.DomainTooSmall):
+        tx.compute_accumulation(faces, params, domain=dom)
+
+
+def test_packed_sort_groups_events_like_a_stable_argsort():
+    rng = np.random.default_rng(12)
+    for n_voxels in (1, 7, 5000):
+        ids = rng.integers(-1, n_voxels, size=20_000)
+        order, sorted_ids = _group_events(ids.copy(), n_voxels)
+        expected = np.argsort(ids, kind="stable")
+        expected = expected[ids[expected] >= 0]
+        assert np.array_equal(order, expected)
+        assert np.array_equal(sorted_ids, ids[expected])
+
+
+def test_packed_sort_keys_fit_int64_up_to_the_limit():
+    int64_max = np.iinfo(np.int64).max
+    ids = np.array([3, -1, 0, 3], dtype=np.int64)
+    n_voxels = int64_max // len(ids)
+    ids[ids == 3] = n_voxels - 1
+    order, sorted_ids = _group_events(ids.copy(), n_voxels)
+    assert order.tolist() == [2, 0, 3]
+    assert sorted_ids.tolist() == [0, n_voxels - 1, n_voxels - 1]
+    with pytest.raises(ValueError, match="overflow"):
+        _group_events(ids, n_voxels + 1)
+
+
+def test_packed_sort_overflow_is_loud():
+    # 2**62 voxels index fine, but 2 faces x 2 steps of events do not fit
+    # the packed keys; nothing of the domain's size is allocated
+    faces = tx.OrientedFaceSet(np.array([[5.0, 5.0, 5.0], [6.0, 5.0, 5.0]]),
+                               np.array([[1.0, 0, 0], [-1.0, 0, 0]]), np.ones(2))
+    params = tx.AccumulationParams(radius=1.0, gridstep=1.0)
+    dom = tx.GridDomain(origin=np.zeros(3), gridstep=1.0,
+                        dims=(2 ** 21, 2 ** 21, 2 ** 20))
+    with pytest.raises(ValueError, match="overflow"):
         tx.compute_accumulation(faces, params, domain=dom)
 
 

@@ -46,6 +46,19 @@ def test_radius_is_required(tmp_path, capsys):
     assert "usage" in err and "--radius" in err
 
 
+@pytest.mark.parametrize("value", ["0", "-6", "nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["pipeline", "accumulate", "error-map",
+                                     "synth"])
+def test_bad_radius_is_exit_1_before_loading(tmp_path, capsys, command, value):
+    # the input does not exist: the radius is checked before any loading
+    args = ([command, "--spec", "S:10"] if command == "synth"
+            else [command, "--input", tmp_path / "missing.off"])
+    rc = run(args + [f"--radius={value}", "--out-dir", tmp_path / "out"])
+    assert rc == 1
+    assert "--radius must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_input_is_exit_1(tmp_path):
     rc = run(["centerline", "--input", tmp_path / "nope.off", "--radius", 3,
               "--out-dir", tmp_path])
@@ -86,6 +99,14 @@ def test_bad_gridstep_is_exit_1(tube_off, tmp_path, capsys, value):
     assert rc == 1
     assert "--gridstep must be positive and finite" in capsys.readouterr().err
     assert not (tmp_path / "out" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("value", ["0", "nan", "abc"])
+def test_bad_gridstep_is_exit_1_before_loading(tmp_path, capsys, value):
+    rc = run(["pipeline", "--input", tmp_path / "missing.off", "--radius", 4,
+              f"--gridstep={value}", "--out-dir", tmp_path / "out"])
+    assert rc == 1
+    assert "--gridstep must be" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("length,radius", [(200, 3), (400, 6)])

@@ -147,6 +147,29 @@ def test_distance_to_polyline_falls_back_near_a_circle_center(monkeypatch):
     assert np.array_equal(got, _dense_distance(pts, poly, closed=True))
 
 
+def test_distance_to_a_fine_polyline_needs_no_full_scan(monkeypatch):
+    # a centerline sampled at 1 measured from 3 away: the 4 nearest
+    # midpoints are not enough to be sure, the 8 nearest are
+    poly = _line_centerline(n=51, step=1.0).points
+    rng = np.random.default_rng(4)
+    theta = rng.uniform(0, 2 * math.pi, 400)
+    pts = np.column_stack([rng.uniform(5, 45, 400),
+                           3 * np.cos(theta), 3 * np.sin(theta)])
+    calls = {}
+    measure = rebuild._nearest_distance
+
+    def spy(p, a, *args):
+        k = a.shape[1] if a.ndim == 3 else len(a)
+        calls[k] = calls.get(k, 0) + len(p)
+        return measure(p, a, *args)
+
+    monkeypatch.setattr(rebuild, "_nearest_distance", spy)
+    got = tx.distance_to_polyline(pts, poly)
+    assert calls.get(8, 0) > 0
+    assert calls.get(50, 0) == 0
+    assert np.array_equal(got, _dense_distance(pts, poly))
+
+
 def test_distance_to_polyline_closed_wraps():
     poly = np.array([[0.0, 0, 0], [4.0, 0, 0], [4.0, 4.0, 0], [0.0, 4.0, 0]])
     p = np.array([[-1.0, 2.0, 0.0]])  # nearest to the wrap edge x = 0

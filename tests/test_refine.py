@@ -231,3 +231,118 @@ def test_refined_cylinder_beats_raw(cylinder):
     rms_ref = np.sqrt(np.mean(d_ref ** 2))
     assert rms_ref < 0.2 * cylinder.gridstep
     assert rms_ref <= rms_raw
+
+
+def _gradient_walk(c0, points, radius, step_scale=0.5, epsilon_o=0.001,
+                   max_iter=1000, weights=None):
+    """The fixed-step gradient walk Gauss-Newton replaced: steps along f of
+    step_scale / (point count), halved while E would increase."""
+    c = np.asarray(c0, dtype=float).copy()
+    denom = len(np.atleast_2d(points)) if weights is None else float(np.sum(weights))
+    step = step_scale / denom
+    e, _, f = tx.energy_and_gradient(c, points, radius, weights)
+    for it in range(1, max_iter + 1):
+        if np.linalg.norm(f) <= 1e-12:
+            return c, e, it
+        cand = c + step * f
+        try:
+            e_new, _, f_new = tx.energy_and_gradient(cand, points, radius, weights)
+        except tx.CoincidentPoint:
+            step *= 0.5
+            continue
+        if e_new > e:
+            step *= 0.5
+            continue
+        moved = abs(e - e_new)
+        c, e, f = cand, e_new, f_new
+        if moved < epsilon_o:
+            return c, e, it
+    return c, e, max_iter
+
+
+def _bent_pipe_sections(bent_pipe):
+    radius = bent_pipe["radius"]
+    acc_radius = bent_pipe["params"].acc_radius
+    raw = tx.extract_centerline(bent_pipe["result"], track_step=radius,
+                                acc_radius=acc_radius)
+    tree = cKDTree(bent_pipe["faces"].centers)
+    return [(raw.points[i],
+             tx.section_points(raw, bent_pipe["faces"], i, acc_radius, radius,
+                               tree=tree).points)
+            for i in range(len(raw))]
+
+
+def test_gauss_newton_ends_below_the_gradient_walk(bent_pipe):
+    radius = bent_pipe["radius"]
+    sections = _bent_pipe_sections(bent_pipe)
+    iterations = []
+    for start, pts in sections:
+        _, e_walk, _ = _gradient_walk(start, pts, radius)
+        _, e_gn, iters = tx.optimize_point(start, pts, radius)
+        assert e_gn <= e_walk
+        iterations.append(iters)
+    assert len(sections) > 20
+    assert np.median(iterations) <= 6
+
+
+def test_energy_never_increases_from_one_iteration_to_the_next():
+    # E after an iteration budget of k must not exceed E after k - 1:
+    # every accepted candidate, the full Gauss-Newton step included, has
+    # passed the energy test
+    rng = np.random.default_rng(4)
+    for _ in range(10):
+        pts = rng.normal(size=(30, 3)) * 4
+        start = rng.normal(size=3) * 3
+        e_prev, _, _ = tx.energy_and_gradient(start, pts, 2.0)
+        for budget in range(1, 15):
+            _, e, _ = tx.optimize_point(start, pts, 2.0, epsilon_o=0.0,
+                                        max_iter=budget)
+            assert e <= e_prev
+            e_prev = e
+
+
+@pytest.mark.parametrize("axis", [(0.0, 0.0, 1.0), (0.2, 0.3, 1.0)])
+def test_start_in_the_plane_of_a_ring(axis):
+    # every u_j lies in the ring's plane, so H is singular along the axis;
+    # the least-squares step stays in the plane and removes the error there
+    true_c = np.array([2.0, -1.0, 0.5])
+    axis = np.asarray(axis) / np.linalg.norm(axis)
+    ring = _ring(true_c, 5.0, 48, axis=axis)
+    fr = tx.frame_from_direction(axis, center=true_c)
+    start = true_c + 0.8 * fr.u - 0.6 * fr.v
+    units = (ring - start) / np.linalg.norm(ring - start, axis=1)[:, None]
+    assert np.linalg.eigvalsh(units.T @ units)[0] < 1e-12
+    c, e, _ = tx.optimize_point(start, ring, 5.0, epsilon_o=1e-12)
+    e0, _, _ = tx.energy_and_gradient(start, ring, 5.0)
+    assert e <= e0
+    err = c - true_c
+    assert abs(float(err @ axis)) < 1e-9
+    assert np.linalg.norm(err) < 1e-9
+
+
+def test_candidate_on_a_surface_point_is_halved():
+    # from the origin, u_j = +x for both points, H = 2 e_x e_x^T and
+    # f = (1 - 1 + 3 - 1) e_x, so the full step lands on (1, 0, 0)
+    pts = np.array([[1.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
+    with pytest.raises(tx.CoincidentPoint):
+        tx.energy_and_gradient(pts[0], pts, 1.0)
+    c, e, _ = tx.optimize_point(np.zeros(3), pts, 1.0)
+    e0, _, _ = tx.energy_and_gradient(np.zeros(3), pts, 1.0)
+    assert e < e0
+    assert not np.any(np.all(c == pts, axis=1))
+
+
+def test_optimizer_weights_equal_duplication():
+    rng = np.random.default_rng(6)
+    pts = _ring(np.zeros(3), 3.0, 20, rng=rng, rho_jitter=0.3)
+    pts = pts + rng.normal(size=pts.shape) * 0.2
+    start = np.array([0.7, -0.4, 0.3])
+    twice = tx.optimize_point(start, pts, 3.0, weights=np.full(len(pts), 2.0))
+    doubled = tx.optimize_point(start, np.vstack([pts, pts]), 3.0)
+    counts = rng.integers(1, 4, size=len(pts))
+    weighted = tx.optimize_point(start, pts, 3.0, weights=counts.astype(float))
+    repeated = tx.optimize_point(start, np.repeat(pts, counts, axis=0), 3.0)
+    for (c_w, e_w, it_w), (c_d, e_d, it_d) in [(twice, doubled), (weighted, repeated)]:
+        assert it_w == it_d
+        assert np.allclose(c_w, c_d, rtol=0, atol=1e-12)
+        assert e_w == pytest.approx(e_d, rel=1e-12)
