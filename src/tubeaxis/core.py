@@ -1,4 +1,4 @@
-"""Geometric primitives, lattice containers and orthonormal frames.
+"""Geometric primitives, lattice containers, orthonormal frames and a cell hash.
 
 Points and vectors are plain numpy arrays of shape (3,) in world units;
 collections of them are (N, 3) arrays.  The digitization lattice is a
@@ -107,6 +107,105 @@ class GridDomain:
     def contains_point(self, p):
         _, inb = self.index_array(p)
         return bool(inb[0])
+
+
+class CellHash:
+    """Points bucketed in a uniform grid of cubic cells, for neighbour
+    queries.
+
+    A point's cell is floor((p - origin) / cell) per axis, with origin the
+    points' lower corner, and its key the C-order linear id of that cell in
+    the box the points occupy. ``order`` lists the point indices sorted by
+    key (stable), ``keys`` the sorted keys and ``coords`` the x, y and z of
+    the points in that order. The cells of one (x, y) column
+    are consecutive keys, so the points of a run of cells along z are one
+    slice of ``order``.
+    """
+
+    _MAX_CELLS = 1 << 20  # per axis, so the keys fit int64
+
+    def __init__(self, points, cell):
+        pts = np.asarray(points, dtype=float).reshape(-1, 3)
+        self.origin = pts.min(axis=0) if len(pts) else np.zeros(3)
+        extent = float((pts.max(axis=0) - self.origin).max()) if len(pts) else 0.0
+        # any cell size serves points that all coincide
+        self.cell = max(float(cell), extent / self._MAX_CELLS) or 1.0
+        idx = self.cells(pts)
+        self.dims = idx.max(axis=0) + 1 if len(pts) else np.ones(3, dtype=np.int64)
+        self.strides = np.array([self.dims[1] * self.dims[2], self.dims[2], 1])
+        keys = idx[:, 0] * self.strides[0] + idx[:, 1] * self.strides[1] + idx[:, 2]
+        self.order = np.argsort(keys, kind="stable")
+        self.keys = keys[self.order]
+        # x, y and z of the points in key order, each contiguous
+        self.coords = tuple(np.ascontiguousarray(pts[self.order, k]) for k in range(3))
+        self._stencils = {}
+
+    def cells(self, points):
+        """(N, 3) int64 cell indices of points; outside the box they fall
+        below 0 or at or above ``dims``."""
+        return np.floor((points - self.origin) / self.cell).astype(np.int64)
+
+    def ranges(self, cells, columns):
+        """Slices of ``order`` holding the points of cell runs.
+
+        ``columns`` rows (ox, oy, oz_lo, oz_hi) name the cells
+        (x + ox, y + oy, z + oz_lo ... z + oz_hi) around each (x, y, z) of
+        ``cells``. Returns (start, stop), each (len(cells), len(columns));
+        cells outside the box hold no points.
+        """
+        x = cells[:, 0, None] + columns[:, 0]
+        y = cells[:, 1, None] + columns[:, 1]
+        z_lo = np.maximum(cells[:, 2, None] + columns[:, 2], 0)
+        z_hi = np.minimum(cells[:, 2, None] + columns[:, 3], self.dims[2] - 1)
+        inside = ((x >= 0) & (x < self.dims[0]) & (y >= 0) & (y < self.dims[1])
+                  & (z_lo <= z_hi))
+        column = x * self.strides[0] + y * self.strides[1]
+        start = np.searchsorted(self.keys, column + z_lo, side="left")
+        stop = np.searchsorted(self.keys, column + z_hi, side="right")
+        return start, np.where(inside, stop, start)
+
+    def stencil(self, r, forward=False):
+        """Columns for :meth:`ranges`: the cell offsets whose box gap to a
+        cell is at most r, so that they hold every point within r of a
+        point of that cell. ``forward`` keeps one of each pair of opposite
+        offsets and the cell itself: ox > 0, or ox == 0 and oy > 0, or
+        ox == oy == 0 and oz >= 0."""
+        if (r, forward) not in self._stencils:
+            reach = int(r // self.cell) + 1
+            gap2 = (np.maximum(np.arange(reach + 1) - 1, 0) * self.cell) ** 2
+            ox, oy = (g.ravel() for g in np.meshgrid(np.arange(-reach, reach + 1),
+                                                      np.arange(-reach, reach + 1),
+                                                      indexing="ij"))
+            room = r * r - gap2[np.abs(ox)] - gap2[np.abs(oy)]
+            # gap2 grows with |oz|: count the offsets that fit in the room
+            oz = (gap2 <= room[:, None]).sum(axis=1) - 1
+            keep = room >= 0
+            if forward:
+                keep &= (ox > 0) | ((ox == 0) & (oy >= 0))
+            oz_lo = np.where(forward & (ox == 0) & (oy == 0), 0, -oz)
+            self._stencils[r, forward] = np.column_stack([ox, oy, oz_lo, oz])[keep]
+        return self._stencils[r, forward]
+
+    def query_ball_point(self, point, r):
+        """Ascending indices of the points within r of point, by
+        d^2 <= r^2 in this arithmetic; callers whose own distance test
+        must not lose a point to rounding pad r by a relative margin."""
+        p = np.asarray(point, dtype=float)
+        start, stop = self.ranges(self.cells(p.reshape(1, 3)), self.stencil(r))
+        pos = concat_ranges(start.ravel(), stop.ravel())
+        d2 = np.zeros(len(pos))
+        for coord, c in zip(self.coords, p):
+            delta = coord[pos] - c
+            d2 += delta * delta
+        return np.sort(self.order[pos[d2 <= r * r]])
+
+
+def concat_ranges(start, stop):
+    """np.concatenate of np.arange(start[i], stop[i]) over i, without the
+    loop; empty where stop <= start."""
+    lens = np.maximum(stop - start, 0)
+    ends = np.cumsum(lens)
+    return np.repeat(start - ends + lens, lens) + np.arange(ends[-1] if len(ends) else 0)
 
 
 def digitize(p, domain: GridDomain):

@@ -300,7 +300,11 @@ def load_volume(path) -> VoxelSet:
     pts = _parse_voxel_list(text)
     if pts is None:
         pts = _load_volume_lines(path)
-    unique = np.unique(pts, axis=0)
+    # the rows of np.unique(pts, axis=0), without its structured-view sort
+    pts = pts[np.lexsort(pts.T[::-1])]
+    first = np.ones(len(pts), dtype=bool)
+    first[1:] = np.any(pts[1:] != pts[:-1], axis=1)
+    unique = pts[first]
     if len(unique) != len(pts):
         logger.warning("%s: removed %d duplicate voxel(s)", path, len(pts) - len(unique))
     return VoxelSet(unique)

@@ -2,8 +2,9 @@
 
 Meshes get exact cross-product normals. Digital surfaces (voxel boundaries)
 start from axis-aligned facet normals which are then smoothed by local
-covariance analysis; a cheap accumulation probe resolves which global
-orientation actually points inward.
+covariance analysis over the facets within a radius, found by pairing the
+cells of a uniform cell hash; a cheap accumulation probe resolves which
+global orientation actually points inward.
 """
 
 from __future__ import annotations
@@ -11,9 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
+from .core import CellHash, concat_ranges
 from .errors import DegenerateFace, EmptyInput, SeedInvalid
+
+_CELL_MARGIN = 1e-9  # relative cell padding, so rounding never drops a pair
+_CHUNK_PAIRS = 1 << 16  # candidate pairs tested at once
 
 _FACET_DIRS = np.array([
     [1, 0, 0], [-1, 0, 0],
@@ -153,15 +157,47 @@ def _ball_neighbourhoods(centers, radius):
     """Ascending indices of the centers within `radius` of each center, in
     CSR form: (counts, members), the neighbours of i being
     members[sum(counts[:i]) : sum(counts[:i + 1])]. Same sets as
-    cKDTree.query_ball_point, each center included."""
+    a k-d tree's query_ball_point, each center included.
+
+    Centers are hashed in cells of about radius/2. Each cell is paired
+    with the cells of the forward half of the stencil that can hold a
+    center within radius, and every pair (i, j), i before j in cell order,
+    is tested as d^2 <= radius^2.
+    """
     n = len(centers)
-    pairs = cKDTree(centers).query_pairs(radius, output_type="ndarray")
+    grid = CellHash(centers, 0.5 * radius * (1.0 + _CELL_MARGIN))
+    # the cells in sorted order, each with the slices of its columns
+    first_of_cell = np.flatnonzero(np.diff(grid.keys, prepend=-1))
+    cell_start, cell_stop = grid.ranges(grid.cells(centers[grid.order[first_of_cell]]),
+                                        grid.stencil(radius, forward=True))
+    cell_of = np.repeat(np.arange(len(first_of_cell)), np.diff(np.r_[first_of_cell, n]))
+    # j runs over the column slices of i's cell, past i itself
+    start = np.maximum(cell_start[cell_of], np.arange(1, n + 1)[:, None])
+    stop = cell_stop[cell_of]
+    lens = np.maximum(stop - start, 0).sum(axis=1)
+    bounds = np.searchsorted(np.cumsum(lens), np.arange(0, lens.sum(), _CHUNK_PAIRS),
+                             side="right")
+    pairs = []
+    for lo, hi in zip(bounds, np.r_[bounds[1:], n]):
+        j = concat_ranges(start[lo:hi].ravel(), stop[lo:hi].ravel())
+        d2 = np.zeros(len(j))
+        for coord in grid.coords:
+            delta = coord[j]
+            delta -= np.repeat(coord[lo:hi], lens[lo:hi])
+            delta *= delta
+            d2 += delta
+        near = d2 <= radius * radius
+        i = np.repeat(np.arange(lo, hi), lens[lo:hi])
+        pairs.append(grid.order[np.stack([i[near], j[near]])])
+    pairs = np.concatenate(pairs or [np.empty((2, 0), dtype=np.intp)], axis=1)
     self_pairs = np.arange(n)
-    first = np.concatenate([pairs[:, 0], pairs[:, 1], self_pairs])
-    second = np.concatenate([pairs[:, 1], pairs[:, 0], self_pairs])
-    # sorting i*n + j orders by facet, then by neighbour
-    flat = np.sort(first * n + second)
-    return np.bincount(first, minlength=n), flat % n
+    first = np.concatenate([pairs[0], pairs[1], self_pairs])
+    second = np.concatenate([pairs[1], pairs[0], self_pairs])
+    # sorting i*n + j orders by facet, then by neighbour; 32-bit keys,
+    # where they fit, sort about twice as fast
+    key_type = np.uint32 if n * n <= np.iinfo(np.uint32).max else np.int64
+    flat = np.sort((first * n + second).astype(key_type))
+    return np.bincount(first, minlength=n), (flat % n).astype(np.intp)
 
 
 def orient_inward(faces: OrientedFaceSet, mesh=None, mode="auto",

@@ -1,21 +1,27 @@
-"""Tube reconstruction from a centerline and surface error measurement."""
+"""Tube reconstruction from a centerline and surface error measurement.
+
+The error map measures exact point-to-polyline distances. Each point
+takes its candidate segments from a uniform cell hash over the segment
+midpoints, with cells that grow for the points far from the polyline, so
+a finely sampled centerline costs about as much as a coarse one.
+"""
 
 from __future__ import annotations
 
 import math
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .core import frame_from_direction, normalize
+from .core import CellHash, concat_ranges, frame_from_direction, normalize
 from .errors import DegenerateTangent, EmptyInput, TooSmall
 from .ingest import TriMesh
 from .track import _polyline_directions
 
 _EPS = 1e-12
-_CANDIDATES = (4, 8)  # nearest segments tried in turn before all of them
 _CHUNK_PAIRS = 131_072  # point-segment pairs measured at once
 _REACH_MARGIN = 1e-6  # relative padding of the candidate reach for rounding
+# (ox, oy, oz_lo, oz_hi) of the 3 x 3 x 3 cells around a cell
+_NEIGHBOUR_COLUMNS = np.array([(ox, oy, -1, 1) for ox in (-1, 0, 1) for oy in (-1, 0, 1)])
 
 
 def sweep_tube(centerline, radius, sides=24) -> TriMesh:
@@ -74,13 +80,15 @@ def distance_to_polyline(points, polyline, closed=False):
     """Exact distance from query points to a polyline, per point.
 
     The segment holding a point's nearest polyline location has its
-    midpoint within (distance to the nearest midpoint) + (longest half
-    segment) of the point. So each point measures only its 4 nearest
-    segments by midpoint, unless even the last of those is within that
-    reach; such points try their 8 nearest (a centerline sampled finer
-    than about half the distance to the surface needs them), and the
-    points still unsure measure every segment. All use the same per-pair
-    formula, so the result is that of the full F x P scan.
+    midpoint within d + half of the point, d being the distance and half
+    the longest half segment. The midpoints are hashed in cells of size
+    h = 4 half, and the points of one cell measure the segments whose
+    midpoints lie in the 27 cells around it, which hold every midpoint
+    within h of those points. A point whose distance so found has
+    d + half <= h is done; the others try again with cells twice as large,
+    until 27 cells would span the polyline, and the points still unsure
+    measure every segment. All use the same per-pair formula, so the
+    result is that of the full F x P scan.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     poly = np.atleast_2d(np.asarray(polyline, dtype=float))
@@ -98,25 +106,15 @@ def distance_to_polyline(points, polyline, closed=False):
     len2 = np.einsum("ij,ij->i", ab, ab)
     segments = (a, ab, a_ab, np.maximum(len2, _EPS))
     half = 0.5 * float(np.sqrt(len2.max()))
-    tree = cKDTree(0.5 * (a + b))
+    mid = 0.5 * (a + b)
+    extent = float((mid.max(axis=0) - mid.min(axis=0)).max())
 
     best = np.empty(len(points))
     todo = np.arange(len(points))
-    for k in _CANDIDATES:
-        if k >= len(a):
-            break
-        unsure = [todo[:0]]
-        chunk = max(1, _CHUNK_PAIRS // k)
-        for s in range(0, len(todo), chunk):
-            rows = todo[s:s + chunk]
-            p = points[rows]
-            mid_dist, cand = tree.query(p, k=k)
-            reach = (mid_dist[:, 0] + half) * (1.0 + _REACH_MARGIN)
-            sure = mid_dist[:, -1] > reach
-            c = cand[sure]
-            best[rows[sure]] = _nearest_distance(p[sure], *(x[c] for x in segments))
-            unsure.append(rows[~sure])
-        todo = np.concatenate(unsure)
+    h = 4.0 * half
+    while len(todo) and 3.0 * h < extent:
+        todo = _measure_by_cells(points, todo, segments, CellHash(mid, h), half, best)
+        h *= 2.0
     chunk = max(1, _CHUNK_PAIRS // len(a))
     for s in range(0, len(todo), chunk):
         rows = todo[s:s + chunk]
@@ -124,11 +122,43 @@ def distance_to_polyline(points, polyline, closed=False):
     return best
 
 
+def _measure_by_cells(points, rows, segments, grid, half, best):
+    """Set best[rows] for the rows whose nearest segment surely has its
+    midpoint in the 27 cells of ``grid`` around theirs; return the others.
+    The rows of one cell share one candidate list."""
+    reach = (grid.cell - half) / (1.0 + _REACH_MARGIN)
+    cells = grid.cells(points[rows])
+    # only cells at most one away from the box have candidates
+    near = np.all((cells >= -1) & (cells <= grid.dims), axis=1)
+    unsure = [rows[~near]]
+    rows, cells = rows[near], cells[near]
+    key = np.ravel_multi_index((cells + 1).T, grid.dims + 2)
+    by_cell = np.argsort(key, kind="stable")
+    rows, cells, key = rows[by_cell], cells[by_cell], key[by_cell]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    start, stop = grid.ranges(cells[first], _NEIGHBOUR_COLUMNS)
+    cand = grid.order[concat_ranges(start.ravel(), stop.ravel())]
+    cand_end = np.cumsum((stop - start).sum(axis=1))
+    cand_start = np.r_[0, cand_end[:-1]]
+    for c0, c1, r0, r1 in zip(cand_start, cand_end, first, np.r_[first[1:], len(rows)]):
+        if c0 == c1:
+            unsure.append(rows[r0:r1])
+            continue
+        seg = tuple(x[cand[c0:c1]] for x in segments)
+        chunk = max(1, _CHUNK_PAIRS // (c1 - c0))
+        for s in range(r0, r1, chunk):
+            r = rows[s:min(s + chunk, r1)]
+            d = _nearest_distance(points[r], *seg)
+            sure = d <= reach
+            best[r[sure]] = d[sure]
+            unsure.append(r[~sure])
+    return np.concatenate(unsure)
+
+
 def _nearest_distance(p, a, ab, a_ab, ab_len2):
-    """Distance from each p[i] to the nearest of its segments: a, ab are
-    (S, 3) segments shared by all points, or (F, k, 3) per point."""
+    """Distance from each p[i] to the nearest of the (S, 3) segments a, ab."""
     # t[i, j]: clamped parameter of the projection of point i on segment j
-    t = np.einsum("ik,jk->ij" if a.ndim == 2 else "ik,ijk->ij", p, ab) - a_ab
+    t = np.einsum("ik,jk->ij", p, ab) - a_ab
     t = np.clip(t / ab_len2, 0.0, 1.0)
     proj = a + t[:, :, None] * ab
     d2 = np.sum((p[:, None, :] - proj) ** 2, axis=2)

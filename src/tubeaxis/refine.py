@@ -16,6 +16,11 @@ plane (C inside the plane of a ring); the least-squares solve then gives
 the step of least norm, which stays in that plane. The step is halved
 until E does not increase, so E never increases from one accepted point
 to the next.
+
+Sections come from a uniform cell hash over the face centers
+(:class:`~tubeaxis.core.CellHash`, numpy only): its ball query gathers
+candidates, and the distance and slab tests pick the section from them,
+so it is the section a full scan over the faces would give.
 """
 
 from __future__ import annotations
@@ -23,13 +28,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
+from .core import CellHash
 from .errors import CoincidentPoint, TooFewPoints
 from .track import Centerline, _polyline_directions
 
 _MIN_DIST = 1e-12
 _BALL_MARGIN = 1e-9  # relative radius padding of the candidate ball query
+# cell size of the face hash over acc_radius: smaller cells fit the ball
+# more closely, larger ones make fewer columns to look up
+_CELL_FRACTION = 0.25
 
 
 @dataclass(frozen=True)
@@ -57,13 +65,15 @@ def section_points(centerline, faces, i, acc_radius, track_step,
     local direction d_i falls in the slab (-track_step/2, +track_step/2],
     in face order.
 
-    ``tree`` is a cKDTree over ``faces.centers``; callers that take
-    sections at many points build it once. Its ball query only gathers
+    ``tree`` is any index over ``faces.centers`` with a
+    ``query_ball_point(point, r)`` that returns at least the indices within
+    r (a :class:`CellHash` by default, or a k-d tree); callers that take
+    sections at many points build it once. Its query only gathers
     candidates (with a margin for its own rounding); the distance and
     slab tests below decide, so the selection is that of a full scan.
     """
     if tree is None:
-        tree = cKDTree(faces.centers)
+        tree = CellHash(faces.centers, _CELL_FRACTION * acc_radius)
     c = centerline.points[i]
     d = centerline.directions[i]
     near = tree.query_ball_point(c, acc_radius * (1.0 + _BALL_MARGIN))
@@ -155,7 +165,7 @@ def optimize_centerline(centerline, faces, params: RefineParams) -> Centerline:
     """
     pts = centerline.points.copy()
     refined = np.zeros(len(pts), dtype=bool)
-    tree = cKDTree(faces.centers)
+    tree = CellHash(faces.centers, _CELL_FRACTION * params.acc_radius)
     for i in range(len(pts)):
         try:
             assoc = section_points(centerline, faces, i, params.acc_radius,

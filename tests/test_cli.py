@@ -1,8 +1,10 @@
 """Command line interface: exit codes, artifacts, summary determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -236,3 +238,27 @@ def test_console_module_entrypoint(tmp_path):
 def test_no_command_prints_help(capsys):
     assert main([]) == 1
     assert "usage" in capsys.readouterr().err
+
+
+_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # from here on, any scipy import raises
+from tubeaxis.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_pipeline_runs_without_scipy(tube_off, tmp_path):
+    mesh, _ = tx.gen_tube(tx.parse_tube_spec("S:30"), 4.0, 1.0, cap_ends=True)
+    voxels = tmp_path / "tube.xyz"
+    voxels.write_text("".join(f"{x} {y} {z}\n" for x, y, z in
+                              tx.voxelize(mesh, 1.0).points))
+    env = dict(os.environ, PYTHONPATH=str(Path(tx.__file__).parents[1]))
+    for source in (tube_off, voxels):
+        out = tmp_path / source.stem
+        proc = subprocess.run(
+            [sys.executable, "-c", _WITHOUT_SCIPY, "pipeline", "--input",
+             str(source), "--radius", "4", "--out-dir", str(out)],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert (out / "error_map.csv").exists()

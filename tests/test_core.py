@@ -1,4 +1,4 @@
-"""Frames, grid domains and raw grid serialization."""
+"""Frames, grid domains, the cell hash and raw grid serialization."""
 
 import json
 
@@ -8,6 +8,7 @@ import pytest
 from tubeaxis import (GridDomain, ScalarGrid3, VectorGrid3, ZeroDirection,
                       digitize, frame_from_direction, load_grid, normalize,
                       save_grid)
+from tubeaxis.core import CellHash, concat_ranges
 
 
 def test_normalize_unit_length():
@@ -108,3 +109,47 @@ def test_raw_layout_is_x_fastest(tmp_path):
     assert raw.tolist() == [5, 9]
     meta = json.loads(open(f"{stem}.json").read())
     assert meta["dims"] == [2, 1, 1]
+
+
+@pytest.mark.parametrize("cell, r", [(1.0, 1.0), (0.5, 1.3), (2.0, 0.7),
+                                     (0.25, 2.0)])
+def test_cell_hash_ball_query_holds_the_ball(cell, r):
+    rng = np.random.default_rng(3)
+    pts = rng.normal(size=(500, 3)) * 3
+    grid = CellHash(pts, cell)
+    # query points inside, on and far outside the box of the points
+    queries = np.vstack([rng.normal(size=(40, 3)) * 4, pts[:10],
+                         [[50.0, 0, 0], [-9.0, -9.0, -9.0]]])
+    for q in queries:
+        got = grid.query_ball_point(q, r * (1 + 1e-9))
+        assert np.all(np.diff(got) > 0)
+        dist = np.linalg.norm(pts - q, axis=1)
+        assert set(np.flatnonzero(dist <= r)) <= set(got.tolist())
+        assert np.all(dist[got] <= r * (1 + 1e-6))
+
+
+def test_cell_hash_forward_stencil_is_half_of_the_stencil():
+    grid = CellHash(np.zeros((1, 3)), 1.0)
+    for r in (0.5, 1.0, 2.0, 2.5):
+        def cells(columns):
+            return {(ox, oy, oz) for ox, oy, lo, hi in columns.tolist()
+                    for oz in range(lo, hi + 1)}
+        full, forward = cells(grid.stencil(r)), cells(grid.stencil(r, forward=True))
+        backward = {(-x, -y, -z) for x, y, z in forward}
+        assert forward | backward == full
+        assert forward & backward == {(0, 0, 0)}
+        # every cell whose box gap is at most r, and no other
+        gap = lambda o: max(abs(o) - 1, 0)
+        reach = int(np.ceil(r)) + 1
+        assert full == {(x, y, z) for x in range(-reach, reach + 1)
+                        for y in range(-reach, reach + 1)
+                        for z in range(-reach, reach + 1)
+                        if gap(x) ** 2 + gap(y) ** 2 + gap(z) ** 2 <= r * r}
+
+
+def test_concat_ranges_equals_the_loop():
+    start = np.array([3, 0, 5, 7, 2])
+    stop = np.array([6, 0, 4, 9, 3])
+    expected = np.concatenate([np.arange(a, b) for a, b in zip(start, stop)])
+    assert np.array_equal(concat_ranges(start, stop), expected)
+    assert concat_ranges(start[:0], stop[:0]).size == 0

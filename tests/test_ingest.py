@@ -193,6 +193,32 @@ def test_volume_bulk_and_line_parsers_agree(tmp_path, text, bulk):
     assert np.array_equal(vol.points, np.unique(ref, axis=0))
 
 
+_I64 = np.iinfo(np.int64)
+
+
+@pytest.mark.parametrize("rows", [
+    [(1, 2, 3), (4, 5, 6), (1, 2, 3), (1, 2, 3), (0, 9, 9)],
+    [(-1, 0, 0), (0, -1, 0), (-1, -1, 0), (0, -1, 0), (-1, 0, -5), (2, -3, 1)],
+    [(_I64.max, _I64.min, 0), (_I64.min, _I64.max, 0), (_I64.min, _I64.min, 0),
+     (_I64.max, _I64.min, 0), (0, 0, _I64.max), (0, 0, _I64.min)],
+    [(7, -8, 9)],
+], ids=["duplicates", "negative", "int64-extremes", "one-voxel"])
+def test_volume_dedup_equals_numpy_unique(tmp_path, rows, caplog):
+    pts = np.array(rows, dtype=np.int64)
+    expected = np.unique(pts, axis=0)
+    text = "".join(f"{x} {y} {z}\n" for x, y, z in rows)
+    # the same voxels through the bulk parser and through the line reader
+    for p in (_write(tmp_path / "plain.xyz", text),
+              _write(tmp_path / "commented.xyz", "# x y z\n" + text)):
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="tubeaxis.ingest"):
+            vol = tx.load_volume(p)
+        assert np.array_equal(vol.points, expected)
+        assert vol.points.dtype == np.int64
+        removed = len(pts) - len(expected)
+        assert (f"removed {removed} duplicate voxel(s)" in caplog.text) == (removed > 0)
+
+
 @pytest.mark.parametrize("text", ["1 2 3\n4 5 6\n1 2 3\n",
                                   "# c\n1 2 3\n4 5 6\n1 2 3\n"])
 def test_volume_duplicates_warn_on_both_paths(tmp_path, text, caplog):

@@ -188,6 +188,20 @@ def test_ball_neighbourhoods_match_query_ball_point(radius):
     assert members.tolist() == [j for i in ref for j in i]
 
 
+@pytest.mark.parametrize("radius", [0.6, 1.0, 2 ** 0.5, 2.5, 3.0, 4.0])
+def test_ball_neighbourhoods_match_query_ball_point_on_a_tube(radius):
+    mesh, _ = tx.gen_tube(tx.parse_tube_spec("S:12,A:8:60,S:6"), 3.0, 1.0,
+                          cap_ends=True)
+    centers = tx.digital_surface_faces(tx.voxelize(mesh, 1.0)).centers
+    # off the half-integer lattice too, where d^2 is rounded
+    rng = np.random.default_rng(11)
+    for pts in (centers, centers * 0.7 + rng.normal(size=centers.shape) * 0.3):
+        counts, members = _ball_neighbourhoods(pts, radius)
+        ref = cKDTree(pts).query_ball_point(pts, r=radius)
+        assert counts.tolist() == [len(i) for i in ref]
+        assert members.tolist() == [j for i in ref for j in sorted(i)]
+
+
 def test_estimated_normals_point_inward_below_three_neighbours():
     # at radius 0.9 flat slab facets see fewer than 3 neighbours
     pts = np.array([(i, j, 0) for i in range(12) for j in range(12)])

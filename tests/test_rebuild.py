@@ -148,8 +148,8 @@ def test_distance_to_polyline_falls_back_near_a_circle_center(monkeypatch):
 
 
 def test_distance_to_a_fine_polyline_needs_no_full_scan(monkeypatch):
-    # a centerline sampled at 1 measured from 3 away: the 4 nearest
-    # midpoints are not enough to be sure, the 8 nearest are
+    # a centerline sampled at 1 measured from 3 away: the cells of the
+    # first round are too small to be sure, those of the second are
     poly = _line_centerline(n=51, step=1.0).points
     rng = np.random.default_rng(4)
     theta = rng.uniform(0, 2 * math.pi, 400)
@@ -165,8 +165,51 @@ def test_distance_to_a_fine_polyline_needs_no_full_scan(monkeypatch):
 
     monkeypatch.setattr(rebuild, "_nearest_distance", spy)
     got = tx.distance_to_polyline(pts, poly)
-    assert calls.get(8, 0) > 0
+    assert calls and max(calls) < 50
     assert calls.get(50, 0) == 0
+    assert np.array_equal(got, _dense_distance(pts, poly))
+
+
+@pytest.mark.parametrize("step", [0.5, 0.25])
+def test_distance_to_a_finer_polyline_needs_no_full_scan(monkeypatch, step):
+    # a line 50 long sampled at 0.5 or 0.25, measured from 6 away: the
+    # spacing --track-step 0.5 gives on a tube of radius 6. The points need
+    # a few rounds of larger cells, but none measures every segment
+    n = int(round(50 / step)) + 1
+    poly = _line_centerline(n=n, step=step).points
+    rng = np.random.default_rng(5)
+    theta = rng.uniform(0, 2 * math.pi, 400)
+    pts = np.column_stack([rng.uniform(5, 45, 400),
+                           6 * np.cos(theta), 6 * np.sin(theta)])
+    widths = []
+    measure = rebuild._nearest_distance
+
+    def spy(p, a, *args):
+        widths.append(len(a))
+        return measure(p, a, *args)
+
+    monkeypatch.setattr(rebuild, "_nearest_distance", spy)
+    got = tx.distance_to_polyline(pts, poly)
+    assert widths and max(widths) < n - 1
+    assert np.array_equal(got, _dense_distance(pts, poly))
+
+
+def test_distance_to_a_long_segment_whose_midpoint_is_out_of_the_cells():
+    # one segment of length 8 among unit steps: cells of 16, and the
+    # faces near x = 16.3 sit two cells from its midpoint (0, 0, 0) while
+    # its end (4, 0, 0) is 12.3 away. A chain point 14 away is in their
+    # cells, but 14 + 4 > 16, so they may not stop at it
+    def line(a, b, n):
+        return np.linspace(a, b, n + 1)[1:]
+    poly = np.vstack([[[4.0, 0, 0], [-4.0, 0, 0]],
+                      line([-4.0, 0, 0], [-15.84, 0, 0], 12),
+                      line([-15.84, 0, 0], [-15.84, 60, 0], 60),
+                      line([-15.84, 60, 0], [16.2, 60, 0], 32),
+                      line([16.2, 60, 0], [16.2, 14, 0], 46)])
+    rng = np.random.default_rng(0)
+    pts = np.array([16.3, 0.0, 0.0]) + rng.uniform(-0.05, 0.05, size=(50, 3))
+    got = tx.distance_to_polyline(pts, poly)
+    assert np.all(got < 12.4)
     assert np.array_equal(got, _dense_distance(pts, poly))
 
 
