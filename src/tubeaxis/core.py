@@ -73,8 +73,10 @@ class GridDomain:
     def __post_init__(self):
         object.__setattr__(self, "origin", np.asarray(self.origin, dtype=float))
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        if self.gridstep <= 0:
-            raise ValueError("gridstep must be positive")
+        if not (np.isfinite(self.gridstep) and self.gridstep > 0):
+            raise ValueError("gridstep must be positive and finite")
+        if self.origin.shape != (3,) or not np.isfinite(self.origin).all():
+            raise ValueError("origin must be three finite coordinates")
         if any(d <= 0 for d in self.dims):
             raise ValueError("dims must be positive")
 

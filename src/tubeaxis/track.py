@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import OrthonormalFrame, digitize, frame_from_direction, normalize
+from .core import (OrthonormalFrame, concat_ranges, digitize,
+                   frame_from_direction, normalize)
 from .errors import SeedInvalid
 
 _MAX_TRACK_STEPS = 100000
@@ -139,10 +140,17 @@ def _ridge_direction(res, point, acc_radius):
         return None
     half = int(math.ceil(acc_radius / dom.gridstep))
     lo = np.maximum(np.asarray(idx) - half, 0)
-    hi = np.minimum(np.asarray(idx) + half + 1, np.asarray(dom.dims))
-    axes = np.meshgrid(*(np.arange(lo[a], hi[a]) for a in range(3)), indexing="ij")
-    box = np.stack([a.ravel() for a in axes], axis=1)
-    w = _lookup(res.keys, res.counts, box @ dom.strides).astype(float) ** 2
+    hi = np.minimum(np.asarray(idx) + half, np.asarray(dom.dims) - 1)
+    # the table rows inside the box: one run of keys per (x, y) column;
+    # the box's empty voxels would only add exact zeros
+    x, y = (a.ravel() for a in np.meshgrid(np.arange(lo[0], hi[0] + 1),
+                                           np.arange(lo[1], hi[1] + 1),
+                                           indexing="ij"))
+    column = x * dom.strides[0] + y * dom.strides[1]
+    rows = concat_ranges(np.searchsorted(res.keys, column + lo[2]),
+                         np.searchsorted(res.keys, column + hi[2], side="right"))
+    box = np.stack(np.unravel_index(res.keys[rows], dom.dims), axis=1)
+    w = res.counts[rows].astype(float) ** 2
     total = w.sum()
     if total <= 0:
         return None

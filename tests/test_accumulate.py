@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import tubeaxis as tx
-from tubeaxis.accumulate import _group_events, accumulation_domain
+import tubeaxis.accumulate as accumulate
+from tubeaxis.accumulate import _group_events, _march, _runs, accumulation_domain
 
 from conftest import random_unit_vectors
 
@@ -86,6 +87,54 @@ def dense_accumulate(faces, params, domain):
         dir_flat[vox] += axis * sign[:, None]
     return (counts.reshape(domain.dims).astype(np.uint32),
             dir_flat.reshape(domain.dims + (3,)), max_acc, max_pt)
+
+
+def rowwise_march(faces, params, domain):
+    """The (F, 3)-row march the columnar one replaced: (F, S) voxel ids."""
+    dims = np.asarray(domain.dims)
+    steps = np.arange(params.n_steps, dtype=float) * params.gridstep
+    ids = np.empty((len(faces), params.n_steps), dtype=np.int64)
+    for s, dist in enumerate(steps):
+        idx = np.floor((faces.centers + dist * faces.normals - domain.origin)
+                       / domain.gridstep).astype(np.int64)
+        inb = np.all((idx >= 0) & (idx < dims), axis=1)
+        ids[:, s] = np.where(inb, idx @ domain.strides, -1)
+    return ids
+
+
+def rank_replay(faces, params, domain):
+    """The visit-rank replay the gate-first one replaced, on the row-wise
+    march: (keys, counts, dirs)."""
+    ids = rowwise_march(faces, params, domain)
+    order, sorted_ids = _group_events(ids.ravel(), domain.voxel_count)
+    starts, keys, counts = _runs(sorted_ids)
+    normals = faces.normals
+    dirs = np.zeros((len(keys), 3))
+    group = np.arange(len(keys))
+    current = normals.take(order[starts] // params.n_steps, axis=0)
+    for rank in range(1, int(counts.max())):
+        more = counts[group] > rank
+        group = group[more]
+        previous = current[more]
+        current = normals.take(order[starts[group] + rank] // params.n_steps, axis=0)
+        axis = np.cross(previous, current)
+        ok = np.linalg.norm(axis, axis=1) > params.min_norm
+        updated, axis = group[ok], axis[ok]
+        sign = np.sign(np.einsum("ij,ij->i", axis, dirs[updated]))
+        sign[sign == 0] = 1.0
+        dirs[updated] += axis * sign[:, None]
+    return keys, counts, dirs
+
+
+def _assert_matches_rank_replay(faces, params, domain=None):
+    res = tx.compute_accumulation(faces, params, domain=domain)
+    ids = _march(faces.centers.T.copy(), faces.normals.T.copy(), params, res.domain)
+    assert ids.T.tobytes() == rowwise_march(faces, params, res.domain).tobytes()
+    keys, counts, dirs = rank_replay(faces, params, res.domain)
+    assert res.keys.tobytes() == keys.tobytes()
+    assert np.array_equal(res.counts, counts)
+    assert res.dirs.tobytes() == dirs.tobytes()
+    return res
 
 
 def _random_faces(rng, n, box=10.0):
@@ -196,6 +245,17 @@ def test_packed_sort_groups_events_like_a_stable_argsort():
         expected = expected[ids[expected] >= 0]
         assert np.array_equal(order, expected)
         assert np.array_equal(sorted_ids, ids[expected])
+
+
+def test_packed_sort_of_step_rows_follows_the_visit_order():
+    # the march's (S, F) rows: face f's step s is event f * S + s
+    rows = np.random.default_rng(13).integers(-1, 50, size=(4, 300))
+    order, sorted_ids = _group_events(rows.copy(), 50)
+    events = rows.T.ravel()
+    expected = np.argsort(events, kind="stable")
+    expected = expected[events[expected] >= 0]
+    assert np.array_equal(order, expected)
+    assert np.array_equal(sorted_ids, events[expected])
 
 
 def test_packed_sort_keys_fit_int64_up_to_the_limit():
@@ -337,3 +397,83 @@ def test_non_finite_params_rejected(field_name, value):
     kwargs = {"radius": 2.0, field_name: value}
     with pytest.raises(ValueError, match="finite"):
         tx.AccumulationParams(**kwargs)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_columnar_march_and_gate_first_replay_match_the_rank_replay(seed):
+    faces = _random_faces(np.random.default_rng(20 + seed), 150, box=6.0)
+    params = tx.AccumulationParams(radius=3.0, gridstep=0.6, min_norm=0.3)
+    _assert_matches_rank_replay(faces, params)
+
+
+def test_gate_is_strict_at_a_pair_cross_norm():
+    faces = _random_faces(np.random.default_rng(31), 120, box=5.0)
+    params = tx.AccumulationParams(radius=3.0, gridstep=0.6)
+    domain = accumulation_domain(faces.centers, params)
+    order, sorted_ids = _group_events(rowwise_march(faces, params, domain).ravel(),
+                                      domain.voxel_count)
+    face = order // params.n_steps
+    pair = np.flatnonzero(sorted_ids[1:] == sorted_ids[:-1])
+    norms = np.linalg.norm(np.cross(faces.normals[face[pair]],
+                                    faces.normals[face[pair + 1]]), axis=1)
+    norms = np.sort(norms[(norms > 0) & (norms < 1)])
+    for min_norm in norms[[0, len(norms) // 3, len(norms) // 2, -1]]:
+        at = tx.AccumulationParams(radius=3.0, gridstep=0.6, min_norm=float(min_norm))
+        _assert_matches_rank_replay(faces, at)
+
+
+def test_duplicated_faces_replay_like_the_rank_replay():
+    # exact copies revisit voxels with equal normals (cross 0, gated out)
+    # and with pairs whose cross points against the running sum
+    base = _random_faces(np.random.default_rng(9), 12, box=2.0)
+    faces = tx.OrientedFaceSet(np.tile(base.centers, (4, 1)),
+                               np.tile(base.normals, (4, 1)), np.ones(48))
+    _assert_matches_rank_replay(faces, tx.AccumulationParams(radius=3.0, gridstep=0.7))
+
+
+def test_voxel_whose_first_pairs_fail_the_gate():
+    # near-parallel visits are gated out; the axis-aligned ones after them
+    # pass, with crosses orthogonal to (dot 0) or against the running sum
+    tilt = np.array([1.0, 0.01, 0.0]) / math.hypot(1.0, 0.01)
+    normals = np.array([[1.0, 0, 0], [1.0, 0, 0], tilt, [1.0, 0, 0],
+                        [0, 1.0, 0], [0, 0, 1.0], [1.0, 0, 0], [0, -1.0, 0],
+                        [0, 0, 1.0]])
+    faces = tx.OrientedFaceSet(np.full((len(normals), 3), 0.25), normals,
+                               np.ones(len(normals)))
+    params = tx.AccumulationParams(radius=1.0, gridstep=1.0)
+    res = _assert_matches_rank_replay(faces, params)
+    start = res.domain.strides @ res.domain.index_array(faces.centers[:1])[0][0]
+    assert res.counts[np.searchsorted(res.keys, start)] == len(normals)
+    assert np.any(res.dirs[np.searchsorted(res.keys, start)] != 0)
+
+
+def test_replay_edge_cases_match_the_rank_replay():
+    rng = np.random.default_rng(4)
+    faces = _random_faces(rng, 80, box=6.0)
+    # rays that run out of a box just big enough for their starts
+    _assert_matches_rank_replay(
+        faces, tx.AccumulationParams(radius=4.0, gridstep=0.5),
+        tx.GridDomain(origin=np.zeros(3), gridstep=0.5, dims=(12, 12, 12)))
+    one_step = tx.AccumulationParams(radius=0.5, epsilon=0.0, gridstep=1.0)
+    assert one_step.n_steps == 1
+    _assert_matches_rank_replay(faces, one_step)
+    _assert_matches_rank_replay(_random_faces(rng, 1),
+                                tx.AccumulationParams(radius=3.0, gridstep=0.5))
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 5, 8, 64])
+def test_replay_chunks_hold_whole_voxel_groups(monkeypatch, chunk):
+    # small chunks: voxel groups larger than a chunk, and group boundaries
+    # on and off the chunk edges
+    monkeypatch.setattr(accumulate, "_CHUNK", chunk)
+    res = _assert_matches_rank_replay(_diagonal_tube(12.0),
+                                      tx.AccumulationParams(radius=3.0, gridstep=1.0))
+    assert res.max_acc > 8
+
+
+def test_domain_with_another_gridstep_is_rejected():
+    faces = _random_faces(np.random.default_rng(3), 10, box=2.0)
+    params = tx.AccumulationParams(radius=1.0, gridstep=0.5)
+    dom = tx.GridDomain(origin=np.full(3, -3.0), gridstep=1.0, dims=(8, 8, 8))
+    with pytest.raises(ValueError, match="gridstep"):
+        tx.compute_accumulation(faces, params, domain=dom)

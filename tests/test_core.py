@@ -1,6 +1,7 @@
 """Frames, grid domains, the cell hash and raw grid serialization."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -73,6 +74,33 @@ def test_contains_point_boundaries():
     assert dom.contains_point(np.array([0.0, 0.0, 0.0]))
     assert dom.contains_point(np.array([1.999, 1.0, 1.0]))
     assert not dom.contains_point(np.array([2.001, 1.0, 1.0]))
+
+
+@pytest.mark.parametrize("gridstep", [math.nan, math.inf, 0.0, -1.0])
+def test_domain_rejects_a_bad_gridstep(gridstep):
+    with pytest.raises(ValueError, match="gridstep"):
+        GridDomain(origin=np.zeros(3), gridstep=gridstep, dims=(4, 4, 4))
+
+
+@pytest.mark.parametrize("origin", [[math.nan, 0.0, 0.0], [0.0, math.inf, 0.0],
+                                    [0.0, 0.0, -math.inf]])
+def test_domain_rejects_a_non_finite_origin(origin):
+    with pytest.raises(ValueError, match="origin"):
+        GridDomain(origin=np.array(origin), gridstep=1.0, dims=(4, 4, 4))
+
+
+@pytest.mark.parametrize("field,value", [("gridstep", math.nan),
+                                         ("origin", [0.0, math.nan, 0.0]),
+                                         ("origin", [math.inf, 0.0, 0.0])])
+def test_load_grid_rejects_a_non_finite_header(tmp_path, field, value):
+    dom = GridDomain(origin=np.zeros(3), gridstep=1.0, dims=(2, 2, 2))
+    stem = tmp_path / "acc"
+    save_grid(ScalarGrid3.zeros(dom), stem)
+    header = json.loads(stem.with_suffix(".json").read_text())
+    header[field] = value
+    stem.with_suffix(".json").write_text(json.dumps(header))
+    with pytest.raises(ValueError, match=field):
+        load_grid(stem)
 
 
 def test_scalar_grid_roundtrip(tmp_path):

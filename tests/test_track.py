@@ -9,9 +9,9 @@ from scipy import ndimage
 import tubeaxis as tx
 from tubeaxis.accumulate import AccumulationResult
 from tubeaxis.core import GridDomain
-from tubeaxis.track import (Patch, _polyline_directions, _ridge_direction,
-                            _sample_trilinear, _voxel_dir, extract_patch,
-                            patch_size)
+from tubeaxis.track import (Patch, _lookup, _polyline_directions,
+                            _ridge_direction, _sample_trilinear, _voxel_dir,
+                            extract_patch, patch_size)
 
 
 def _field_result(domain, counts, dirs):
@@ -180,6 +180,85 @@ def _ridge_from_dense(res, point, acc_radius):
     if vals[2] <= 1e-12 or vals[2] < 2.0 * vals[1]:
         return None
     return vecs[:, 2]
+
+
+def _ridge_from_box(res, point, acc_radius):
+    """_ridge_direction as it was before it read only the table rows: the
+    count of every voxel of the box is looked up, empty ones included."""
+    dom = res.domain
+    idx = tx.digitize(point, dom)
+    if idx is None:
+        return None
+    half = int(math.ceil(acc_radius / dom.gridstep))
+    lo = np.maximum(np.asarray(idx) - half, 0)
+    hi = np.minimum(np.asarray(idx) + half + 1, np.asarray(dom.dims))
+    axes = np.meshgrid(*(np.arange(lo[a], hi[a]) for a in range(3)), indexing="ij")
+    box = np.stack([a.ravel() for a in axes], axis=1)
+    w = _lookup(res.keys, res.counts, box @ dom.strides).astype(float) ** 2
+    total = w.sum()
+    if total <= 0:
+        return None
+    pts = dom.origin + dom.gridstep * (box + 0.5)
+    mu = (w[:, None] * pts).sum(axis=0) / total
+    cen = pts - mu
+    cov = np.einsum("v,vi,vj->ij", w, cen, cen) / total
+    vals, vecs = np.linalg.eigh(cov)
+    if vals[2] <= 1e-12 or vals[2] < 2.0 * vals[1]:
+        return None
+    return vecs[:, 2]
+
+
+def _random_ridges(rng, domain, n_lines):
+    """Vote table of noisy count ridges along random lines."""
+    dims = np.asarray(domain.dims)
+    cells = np.stack(np.meshgrid(*(np.arange(d) for d in dims), indexing="ij"),
+                     axis=-1).reshape(-1, 3) + 0.5
+    counts = np.zeros(len(cells))
+    for _ in range(n_lines):
+        d = rng.normal(size=3)
+        off = cells - rng.uniform(0, dims)
+        dist2 = (off ** 2).sum(axis=1) - (off @ (d / np.linalg.norm(d))) ** 2
+        counts += 40.0 * np.exp(-dist2 / 2.0) * rng.uniform(0.5, 1.5, size=len(cells))
+    return _field_result(domain, np.rint(counts).reshape(domain.dims),
+                         np.zeros(domain.dims + (3,)))
+
+
+def test_ridge_table_rows_equal_the_box_reads():
+    rng = np.random.default_rng(14)
+    domain = GridDomain(origin=np.array([0.5, -1.0, 2.0]), gridstep=0.7,
+                        dims=(19, 23, 17))
+    dims = np.asarray(domain.dims)
+    found = 0
+    for n_lines in (1, 2, 3, 6):
+        res = _random_ridges(rng, domain, n_lines)
+        # points inside, and boxes clipped at each domain face
+        lattice = [rng.uniform(0, dims, size=(30, 3))]
+        for axis in range(3):
+            for edge in (0.3, dims[axis] - 0.3):
+                block = rng.uniform(0, dims, size=(5, 3))
+                block[:, axis] = edge
+                lattice.append(block)
+        for p in domain.origin + domain.gridstep * np.concatenate(lattice):
+            got, want = _ridge_direction(res, p, 2.5), _ridge_from_box(res, p, 2.5)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.tobytes() == want.tobytes()
+                found += 1
+    assert found > 60
+
+
+def test_ridge_of_empty_box_or_table_is_none():
+    domain = GridDomain(origin=np.zeros(3), gridstep=1.0, dims=(20, 20, 20))
+    counts = np.zeros(domain.dims)
+    counts[:4, 1, 1] = 9  # a short ridge in one corner
+    corner = _field_result(domain, counts, np.zeros(domain.dims + (3,)))
+    assert _ridge_direction(corner, np.array([1.5, 1.5, 1.5]), 3.0) is not None
+    far = np.array([15.5, 15.5, 15.5])
+    assert _ridge_direction(corner, far, 3.0) is None
+    assert _ridge_from_box(corner, far, 3.0) is None
+    empty = _field_result(domain, np.zeros(domain.dims), np.zeros(domain.dims + (3,)))
+    assert len(empty.keys) == 0
+    assert _ridge_direction(empty, far, 3.0) is None
 
 
 def test_patch_frame_and_pixels():
