@@ -125,15 +125,16 @@ class CellHash:
     """
 
     _MAX_CELLS = 1 << 20  # per axis, so the keys fit int64
+    _CHUNK_CANDIDATES = 1 << 18  # candidates a batched ball query tests at once
 
     def __init__(self, points, cell):
         pts = np.asarray(points, dtype=float).reshape(-1, 3)
-        self.origin = pts.min(axis=0) if len(pts) else np.zeros(3)
-        extent = float((pts.max(axis=0) - self.origin).max()) if len(pts) else 0.0
+        self.origin = column_min(pts) if len(pts) else np.zeros(3)
+        extent = float((column_max(pts) - self.origin).max()) if len(pts) else 0.0
         # any cell size serves points that all coincide
         self.cell = max(float(cell), extent / self._MAX_CELLS) or 1.0
         idx = self.cells(pts)
-        self.dims = idx.max(axis=0) + 1 if len(pts) else np.ones(3, dtype=np.int64)
+        self.dims = column_max(idx) + 1 if len(pts) else np.ones(3, dtype=np.int64)
         self.strides = np.array([self.dims[1] * self.dims[2], self.dims[2], 1])
         keys = idx[:, 0] * self.strides[0] + idx[:, 1] * self.strides[1] + idx[:, 2]
         self.order = np.argsort(keys, kind="stable")
@@ -192,14 +193,47 @@ class CellHash:
         """Ascending indices of the points within r of point, by
         d^2 <= r^2 in this arithmetic; callers whose own distance test
         must not lose a point to rounding pad r by a relative margin."""
-        p = np.asarray(point, dtype=float)
-        start, stop = self.ranges(self.cells(p.reshape(1, 3)), self.stencil(r))
-        pos = concat_ranges(start.ravel(), stop.ravel())
-        d2 = np.zeros(len(pos))
-        for coord, c in zip(self.coords, p):
-            delta = coord[pos] - c
-            d2 += delta * delta
-        return np.sort(self.order[pos[d2 <= r * r]])
+        return next(self.query_ball_points(np.reshape(point, (1, 3)), r))
+
+    def query_ball_points(self, points, r):
+        """query_ball_point for each of points, yielded in order.
+
+        One :meth:`ranges` lookup serves all points; the distance tests
+        then run on about _CHUNK_CANDIDATES candidates at a time, so the
+        per-point cost is a slice rather than a dozen numpy calls.
+        """
+        points = np.asarray(points, dtype=float).reshape(-1, 3)
+        n = len(self.order)
+        start, stop = self.ranges(self.cells(points), self.stencil(r))
+        lens = np.maximum(stop - start, 0).sum(axis=1)
+        # a batch starts at each point whose first candidate opens a new chunk
+        first = np.flatnonzero(np.diff((np.cumsum(lens) - lens) // self._CHUNK_CANDIDATES,
+                                       prepend=-1))
+        for lo, hi in zip(first, np.r_[first[1:], len(points)]):
+            pos = concat_ranges(start[lo:hi].ravel(), stop[lo:hi].ravel())
+            owner = np.repeat(np.arange(lo, hi), lens[lo:hi])
+            d2 = np.zeros(len(pos))
+            for coord, column in zip(self.coords, points.T):
+                delta = coord[pos] - column[owner]
+                d2 += delta * delta
+            near = d2 <= r * r
+            owner = owner[near]
+            # ascending point index within each owner: sort owner*n + index
+            flat = np.sort(owner * n + self.order[pos[near]])
+            counts = np.bincount(owner - lo, minlength=hi - lo)
+            yield from np.split(flat - np.repeat(np.arange(lo, hi) * n, counts),
+                                np.cumsum(counts)[:-1])
+
+
+def column_min(a):
+    """a.min(axis=0) of an (N, k) array, reduced one column at a time: the
+    same values, several times faster than numpy's reduction across rows."""
+    return np.array([column.min() for column in a.T])
+
+
+def column_max(a):
+    """a.max(axis=0) of an (N, k) array, reduced one column at a time."""
+    return np.array([column.max() for column in a.T])
 
 
 def concat_ranges(start, stop):

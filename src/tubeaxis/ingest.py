@@ -3,13 +3,23 @@
 Supported formats: ASCII OFF, the v/f/l subset of OBJ (polygon faces are
 fan-triangulated), plain "x y z" voxel lists, PGM (P2/P5) height maps and
 CSV tables with a header row and '.' decimals.
+
+OFF files and voxel lists have two readers each. Plain files (ASCII, no
+comments, all-triangle OFF) go through numpy's C text reader, block by
+block; it reads every number to the bits the line reader gives. Every
+other file, and every malformed one, goes through the line reader, which
+reports the line that is wrong. A loaded mesh keeps the face geometry
+(cross products, centers, longest edges) computed to drop its zero-area
+faces, for face_normals and median_face_size to reuse.
 """
 
 from __future__ import annotations
 
+import io
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,6 +28,15 @@ from .errors import EmptyInput, ParseError, TooSmall, UnsupportedFormat
 logger = logging.getLogger(__name__)
 
 _AREA_EPS = 1e-12
+
+
+class FaceGeometry(NamedTuple):
+    """Per-face quantities of a triangle mesh with corners a, b, c."""
+
+    cross: np.ndarray    # (F, 3) (b - a) x (c - a)
+    norms: np.ndarray    # (F,) |cross|, twice the face area
+    centers: np.ndarray  # (F, 3) (a + b + c) / 3
+    longest: np.ndarray  # (F,) longest edge length
 
 
 @dataclass
@@ -29,11 +48,16 @@ class TriMesh:
     vertices : (V, 3) float array
     faces : (F, 3) int array of vertex indices
     face_normals : optional (F, 3) unit normals carried from construction
+
+    The face geometry is computed on first use and kept, so vertices and
+    faces must not be modified in place after it.
     """
 
     vertices: np.ndarray
     faces: np.ndarray
     face_normals: np.ndarray | None = None
+    _geometry: FaceGeometry | None = field(default=None, init=False, repr=False,
+                                           compare=False)
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=float).reshape(-1, 3)
@@ -56,22 +80,31 @@ class TriMesh:
         v, f = self.vertices, self.faces
         return v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
 
+    def geometry(self) -> FaceGeometry:
+        """Cross products, centers and longest edges of all faces, from one
+        gathering of the corners."""
+        if self._geometry is None:
+            a, b, c = self.corners()
+            ab, ac = b - a, c - a
+            cross = np.cross(ab, ac)
+            longest = np.maximum.reduce([
+                np.linalg.norm(ab, axis=1),
+                np.linalg.norm(c - b, axis=1),
+                np.linalg.norm(ac, axis=1),  # a - c is -(c - a) exactly
+            ])
+            self._geometry = FaceGeometry(cross, np.linalg.norm(cross, axis=1),
+                                          (a + b + c) / 3.0, longest)
+        return self._geometry
+
     def face_areas(self):
-        a, b, c = self.corners()
-        return 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
+        return 0.5 * self.geometry().norms
 
     def bounding_box(self):
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
 
     def median_face_size(self):
         """Median over faces of the longest edge (the default gridstep rule)."""
-        a, b, c = self.corners()
-        longest = np.maximum.reduce([
-            np.linalg.norm(b - a, axis=1),
-            np.linalg.norm(c - b, axis=1),
-            np.linalg.norm(a - c, axis=1),
-        ])
-        return float(np.median(longest))
+        return float(np.median(self.geometry().longest))
 
 
 @dataclass
@@ -116,19 +149,6 @@ class HeightMap:
             raise ValueError("heights must be finite")
 
 
-def _drop_degenerate(vertices, faces):
-    """Remove zero-area faces; returns (faces, dropped_count)."""
-    faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
-    if len(faces) == 0:
-        return faces, 0
-    v = np.asarray(vertices, dtype=float)
-    a, b, c = v[faces[:, 0]], v[faces[:, 1]], v[faces[:, 2]]
-    areas = 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
-    keep = areas > _AREA_EPS
-    dropped = int((~keep).sum())
-    return faces[keep], dropped
-
-
 def _fan_triangulate(poly):
     return [(poly[0], poly[i], poly[i + 1]) for i in range(1, len(poly) - 1)]
 
@@ -146,51 +166,86 @@ def load_off(path):
     """Read an ASCII OFF file; returns (vertices, faces), polygons
     fan-triangulated.
 
-    A plain all-triangle file (no comments, exactly "x y z" vertex lines
-    and "3 i j k" face lines) is parsed in one pass over its tokens. Every
-    other file, including every malformed one, goes through the
-    line-by-line reader, which also reports where a file is broken.
+    A plain all-triangle file (ASCII, no comments, exactly "x y z" vertex
+    lines and "3 i j k" face lines) has its vertex and face blocks parsed
+    by numpy's C text reader. Every other file, including every malformed
+    one, goes through the line-by-line reader, which also reports where a
+    file is broken.
     """
-    with open(path) as fh:
-        text = fh.read()
-    parsed = _parse_off_triangles(text)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    parsed = _parse_off_triangles(data)
     if parsed is not None:
         return parsed
     return _load_off_lines(path)
 
 
-def _parse_off_triangles(text):
-    """(vertices, faces) of a plain all-triangle OFF text, or None for any
-    other text. What it accepts, _load_off_lines reads to the same arrays;
-    everything else, errors included, is left to that reader."""
-    if "#" in text:
+def _plain_text(data):
+    """The bytes of a file with the line reader's newlines (\\r\\n and \\r
+    read as \\n), or None when the file is not plain ASCII without '#'."""
+    if not data.isascii() or b"#" in data:
         return None
-    lines = text.split("\n")
-    magic = lines[0].split()
-    if magic[:1] != ["OFF"]:
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return data
+
+
+def _read_table(block, dtype, shape):
+    """The array of whitespace-separated numbers in block, if it has shape
+    ``shape`` (rows None: any number of rows), else None.
+
+    numpy's reader skips blank lines, as the line reader does. Every token
+    it reads, it reads to the value int() or float() gives; it rejects some
+    that they accept (1_000, out-of-range integers), which then fall back
+    to the line reader. A block of blank lines is not read at all, as numpy
+    warns that it holds no data.
+    """
+    rows, columns = shape
+    if not block or block.isspace():
+        table = np.empty((0, columns), dtype=dtype)
+    else:
+        try:
+            table = np.loadtxt(io.BytesIO(block), dtype=dtype, comments=None, ndmin=2)
+        except ValueError:
+            return None
+    if table.shape[1] != columns or rows not in (None, len(table)):
+        return None
+    return table
+
+
+def _parse_off_triangles(data):
+    """(vertices, faces) of the bytes of a plain all-triangle OFF file, or
+    None for any other file. What it accepts, _load_off_lines reads to the
+    same arrays; everything else, errors included, is left to that reader."""
+    data = _plain_text(data)
+    if data is None:
+        return None
+    # line k is data[ends[k - 1] + 1 : ends[k]], as in data.split(b"\n")
+    ends = np.append(np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == 10), len(data))
+    magic = data[:ends[0]].split()
+    if magic[:1] != [b"OFF"]:
         return None
     # the counts follow the magic on its line or on the next one
     body = 1 if len(magic) > 1 else 2
-    counts = " ".join(lines[:body]).split()[1:]
+    if len(ends) < body:
+        return None
+    counts = data[:ends[body - 1]].split()[1:]
     try:
         nv, nf = int(counts[0]), int(counts[1])
     except (ValueError, IndexError):
         return None
-    end = body + nv + nf
-    if nv < 0 or nf < 0 or len(lines) < end:
+    if nv < 0 or nf < 0 or len(ends) < body + nv + nf:
         return None
-    if list(map(len, map(str.split, lines[body:end]))) != [3] * nv + [4] * nf:
+    # block boundaries: the start of the vertex, face and following lines
+    start = [ends[k - 1] + 1 for k in (body, body + nv, body + nv + nf)]
+    vertices = _read_table(data[start[0]:start[1] - 1], float, (nv, 3))
+    records = _read_table(data[start[1]:start[2] - 1], np.int64, (nf, 4))
+    if vertices is None or records is None:
         return None
-    try:
-        vertices = np.array(" ".join(lines[body:body + nv]).split(), dtype=float)
-        records = np.array(" ".join(lines[body + nv:end]).split(), dtype=np.int64)
-    except (ValueError, OverflowError):
-        return None
-    records = records.reshape(nf, 4)
     faces = records[:, 1:]
     if np.any(records[:, 0] != 3) or np.any(faces < 0) or np.any(faces >= nv):
         return None
-    return vertices.reshape(nv, 3), np.ascontiguousarray(faces)
+    return vertices, np.ascontiguousarray(faces)
 
 
 def _load_off_lines(path):
@@ -269,7 +324,11 @@ def load_obj(path):
 
 
 def load_mesh(path, fmt=None) -> TriMesh:
-    """Load an OFF or OBJ mesh; zero-area faces are dropped with a warning."""
+    """Load an OFF or OBJ mesh; zero-area faces are dropped with a warning.
+
+    The returned mesh carries the face geometry computed for that test,
+    so face_normals and median_face_size do not gather the corners again.
+    """
     path = Path(path)
     if fmt is None:
         fmt = path.suffix.lstrip(".").lower()
@@ -280,24 +339,29 @@ def load_mesh(path, fmt=None) -> TriMesh:
         vertices, faces = load_obj(path)
     else:
         raise UnsupportedFormat(f"unknown mesh format {fmt!r}")
-    faces, dropped = _drop_degenerate(vertices, faces)
+    mesh = TriMesh(vertices, faces)
+    geometry = mesh.geometry()
+    keep = 0.5 * geometry.norms > _AREA_EPS
+    dropped = int((~keep).sum())
     if dropped:
         logger.warning("%s: dropped %d degenerate face(s)", path, dropped)
-    logger.info("%s: %d vertices, %d faces", path, len(vertices), len(faces))
-    return TriMesh(vertices, faces)
+        mesh = TriMesh(vertices, mesh.faces[keep])
+        mesh._geometry = FaceGeometry(*(values[keep] for values in geometry))
+    logger.info("%s: %d vertices, %d faces", path, mesh.n_vertices, mesh.n_faces)
+    return mesh
 
 
 def load_volume(path) -> VoxelSet:
     """Load an ASCII "x y z" voxel list; duplicates are removed.
 
-    A plain file (no comments, 3 tokens on every non-blank line) is parsed
-    in one pass over its tokens. Every other file, including every
+    A plain file (ASCII, no comments, 3 integers on every non-blank line)
+    is parsed by numpy's C text reader. Every other file, including every
     malformed one, goes through the line-by-line reader, which also
     reports where a file is broken.
     """
-    with open(path) as fh:
-        text = fh.read()
-    pts = _parse_voxel_list(text)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    pts = _parse_voxel_list(data)
     if pts is None:
         pts = _load_volume_lines(path)
     # the rows of np.unique(pts, axis=0), without its structured-view sort
@@ -310,18 +374,12 @@ def load_volume(path) -> VoxelSet:
     return VoxelSet(unique)
 
 
-def _parse_voxel_list(text):
-    """(N, 3) int64 points of a plain voxel list text, or None for any
-    other text. What it accepts, _load_volume_lines reads to the same
+def _parse_voxel_list(data):
+    """(N, 3) int64 points of the bytes of a plain voxel list, or None for
+    any other file. What it accepts, _load_volume_lines reads to the same
     array; everything else, errors included, is left to that reader."""
-    if "#" in text:
-        return None
-    if not set(map(len, map(str.split, text.split("\n")))) <= {0, 3}:
-        return None
-    try:
-        return np.array(text.split(), dtype=np.int64).reshape(-1, 3)
-    except (ValueError, OverflowError):
-        return None
+    data = _plain_text(data)
+    return None if data is None else _read_table(data, np.int64, (None, 3))
 
 
 def _load_volume_lines(path):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CellHash, concat_ranges
+from .core import CellHash, column_max, column_min, concat_ranges
 from .errors import DegenerateFace, EmptyInput, SeedInvalid
 
 _CELL_MARGIN = 1e-9  # relative cell padding, so rounding never drops a pair
@@ -50,22 +50,21 @@ class OrientedFaceSet:
 
 
 def face_normals(mesh) -> OrientedFaceSet:
-    """Exact per-face normals, centroids and areas of a triangle mesh.
+    """Exact per-face normals, centroids and areas of a triangle mesh, from
+    its face geometry (TriMesh.geometry, computed once per mesh).
 
     If the mesh carries precomputed unit normals they take precedence over
     the cross-product orientation.
     """
-    a, b, c = mesh.corners()
-    cross = np.cross(b - a, c - a)
-    norms = np.linalg.norm(cross, axis=1)
+    geometry = mesh.geometry()
+    norms = geometry.norms
     if np.any(norms <= 1e-12):
         bad = int(np.argmin(norms))
         raise DegenerateFace(f"face {bad} has zero area")
-    normals = cross / norms[:, None]
+    normals = geometry.cross / norms[:, None]
     if mesh.face_normals is not None and len(mesh.face_normals) == len(normals):
         normals = mesh.face_normals / np.linalg.norm(mesh.face_normals, axis=1)[:, None]
-    centers = (a + b + c) / 3.0
-    return OrientedFaceSet(centers, normals, 0.5 * norms)
+    return OrientedFaceSet(geometry.centers, normals, 0.5 * norms)
 
 
 def digital_surface_faces(voxels) -> OrientedFaceSet:
@@ -220,7 +219,7 @@ def orient_inward(faces: OrientedFaceSet, mesh=None, mode="auto",
     from .accumulate import AccumulationParams, accumulate_counts
 
     if radius is None:
-        extent = float((faces.centers.max(axis=0) - faces.centers.min(axis=0)).max())
+        extent = float((column_max(faces.centers) - column_min(faces.centers)).max())
         radius = 0.25 * max(extent, 1e-9)
     # 3 steps per scan whatever the extent: a step tied to the extent gave
     # long tubes one-voxel scans, on which both orientations tie

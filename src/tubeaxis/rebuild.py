@@ -12,7 +12,8 @@ import math
 
 import numpy as np
 
-from .core import CellHash, concat_ranges, frame_from_direction, normalize
+from .core import (CellHash, column_max, column_min, concat_ranges, frame_from_direction,
+                   normalize)
 from .errors import DegenerateTangent, EmptyInput, TooSmall
 from .ingest import TriMesh
 from .track import _polyline_directions
@@ -107,7 +108,7 @@ def distance_to_polyline(points, polyline, closed=False):
     segments = (a, ab, a_ab, np.maximum(len2, _EPS))
     half = 0.5 * float(np.sqrt(len2.max()))
     mid = 0.5 * (a + b)
-    extent = float((mid.max(axis=0) - mid.min(axis=0)).max())
+    extent = float((column_max(mid) - column_min(mid)).max())
 
     best = np.empty(len(points))
     todo = np.arange(len(points))

@@ -18,9 +18,10 @@ until E does not increase, so E never increases from one accepted point
 to the next.
 
 Sections come from a uniform cell hash over the face centers
-(:class:`~tubeaxis.core.CellHash`, numpy only): its ball query gathers
-candidates, and the distance and slab tests pick the section from them,
-so it is the section a full scan over the faces would give.
+(:class:`~tubeaxis.core.CellHash`, numpy only): one batched ball query
+gathers the candidates of every centerline point, and the distance and
+slab tests pick each section from them, so it is the section a full scan
+over the faces would give.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ class SectionAssociation:
 
 
 def section_points(centerline, faces, i, acc_radius, track_step,
-                   use_areas=False, tree=None) -> SectionAssociation:
+                   use_areas=False, tree=None, near=None) -> SectionAssociation:
     """Face centers within acc_radius of C_i whose axial offset along the
     local direction d_i falls in the slab (-track_step/2, +track_step/2],
     in face order.
@@ -68,15 +69,17 @@ def section_points(centerline, faces, i, acc_radius, track_step,
     ``tree`` is any index over ``faces.centers`` with a
     ``query_ball_point(point, r)`` that returns at least the indices within
     r (a :class:`CellHash` by default, or a k-d tree); callers that take
-    sections at many points build it once. Its query only gathers
-    candidates (with a margin for its own rounding); the distance and
-    slab tests below decide, so the selection is that of a full scan.
+    sections at many points build it once. ``near``, if given, stands for
+    that query's result. The query only gathers candidates (with a margin
+    for its own rounding); the distance and slab tests below decide, so
+    the selection is that of a full scan.
     """
-    if tree is None:
-        tree = CellHash(faces.centers, _CELL_FRACTION * acc_radius)
     c = centerline.points[i]
     d = centerline.directions[i]
-    near = tree.query_ball_point(c, acc_radius * (1.0 + _BALL_MARGIN))
+    if near is None:
+        if tree is None:
+            tree = CellHash(faces.centers, _CELL_FRACTION * acc_radius)
+        near = tree.query_ball_point(c, acc_radius * (1.0 + _BALL_MARGIN))
     near = np.sort(np.asarray(near, dtype=np.intp))
     rel = faces.centers[near] - c
     dist = np.linalg.norm(rel, axis=1)
@@ -166,11 +169,13 @@ def optimize_centerline(centerline, faces, params: RefineParams) -> Centerline:
     pts = centerline.points.copy()
     refined = np.zeros(len(pts), dtype=bool)
     tree = CellHash(faces.centers, _CELL_FRACTION * params.acc_radius)
-    for i in range(len(pts)):
+    balls = tree.query_ball_points(centerline.points,
+                                  params.acc_radius * (1.0 + _BALL_MARGIN))
+    for i, near in enumerate(balls):
         try:
             assoc = section_points(centerline, faces, i, params.acc_radius,
                                    params.track_step, use_areas=params.area_weighting,
-                                   tree=tree)
+                                   near=near)
         except TooFewPoints:
             continue
         pts[i], _, _ = optimize_point(pts[i], assoc.points, params.radius,

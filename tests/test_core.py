@@ -9,7 +9,7 @@ import pytest
 from tubeaxis import (GridDomain, ScalarGrid3, VectorGrid3, ZeroDirection,
                       digitize, frame_from_direction, load_grid, normalize,
                       save_grid)
-from tubeaxis.core import CellHash, concat_ranges
+from tubeaxis.core import CellHash, column_max, column_min, concat_ranges
 
 
 def test_normalize_unit_length():
@@ -154,6 +154,54 @@ def test_cell_hash_ball_query_holds_the_ball(cell, r):
         dist = np.linalg.norm(pts - q, axis=1)
         assert set(np.flatnonzero(dist <= r)) <= set(got.tolist())
         assert np.all(dist[got] <= r * (1 + 1e-6))
+
+
+def _one_ball(grid, point, r):
+    """The single-point ball query as the hash first served it."""
+    p = np.asarray(point, dtype=float)
+    start, stop = grid.ranges(grid.cells(p.reshape(1, 3)), grid.stencil(r))
+    pos = concat_ranges(start.ravel(), stop.ravel())
+    d2 = np.zeros(len(pos))
+    for coord, c in zip(grid.coords, p):
+        delta = coord[pos] - c
+        d2 += delta * delta
+    return np.sort(grid.order[pos[d2 <= r * r]])
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7, 100, 1 << 18])
+def test_cell_hash_batched_ball_queries_equal_single_queries(chunk, monkeypatch):
+    monkeypatch.setattr(CellHash, "_CHUNK_CANDIDATES", chunk)
+    rng = np.random.default_rng(11)
+    # five points at the origin and one exactly 1.7 from it
+    pts = np.vstack([rng.normal(size=(400, 3)) * 3, np.zeros((5, 3)), [[0.0, 1.7, 0.0]]])
+    grid = CellHash(pts, 0.8)
+    # inside, on the points, coincident points, far outside the box
+    queries = np.vstack([rng.normal(size=(30, 3)) * 4, pts[:5], np.zeros((2, 3)),
+                         [[50.0, 0, 0], [-9.0, -9.0, -9.0]], pts[200:203]])
+    for r in (0.3, 1.7):
+        got = list(grid.query_ball_points(queries, r))
+        assert len(got) == len(queries)
+        for q, ids in zip(queries, got):
+            expected = _one_ball(grid, q, r)
+            assert ids.dtype == expected.dtype
+            assert np.array_equal(ids, expected)
+            assert np.array_equal(grid.query_ball_point(q, r), expected)
+    assert list(grid.query_ball_points(np.empty((0, 3)), 1.0)) == []
+
+
+@pytest.mark.parametrize("dtype", [float, np.int64])
+def test_column_reductions_equal_numpy_axis_reductions(dtype):
+    rng = np.random.default_rng(4)
+    a = (rng.normal(size=(1000, 3)) * 1e3).astype(dtype)
+    for values in (a, a[::3], a[:1], np.asfortranarray(a)):
+        for ours, theirs in ((column_min, np.min), (column_max, np.max)):
+            got, expected = ours(values), theirs(values, axis=0)
+            assert got.dtype == expected.dtype
+            assert got.tobytes() == expected.tobytes()
+    with_nan = rng.normal(size=(50, 3))
+    with_nan[7, 1] = np.nan
+    assert np.array_equal(column_min(with_nan), with_nan.min(axis=0), equal_nan=True)
+    assert np.array_equal(column_max(with_nan), with_nan.max(axis=0), equal_nan=True)
 
 
 def test_cell_hash_forward_stencil_is_half_of_the_stencil():

@@ -66,16 +66,54 @@ _SQUARE = "0 0 0\n1 0 0\n1 1 0\n0 1 0\n"
     ("OFF\n4 1 0\n0 0 0 255 0 0\n1 0 0 255 0 0\n1 1 0\n0 1 0\n3 0 1 2 7\n", False),
     ("OFF\n\n4 2 0\n" + _SQUARE + "\n3 0 1 2\n\n3 0 2 3\n", False),
     ("4 2 0\n" + _SQUARE + "3 0 1 2\n3 0 2 3\n", False),
+    # line endings, separators, blank and trailing lines
+    ("OFF\r4 2 0\r" + _SQUARE.replace("\n", "\r") + "3 0 1 2\r3 0 2 3", True),
+    ("OFF\t\n4\t2 \t0\n" + _SQUARE.replace(" ", "\t") + "\t3 0\t1 2 \n3\t0 2\t3\t\n", True),
+    ("OFF\n4 2 0\n0 0 0\n \t\n1 0 0\n1 1 0\n0 1 0\n3 0 1 2\n3 0 2 3\n", False),
+    ("OFF\n4 2 0\n" + _SQUARE + "3 0 1 2\n\n3 0 2 3\n", False),
+    ("OFF\n4 2 0\n" + _SQUARE + "3 0 1 2\n3 0 2 3\n1 2 3 4 5\nx\n", True),
+    ("OFF\n4 2 0\n" + _SQUARE + "3 0 1 2\n3 0 2 3", True),
+    # counts on the magic line, and empty blocks
+    ("OFF 4 2\n" + _SQUARE + "3 0 1 2\n3 0 2 3\n", True),
+    ("OFF\n0 0 0\n", True),
+    ("OFF 0 0\n\n\n", True),
+    ("OFF\n4 0 0\n" + _SQUARE, True),
+    ("OFF\n4 0 0\n" + _SQUARE + "\n", True),
+    ("OFF\n0 1 0\n3 0 1 2\n", False),
+    # a 4-token vertex line, a 5-token face line
+    ("OFF\n4 2 0\n0 0 0\n1 0 0 1\n1 1 0\n0 1 0\n3 0 1 2\n3 0 2 3\n", False),
+    ("OFF\n4 2 0\n" + _SQUARE + "3 0 1 2\n3 0 2 3 1\n", False),
+    ("OFF\n4 2 0\n" + _SQUARE + "3 0 1 2\n4 0 2 3\n", False),
+    # tokens int() and float() accept but numpy rejects
+    ("OFF\n4 2 0\n1_000 0 0\n1 0 0\n1 1 0\n0 1 0\n3 0 1 2\n3 0 2 3\n", False),
+    ("OFF\n4 2 0\n" + _SQUARE + "3 0 1 0_2\n3 0 2 3\n", False),
+    ("OFF\n4 2 0\n" + _SQUARE + "３ 0 1 2\n3 0 2 3\n", False),
+    ("OFF\n4 2 0\n0 0 ３\n1 0 0\n1 1 0\n0 1 0\n3 0 1 2\n3 0 2 3\n", False),
+    ("OFF\n4 2 0\n" + _SQUARE + "3 0 1 2\n3 0 2 9223372036854775808\n", False),
+    ("OFF\n4 2 0\n9223372036854775808 0 0\n" + _SQUARE[6:] + "3 0 1 2\n3 0 2 3\n", True),
+    ("OFF\n4 2 0\n0 0 0 1\n1 0 0 1\n1 1 0 1\n0 1 0 1\n3 0 1 2\n3 0 2 3\n", False),
+    # numpy reads a byte \xa0 as a space; the line reader cannot decode it
+    (b"OFF\n4 2 0\n0\xa00 0\n1 0 0\n1 1 0\n0 1 0\n3 0 1 2\n3 0 2 3\n", False),
+    # vertex tokens numpy and float() read alike
+    ("OFF\n4 2 0\nnan -nan .5\n1e400 -1e400 +3\n1. -0 inf\n0 1 -Infinity\n"
+     "3 0 1 2\n3 0 2 3\n", True),
 ])
+@pytest.mark.filterwarnings("error")
 def test_off_bulk_and_line_parsers_agree(tmp_path, text, bulk):
     p = tmp_path / "m.off"
-    p.write_bytes(text.encode())
-    v_ref, f_ref = _load_off_lines(p)
-    v, f = load_off(p)
-    assert np.array_equal(v, v_ref) and v.dtype == v_ref.dtype
-    assert np.array_equal(f, f_ref) and f.dtype == f_ref.dtype
+    p.write_bytes(text if isinstance(text, bytes) else text.encode())
+    try:
+        expected = _load_off_lines(p)
+    except (tx.ParseError, UnicodeDecodeError) as err:
+        with pytest.raises(type(err)) as got:
+            load_off(p)
+        assert str(got.value) == str(err)  # the path and line included
+    else:
+        for got, ref in zip(load_off(p), expected):
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
     # the plain files really take the bulk path, the others fall back
-    assert (_parse_off_triangles(p.read_text()) is not None) == bulk
+    assert (_parse_off_triangles(p.read_bytes()) is not None) == bulk
 
 
 def test_off_bulk_parser_matches_line_parser_on_a_tube(tmp_path):
@@ -83,7 +121,7 @@ def test_off_bulk_parser_matches_line_parser_on_a_tube(tmp_path):
                           mesh_step=0.7)
     path = tmp_path / "tube.off"
     write_off(mesh, path)
-    bulk = _parse_off_triangles(path.read_text())
+    bulk = _parse_off_triangles(path.read_bytes())
     assert bulk is not None
     v_ref, f_ref = _load_off_lines(path)
     assert np.array_equal(bulk[0], v_ref)
@@ -178,17 +216,38 @@ def test_load_volume_dedupes(tmp_path):
     ("1 2 3\n4 5 6\n1 2 3\n1 2 3\n", True),
     ("# x y z\n1 2 3  # first\n4 5 6\n1 2 3\n", False),
     ("1 2 3\r\n# c\r\n\r\n-4 +5 6\r\n", False),
+    (" \t\n\n  \n", True),
+    ("1 2 3\n4 5 6\n\t", True),
+    ("1 2 3\n4 5 6 7\n", False),
+    ("1 2 3\n4 5\n", False),
+    ("1 2 3 4\n5 6 7 8\n", False),
+    (b"1 2 3\n4\xa05 6\n", False),
+    # tokens int() accepts but numpy rejects
+    ("1 2 3\n1_000 5 6\n", False),
+    ("1 2 3\n４ 5 6\n", False),
+    ("1 2 3\n9223372036854775808 5 6\n", False),
+    ("1 2 3\n-9223372036854775809 5 6\n", False),
+    ("1 2 3\nnan 5 6\n", False),
+    ("1 2 3\n1.0 5 6\n", False),
 ])
+@pytest.mark.filterwarnings("error")
 def test_volume_bulk_and_line_parsers_agree(tmp_path, text, bulk):
     p = tmp_path / "v.xyz"
-    p.write_bytes(text.encode())
-    ref = _load_volume_lines(p)
-    assert ref.dtype == np.int64 and ref.shape[1:] == (3,)
-    fast = _parse_voxel_list(p.read_text())
+    p.write_bytes(text if isinstance(text, bytes) else text.encode())
+    fast = _parse_voxel_list(p.read_bytes())
     # the plain files really take the bulk path, the others fall back
     assert (fast is not None) == bulk
+    try:
+        ref = _load_volume_lines(p)
+    except (tx.ParseError, UnicodeDecodeError) as err:
+        with pytest.raises(type(err)) as got:
+            tx.load_volume(p)
+        assert str(got.value) == str(err)  # the path and line included
+        return
+    assert ref.dtype == np.int64 and ref.shape[1:] == (3,)
     if bulk:
-        assert np.array_equal(fast, ref) and fast.dtype == ref.dtype
+        assert fast.dtype == ref.dtype and fast.shape == ref.shape
+        assert fast.tobytes() == ref.tobytes()
     vol = tx.load_volume(p)
     assert np.array_equal(vol.points, np.unique(ref, axis=0))
 
@@ -321,6 +380,34 @@ def test_write_artifacts_manifest(tmp_path, cylinder):
         assert key in manifest
     pts, _ = tx.read_centerline_csv(manifest["centerline_csv"])
     assert len(pts) == len(cl)
+
+
+def test_load_mesh_geometry_equals_separate_passes(tmp_path):
+    # corners, cross products and edges as drop-degenerate, face_normals and
+    # median_face_size each computed them before they shared one pass
+    mesh, _ = tx.gen_tube([tx.Straight(20.0), tx.Arc(15.0, 1.2)], radius=3.0,
+                          mesh_step=0.7)
+    faces = np.vstack([mesh.faces[:40], [[0, 0, 1], [2, 5, 2]], mesh.faces[40:],
+                       [[7, 7, 7]]])
+    path = tmp_path / "tube.off"
+    write_off(tx.TriMesh(mesh.vertices, faces), path)
+    loaded = tx.load_mesh(path)
+    v = loaded.vertices
+    f = faces[[i for i in range(len(faces)) if len(set(faces[i])) == 3]]
+    assert np.array_equal(loaded.faces, f)
+    a, b, c = v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
+    cross = np.cross(b - a, c - a)
+    norms = np.linalg.norm(cross, axis=1)
+    longest = np.maximum.reduce([np.linalg.norm(b - a, axis=1),
+                                 np.linalg.norm(c - b, axis=1),
+                                 np.linalg.norm(a - c, axis=1)])
+    for mesh in (loaded, tx.TriMesh(v, f)):
+        fs = tx.face_normals(mesh)
+        assert fs.normals.tobytes() == (cross / norms[:, None]).tobytes()
+        assert fs.centers.tobytes() == ((a + b + c) / 3.0).tobytes()
+        assert fs.areas.tobytes() == (0.5 * norms).tobytes()
+        assert mesh.face_areas().tobytes() == (0.5 * norms).tobytes()
+        assert mesh.median_face_size() == float(np.median(longest))
 
 
 def test_median_face_size_is_longest_edge_median():

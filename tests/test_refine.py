@@ -218,6 +218,36 @@ def test_optimize_centerline_marks_unrefined_points():
     assert np.allclose(out.points[2], pts[2])
 
 
+def test_optimize_centerline_equals_one_section_query_per_point(bent_pipe):
+    # the batched candidate query selects the sections that one k-d tree
+    # query per point selects, so every refined point is the same bit for bit
+    radius, faces = bent_pipe["radius"], bent_pipe["faces"]
+    acc_radius = bent_pipe["params"].acc_radius
+    raw = tx.extract_centerline(bent_pipe["result"], track_step=radius,
+                                acc_radius=acc_radius)
+    # a point far from the surface has no section and passes through
+    raw = Centerline(points=np.vstack([raw.points, [[500.0, 0, 0]]]),
+                     directions=np.vstack([raw.directions, [[1.0, 0, 0]]]))
+    params = tx.RefineParams(radius=radius, acc_radius=acc_radius, track_step=radius,
+                             area_weighting=True)
+    out = tx.optimize_centerline(raw, faces, params)
+    tree = cKDTree(faces.centers)
+    expected = raw.points.copy()
+    refined = np.zeros(len(raw), dtype=bool)
+    for i in range(len(raw)):
+        try:
+            assoc = tx.section_points(raw, faces, i, acc_radius, radius,
+                                      use_areas=True, tree=tree)
+        except tx.TooFewPoints:
+            continue
+        expected[i] = tx.optimize_point(expected[i], assoc.points, radius,
+                                        weights=assoc.weights)[0]
+        refined[i] = True
+    assert refined[:-1].all() and not refined[-1]
+    assert np.array_equal(out.refined, refined)
+    assert out.points.tobytes() == expected.tobytes()
+
+
 def test_refined_cylinder_beats_raw(cylinder):
     raw = tx.extract_centerline(cylinder.result, track_step=cylinder.radius,
                                 acc_radius=cylinder.params.acc_radius)
