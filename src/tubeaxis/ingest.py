@@ -28,6 +28,7 @@ from .errors import EmptyInput, ParseError, TooSmall, UnsupportedFormat
 logger = logging.getLogger(__name__)
 
 _AREA_EPS = 1e-12
+_CSV_BLOCK = 1 << 16  # error-map rows formatted by one % operation
 
 
 class FaceGeometry(NamedTuple):
@@ -562,10 +563,17 @@ def write_decomposition_csv(decomposition, path):
 
 
 def write_face_scalar_csv(values, path):
+    """Write "face,value" rows, the value as %.9g; the rows are formatted
+    _CSV_BLOCK at a time, by one % over the block's indices and values."""
     values = np.asarray(values, dtype=float).ravel().tolist()
     with open(path, "w") as fh:
         fh.write("face,value\n")
-        fh.write("".join(map("%d,%.9g\n".__mod__, enumerate(values))))
+        for lo in range(0, len(values), _CSV_BLOCK):
+            block = values[lo:lo + _CSV_BLOCK]
+            fields = [None] * (2 * len(block))
+            fields[::2] = range(lo, lo + len(block))
+            fields[1::2] = block
+            fh.write(("%d,%.9g\n" * len(block)) % tuple(fields))
 
 
 def write_artifacts(out_dir, centerline, decomposition=None, meshes=None,

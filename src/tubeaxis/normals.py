@@ -98,9 +98,11 @@ def _lattice_keys(pts):
 
     Each axis is compressed to the sorted distinct values of x-1, x and x+1
     over the points, so a point's neighbours are exactly one rank away and
-    p+d has key key(p) + d @ strides. Keys are mixed-radix over the axis
-    sizes; the product of the sizes is checked to fit in int64, so no two
-    lattice points share a key.
+    p+d has key key(p) + d @ strides. They are the distinct values of
+    v-1, v and v+1 over the axis's distinct values v, and a point's rank
+    is its position among them. Keys are mixed-radix over the axis sizes;
+    the product of the sizes is checked to fit in int64, so no two lattice
+    points share a key.
     """
     info = np.iinfo(np.int64)
     if pts.min() <= info.min or pts.max() >= info.max:
@@ -108,17 +110,23 @@ def _lattice_keys(pts):
     ranks = np.empty_like(pts)
     sizes = []
     for axis in range(3):
-        # return_inverse also keeps np.unique on its sorting path, which
-        # is far faster than hashing for millions of distinct values
-        values, inverse = np.unique(pts[:, axis, None] + np.array([-1, 0, 1]),
-                                    return_inverse=True)
-        ranks[:, axis] = inverse.reshape(-1, 3)[:, 1]
+        v = _sorted_distinct(pts[:, axis])
+        values = _sorted_distinct(np.concatenate([v - 1, v, v + 1]))
+        ranks[:, axis] = np.searchsorted(values, pts[:, axis])
         sizes.append(len(values))
     if sizes[0] * sizes[1] * sizes[2] > info.max:
         raise ValueError(f"voxel coordinates too spread out to index "
                          f"({sizes[0]} x {sizes[1]} x {sizes[2]} distinct values)")
     strides = np.array([sizes[1] * sizes[2], sizes[2], 1], dtype=np.int64)
     return ranks @ strides, strides
+
+
+def _sorted_distinct(a):
+    """np.unique(a) by sorting: numpy's hashing path, which np.unique takes
+    when it returns no indices, is many times slower on millions of
+    distinct values."""
+    a = np.sort(a)
+    return a[np.concatenate([[True], a[1:] != a[:-1]])]
 
 
 def estimate_digital_normals(faces: OrientedFaceSet, radius: float) -> OrientedFaceSet:
@@ -129,7 +137,9 @@ def estimate_digital_normals(faces: OrientedFaceSet, radius: float) -> OrientedF
     provisional outward normal (so the result points inward). Facets with
     fewer than 3 neighbors get their negated provisional normal.
 
-    Neighbourhoods are gathered per size k, and each group's covariances
+    One stable sort of the neighbourhood sizes groups the facets by size
+    k, in facet order within a group. Each group's (m, 3, k) block of
+    neighbour coordinates is taken one axis at a time, and its covariances
     go through one batched eigh; the arithmetic is that of np.cov with
     bias=True, so every normal equals the per-facet computation bit for bit.
     """
@@ -137,11 +147,20 @@ def estimate_digital_normals(faces: OrientedFaceSet, radius: float) -> OrientedF
     counts, members = _ball_neighbourhoods(centers, float(radius))
     starts = np.cumsum(counts) - counts
     normals = -faces.normals
-    for k in np.unique(counts[counts >= 3]):
-        rows = np.flatnonzero(counts == k)
+    columns = [np.ascontiguousarray(centers[:, axis]) for axis in range(3)]
+    by_size = np.argsort(counts, kind="stable")
+    sizes = counts[by_size]
+    first = np.flatnonzero(np.diff(sizes, prepend=-1))
+    for lo, hi in zip(first, np.r_[first[1:], len(sizes)]):
+        k = int(sizes[lo])
+        if k < 3:
+            continue
+        rows = by_size[lo:hi]
+        idx = members[starts[rows, None] + np.arange(k)]
         # (m, 3, k): the k neighbour centers of each facet, centred
-        local = centers[members[starts[rows, None] + np.arange(k)]]
-        local = np.ascontiguousarray(local.transpose(0, 2, 1))
+        local = np.empty((len(rows), 3, k))
+        for axis, column in enumerate(columns):
+            np.take(column, idx, out=local[:, axis, :])
         local -= local.mean(axis=2, keepdims=True)
         cov = local @ local.transpose(0, 2, 1)
         cov *= 1.0 / k
@@ -161,7 +180,10 @@ def _ball_neighbourhoods(centers, radius):
     Centers are hashed in cells of about radius/2. Each cell is paired
     with the cells of the forward half of the stencil that can hold a
     center within radius, and every pair (i, j), i before j in cell order,
-    is tested as d^2 <= radius^2.
+    is tested as d^2 <= radius^2. A passing pair writes the keys i*n + j
+    and j*n + i into one key array sized by the candidate count, after the
+    self keys i*n + i; sorting it in place orders the keys by center, then
+    by neighbour, so the counts and members are read off the keys.
     """
     n = len(centers)
     grid = CellHash(centers, 0.5 * radius * (1.0 + _CELL_MARGIN))
@@ -176,27 +198,33 @@ def _ball_neighbourhoods(centers, radius):
     lens = np.maximum(stop - start, 0).sum(axis=1)
     bounds = np.searchsorted(np.cumsum(lens), np.arange(0, lens.sum(), _CHUNK_PAIRS),
                              side="right")
-    pairs = []
+    # 32-bit keys, where they fit, sort about twice as fast
+    key_type = np.uint32 if n * n <= np.iinfo(np.uint32).max else np.int64
+    keys = np.empty(n + 2 * int(lens.sum()), dtype=key_type)
+    keys[:n] = np.arange(n, dtype=key_type) * key_type(n + 1)
+    used = n
+    order = grid.order.astype(key_type)
     for lo, hi in zip(bounds, np.r_[bounds[1:], n]):
         j = concat_ranges(start[lo:hi].ravel(), stop[lo:hi].ravel())
+        i = np.repeat(np.arange(lo, hi), lens[lo:hi])
         d2 = np.zeros(len(j))
         for coord in grid.coords:
             delta = coord[j]
-            delta -= np.repeat(coord[lo:hi], lens[lo:hi])
+            delta -= coord[i]
             delta *= delta
             d2 += delta
         near = d2 <= radius * radius
-        i = np.repeat(np.arange(lo, hi), lens[lo:hi])
-        pairs.append(grid.order[np.stack([i[near], j[near]])])
-    pairs = np.concatenate(pairs or [np.empty((2, 0), dtype=np.intp)], axis=1)
-    self_pairs = np.arange(n)
-    first = np.concatenate([pairs[0], pairs[1], self_pairs])
-    second = np.concatenate([pairs[1], pairs[0], self_pairs])
-    # sorting i*n + j orders by facet, then by neighbour; 32-bit keys,
-    # where they fit, sort about twice as fast
-    key_type = np.uint32 if n * n <= np.iinfo(np.uint32).max else np.int64
-    flat = np.sort((first * n + second).astype(key_type))
-    return np.bincount(first, minlength=n), (flat % n).astype(np.intp)
+        oi, oj = order[i[near]], order[j[near]]
+        m = len(oi)
+        keys[used:used + m] = oi * key_type(n) + oj
+        keys[used + m:used + 2 * m] = oj * key_type(n) + oi
+        used += 2 * m
+    del start, stop  # freed before the members are made, which set the peak
+    keys = keys[:used]
+    keys.sort()
+    counts = np.diff(np.searchsorted(keys, np.arange(n + 1, dtype=key_type) * key_type(n)))
+    np.remainder(keys, key_type(n), out=keys)
+    return counts, keys.astype(np.intp)
 
 
 def orient_inward(faces: OrientedFaceSet, mesh=None, mode="auto",

@@ -157,12 +157,21 @@ def _measure_by_cells(points, rows, segments, grid, half, best):
 
 
 def _nearest_distance(p, a, ab, a_ab, ab_len2):
-    """Distance from each p[i] to the nearest of the (S, 3) segments a, ab."""
+    """Distance from each p[i] to the nearest of the (S, 3) segments a, ab.
+
+    The (len(p), S) arrays are built one axis at a time: the projection
+    a + t ab, its offset from p squared, and the squares summed x, y, z.
+    """
     # t[i, j]: clamped parameter of the projection of point i on segment j
     t = np.einsum("ik,jk->ij", p, ab) - a_ab
     t = np.clip(t / ab_len2, 0.0, 1.0)
-    proj = a + t[:, :, None] * ab
-    d2 = np.sum((p[:, None, :] - proj) ** 2, axis=2)
+    d2 = np.zeros_like(t)
+    for axis in range(3):
+        delta = t * ab[:, axis]
+        delta += a[:, axis]
+        np.subtract(p[:, axis, None], delta, out=delta)
+        delta *= delta
+        d2 += delta
     return np.sqrt(d2.min(axis=1))
 
 

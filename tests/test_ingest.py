@@ -146,9 +146,18 @@ def test_off_errors_keep_their_line_numbers(tmp_path, text, line):
     assert err.value.line == line
 
 
-def test_write_face_scalar_csv_matches_row_by_row_writer(tmp_path):
-    values = np.array([0.0, -0.0, 1e-300, 1e12, -2.5, -1e-7, 0.1, 123456789.123,
-                       np.inf, np.nan, 5e-324, -1.7976931348623157e308])
+_SPECIAL_VALUES = [0.0, -0.0, 1e-300, 1e12, -2.5, -1e-7, 0.1, 123456789.123,
+                   np.inf, -np.inf, np.nan, 5e-324, 1e300, -1.7976931348623157e308]
+
+
+@pytest.mark.parametrize("values", [
+    np.array(_SPECIAL_VALUES),
+    np.array([]),
+    # one block of rows exactly, and one row past it
+    np.resize(_SPECIAL_VALUES, 2 ** 16) * np.linspace(0.5, 1, 2 ** 16),
+    np.resize(_SPECIAL_VALUES, 2 ** 16 + 1) * np.linspace(0.5, 1, 2 ** 16 + 1),
+], ids=["special", "empty", "block", "block+1"])
+def test_write_face_scalar_csv_matches_row_by_row_writer(tmp_path, values):
     path = tmp_path / "error_map.csv"
     write_face_scalar_csv(values, path)
     expected = "face,value\n" + "".join(f"{i},{_fmt(v)}\n" for i, v in enumerate(values))

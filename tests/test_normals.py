@@ -1,5 +1,7 @@
 """Face normals, digital surface facets and inward orientation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
@@ -200,6 +202,53 @@ def test_ball_neighbourhoods_match_query_ball_point_on_a_tube(radius):
         ref = cKDTree(pts).query_ball_point(pts, r=radius)
         assert counts.tolist() == [len(i) for i in ref]
         assert members.tolist() == [j for i in ref for j in sorted(i)]
+
+
+def _assert_ball_neighbourhoods_match_query_ball_point(pts, radius):
+    counts, members = _ball_neighbourhoods(pts, radius)
+    ref = cKDTree(pts).query_ball_point(pts, r=radius)
+    assert counts.tolist() == [len(i) for i in ref]
+    assert members.tolist() == [j for i in ref for j in sorted(i)]
+    return counts
+
+
+def test_ball_neighbourhoods_with_64_bit_keys():
+    # n * n > 2**32 - 1 from 65,536 centers on: the keys i*n + j are int64
+    rng = np.random.default_rng(12)
+    pts = rng.uniform(0.0, 60.0, size=(70_000, 3))
+    pts[-50:] = pts[:50]  # coincident centers among them
+    counts = _assert_ball_neighbourhoods_match_query_ball_point(pts, 1.0)
+    assert len(pts) ** 2 > np.iinfo(np.uint32).max
+    assert counts.sum() > 2 * len(pts)
+
+
+@pytest.mark.parametrize("pts", [
+    np.array([(x, y, z) for x in range(4) for y in range(3) for z in range(2)]) * 2.0,
+    np.repeat([[1.5, -2.0, 3.0], [1.5, -2.0, 3.25]], [4, 3], axis=0),
+    np.zeros((6, 3)),
+    np.array([[7.0, 8.0, 9.0]]),
+], ids=["no-pairs", "coincident", "all-coincident", "single"])
+def test_ball_neighbourhoods_without_pairs_and_with_coincident_centers(pts):
+    _assert_ball_neighbourhoods_match_query_ball_point(pts, 1.0)
+
+
+def test_covariance_normals_memory_follows_the_pairs():
+    # a solid voxel rod of radius 8 and length 260 at the CLI's normal
+    # radius for R=8: 17,056 facets, about 1.06M ordered pairs. Building
+    # the CSR from int64 pair copies takes about 46 bytes a pair, from one
+    # key array about 20; the bound lies between them
+    grid = np.indices((18, 18, 260)).reshape(3, -1).T - [9, 9, 0]
+    pts = grid[np.hypot(grid[:, 0] + 0.5, grid[:, 1] + 0.5) <= 8]
+    fs = tx.digital_surface_faces(tx.VoxelSet(pts))
+    tracemalloc.start()
+    try:
+        tx.estimate_digital_normals(fs, 4.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    pairs = int(_ball_neighbourhoods(fs.centers, 4.0)[0].sum())
+    assert pairs > 1_000_000
+    assert peak < 32 * pairs
 
 
 def test_estimated_normals_point_inward_below_three_neighbours():

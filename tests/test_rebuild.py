@@ -100,6 +100,33 @@ def _dense_distance(points, polyline, closed=False):
     return np.sqrt(np.sum((points[:, None, :] - proj) ** 2, axis=2).min(axis=1))
 
 
+def _nearest_distance_by_rows(p, a, ab, a_ab, ab_len2):
+    """Reference: rebuild._nearest_distance on (n, S, 3) arrays summed
+    over the last axis, as the library computed it before its columns."""
+    t = np.einsum("ik,jk->ij", p, ab) - a_ab
+    t = np.clip(t / ab_len2, 0.0, 1.0)
+    proj = a + t[:, :, None] * ab
+    d2 = np.sum((p[:, None, :] - proj) ** 2, axis=2)
+    return np.sqrt(d2.min(axis=1))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_nearest_distance_columns_equal_the_rows_bit_for_bit(seed):
+    rng = np.random.default_rng(40 + seed)
+    poly = np.cumsum(rng.normal(size=(25, 3)) * rng.uniform(0.01, 10.0), axis=0)
+    # zero-length segments: repeated vertices
+    poly[[5, 6, 12]] = poly[[4, 5, 11]]
+    a, b = poly[:-1], poly[1:]
+    ab = b - a
+    segments = (a, ab, (a * ab).sum(axis=1),
+                np.maximum(np.einsum("ij,ij->i", ab, ab), 1e-12))
+    # points off the polyline, exactly at its vertices and at its midpoints
+    pts = np.vstack([poly.mean(axis=0) + rng.normal(size=(200, 3)) * rng.uniform(0.1, 50.0),
+                     poly, 0.5 * (a + b)])
+    got = rebuild._nearest_distance(pts, *segments)
+    assert got.tobytes() == _nearest_distance_by_rows(pts, *segments).tobytes()
+
+
 def test_distance_to_polyline_matches_brute_force():
     rng = np.random.default_rng(0)
     poly = np.cumsum(rng.normal(size=(12, 3)), axis=0)
