@@ -8,6 +8,7 @@ dense axis-aligned grid described by :class:`GridDomain`.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,10 +22,19 @@ _AXES = np.eye(3)
 def normalize(v):
     """Return ``v`` scaled to unit length; raise ZeroDirection below 1e-12."""
     v = np.asarray(v, dtype=float)
-    n = float(np.linalg.norm(v))
+    flat = v.ravel(order="K")
+    n = math.sqrt(flat.dot(flat))  # np.linalg.norm(v), without its checks
     if n <= 1e-12:
         raise ZeroDirection(f"cannot normalize near-zero vector {v}")
     return v / n
+
+
+def _cross(a, b):
+    """np.cross of two 3-vectors, by the same products and differences on
+    Python floats, without np.cross's per-call cost."""
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
 @dataclass(frozen=True)
@@ -51,8 +61,8 @@ def frame_from_direction(w, center=(0.0, 0.0, 0.0)) -> OrthonormalFrame:
     """
     w = normalize(w)
     axis = int(np.argmin(np.abs(w)))  # argmin takes the first of tied minima
-    u = normalize(np.cross(w, _AXES[axis]))
-    v = np.cross(w, u)
+    u = normalize(_cross(w, _AXES[axis]))
+    v = _cross(w, u)
     return OrthonormalFrame(np.asarray(center, dtype=float), u, v, w)
 
 

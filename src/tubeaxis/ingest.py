@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import io
 import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -104,8 +105,22 @@ class TriMesh:
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
 
     def median_face_size(self):
-        """Median over faces of the longest edge (the default gridstep rule)."""
-        return float(np.median(self.geometry().longest))
+        """Median over faces of the longest edge (the default gridstep rule).
+
+        np.median's value, from np.partition and numpy's mean of the middle
+        one or two values: np.median's NaN check imports numpy.ma, which
+        takes longer than the median itself.
+        """
+        longest = self.geometry().longest
+        n = len(longest)
+        if n == 0:
+            return math.nan
+        half = n // 2
+        lo = half - 1 if n % 2 == 0 else half
+        part = np.partition(longest, [lo, half, n - 1])
+        if np.isnan(part[-1]):  # NaN sorts last
+            return math.nan
+        return float(part[lo:half + 1].mean())
 
 
 @dataclass

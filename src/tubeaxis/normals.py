@@ -17,7 +17,7 @@ from .core import CellHash, column_max, column_min, concat_ranges
 from .errors import DegenerateFace, EmptyInput, SeedInvalid
 
 _CELL_MARGIN = 1e-9  # relative cell padding, so rounding never drops a pair
-_CHUNK_PAIRS = 1 << 16  # candidate pairs tested at once
+_CHUNK_PAIRS = 1 << 16  # candidate pairs tested, or neighbour pairs gathered, at once
 
 _FACET_DIRS = np.array([
     [1, 0, 0], [-1, 0, 0],
@@ -138,7 +138,8 @@ def estimate_digital_normals(faces: OrientedFaceSet, radius: float) -> OrientedF
     fewer than 3 neighbors get their negated provisional normal.
 
     One stable sort of the neighbourhood sizes groups the facets by size
-    k, in facet order within a group. Each group's (m, 3, k) block of
+    k, in facet order within a group. A group is taken in batches of
+    about _CHUNK_PAIRS neighbour pairs; each batch's (m, 3, k) block of
     neighbour coordinates is taken one axis at a time, and its covariances
     go through one batched eigh; the arithmetic is that of np.cov with
     bias=True, so every normal equals the per-facet computation bit for bit.
@@ -155,19 +156,23 @@ def estimate_digital_normals(faces: OrientedFaceSet, radius: float) -> OrientedF
         k = int(sizes[lo])
         if k < 3:
             continue
-        rows = by_size[lo:hi]
-        idx = members[starts[rows, None] + np.arange(k)]
-        # (m, 3, k): the k neighbour centers of each facet, centred
-        local = np.empty((len(rows), 3, k))
-        for axis, column in enumerate(columns):
-            np.take(column, idx, out=local[:, axis, :])
-        local -= local.mean(axis=2, keepdims=True)
-        cov = local @ local.transpose(0, 2, 1)
-        cov *= 1.0 / k
-        n = np.linalg.eigh(cov)[1][:, :, 0]
-        # sign-match to outward, then flip inward
-        opposed = (n * faces.normals[rows]).sum(axis=1) < 0
-        normals[rows] = np.where(opposed[:, None], n, -n)
+        # a group in batches of about _CHUNK_PAIRS pairs, so that on flat
+        # surfaces, where most facets share one size, the group's block
+        # does not set the peak; every facet's numbers are its own
+        batch = max(_CHUNK_PAIRS // k, 1)
+        for rows in np.split(by_size[lo:hi], np.arange(batch, hi - lo, batch)):
+            idx = members[starts[rows, None] + np.arange(k)]
+            # (m, 3, k): the k neighbour centers of each facet, centred
+            local = np.empty((len(rows), 3, k))
+            for axis, column in enumerate(columns):
+                np.take(column, idx, out=local[:, axis, :])
+            local -= local.mean(axis=2, keepdims=True)
+            cov = local @ local.transpose(0, 2, 1)
+            cov *= 1.0 / k
+            n = np.linalg.eigh(cov)[1][:, :, 0]
+            # sign-match to outward, then flip inward
+            opposed = (n * faces.normals[rows]).sum(axis=1) < 0
+            normals[rows] = np.where(opposed[:, None], n, -n)
     return OrientedFaceSet(centers, normals, faces.areas)
 
 

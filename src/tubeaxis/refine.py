@@ -17,6 +17,11 @@ the step of least norm, which stays in that plane. The step is halved
 until E does not increase, so E never increases from one accepted point
 to the next.
 
+Each candidate is evaluated once: energy_and_gradient computes the
+offsets, distances and unit vectors a single time (g is -2 f, not a
+second sum), and the Gauss-Newton step from an accepted candidate reuses
+the unit vectors its evaluation wrote into optimize_point's buffer.
+
 Sections come from a uniform cell hash over the face centers
 (:class:`~tubeaxis.core.CellHash`, numpy only): one batched ball query
 gathers the candidates of every centerline point, and the distance and
@@ -26,6 +31,7 @@ over the faces would give.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,33 +97,42 @@ def section_points(centerline, faces, i, acc_radius, track_step,
     return SectionAssociation(index=i, points=faces.centers[sel], weights=weights)
 
 
-def energy_and_gradient(c, points, radius, weights=None):
+def energy_and_gradient(c, points, radius, weights=None, *, units=None):
     """Evaluate E, its gradient g and the resultant force f at center c.
 
-    Returns (E, g, f); f == -g/2 holds exactly. Weights (face areas)
-    multiply each point's term.
+    Returns (E, g, f); g is -2 f exactly. Weights (face areas) multiply
+    each point's term. ``units``, an (N, 3) float array, receives the
+    unit vectors u_j when given, so a caller that steps from c does not
+    compute them again.
     """
     c = np.asarray(c, dtype=float)
-    rel = np.atleast_2d(points) - c  # CM_j
-    dist = np.linalg.norm(rel, axis=1)
-    if np.any(dist <= _MIN_DIST):
+    unit = np.subtract(np.atleast_2d(points), c, out=units)  # CM_j
+    # |CM_j| summed as np.linalg.norm(axis=1) sums, (x^2 + y^2) + z^2, but
+    # by columns, which numpy runs several times faster than across rows
+    sq = unit * unit
+    dist = sq[:, 0] + sq[:, 1]
+    dist += sq[:, 2]
+    np.sqrt(dist, out=dist)
+    if (dist <= _MIN_DIST).any():
         bad = int(np.argmin(dist))
         raise CoincidentPoint(f"surface point {bad} coincides with the center")
-    unit = rel / dist[:, None]
-    w = np.ones(len(dist)) if weights is None else np.asarray(weights, dtype=float)
-    e = float(np.sum(w * (dist - radius) ** 2))
-    g = 2.0 * np.einsum("i,ij->j", w * (radius - dist), unit)
-    f = np.einsum("i,ij->j", w * (dist - radius), unit)
-    return e, g, f
+    unit /= dist[:, None]
+    resid = dist - radius
+    if weights is None:
+        e = float((resid * resid).sum())
+    else:
+        w = np.asarray(weights, dtype=float)
+        e = float((w * (resid * resid)).sum())
+        resid *= w
+    f = np.einsum("i,ij->j", resid, unit)
+    return e, -2.0 * f, f
 
 
-def _gauss_newton_step(c, points, weights, f):
+def _gauss_newton_step(units, weights, f):
     """Least-squares solution delta of H delta = f, where
-    H = sum_j w_j u_j u_j^T over the unit vectors u_j from c to the points."""
-    rel = points - c
-    unit = rel / np.linalg.norm(rel, axis=1)[:, None]
-    weighted = unit if weights is None else unit * weights[:, None]
-    return np.linalg.lstsq(weighted.T @ unit, f, rcond=None)[0]
+    H = sum_j w_j u_j u_j^T over the unit vectors u_j."""
+    weighted = units if weights is None else units * weights[:, None]
+    return np.linalg.lstsq(weighted.T @ units, f, rcond=None)[0]
 
 
 def optimize_point(c0, points, radius, epsilon_o=0.001, max_iter=1000,
@@ -130,20 +145,26 @@ def optimize_point(c0, points, radius, epsilon_o=0.001, max_iter=1000,
     Accepted iterations never increase E; stops when the accepted energy
     drop falls below epsilon_o or the iteration budget runs out. Returns
     (refined point, final energy, iterations used).
+
+    Every evaluation writes its unit vectors into one buffer; a step is
+    only taken from the candidate just evaluated and accepted, so the
+    buffer then holds that candidate's u_j.
     """
     c = np.asarray(c0, dtype=float).copy()
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if weights is not None:
         weights = np.asarray(weights, dtype=float)
-    e, _, f = energy_and_gradient(c, points, radius, weights)
-    delta = _gauss_newton_step(c, points, weights, f)
+    units = np.empty(points.shape)
+    e, _, f = energy_and_gradient(c, points, radius, weights, units=units)
+    delta = _gauss_newton_step(units, weights, f)
     step = 1.0
     for it in range(1, max_iter + 1):
-        if np.linalg.norm(f) <= _MIN_DIST:
+        if math.sqrt(f.dot(f)) <= _MIN_DIST:  # np.linalg.norm(f)
             return c, e, it
         cand = c + step * delta
         try:
-            e_new, _, f_new = energy_and_gradient(cand, points, radius, weights)
+            e_new, _, f_new = energy_and_gradient(cand, points, radius, weights,
+                                                  units=units)
         except CoincidentPoint:
             step *= 0.5
             continue
@@ -154,7 +175,7 @@ def optimize_point(c0, points, radius, epsilon_o=0.001, max_iter=1000,
         c, e, f = cand, e_new, f_new
         if moved < epsilon_o:
             return c, e, it
-        delta = _gauss_newton_step(c, points, weights, f)
+        delta = _gauss_newton_step(units, weights, f)
         step = 1.0
     return c, e, max_iter
 

@@ -5,10 +5,19 @@ along the local principal direction, samples a square cross-sectional patch
 of the count image one step ahead, and jumps to the patch argmax. Runs in
 both directions are stitched into one polyline. Every read goes to the
 accumulation's table of visited voxels, never to a dense grid.
+
+A step is a few small numpy calls, so their fixed cost is most of its
+time. The run's reference level, the lower quartile of the accepted
+points' levels, is read off a list kept sorted as points are accepted
+(np.percentile's value, bit for bit, without its sort and its numpy.ma
+import). The count-ridge fallback, which most steps take on fine meshes,
+builds its voxel centers one axis at a time and sums only the lower
+triangle of its covariance, in einsum's order.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -23,6 +32,8 @@ _MAX_TRACK_STEPS = 100000
 _ZERO_DIR = 1e-12
 # the 8 corners of a trilinear cell, last axis fastest
 _CORNERS = np.array(list(itertools.product((0, 1), repeat=3)))
+# (row, column) of the lower triangle of a 3 x 3 matrix
+_LOWER = ((0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2))
 
 
 @dataclass
@@ -92,20 +103,25 @@ def _sample_trilinear(keys, values, domain, points):
     """
     points = np.atleast_2d(points)
     coords = (points - domain.origin) / domain.gridstep - 0.5
-    inside = np.all((coords >= 0) & (coords <= np.asarray(domain.dims) - 1), axis=1)
+    ok = (coords >= 0) & (coords <= np.asarray(domain.dims) - 1)
+    inside = ok[:, 0] & ok[:, 1] & ok[:, 2]
     coords = coords[inside]
     base = np.floor(coords)
-    low = 1.0 - (coords - base)
-    weights = np.stack([low, 1.0 - low], axis=1)  # (n, corner bit, axis)
+    weights = np.empty((len(coords), 2, 3))  # (n, corner bit, axis)
+    np.subtract(1.0, coords - base, out=weights[:, 0])
+    np.subtract(1.0, weights[:, 0], out=weights[:, 1])
     # on the last voxel center of an axis the upper corner lies past the
     # grid (its id is some other voxel's), but its weight there is 0
-    corner_ids = ((base.astype(np.int64) @ domain.strides)[:, None]
-                  + _CORNERS @ domain.strides)
-    terms = _lookup(keys, values, corner_ids) * weights[:, _CORNERS[:, 0], 0]
-    terms *= weights[:, _CORNERS[:, 1], 1]
-    terms *= weights[:, _CORNERS[:, 2], 2]
+    strides = domain.strides
+    corner_ids = (base.astype(np.int64) @ strides)[:, None] + _CORNERS @ strides
+    # corner 4a + 2b + c of _CORNERS is [a, b, c] of the (n, 2, 2, 2) view:
+    # its value times its x, then y, then z weight, by broadcasting
+    terms = (_lookup(keys, values, corner_ids).reshape(-1, 2, 2, 2)
+             * weights[:, :, None, None, 0])
+    terms *= weights[:, None, :, None, 1]
+    terms *= weights[:, None, None, :, 2]
     total = np.zeros(len(coords))
-    for corner in terms.T:
+    for corner in terms.reshape(-1, 8).T:
         total += corner
     out = np.zeros(len(points))
     out[inside] = total
@@ -139,25 +155,36 @@ def _ridge_direction(res, point, acc_radius):
     if idx is None:
         return None
     half = int(math.ceil(acc_radius / dom.gridstep))
-    lo = np.maximum(np.asarray(idx) - half, 0)
-    hi = np.minimum(np.asarray(idx) + half, np.asarray(dom.dims) - 1)
-    # the table rows inside the box: one run of keys per (x, y) column;
-    # the box's empty voxels would only add exact zeros
-    x, y = (a.ravel() for a in np.meshgrid(np.arange(lo[0], hi[0] + 1),
-                                           np.arange(lo[1], hi[1] + 1),
-                                           indexing="ij"))
-    column = x * dom.strides[0] + y * dom.strides[1]
+    lo = [max(i - half, 0) for i in idx]
+    hi = [min(i + half, d - 1) for i, d in zip(idx, dom.dims)]
+    _, ny, nz = dom.dims
+    # the table rows inside the box: one run of keys per (x, y) column,
+    # x-major; the box's empty voxels would only add exact zeros
+    column = (np.arange(lo[0], hi[0] + 1)[:, None] * (ny * nz)
+              + np.arange(lo[1], hi[1] + 1) * nz).ravel()
     rows = concat_ranges(np.searchsorted(res.keys, column + lo[2]),
                          np.searchsorted(res.keys, column + hi[2], side="right"))
-    box = np.stack(np.unravel_index(res.keys[rows], dom.dims), axis=1)
     w = res.counts[rows].astype(float) ** 2
     total = w.sum()
     if total <= 0:
         return None
-    pts = dom.origin + dom.gridstep * (box + 0.5)
-    mu = (w[:, None] * pts).sum(axis=0) / total
-    cen = pts - mu
-    cov = np.einsum("v,vi,vj->ij", w, cen, cen) / total
+    # (3, V): the voxel centers, one axis at a time
+    keys = res.keys[rows]
+    pts = np.empty((3, len(rows)))
+    for axis, index in enumerate((keys // (ny * nz), keys // nz % ny, keys % nz)):
+        np.multiply(dom.gridstep, index + 0.5, out=pts[axis])
+        pts[axis] += dom.origin[axis]
+    # the weighted mean and the lower triangle of the weighted covariance
+    # (all that eigh reads) as running sums in row order, the order of
+    # numpy's axis-0 sums and of einsum("v,vi,vj->ij", w, cen, cen): the
+    # zero rows of the box, which the table leaves out, change no bit
+    mu = np.array([np.cumsum(row)[-1] for row in w * pts]) / total
+    cen = pts - mu[:, None]
+    wcen = w * cen
+    cov = np.zeros((3, 3))
+    for i, j in _LOWER:
+        # einsum's sums start from +0.0, so a sum of -0.0 terms is +0.0
+        cov[i, j] = (np.cumsum(wcen[i] * cen[j])[-1] + 0.0) / total
     vals, vecs = np.linalg.eigh(cov)
     # require a clearly dominant axis so blobs cannot fabricate a direction
     if vals[2] <= _ZERO_DIR or vals[2] < 2.0 * vals[1]:
@@ -219,6 +246,21 @@ def is_inside_tube(res, current, previous, ref_value, inside_threshold=0.5,
     return math.acos(min(cosang, 1.0)) <= max_angle
 
 
+def _lower_quartile(ordered):
+    """np.percentile(ordered, 25) of a non-empty sorted list, bit for bit,
+    without sorting it again: numpy's "linear" rule reads the virtual
+    index (n - 1) * 0.25 and interpolates between its two neighbours as
+    numpy's _lerp does, from the upper one when the fraction is >= 0.5."""
+    index = (len(ordered) - 1) * 0.25
+    i = int(index)
+    if i + 1 == len(ordered):  # a single value
+        return ordered[i]
+    t = index - i
+    a, b = ordered[i], ordered[i + 1]
+    diff = b - a
+    return b - diff * (1 - t) if t >= 0.5 else a + diff * t
+
+
 def track_direction(res, start, in_front, track_step, acc_radius,
                     inside_threshold=0.5, max_angle=math.pi / 3):
     """One directional tracking run; returns (points, closed_flag).
@@ -232,6 +274,7 @@ def track_direction(res, start, in_front, track_step, acc_radius,
     if d0 is None:
         raise SeedInvalid("direction image vanishes at the tracking seed")
     last_vect = d0 * (1.0 if in_front else -1.0)
+    # the sampled levels of the accepted points, kept sorted
     levels = [_sample_trilinear(res.keys, res.counts, res.domain, start)[0]]
 
     current = start
@@ -243,14 +286,13 @@ def track_direction(res, start, in_front, track_step, acc_radius,
         dir_vect = _local_direction(res, current, acc_radius)
         if dir_vect is not None and float(np.dot(last_vect, dir_vect)) < 0:
             dir_vect = -dir_vect
-        ref = float(np.percentile(levels, 25))
+        ref = float(_lower_quartile(levels))
         if not is_inside_tube(res, current, previous, ref,
                               inside_threshold, max_angle, direction=dir_vect):
             # the point that fails the continuation test is outside the tube;
             # drop it instead of leaving one overshoot point per open end
             if len(points) > 1:
                 points.pop()
-                levels.pop()
             break
         if dir_vect is None:
             break
@@ -267,8 +309,8 @@ def track_direction(res, start, in_front, track_step, acc_radius,
         last_vect = dir_vect
         current = nxt
         points.append(current.copy())
-        levels.append(
-            _sample_trilinear(res.keys, res.counts, res.domain, current)[0])
+        bisect.insort(levels,
+                      _sample_trilinear(res.keys, res.counts, res.domain, current)[0])
         if step_i >= 2 and np.linalg.norm(current - start) < 0.75 * track_step:
             closed = True
             break

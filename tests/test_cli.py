@@ -262,3 +262,30 @@ def test_pipeline_runs_without_scipy(tube_off, tmp_path):
             capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         assert (out / "error_map.csv").exists()
+
+
+_MODULES_AFTER = """
+import sys
+from tubeaxis.cli import main
+code = main(sys.argv[1:])
+print("numpy.ma imported:", "numpy.ma" in sys.modules)
+sys.exit(code)
+"""
+
+
+def test_pipeline_does_not_import_numpy_ma(tube_off, tmp_path):
+    # np.median's and np.percentile's first calls import numpy.ma, about
+    # 10 ms of every CLI run; the median and the tracking quartile avoid them
+    mesh, _ = tx.gen_tube(tx.parse_tube_spec("S:30"), 4.0, 1.0, cap_ends=True)
+    voxels = tmp_path / "tube.xyz"
+    voxels.write_text("".join(f"{x} {y} {z}\n" for x, y, z in
+                              tx.voxelize(mesh, 1.0).points))
+    env = dict(os.environ, PYTHONPATH=str(Path(tx.__file__).parents[1]))
+    for source in (tube_off, voxels):
+        out = tmp_path / source.stem
+        proc = subprocess.run(
+            [sys.executable, "-c", _MODULES_AFTER, "pipeline", "--input",
+             str(source), "--radius", "4", "--out-dir", str(out)],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert "numpy.ma imported: False" in proc.stdout

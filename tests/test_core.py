@@ -38,6 +38,25 @@ def test_frame_is_right_handed_orthonormal():
         assert np.allclose(fr.w, w, atol=1e-12)
 
 
+def test_normalize_and_frame_equal_linalg_norm_and_np_cross_bit_for_bit():
+    # the frame's cross products and norms run on Python floats; they must
+    # be numpy's, signed zeros included
+    rng = np.random.default_rng(12)
+    dirs = np.vstack([rng.normal(size=(200, 3)) * rng.uniform(1e-3, 1e3, (200, 1)),
+                      np.eye(3), -np.eye(3), [[0.0, -0.0, 2.0], [-0.0, 3.0, 0.0],
+                                              [1.0, 1.0, 1.0], [-1.0, 1.0, -1.0]]])
+    for d in dirs:
+        assert normalize(d).tobytes() == (d / np.linalg.norm(d)).tobytes()
+        w = d / np.linalg.norm(d)
+        u = np.cross(w, np.eye(3)[int(np.argmin(np.abs(w)))])
+        u = u / np.linalg.norm(u)
+        fr = frame_from_direction(d, center=d)
+        assert fr.w.tobytes() == w.tobytes()
+        assert fr.u.tobytes() == u.tobytes()
+        assert fr.v.tobytes() == np.cross(w, u).tobytes()
+        assert fr.center.tobytes() == d.tobytes()
+
+
 def test_frame_axis_choice_is_deterministic():
     # ties on the smallest |w| component resolve to the first axis
     w = normalize(np.array([1.0, 1.0, 1.0]))

@@ -423,3 +423,22 @@ def test_median_face_size_is_longest_edge_median():
     verts = np.array([[0.0, 0, 0], [3.0, 0, 0], [0.0, 4, 0]])
     mesh = tx.TriMesh(verts, np.array([[0, 1, 2]]))
     assert mesh.median_face_size() == pytest.approx(5.0)
+
+
+def test_median_face_size_equals_np_median_bit_for_bit():
+    # a partition and the mean of the middle one or two values, as
+    # np.median takes them, on odd and even counts, ties and a NaN
+    rng = np.random.default_rng(31)
+    for n in list(range(1, 30)) + [1000, 1001]:
+        for ties in (False, True):
+            verts = rng.normal(size=(3 * n, 3)) * 4.0
+            if ties:
+                verts = np.round(verts * 2.0) / 2.0
+            mesh = tx.TriMesh(verts, np.arange(3 * n).reshape(n, 3))
+            want = np.float64(np.median(mesh.geometry().longest))
+            assert np.float64(mesh.median_face_size()).tobytes() == want.tobytes()
+    verts = rng.normal(size=(9, 3))
+    verts[4, 1] = np.nan
+    mesh = tx.TriMesh(verts, np.arange(9).reshape(3, 3))
+    assert np.isnan(mesh.median_face_size())
+    assert np.isnan(np.median(mesh.geometry().longest))

@@ -7,6 +7,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 import tubeaxis as tx
+from tubeaxis import normals
 from tubeaxis.normals import _FACET_DIRS, _ball_neighbourhoods
 
 
@@ -249,6 +250,37 @@ def test_covariance_normals_memory_follows_the_pairs():
     pairs = int(_ball_neighbourhoods(fs.centers, 4.0)[0].sum())
     assert pairs > 1_000_000
     assert peak < 32 * pairs
+
+
+def test_covariance_normals_memory_on_a_flat_surface():
+    # the surface of a 60^3 voxel cube at radius 4: 21,600 facets, about
+    # 1.1M ordered pairs, most facets in one neighbourhood size; gathering
+    # that group at once took about 39 bytes a pair, batches about 21
+    pts = np.indices((60, 60, 60)).reshape(3, -1).T
+    fs = tx.digital_surface_faces(tx.VoxelSet(pts))
+    tracemalloc.start()
+    try:
+        tx.estimate_digital_normals(fs, 4.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    counts = _ball_neighbourhoods(fs.centers, 4.0)[0]
+    pairs = int(counts.sum())
+    assert pairs > 1_000_000
+    assert np.bincount(counts).max() > len(fs) // 2
+    assert peak < 32 * pairs
+
+
+@pytest.mark.parametrize("chunk", [40, 500, 2000, 1 << 40])
+def test_covariance_batches_keep_the_bits(monkeypatch, chunk):
+    # every facet's mean, product and eigh are its own, whatever batch
+    # its size group is cut into
+    mesh, _ = tx.gen_tube(tx.parse_tube_spec("S:12,A:8:60,S:6"), 3.0, 1.0,
+                          cap_ends=True)
+    fs = tx.digital_surface_faces(tx.voxelize(mesh, 1.0))
+    want = tx.estimate_digital_normals(fs, 3.0).normals
+    monkeypatch.setattr(normals, "_CHUNK_PAIRS", chunk)
+    assert tx.estimate_digital_normals(fs, 3.0).normals.tobytes() == want.tobytes()
 
 
 def test_estimated_normals_point_inward_below_three_neighbours():

@@ -8,6 +8,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 import tubeaxis as tx
+from tubeaxis import refine
 from tubeaxis.track import Centerline
 
 from conftest import random_unit_vectors
@@ -376,3 +377,142 @@ def test_optimizer_weights_equal_duplication():
         assert it_w == it_d
         assert np.allclose(c_w, c_d, rtol=0, atol=1e-12)
         assert e_w == pytest.approx(e_d, rel=1e-12)
+
+
+# energy_and_gradient, _gauss_newton_step and optimize_point as they were
+# before an evaluation computed its unit vectors once and the step reused
+# them; kept verbatim as the reference for the bits of the refined points
+
+
+def _ref_energy_and_gradient(c, points, radius, weights=None):
+    c = np.asarray(c, dtype=float)
+    rel = np.atleast_2d(points) - c  # CM_j
+    dist = np.linalg.norm(rel, axis=1)
+    if np.any(dist <= 1e-12):
+        bad = int(np.argmin(dist))
+        raise tx.CoincidentPoint(f"surface point {bad} coincides with the center")
+    unit = rel / dist[:, None]
+    w = np.ones(len(dist)) if weights is None else np.asarray(weights, dtype=float)
+    e = float(np.sum(w * (dist - radius) ** 2))
+    g = 2.0 * np.einsum("i,ij->j", w * (radius - dist), unit)
+    f = np.einsum("i,ij->j", w * (dist - radius), unit)
+    return e, g, f
+
+
+def _ref_gauss_newton_step(c, points, weights, f):
+    rel = points - c
+    unit = rel / np.linalg.norm(rel, axis=1)[:, None]
+    weighted = unit if weights is None else unit * weights[:, None]
+    return np.linalg.lstsq(weighted.T @ unit, f, rcond=None)[0]
+
+
+def _ref_optimize_point(c0, points, radius, epsilon_o=0.001, max_iter=1000,
+                        weights=None, evaluate=_ref_energy_and_gradient):
+    c = np.asarray(c0, dtype=float).copy()
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if weights is not None:
+        weights = np.asarray(weights, dtype=float)
+    e, _, f = evaluate(c, points, radius, weights)
+    delta = _ref_gauss_newton_step(c, points, weights, f)
+    step = 1.0
+    for it in range(1, max_iter + 1):
+        if np.linalg.norm(f) <= 1e-12:
+            return c, e, it
+        cand = c + step * delta
+        try:
+            e_new, _, f_new = evaluate(cand, points, radius, weights)
+        except tx.CoincidentPoint:
+            step *= 0.5
+            continue
+        if e_new > e:
+            step *= 0.5
+            continue
+        moved = abs(e - e_new)
+        c, e, f = cand, e_new, f_new
+        if moved < epsilon_o:
+            return c, e, it
+        delta = _ref_gauss_newton_step(c, points, weights, f)
+        step = 1.0
+    return c, e, max_iter
+
+
+def _counted(fn):
+    """fn with a call counter in .calls."""
+    def wrapper(*args, **kwargs):
+        wrapper.calls += 1
+        return fn(*args, **kwargs)
+    wrapper.calls = 0
+    return wrapper
+
+
+def _assert_optimize_point_equals_reference(monkeypatch, start, pts, radius, **kw):
+    ref_eval = _counted(_ref_energy_and_gradient)
+    want = _ref_optimize_point(start, pts, radius, evaluate=ref_eval, **kw)
+    own_eval = _counted(refine.energy_and_gradient)
+    monkeypatch.setattr(refine, "energy_and_gradient", own_eval)
+    got = tx.optimize_point(start, pts, radius, **kw)
+    monkeypatch.undo()
+    assert got[0].tobytes() == want[0].tobytes()
+    assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
+    assert got[2] == want[2]
+    assert own_eval.calls == ref_eval.calls
+    return got
+
+
+def _random_sections(rng, n):
+    """Noisy rings around random axes with starts off their centers, some
+    with face-area weights."""
+    for case in range(n):
+        center = rng.normal(size=3) * 20
+        radius = rng.uniform(1.0, 8.0)
+        axis = rng.normal(size=3)
+        pts = _ring(center, radius, int(rng.integers(5, 400)),
+                    axis=axis / np.linalg.norm(axis), rng=rng,
+                    rho_jitter=0.1 * radius)
+        pts = pts + rng.normal(size=pts.shape) * 0.3 * rng.uniform(0, radius)
+        start = center + rng.normal(size=3) * 0.3 * radius
+        weights = rng.uniform(0.2, 2.0, len(pts)) if case % 2 else None
+        yield start, pts, radius, weights
+
+
+@pytest.mark.parametrize("kw", [{}, {"epsilon_o": 0.0}, {"max_iter": 1},
+                                {"max_iter": 2}, {"max_iter": 3},
+                                {"epsilon_o": 0.0, "max_iter": 3}])
+def test_optimize_point_equals_the_reference_bit_for_bit(monkeypatch, kw):
+    rng = np.random.default_rng(21)
+    for start, pts, radius, weights in _random_sections(rng, 40):
+        _assert_optimize_point_equals_reference(monkeypatch, start, pts, radius,
+                                                weights=weights, **kw)
+
+
+def test_optimize_point_equals_the_reference_on_pipe_sections(bent_pipe, monkeypatch):
+    radius = bent_pipe["radius"]
+    areas = bent_pipe["faces"].areas
+    for i, (start, pts) in enumerate(_bent_pipe_sections(bent_pipe)):
+        weights = areas[:len(pts)] if i % 2 else None
+        _assert_optimize_point_equals_reference(monkeypatch, start, pts, radius,
+                                                weights=weights)
+
+
+def test_optimize_point_equals_the_reference_when_a_candidate_hits_a_point(monkeypatch):
+    # the full step from the origin lands on (1, 0, 0): it is halved
+    pts = np.array([[1.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
+    for weights in (None, np.array([1.0, 1.0])):
+        for max_iter in (1, 2, 3, 1000):
+            _assert_optimize_point_equals_reference(
+                monkeypatch, np.zeros(3), pts, 1.0, weights=weights,
+                max_iter=max_iter)
+
+
+def test_energy_and_gradient_equals_the_reference_and_fills_units():
+    rng = np.random.default_rng(22)
+    for start, pts, radius, weights in _random_sections(rng, 30):
+        want = _ref_energy_and_gradient(start, pts, radius, weights)
+        units = np.empty(pts.shape)
+        for got in (tx.energy_and_gradient(start, pts, radius, weights),
+                    tx.energy_and_gradient(start, pts, radius, weights, units=units)):
+            assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+            assert got[2].tobytes() == want[2].tobytes()
+            assert np.array_equal(got[1], want[1])
+        rel = pts - start
+        assert units.tobytes() == (rel / np.linalg.norm(rel, axis=1)[:, None]).tobytes()

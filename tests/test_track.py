@@ -1,5 +1,6 @@
 """Patch extraction and ridge tracking on hand-built vote fields."""
 
+import bisect
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from scipy import ndimage
 import tubeaxis as tx
 from tubeaxis.accumulate import AccumulationResult
 from tubeaxis.core import GridDomain
-from tubeaxis.track import (Patch, _lookup, _polyline_directions,
+from tubeaxis.track import (Patch, _lookup, _lower_quartile, _polyline_directions,
                             _ridge_direction, _sample_trilinear, _voxel_dir,
                             extract_patch, patch_size)
 
@@ -259,6 +260,30 @@ def test_ridge_of_empty_box_or_table_is_none():
     empty = _field_result(domain, np.zeros(domain.dims), np.zeros(domain.dims + (3,)))
     assert len(empty.keys) == 0
     assert _ridge_direction(empty, far, 3.0) is None
+
+
+def test_running_quartile_equals_np_percentile():
+    # tracking keeps its levels sorted as they come and go; the quartile
+    # read off them must be np.percentile(levels, 25) bit for bit
+    rng = np.random.default_rng(15)
+    checked = set()
+    for trial in range(120):
+        n = int(rng.integers(1, 201))
+        if trial % 3 == 0:  # many ties
+            values = rng.integers(0, 5, size=n) * rng.uniform(0.5, 50.0)
+        else:
+            values = rng.uniform(0.0, 400.0, size=n)
+        levels, ordered = [], []
+        for value in values.tolist():
+            levels.append(value)
+            bisect.insort(ordered, value)
+            if len(levels) > 1 and rng.random() < 0.25:
+                gone = levels.pop(int(rng.integers(len(levels))))
+                del ordered[bisect.bisect_left(ordered, gone)]
+            want = np.float64(np.percentile(levels, 25))
+            assert np.float64(_lower_quartile(ordered)).tobytes() == want.tobytes()
+            checked.add(len(levels))
+    assert checked == set(range(1, max(checked) + 1)) and max(checked) >= 150
 
 
 def test_patch_frame_and_pixels():
