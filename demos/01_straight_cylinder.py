@@ -4,7 +4,8 @@ Centerline of a straight cylinder, end to end
 
 The shortest possible tour: synthesize a tube, pile up surface-normal
 votes on a voxel lattice, walk the vote ridge, then refine each point as
-the least-squares center of its cross-section.
+the least-squares center of its cross-section. run_pipeline runs those
+three stages in one call and keeps each stage's output.
 """
 
 import numpy as np
@@ -20,23 +21,20 @@ print(f"mesh: {mesh.n_vertices} vertices, {mesh.n_faces} faces")
 # "auto" probes which side concentrates votes
 faces = tx.orient_inward(tx.face_normals(mesh), mode="auto", radius=5.0)
 
-# every face shoots a ray along its inward normal, one vote per visited
-# voxel, while closer than radius + 10% to the start
-params = tx.AccumulationParams(radius=5.0, gridstep=1.0)
-res = tx.compute_accumulation(faces, params)
+# accumulate: every face shoots a ray along its inward normal, one vote
+# per visited voxel, while closer than radius + 10% to the start;
+# track: walk the vote ridge both ways from the best voxel, one step per
+# radius; refine: slide each point to the center whose distance to the
+# nearby surface points best matches the known radius
+run = tx.run_pipeline(faces, radius=5.0, gridstep=1.0,
+                      stages=("accumulate", "track", "refine"))
+res, raw, refined = run.accumulation, run.raw, run.centerline
 print(f"accumulation: max {res.max_acc} votes at voxel {res.max_pt}")
 
 # votes concentrate on the axis: the best voxel should be mid-tube
 print("  world position:", np.round(res.domain.voxel_center(res.max_pt), 2))
 
-# track the ridge in both directions from the best voxel
-raw = tx.extract_centerline(res, track_step=5.0, acc_radius=params.acc_radius)
 print(f"raw centerline: {len(raw.points)} points, closed={raw.closed}")
-
-# each point then slides to the center whose distance to the nearby
-# surface points best matches the known radius
-refined = tx.optimize_centerline(raw, faces, tx.RefineParams(
-    radius=5.0, acc_radius=params.acc_radius, track_step=5.0))
 
 for label, line in (("raw", raw), ("refined", refined)):
     d = tx.distance_to_polyline(line.points, truth.points)

@@ -23,12 +23,11 @@ print(f"pipe mesh: {mesh.n_faces} faces, ground-truth junctions at "
       f"{list(truth.junctions)}")
 
 faces = tx.orient_inward(tx.face_normals(mesh), mode="auto", radius=R)
-g = mesh.median_face_size()
-params = tx.AccumulationParams(radius=R, gridstep=g)
-res = tx.compute_accumulation(faces, params)
-raw = tx.extract_centerline(res, track_step=R, acc_radius=params.acc_radius)
-line = tx.optimize_centerline(raw, faces, tx.RefineParams(
-    radius=R, acc_radius=params.acc_radius, track_step=R))
+# the chain through decompose; its arc planarity gate defaults to
+# 0.3 gridstep
+run = tx.run_pipeline(faces, radius=R, gridstep=mesh.median_face_size(),
+                      stages=("accumulate", "track", "refine", "decompose"))
+line, dec = run.centerline, run.decomposition
 
 # the tangent-space polygon: x is arclength, y is accumulated turn angle;
 # straights are horizontal runs, arcs climb at slope 1/r
@@ -36,7 +35,6 @@ tsp = tx.tangent_space_transform(line.points)
 print(f"total length {tsp.T[-1, 0]:.1f}, total turn "
       f"{math.degrees(tsp.T[-1, 1]):.0f} degrees")
 
-dec = tx.decompose_centerline(line, resid_tol=0.3 * g)
 print(f"decomposition: {dec.kinds()}")
 for s in dec.segments:
     if s.kind == "ARC":

@@ -34,13 +34,10 @@ cases = {
 print(f"{'case':14s} {'faces':>6s} {'raw RMS':>8s} {'refined RMS':>12s}")
 for name, damaged in cases.items():
     faces = tx.orient_inward(tx.face_normals(damaged), mode="auto", radius=R)
-    params = tx.AccumulationParams(radius=R, gridstep=1.0)
-    res = tx.compute_accumulation(faces, params)
-    raw = tx.extract_centerline(res, track_step=R, acc_radius=params.acc_radius)
-    refined = tx.optimize_centerline(raw, faces, tx.RefineParams(
-        radius=R, acc_radius=params.acc_radius, track_step=R))
-    d_raw = tx.distance_to_polyline(raw.points, truth.points)
-    d_ref = tx.distance_to_polyline(refined.points, truth.points)
+    run = tx.run_pipeline(faces, radius=R, gridstep=1.0,
+                          stages=("accumulate", "track", "refine"))
+    d_raw = tx.distance_to_polyline(run.raw.points, truth.points)
+    d_ref = tx.distance_to_polyline(run.centerline.points, truth.points)
     print(f"{name:14s} {len(faces):6d} {np.sqrt(np.mean(d_raw**2)):8.3f} "
           f"{np.sqrt(np.mean(d_ref**2)):12.3f}")
 

@@ -20,13 +20,9 @@ mesh, truth = tx.gen_tube(segs, radius=R, mesh_step=1.0)
 
 
 def extract(faces, radius, gridstep):
-    params = tx.AccumulationParams(radius=radius, gridstep=gridstep)
-    res = tx.compute_accumulation(faces, params)
-    raw = tx.extract_centerline(res, track_step=radius,
-                                acc_radius=params.acc_radius)
-    return tx.optimize_centerline(raw, faces, tx.RefineParams(
-        radius=radius, acc_radius=params.acc_radius,
-        track_step=radius)).points
+    """Refined centerline points: accumulate, track and refine."""
+    return tx.run_pipeline(faces, radius, gridstep=gridstep,
+                           stages=("accumulate", "track", "refine")).centerline.points
 
 
 # 1) plain triangle mesh

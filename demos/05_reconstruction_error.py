@@ -23,15 +23,13 @@ segs = [tx.Straight(30 * R), tx.Arc(5 * R, math.pi / 2), tx.Straight(30 * R),
 mesh, truth = tx.gen_tube(segs, radius=R, mesh_step=1.0)
 
 faces = tx.orient_inward(tx.face_normals(mesh), mode="auto", radius=R)
-g = mesh.median_face_size()
-params = tx.AccumulationParams(radius=R, gridstep=g)
-res = tx.compute_accumulation(faces, params)
-raw = tx.extract_centerline(res, track_step=R, acc_radius=params.acc_radius)
-line = tx.optimize_centerline(raw, faces, tx.RefineParams(
-    radius=R, acc_radius=params.acc_radius, track_step=R))
-
-# sweep a ring along the centerline with a rotation-minimizing frame
-tube = tx.sweep_tube(line, radius=R, sides=24)
+# the chain without decompose: reconstruct sweeps a 24-sided ring along
+# the refined centerline with a rotation-minimizing frame, and error_map
+# scores every input face against that ideal tube
+run = tx.run_pipeline(faces, radius=R, gridstep=mesh.median_face_size(),
+                      stages=("accumulate", "track", "refine", "reconstruct",
+                              "error_map"))
+tube = run.tube
 out = pathlib.Path(__file__).parent / "output"
 out.mkdir(exist_ok=True)
 tx.write_off(tube, out / "reconstructed.off")
@@ -40,7 +38,7 @@ print(f"reconstructed tube: {tube.n_vertices} vertices, {tube.n_faces} faces"
 
 # per input face: squared difference between its distance to the
 # centerline and the nominal radius
-errors = tx.error_map(faces, line, R)
+errors = run.errors
 stats = tx.error_summary(errors)
 print(f"error map over {stats['count']} faces: "
       f"mean {stats['mean']:.4f}  rms {stats['rms']:.4f}  max {stats['max']:.4f}")

@@ -26,6 +26,7 @@ from .ingest import (HeightMap, TriMesh, VoxelSet, heightmap_to_mesh,
                      read_centerline_csv, write_artifacts, write_off)
 from .normals import (OrientedFaceSet, digital_surface_faces,
                       estimate_digital_normals, face_normals, orient_inward)
+from .pipeline import STAGES, PipelineResult, run_pipeline
 from .rebuild import distance_to_polyline, error_map, error_summary, sweep_tube
 from .refine import (RefineParams, SectionAssociation, energy_and_gradient,
                      optimize_centerline, optimize_point, section_points)
@@ -52,6 +53,7 @@ __all__ = [
     "write_off",
     "OrientedFaceSet", "digital_surface_faces", "estimate_digital_normals",
     "face_normals", "orient_inward",
+    "STAGES", "PipelineResult", "run_pipeline",
     "distance_to_polyline", "error_map", "error_summary", "sweep_tube",
     "RefineParams", "SectionAssociation", "energy_and_gradient",
     "optimize_centerline", "optimize_point", "section_points",

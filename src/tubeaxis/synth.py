@@ -44,10 +44,6 @@ class TubeTruth:
     kinds: list             # per-point "S" or "A"
     junctions: list         # point indices at internal segment boundaries
 
-    def arclengths(self):
-        d = np.linalg.norm(np.diff(self.points, axis=0), axis=1)
-        return np.concatenate([[0.0], np.cumsum(d)])
-
 
 def _rodrigues(vec, axis, angle):
     axis = normalize(axis)

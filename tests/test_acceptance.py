@@ -25,15 +25,10 @@ def _rms(values):
     return math.sqrt(float(np.mean(np.square(values))))
 
 
-def _extract_refined(faces, radius, gridstep, track_step=None):
-    """Accumulate -> track -> refine; returns (result, raw, refined)."""
-    params = tx.AccumulationParams(radius=radius, gridstep=gridstep)
-    res = tx.compute_accumulation(faces, params)
-    ts = track_step if track_step is not None else radius
-    raw = tx.extract_centerline(res, track_step=ts, acc_radius=params.acc_radius)
-    refined = tx.optimize_centerline(raw, faces, tx.RefineParams(
-        radius=radius, acc_radius=params.acc_radius, track_step=ts))
-    return res, raw, refined
+def _extract_refined(faces, radius, gridstep, *later):
+    """Accumulate -> track -> refine, then any later stages, in one run."""
+    return tx.run_pipeline(faces, radius, gridstep=gridstep,
+                           stages=("accumulate", "track", "refine", *later))
 
 
 def _cli(args, cwd=None):
@@ -88,7 +83,8 @@ def test_c2_clean_cylinder_centerline_accuracy(acceptance_report):
     t0 = time.perf_counter()
     mesh, truth = tx.gen_tube([tx.Straight(100.0)], radius=5.0, mesh_step=1.0)
     faces = tx.orient_inward(tx.face_normals(mesh), mode="auto", radius=5.0)
-    _, raw, refined = _extract_refined(faces, radius=5.0, gridstep=1.0)
+    run = _extract_refined(faces, radius=5.0, gridstep=1.0)
+    raw, refined = run.raw, run.centerline
     elapsed = time.perf_counter() - t0
     raw_rms = _rms(tx.distance_to_polyline(raw.points, truth.points))
     ref_rms = _rms(tx.distance_to_polyline(refined.points, truth.points))
@@ -115,8 +111,9 @@ def test_c3_degraded_cylinder_robustness(acceptance_report):
     for name, degraded in cases.items():
         faces = tx.orient_inward(tx.face_normals(degraded), mode="auto",
                                  radius=5.0)
-        res, _, refined = _extract_refined(faces, radius=5.0, gridstep=1.0)
-        rms = _rms(tx.distance_to_polyline(refined.points, truth.points))
+        run = _extract_refined(faces, radius=5.0, gridstep=1.0)
+        res = run.accumulation
+        rms = _rms(tx.distance_to_polyline(run.centerline.points, truth.points))
         # voxel-index distance between the argmax and the axis point at the
         # same abscissa
         mp = res.domain.voxel_center(res.max_pt)
@@ -139,8 +136,8 @@ def test_c4_five_segment_pipe_decomposition(acceptance_report):
     mesh, truth = tx.gen_tube(segs, radius=R, mesh_step=1.0)
     faces = tx.orient_inward(tx.face_normals(mesh), mode="auto", radius=R)
     g = mesh.median_face_size()
-    _, _, refined = _extract_refined(faces, radius=R, gridstep=g)
-    dec = tx.decompose_centerline(refined, resid_tol=0.3 * g)
+    run = _extract_refined(faces, R, g, "decompose")
+    refined, dec = run.centerline, run.decomposition
 
     kinds = dec.kinds()
     radii = [s.radius for s in dec.segments if s.kind == "ARC"]
@@ -193,19 +190,19 @@ def test_c6_cross_input_consistency(acceptance_report):
     mesh, truth = tx.gen_tube(segs, radius=R, mesh_step=1.0)
 
     faces = tx.orient_inward(tx.face_normals(mesh), mode="auto", radius=R)
-    line_mesh = _extract_refined(faces, R, g)[2].points
+    line_mesh = _extract_refined(faces, R, g).centerline.points
 
     capped, _ = tx.gen_tube(segs, radius=R, mesh_step=1.0, cap_ends=True)
     vol = tx.voxelize(capped, gridstep=g)
     faces = tx.digital_surface_faces(vol)
     faces = tx.estimate_digital_normals(faces, max(2.0, 0.5 * R / g))
     faces = tx.orient_inward(faces, mode="auto", radius=R / g)
-    line_vox = vol.to_world(_extract_refined(faces, R / g, 1.0)[2].points)
+    line_vox = vol.to_world(_extract_refined(faces, R / g, 1.0).centerline.points)
 
     hm = tx.render_heightmap(mesh, view_axis="z", resolution=g)
     faces = tx.orient_inward(tx.face_normals(tx.heightmap_to_mesh(hm)),
                              mode="auto", radius=R)
-    line_hm = _extract_refined(faces, R, g)[2].points
+    line_hm = _extract_refined(faces, R, g).centerline.points
 
     # arclength of the nearest ground-truth point, used to clip each pair
     # to the span both lines actually covered
@@ -251,8 +248,7 @@ def test_c7_accumulation_scales_linearly(acceptance_report, tmp_path):
         for i in range(3):
             out = tmp_path / f"acc_{tag}_{i}"
             _cli(["accumulate", "--input", str(tmp_path / tag / "tube.off"),
-                  "--radius", "5", "--gridstep", "0.5", "--threads", "1",
-                  "--out-dir", str(out)])
+                  "--radius", "5", "--gridstep", "0.5", "--out-dir", str(out)])
             summary = json.loads((out / "summary.json").read_text())
             times.append(summary["timings"]["accumulate"])
             faces[tag] = summary["input"]["n_faces"]
@@ -272,8 +268,7 @@ def test_c8_large_tube_pipeline_runtime(acceptance_report, tmp_path):
     _cli(["synth", "--spec", "S:240,A:30:90,S:240", "--radius", "6",
           "--mesh-step", "0.515", "--out-dir", str(tmp_path / "tube")])
     wall, _ = _cli(["pipeline", "--input", str(tmp_path / "tube" / "tube.off"),
-                    "--radius", "6", "--threads", "1",
-                    "--out-dir", str(tmp_path / "out")])
+                    "--radius", "6", "--out-dir", str(tmp_path / "out")])
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     n_faces = summary["input"]["n_faces"]
     ok = wall < 60.0 and n_faces > 120000
@@ -294,8 +289,7 @@ def test_c9_reconstruction_error_away_from_junctions(acceptance_report):
     mesh, truth = tx.gen_tube(segs, radius=R, mesh_step=1.0)
     faces = tx.orient_inward(tx.face_normals(mesh), mode="auto", radius=R)
     g = mesh.median_face_size()
-    _, _, refined = _extract_refined(faces, radius=R, gridstep=g)
-    errors = tx.error_map(faces, refined, R)
+    errors = _extract_refined(faces, R, g, "error_map").errors
 
     junctions = truth.points[truth.junctions]
     dist_j = np.linalg.norm(faces.centers[:, None, :] - junctions[None, :, :],

@@ -94,13 +94,38 @@ def test_bad_normal_radius_is_exit_1(tmp_path, capsys, value):
     assert not (tmp_path / "out" / "summary.json").exists()
 
 
-@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "-inf"])
-def test_bad_gridstep_is_exit_1(tube_off, tmp_path, capsys, value):
+@pytest.mark.parametrize("flag,value", [
+    *(pytest.param("--gridstep", v, id=v) for v in ("0", "-1", "nan", "inf", "-inf")),
+    # each of these once exited 0 with a meaningless result or a traceback
+    ("--track-step", "0"), ("--track-step", "-3"), ("--max-angle", "-1"),
+    ("--sides", "0"), ("--sides", "-2"), ("--min-norm", "2"),
+    ("--epsilon-acc", "-1"), ("--inside-threshold", "2"), ("--max-iter", "0"),
+    ("--hm-spacing", "0")])
+def test_bad_gridstep_is_exit_1(tube_off, tmp_path, capsys, flag, value):
+    # the same holds for every range-checked stage option
     rc = run(["pipeline", "--input", tube_off, "--radius", 4,
-              f"--gridstep={value}", "--out-dir", tmp_path / "out"])
+              f"{flag}={value}", "--out-dir", tmp_path / "out"])
     assert rc == 1
-    assert "--gridstep must be positive and finite" in capsys.readouterr().err
+    assert f"{flag} must be" in capsys.readouterr().err
     assert not (tmp_path / "out" / "summary.json").exists()
+
+
+_PIPE = ["pipeline", "--input", "missing.off", "--radius", "2"]
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(_PIPE + ["--bogus", "1"], id="unknown-flag"),
+    pytest.param(_PIPE + ["--radius", "abc"], id="not-a-number"),
+    pytest.param(_PIPE + ["--orient", "sideways"], id="bad-choice"),
+    pytest.param(_PIPE + ["--seed", "1"], id="seed-outside-synth"),
+    pytest.param(_PIPE[1:], id="no-subcommand"),
+    pytest.param(["synth", "--spec", "S:10", "--radius", "2", "--input", "x.off"],
+                 id="input-to-synth")])
+def test_usage_errors_are_exit_1(capsys, args):
+    # argparse's own exit code is 2, which here means a stage failed
+    assert run(args) == 1
+    err = capsys.readouterr().err
+    assert "usage:" in err and "error:" in err
 
 
 @pytest.mark.parametrize("value", ["0", "nan", "abc"])
@@ -109,6 +134,18 @@ def test_bad_gridstep_is_exit_1_before_loading(tmp_path, capsys, value):
               f"--gridstep={value}", "--out-dir", tmp_path / "out"])
     assert rc == 1
     assert "--gridstep must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["pipeline", "reconstruct"])
+def test_one_point_centerline_cannot_be_reconstructed(tube_off, tmp_path,
+                                                      capsys, command):
+    # at inside threshold 1 tracking stops at the seed; pipeline once
+    # exited 0 here, writing no tube and an error-map RMS over 1000
+    rc = run([command, "--input", tube_off, "--radius", 4,
+              "--inside-threshold", 1, "--out-dir", tmp_path / "out"])
+    assert rc == 1
+    assert "at least 2 centerline points" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "summary.json").exists()
 
 
 @pytest.mark.parametrize("length,radius", [(200, 3), (400, 6)])
@@ -166,10 +203,10 @@ def test_pipeline_end_to_end(tube_off, tmp_path):
 
 def test_summary_is_deterministic_up_to_timings(tube_off, tmp_path):
     out = tmp_path / "det"
-    rc1 = run(["pipeline", "--input", tube_off, "--radius", 4, "--seed", 7,
+    rc1 = run(["pipeline", "--input", tube_off, "--radius", 4,
                "--out-dir", out, "--json-summary", out / "s1.json"])
     first_csv = (out / "centerline.csv").read_bytes()
-    rc2 = run(["pipeline", "--input", tube_off, "--radius", 4, "--seed", 7,
+    rc2 = run(["pipeline", "--input", tube_off, "--radius", 4,
                "--out-dir", out, "--json-summary", out / "s2.json"])
     assert rc1 == rc2 == 0
     s1 = json.loads((out / "s1.json").read_text())
@@ -178,6 +215,55 @@ def test_summary_is_deterministic_up_to_timings(tube_off, tmp_path):
     s2.pop("timings")
     assert s1 == s2
     assert (out / "centerline.csv").read_bytes() == first_csv
+
+
+_PARAMS = {"radius", "epsilon_acc", "gridstep", "min_norm", "normals", "orient"}
+_TRACK = {"track_step", "inside_threshold", "max_angle"}
+_REFINE = {"epsilon_o", "max_iter", "area_weighting"}
+_DECOMPOSE = {"alpha_flat", "nu", "min_len", "resid_tol"}
+_LINE = {"points", "closed", "mean_spacing", "refined_points"}
+_CHAIN = {"accumulate", "track", "refine"}
+
+# subcommand -> (params, results, timings besides load/orient/write, the
+# same timings with --centerline or None when the flag does not exist)
+_SUMMARY_KEYS = {
+    "accumulate": (_PARAMS, {"max_acc", "max_pt", "domain_dims"},
+                   {"accumulate"}, None),
+    "centerline": (_PARAMS | _TRACK, _LINE | {"max_acc"},
+                   {"accumulate", "track"}, None),
+    "refine": (_PARAMS | _TRACK | _REFINE, _LINE, _CHAIN, {"refine"}),
+    "decompose": (_PARAMS | _TRACK | _REFINE | _DECOMPOSE,
+                  _LINE | {"segments", "kinds"}, _CHAIN | {"decompose"},
+                  {"decompose"}),
+    "reconstruct": (_PARAMS | _TRACK | _REFINE | {"sides"},
+                    _LINE | {"reconstructed_faces"}, _CHAIN | {"reconstruct"},
+                    {"reconstruct"}),
+    "error-map": (_PARAMS | _TRACK | _REFINE, _LINE | {"error"},
+                  _CHAIN | {"error_map"}, {"error_map"}),
+    "pipeline": (_PARAMS | _TRACK | _REFINE | _DECOMPOSE | {"sides"},
+                 _LINE | {"max_acc", "max_pt", "segments", "kinds", "error"},
+                 _CHAIN | {"decompose", "reconstruct", "error_map"}, None),
+}
+
+
+@pytest.mark.parametrize("command,with_centerline", [
+    *((c, False) for c in _SUMMARY_KEYS),
+    *((c, True) for c, keys in _SUMMARY_KEYS.items() if keys[3] is not None)])
+def test_summary_key_sets(tube_off, tmp_path, command, with_centerline):
+    params, results, timings, cl_timings = _SUMMARY_KEYS[command]
+    extra = []
+    if with_centerline:
+        assert run(["centerline", "--input", tube_off, "--radius", 4,
+                    "--out-dir", tmp_path / "cl"]) == 0
+        extra = ["--centerline", tmp_path / "cl" / "centerline.csv"]
+        timings = cl_timings
+    out = tmp_path / "out"
+    assert run([command, "--input", tube_off, "--radius", 4, *extra,
+                "--out-dir", out]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert set(summary["params"]) == params
+    assert set(summary["results"]) == results
+    assert set(summary["timings"]) == timings | {"load", "orient", "write"}
 
 
 def test_refine_accepts_centerline_csv(tube_off, tmp_path):
@@ -203,16 +289,6 @@ def test_error_map_subcommand(tube_off, tmp_path):
     rows = (out / "error_map.csv").read_text().splitlines()
     mesh = tx.load_mesh(tube_off)
     assert len(rows) == mesh.n_faces + 1
-
-
-def test_threads_fallback_warns(tube_off, tmp_path, capsys):
-    out = tmp_path / "t"
-    rc = run(["accumulate", "--input", tube_off, "--radius", 4,
-              "--threads", 4, "--out-dir", out])
-    assert rc == 0
-    assert "sequential" in capsys.readouterr().err
-    summary = json.loads((out / "summary.json").read_text())
-    assert summary["params"]["threads"] == 4
 
 
 def test_gridstep_auto_uses_median_face_edge(tube_off, tmp_path):
