@@ -10,23 +10,24 @@ it.
 
 The votes are kept in a table of the visited voxels, not in grids sized by
 the bounding box: the sorted int64 linear ids of the voxels that received
-a vote (C order over the domain dims), with a uint32 count and a float64
-direction sum beside each. Rays only visit a shell around the axis, so the
-table grows with faces x steps while the domain grows with the volume of
-the box. Readers look voxels up with searchsorted on the ids; a voxel
-missing from the table holds 0. The dense `acc` and `directions` grids of
-a result are scattered from the table the first time they are read (to
-write them out, say); tracking never reads them.
+a vote (C order over the domain dims), with a uint32 count beside each.
+Rays only visit a shell around the axis, so the table grows with faces x
+steps while the domain grows with the volume of the box. Readers look
+voxels up with searchsorted on the ids; a voxel missing from the table
+holds 0. The dense `acc` and `directions` grids of a result are scattered
+from the table the first time they are read (to write them out, say);
+tracking never reads them.
 
 The implementation is vectorized but reproduces the sequential per-face,
 per-step semantics bit for bit. Votes are order-free. The direction update
-has a sign that depends on the running value, but whether a pair of
-consecutive visits updates at all (the min_norm gate) does not, and a
-voxel's direction only changes when that voxel is visited. So the events
-are grouped by voxel in chronological order, the gate is evaluated for all
-pairs at once, and only the passing pairs are replayed: the j-th passing
-pair of every voxel in one vectorized step, in chunks of whole voxel
-groups so that the temporaries stay bounded.
+has a sign that depends on the running value, but a voxel's direction only
+changes when that voxel is visited. So the events are kept grouped by
+voxel in chronological order (as int32 face ids), and a voxel's direction
+sum is replayed from its own group when it is read: tracking reads a few
+dozen voxels, the `accumulate` subcommand all of them. The min_norm gate
+does not depend on the running value, so it runs on all pairs at once, and
+only the passing pairs are replayed: the k-th of many voxels in one
+vectorized step, those of one voxel (as tracking reads it) one by one.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .errors import DomainTooSmall, EmptyInput
 _STEP_EPS = 1e-9
 # events per direction-replay chunk; a chunk holds whole voxel groups
 _CHUNK = 1 << 14
+_WIDE = 64  # fewest voxel groups replayed in one vectorized step
 
 
 @dataclass(frozen=True)
@@ -100,16 +102,44 @@ class VoteCounts:
         return grid
 
 
-@dataclass
+@dataclass(init=False)
 class AccumulationResult(VoteCounts):
     """Vote counts plus the per-voxel direction sums and the seed voxel.
 
-    `directions` is the dense direction grid, scattered from the table on
-    first read.
+    The direction sums are replayed from the kept events where they are
+    read: `direction_at` replays one voxel's row on its first read, `dirs`
+    (the (n_keys, 3) table) every row on first access, with the same bits.
+    A `dirs` table given by hand is read as it is. `directions` is the
+    dense grid scattered from `dirs`. The faces' normals are read by the
+    replay, so they must not change in place.
     """
 
-    dirs: np.ndarray = field(repr=False)  # (n_keys, 3) float64
     max_pt: tuple
+
+    def __init__(self, domain, keys, counts, max_acc, max_pt, dirs=None, *,
+                 events=None):
+        super().__init__(domain, keys, counts, max_acc)
+        self.max_pt = max_pt
+        # (face_of, bounds, normals, min_norm): see _replay_directions
+        self._events = events
+        self._rows = {}
+        if dirs is not None:
+            self.dirs = dirs
+
+    @cached_property
+    def dirs(self) -> np.ndarray:
+        return _replay_directions(*self._events, 0, len(self.keys))
+
+    def direction_at(self, key):
+        """Direction sum of the voxel with linear id key; 0 if it has no vote."""
+        row = int(np.searchsorted(self.keys, key))
+        if row == len(self.keys) or self.keys[row] != key:
+            return np.zeros(3)
+        if "dirs" in vars(self):
+            return self.dirs[row]
+        if row not in self._rows:
+            self._rows[row] = _replay_directions(*self._events, row, row + 1)[0]
+        return self._rows[row]
 
     @cached_property
     def directions(self) -> VectorGrid3:
@@ -218,76 +248,60 @@ def _group_events(ids, voxel_count):
     return np.remainder(packed, n_events, out=packed), sorted_ids
 
 
-def _replay_directions(face_of, starts, normals, min_norm):
-    """Direction sum of every voxel group, replaying the sign-dependent
-    update in each voxel's chronological order.
+def _replay_directions(face_of, bounds, normals, min_norm, first, stop):
+    """(stop - first, 3) direction sums of the voxel groups first .. stop - 1.
 
-    ``face_of`` holds the face of each event, grouped by voxel and in
-    chronological order inside each group; ``starts`` holds where each
-    group begins; ``normals`` is (3, F), one contiguous row per axis.
-
-    Which consecutive-visit pairs pass the min_norm gate does not depend
-    on the running direction, so the gate runs on all pairs of a chunk at
-    once; only the passing pairs are replayed, the j-th passing pair of
-    every voxel of the chunk in one step. A voxel's replay needs only its
-    own events, so the chunks hold whole groups and the temporaries stay
-    bounded by the chunk size.
+    Group r's events are the faces face_of[bounds[r]:bounds[r + 1]] in visit
+    order; ``normals`` is (F, 3). The min_norm gate runs on all pairs of a
+    chunk at once, with np.cross's and np.linalg.norm's arithmetic. Then
+    the k-th passing pair of every group is added in one vectorized step
+    while _WIDE groups have one, and the rest one pair at a time, with the
+    step's bits: einsum's dot ((sx x + sy y) + sz z), and a sign of -1 as
+    a subtraction. Chunks hold whole groups: at most _CHUNK events, or one
+    larger group.
     """
-    n_groups = len(starts)
-    # filled, not calloc'ed: the replay reads a voxel's row before writing
-    # it, and a first read of an untouched page costs a second page fault
-    dirs = np.empty((n_groups, 3))
-    dirs.fill(0.0)
-    # chunk i holds groups edges[i] .. edges[i + 1] - 1, which are events
-    # event_edges[i] .. event_edges[i + 1] - 1: at most _CHUNK events, or
-    # one larger group
-    edges = [0]
-    while edges[-1] < n_groups:
-        edges.append(int(np.searchsorted(starts, starts[edges[-1]] + _CHUNK)))
-    event_edges = np.append(starts[edges[:-1]], len(face_of))
-    # every chunk works in the same buffers; fresh ones per chunk would be
-    # mapped from the system, and faulted in, chunk after chunk
-    longest = int(np.diff(event_edges).max())
-    gathered = np.empty((3, longest))
-    cross = np.empty((3, longest))
-    work = np.empty((2, longest))
-    passed = np.empty(longest, dtype=bool)
-    for g0, g1, e0, e1 in zip(edges[:-1], edges[1:], event_edges[:-1],
-                              event_edges[1:]):
-        n_pairs = e1 - e0 - 1
-        # pair k joins events e0 + k and e0 + k + 1; np.cross's component
-        # formula and np.linalg.norm's ((x^2 + y^2) + z^2) keep the gate
-        # bit for bit. mode="clip" (the face ids are valid) lets take
-        # write straight into the buffer
-        for c in range(3):
-            normals[c].take(face_of[e0:e1], out=gathered[c, :n_pairs + 1],
-                            mode="clip")
-        prev, cur = gathered[:, :n_pairs], gathered[:, 1:n_pairs + 1]
-        axes, ok = cross[:, :n_pairs], passed[:n_pairs]
-        tmp, norm = work[:, :n_pairs]
+    out = np.zeros((stop - first, 3))
+    i = first
+    while i < stop:
+        j = min(max(int(np.searchsorted(bounds, bounds[i] + _CHUNK, "right")) - 1,
+                    i + 1), stop)
+        e0 = bounds[i]
+        # pair k joins the chunk's events k and k + 1
+        prev = normals.take(face_of[e0:bounds[j]], axis=0).T
+        prev, cur = prev[:, :-1], prev[:, 1:]
+        axes = np.empty_like(prev)
         for c, (a, b) in enumerate(((1, 2), (2, 0), (0, 1))):
-            np.multiply(prev[a], cur[b], out=axes[c])
-            axes[c] -= np.multiply(prev[b], cur[a], out=tmp)
-        np.multiply(axes[0], axes[0], out=norm)
-        for c in (1, 2):
-            norm += np.multiply(axes[c], axes[c], out=tmp)
-        np.greater(np.sqrt(norm, out=norm), min_norm, out=ok)
-        ok[starts[g0 + 1:g1] - e0 - 1] = False  # pairs across two voxels
+            np.subtract(prev[a] * cur[b], prev[b] * cur[a], out=axes[c])
+        ok = np.sqrt((axes[0] * axes[0] + axes[1] * axes[1]) + axes[2] * axes[2]) > min_norm
+        ok[bounds[i + 1:j] - e0 - 1] = False  # pairs across two groups
         pair = np.flatnonzero(ok)
-        axis = axes.T[pair]
-        voxel = np.searchsorted(starts[g0:g1], e0 + pair, side="right") + (g0 - 1)
-        first, _, n_pass = _runs(voxel)
-        group = np.arange(len(first))
-        for j in range(int(n_pass.max(initial=0))):
-            group = group[n_pass.take(group) > j]
-            at = first.take(group) + j
-            updated, step = voxel.take(at), axis.take(at, axis=0)
-            current = dirs.take(updated, axis=0)
+        axes = axes[:, pair].T
+        row = np.searchsorted(bounds[i:j], e0 + pair, "right") + (i - 1 - first)
+        starts, _, n_pass = _runs(row)
+        live, k = np.arange(len(starts)), 0
+        while len(live) >= _WIDE:
+            at = starts[live] + k
+            step, rows = axes[at], row[at]
+            current = out[rows]
             sign = np.sign(np.einsum("ij,ij->i", step, current))
             sign[sign == 0] = 1.0
             current += step * sign[:, None]
-            dirs[updated] = current
-    return dirs
+            out[rows] = current
+            k += 1
+            live = live[n_pass[live] > k]
+        for a, b in zip((starts[live] + k).tolist(), (starts[live] + n_pass[live]).tolist()):
+            sx, sy, sz = out[row[a]].tolist()
+            for x, y, z in axes[a:b].tolist():
+                dot = (sx * x + sy * y) + sz * z
+                if dot < 0:
+                    sx, sy, sz = sx - x, sy - y, sz - z
+                elif dot >= 0:
+                    sx, sy, sz = sx + x, sy + y, sz + z
+                else:  # a NaN dot is np.sign's sign too
+                    sx, sy, sz = sx + x * dot, sy + y * dot, sz + z * dot
+            out[row[a]] = sx, sy, sz
+        i = j
+    return out
 
 
 def accumulate_counts(faces, params: AccumulationParams) -> VoteCounts:
@@ -305,7 +319,7 @@ def accumulate_counts(faces, params: AccumulationParams) -> VoteCounts:
 
 def compute_accumulation(faces, params: AccumulationParams,
                          domain: GridDomain | None = None) -> AccumulationResult:
-    """Run all scans and build the vote table with its directions.
+    """Vote table of all scans and the events its directions are replayed from.
 
     max_pt is the voxel whose count first reached the final maximum, in
     scan order (ties on the count value are impossible under the
@@ -320,9 +334,7 @@ def compute_accumulation(faces, params: AccumulationParams,
         raise ValueError(f"domain gridstep {domain.gridstep} differs from "
                          f"the scan's gridstep {params.gridstep}")
 
-    centers, normals = faces.centers.T.copy(), faces.normals.T.copy()
-    ids = _march(centers, normals, params, domain)
-    del centers
+    ids = _march(faces.centers.T.copy(), faces.normals.T.copy(), params, domain)
     n_steps = len(ids)
     order, sorted_ids = _group_events(ids, domain.voxel_count)
     del ids
@@ -335,8 +347,9 @@ def compute_accumulation(faces, params: AccumulationParams,
     winner = at_max[np.argmin(order[starts[at_max] + max_acc - 1])]
     max_pt = np.unravel_index(keys[winner], domain.dims)
 
-    order //= n_steps  # event -> face
-    dirs = _replay_directions(order, starts, normals, params.min_norm)
+    order //= n_steps  # event -> face; the int64 march buffer is not kept
+    face_of = order.astype(np.int32 if len(faces) < 2 ** 31 else np.int64)
+    events = (face_of, np.append(starts, len(face_of)), faces.normals, params.min_norm)
     return AccumulationResult(domain=domain, keys=keys, counts=counts,
-                              max_acc=max_acc, dirs=dirs,
-                              max_pt=tuple(int(i) for i in max_pt))
+                              max_acc=max_acc, max_pt=tuple(int(i) for i in max_pt),
+                              events=events)

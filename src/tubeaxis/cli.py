@@ -45,6 +45,10 @@ class UsageError(ValueError):
     pass
 
 
+class _StageFailure(Exception):
+    """A stage's error on input that loaded: exit 2, whatever its type."""
+
+
 class _Command(NamedTuple):
     about: str
     stages: tuple
@@ -249,9 +253,12 @@ def _run(args):
     options = {_dest(flag): getattr(args, _dest(flag))
                for stage in command.stages
                for flag, *_ in _STAGE_OPTIONS.get(stage, ())}
-    r = run_pipeline(faces, args.radius, gridstep=gridstep, epsilon=args.epsilon_acc,
-                     min_norm=args.min_norm, stages=stages, centerline=centerline,
-                     **options)
+    try:
+        r = run_pipeline(faces, args.radius, gridstep=gridstep,
+                         epsilon=args.epsilon_acc, min_norm=args.min_norm,
+                         stages=stages, centerline=centerline, **options)
+    except TubeAxisError as exc:
+        raise _StageFailure() from exc
     timings.update(r.timings)
 
     out_dir = Path(args.out_dir)
@@ -429,7 +436,8 @@ def main(argv=None):
     except _INPUT_ERRORS as exc:
         print(f"tubeaxis {args.command}: input error: {exc}", file=sys.stderr)
         return 1
-    except TubeAxisError as exc:
+    except (TubeAxisError, _StageFailure) as exc:
+        exc = exc.__cause__ if isinstance(exc, _StageFailure) else exc
         print(f"tubeaxis {args.command}: pipeline failure: "
               f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -245,12 +245,12 @@ def _fit_segment(points, start, end, kind, resid_tol, min_pts=4):
             + _fit_segment(points, mid, end, "ARC", resid_tol, min_pts))
 
 
-def decompose_centerline(centerline, alpha_flat=0.05, nu=0.15, min_len=3,
-                         resid_tol=0.5) -> Decomposition:
+def decompose_centerline(centerline, alpha_flat=0.05, nu=0.15, min_len=3, *,
+                         resid_tol) -> Decomposition:
     """Full decomposition of a (refined) centerline.
 
-    resid_tol is the arc planarity gate in world units (a sensible choice
-    is 0.3 * gridstep); arcs above it are recursively bisected and any
+    resid_tol is the arc planarity gate in world units (run_pipeline
+    passes 0.3 * gridstep); arcs above it are recursively bisected and any
     stubborn leaves stay flagged.
     """
     points = centerline.points

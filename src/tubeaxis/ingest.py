@@ -30,6 +30,7 @@ logger = logging.getLogger(__name__)
 
 _AREA_EPS = 1e-12
 _CSV_BLOCK = 1 << 16  # error-map rows formatted by one % operation
+_OFF_BLOCK = 1 << 12  # OFF lines formatted by one %; their Python floats stay small
 
 
 class FaceGeometry(NamedTuple):
@@ -502,13 +503,15 @@ def _fmt(x):
 
 
 def write_off(mesh: TriMesh, path):
+    """Write a triangle mesh as OFF, vertices as %.9g (the text of _fmt);
+    the lines are formatted _OFF_BLOCK at a time, by one % over a block."""
     with open(path, "w") as fh:
-        fh.write("OFF\n")
-        fh.write(f"{mesh.n_vertices} {mesh.n_faces} 0\n")
-        for v in mesh.vertices:
-            fh.write(f"{_fmt(v[0])} {_fmt(v[1])} {_fmt(v[2])}\n")
-        for f in mesh.faces:
-            fh.write(f"3 {f[0]} {f[1]} {f[2]}\n")
+        fh.write(f"OFF\n{mesh.n_vertices} {mesh.n_faces} 0\n")
+        for line, rows in (("%.9g %.9g %.9g\n", np.asarray(mesh.vertices, dtype=float)),
+                           ("3 %d %d %d\n", np.asarray(mesh.faces))):
+            for lo in range(0, len(rows), _OFF_BLOCK):
+                block = rows[lo:lo + _OFF_BLOCK]
+                fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 def write_centerline_obj(points, path, closed=False):

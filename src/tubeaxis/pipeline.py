@@ -87,6 +87,8 @@ def run_pipeline(faces, radius, *, gridstep=1.0, epsilon=None, min_norm=0.1,
     if "accumulate" in stages:
         with timed(t, "accumulate"):
             out.accumulation = compute_accumulation(faces, acc)
+            if "track" not in stages:  # the whole direction table is the output
+                out.accumulation.dirs
     if "track" in stages:
         with timed(t, "track"):
             out.raw = out.centerline = extract_centerline(

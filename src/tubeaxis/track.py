@@ -79,15 +79,12 @@ class Centerline:
 
 
 def _lookup(keys, values, ids):
-    """values[i] (a scalar or a row) where ids equals keys[i], 0 where an
-    id is not among the sorted keys: a sparse grid read as if it were
-    dense."""
+    """values[i] where ids equals keys[i], 0 where an id is not among the
+    sorted keys: a sparse grid read as if it were dense."""
     if len(keys) == 0:
-        return np.zeros(np.shape(ids) + values.shape[1:], dtype=values.dtype)
+        return np.zeros(np.shape(ids), dtype=values.dtype)
     row = np.minimum(np.searchsorted(keys, ids), len(keys) - 1)
-    found = keys[row] == ids
-    return np.where(found.reshape(found.shape + (1,) * (values.ndim - 1)),
-                    values[row], 0)
+    return np.where(keys[row] == ids, values[row], 0)
 
 
 def _sample_trilinear(keys, values, domain, points):
@@ -133,7 +130,7 @@ def _voxel_dir(res, point):
     idx, inb = res.domain.index_array(point)
     if not inb[0]:
         return np.zeros(3)
-    return _lookup(res.keys, res.dirs, idx[0] @ res.domain.strides)
+    return res.direction_at(idx[0] @ res.domain.strides)
 
 
 def patch_size(acc_radius, gridstep):
@@ -221,7 +218,7 @@ def extract_patch(res, center, direction, acc_radius) -> Patch:
 
 
 def is_inside_tube(res, current, previous, ref_value, inside_threshold=0.5,
-                   max_angle=math.pi / 3, direction=None):
+                   max_angle=math.pi / 3, direction=None, level=None):
     """Continuation test: enough accumulation support at `current`, and the
     last step roughly follows the local principal direction (whose sign is
     ambiguous, so the angle is folded into [0, pi/2]).
@@ -230,10 +227,11 @@ def is_inside_tube(res, current, previous, ref_value, inside_threshold=0.5,
     a low running quantile of the accepted points rather than the seed value
     alone: bends and cap discs focus the vote rays and can elevate the seed
     severalfold above the level of straight sections, which would starve
-    the test there. `direction` overrides the sampled direction image (the
-    tracker passes its own estimate so both stages agree).
+    the test there. `direction` and `level` override the sampled direction
+    image and count at `current` (the tracker passes its own values).
     """
-    level = _sample_trilinear(res.keys, res.counts, res.domain, current)[0]
+    if level is None:
+        level = _sample_trilinear(res.keys, res.counts, res.domain, current)[0]
     if level < inside_threshold * ref_value:
         return False
     d = _voxel_dir(res, current) if direction is None else np.asarray(direction, dtype=float)
@@ -274,8 +272,9 @@ def track_direction(res, start, in_front, track_step, acc_radius,
     if d0 is None:
         raise SeedInvalid("direction image vanishes at the tracking seed")
     last_vect = d0 * (1.0 if in_front else -1.0)
-    # the sampled levels of the accepted points, kept sorted
-    levels = [_sample_trilinear(res.keys, res.counts, res.domain, start)[0]]
+    # the current point's sampled level; the accepted points' levels, sorted
+    level = _sample_trilinear(res.keys, res.counts, res.domain, start)[0]
+    levels = [level]
 
     current = start
     previous = start - last_vect * track_step
@@ -287,8 +286,8 @@ def track_direction(res, start, in_front, track_step, acc_radius,
         if dir_vect is not None and float(np.dot(last_vect, dir_vect)) < 0:
             dir_vect = -dir_vect
         ref = float(_lower_quartile(levels))
-        if not is_inside_tube(res, current, previous, ref,
-                              inside_threshold, max_angle, direction=dir_vect):
+        if not is_inside_tube(res, current, previous, ref, inside_threshold,
+                              max_angle, direction=dir_vect, level=level):
             # the point that fails the continuation test is outside the tube;
             # drop it instead of leaving one overshoot point per open end
             if len(points) > 1:
@@ -309,8 +308,8 @@ def track_direction(res, start, in_front, track_step, acc_radius,
         last_vect = dir_vect
         current = nxt
         points.append(current.copy())
-        bisect.insort(levels,
-                      _sample_trilinear(res.keys, res.counts, res.domain, current)[0])
+        level = _sample_trilinear(res.keys, res.counts, res.domain, current)[0]
+        bisect.insort(levels, level)
         if step_i >= 2 and np.linalg.norm(current - start) < 0.75 * track_step:
             closed = True
             break

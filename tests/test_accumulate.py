@@ -369,6 +369,7 @@ def test_tracking_never_builds_the_dense_grids():
     cl = tx.extract_centerline(res, track_step=3.0, acc_radius=params.acc_radius)
     assert len(cl) > 10
     assert "acc" not in vars(res) and "directions" not in vars(res)
+    assert "dirs" not in vars(res)  # only the rows tracking read were replayed
     assert res.acc is res.acc  # scattered once, on first read
 
 
@@ -477,3 +478,112 @@ def test_domain_with_another_gridstep_is_rejected():
     dom = tx.GridDomain(origin=np.full(3, -3.0), gridstep=1.0, dims=(8, 8, 8))
     with pytest.raises(ValueError, match="gridstep"):
         tx.compute_accumulation(faces, params, domain=dom)
+
+
+def _capped_voxel_tube():
+    """A small capped bent pipe the way the voxel path sees it: boundary
+    facets with covariance normals, oriented inward."""
+    mesh, _ = tx.gen_tube([tx.Straight(10.0), tx.Arc(8.0, math.pi / 2),
+                           tx.Straight(10.0)], radius=3.0, mesh_step=1.0,
+                          cap_ends=True)
+    faces = tx.digital_surface_faces(tx.voxelize(mesh, 1.0))
+    faces = tx.estimate_digital_normals(faces, 2.0)
+    return tx.orient_inward(faces, mode="auto", radius=3.0)
+
+
+def _rows_on_demand(res):
+    """The direction table read one voxel at a time, as tracking reads it."""
+    return np.array([res.direction_at(key) for key in res.keys]).reshape(-1, 3)
+
+
+def _assert_rows_on_demand_match(faces, params):
+    res = tx.compute_accumulation(faces, params)
+    rows = _rows_on_demand(res)
+    assert "dirs" not in vars(res)  # no row read built the whole table
+    _, _, reference = rank_replay(faces, params, res.domain)
+    assert rows.tobytes() == reference.tobytes()
+    assert tx.compute_accumulation(faces, params).dirs.tobytes() == reference.tobytes()
+    # once the table is built, reads go to it, with the same bytes
+    assert res.dirs.tobytes() == reference.tobytes()
+    assert _rows_on_demand(res).tobytes() == reference.tobytes()
+    return res
+
+
+@pytest.mark.parametrize("seed,n,radius,gridstep,min_norm", [
+    (0, 40, 3.0, 0.8, 0.1),
+    (1, 120, 2.0, 0.5, 0.1),
+    (2, 60, 4.0, 1.3, 0.3),
+])
+def test_rows_on_demand_match_the_table_and_the_rank_replay(seed, n, radius,
+                                                            gridstep, min_norm):
+    faces = _random_faces(np.random.default_rng(seed), n)
+    _assert_rows_on_demand_match(faces, tx.AccumulationParams(
+        radius=radius, gridstep=gridstep, min_norm=min_norm))
+
+
+def test_rows_on_demand_on_a_capped_voxel_tube():
+    res = _assert_rows_on_demand_match(_capped_voxel_tube(),
+                                       tx.AccumulationParams(radius=3.0, gridstep=1.0))
+    assert np.count_nonzero(np.any(res.dirs != 0, axis=1)) > 100
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 5, 8])
+def test_rows_on_demand_with_small_chunks(monkeypatch, chunk):
+    # voxel groups larger than a chunk, read alone and in the whole table
+    monkeypatch.setattr(accumulate, "_CHUNK", chunk)
+    res = _assert_rows_on_demand_match(_diagonal_tube(12.0),
+                                       tx.AccumulationParams(radius=3.0, gridstep=1.0))
+    assert res.max_acc > 8
+
+
+def test_row_reads_are_memoized(monkeypatch):
+    res = tx.compute_accumulation(_diagonal_tube(12.0),
+                                  tx.AccumulationParams(radius=3.0, gridstep=1.0))
+    replays = []
+    replay = accumulate._replay_directions
+
+    def counted(*args):
+        replays.append(args[-2:])
+        return replay(*args)
+
+    monkeypatch.setattr(accumulate, "_replay_directions", counted)
+    key = res.keys[np.argmax(res.counts)]
+    first = res.direction_at(key)
+    assert res.direction_at(key) is first
+    row = int(np.searchsorted(res.keys, key))
+    assert replays == [(row, row + 1)]
+    assert np.any(first != 0)
+
+
+def test_voxel_missing_from_the_table_reads_zero():
+    res = tx.compute_accumulation(_diagonal_tube(12.0),
+                                  tx.AccumulationParams(radius=3.0, gridstep=1.0))
+    missing = np.setdiff1d(np.arange(res.keys[-1] + 2), res.keys)
+    for key in (missing[0], missing[len(missing) // 2], res.keys[-1] + 1):
+        assert res.direction_at(key).tobytes() == np.zeros(3).tobytes()
+    assert "dirs" not in vars(res)
+
+
+@pytest.mark.parametrize("normals", [
+    [[1e200, 0, 0], [0, 1e200, 0], [0, 0, 1e200], [1.0, 0, 0]],
+    [[1.0, 0, 0], [0, 1.0, 0], [1e200, 0, 0], [0, -1e200, 0], [0, 0, 1.0]],
+])
+def test_nan_dot_poisons_the_sum_like_np_sign(normals):
+    # huge normals leave the domain after their first step, where their
+    # crosses overflow: the gate passes an infinite norm and the dot of an
+    # infinite cross with the running sum is NaN, which np.sign returns
+    normals = np.array(normals)
+    faces = tx.OrientedFaceSet(np.full((len(normals), 3), 0.25), normals,
+                               np.ones(len(normals)))
+    params = tx.AccumulationParams(radius=1.0, gridstep=1.0)
+    with np.errstate(all="ignore"):
+        res = _assert_rows_on_demand_match(faces, params)
+    assert np.isnan(res.dirs).any()
+
+
+@pytest.mark.parametrize("wide", [1, 3, 1 << 30])
+def test_vectorized_and_pair_by_pair_replays_agree(monkeypatch, wide):
+    # every pair rank in vectorized steps, a mix, and every pair alone
+    monkeypatch.setattr(accumulate, "_WIDE", wide)
+    _assert_rows_on_demand_match(_capped_voxel_tube(),
+                                 tx.AccumulationParams(radius=3.0, gridstep=1.0))

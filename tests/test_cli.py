@@ -140,12 +140,24 @@ def test_bad_gridstep_is_exit_1_before_loading(tmp_path, capsys, value):
 def test_one_point_centerline_cannot_be_reconstructed(tube_off, tmp_path,
                                                       capsys, command):
     # at inside threshold 1 tracking stops at the seed; pipeline once
-    # exited 0 here, writing no tube and an error-map RMS over 1000
+    # exited 0 here, writing no tube and an error-map RMS over 1000. The
+    # input is valid, so the stage's TooSmall is a pipeline failure
     rc = run([command, "--input", tube_off, "--radius", 4,
               "--inside-threshold", 1, "--out-dir", tmp_path / "out"])
-    assert rc == 1
-    assert "at least 2 centerline points" in capsys.readouterr().err
+    assert rc == 2
+    assert ("pipeline failure: TooSmall: sweep needs at least 2 centerline points"
+            in capsys.readouterr().err)
     assert not (tmp_path / "out" / "summary.json").exists()
+
+
+def test_too_small_input_is_exit_1(tmp_path, capsys):
+    # the same error type raised while loading is an input error
+    path = tmp_path / "strip.pgm"
+    path.write_text("P2\n1 3\n255\n1 2 3\n")
+    rc = run(["pipeline", "--input", path, "--radius", 4, "--out-dir", tmp_path / "out"])
+    assert rc == 1
+    assert ("input error: height map needs at least 2 samples per axis"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("length,radius", [(200, 3), (400, 6)])

@@ -117,6 +117,17 @@ def _sas_polyline(step=3.0, arc_r=15.0, leg=30.0, angle=math.pi / 2):
     return np.asarray(pts)
 
 
+def test_planarity_gate_has_no_default():
+    # the gate scales with the lattice; a fixed default disagreed with the
+    # chain's 0.3 gridstep
+    pts = _sas_polyline()
+    cl = Centerline(points=pts, directions=np.zeros_like(pts))
+    with pytest.raises(TypeError, match="resid_tol"):
+        tx.decompose_centerline(cl)
+    with pytest.raises(TypeError):
+        tx.decompose_centerline(cl, 0.05, 0.15, 3, 0.5)
+
+
 def test_detect_straight_arc_straight():
     pts = _sas_polyline()
     cl = Centerline(points=pts, directions=np.zeros_like(pts))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import tubeaxis as tx
+import tubeaxis.ingest as ingest
 from tubeaxis.ingest import (_load_off_lines, _load_volume_lines,
                              _parse_off_triangles, _parse_voxel_list, _fmt,
                              load_obj, load_off, load_pgm,
@@ -196,6 +197,26 @@ def test_load_mesh_drops_degenerate_faces(tmp_path, caplog):
         mesh = tx.load_mesh(p)
     assert mesh.n_faces == 1
     assert any("degenerate" in r.message for r in caplog.records)
+
+
+def _rowwise_off(mesh):
+    """OFF text as the line-by-line writer formatted it."""
+    return ("OFF\n" + f"{mesh.n_vertices} {mesh.n_faces} 0\n"
+            + "".join(f"{_fmt(v[0])} {_fmt(v[1])} {_fmt(v[2])}\n" for v in mesh.vertices)
+            + "".join(f"3 {f[0]} {f[1]} {f[2]}\n" for f in mesh.faces))
+
+
+@pytest.mark.parametrize("block", [1, 2, 4, 1 << 12])
+@pytest.mark.parametrize("n_faces", [0, 1, 3])
+def test_write_off_matches_row_by_row_writer(tmp_path, monkeypatch, block, n_faces):
+    # block sizes of 1 and 2 put rows on and off the block edges
+    monkeypatch.setattr(ingest, "_OFF_BLOCK", block)
+    vertices = np.reshape(_SPECIAL_VALUES + [7.0], (5, 3))
+    faces = np.array([[0, 1, 2], [4, 3, 2], [1, 4, 0]])[:n_faces].reshape(-1, 3)
+    mesh = tx.TriMesh(vertices, faces)
+    path = tmp_path / "mesh.off"
+    write_off(mesh, path)
+    assert path.read_bytes() == _rowwise_off(mesh).encode()
 
 
 def test_write_off_roundtrip(tmp_path):

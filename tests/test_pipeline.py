@@ -108,3 +108,13 @@ def test_a_stage_without_its_input_is_rejected(cylinder, stages, given):
     with pytest.raises(ValueError):
         tx.run_pipeline(cylinder.faces, cylinder.radius, stages=stages,
                         centerline=centerline if given else None)
+
+
+def test_only_an_accumulate_run_replays_the_whole_direction_table(cylinder):
+    # the table is that run's output, so its accumulate timing includes it;
+    # tracking replays only the rows it reads
+    alone = tx.run_pipeline(cylinder.faces, cylinder.radius, stages=STAGES[:1])
+    assert "dirs" in vars(alone.accumulation)
+    tracked = tx.run_pipeline(cylinder.faces, cylinder.radius, stages=STAGES[:2])
+    assert "dirs" not in vars(tracked.accumulation)
+    assert alone.accumulation.dirs.tobytes() == tracked.accumulation.dirs.tobytes()

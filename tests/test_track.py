@@ -320,6 +320,27 @@ def test_tracks_straight_ridge():
     assert np.all(np.abs(cl.segment_lengths() - 3.0) < 1.0)
 
 
+def test_tracking_samples_each_point_level_once(monkeypatch):
+    # the continuation test takes the level the tracker sampled on
+    # accepting the point, so no single point is sampled twice
+    res = _straight_ridge()
+    points = []
+
+    def sample(keys, values, domain, pts):
+        if len(np.atleast_2d(pts)) == 1:
+            points.append(np.asarray(pts, dtype=float).tobytes())
+        return _sample_trilinear(keys, values, domain, pts)
+
+    monkeypatch.setattr(tx.track, "_sample_trilinear", sample)
+    cl = tx.extract_centerline(res, track_step=3.0, acc_radius=5.0)
+    assert len(set(points)) >= len(cl)
+    assert len(points) == len(set(points)) + 1  # the seed, once per direction
+    # a level given to the continuation test is the one it compares
+    on_axis = np.array([20.0, 10.5, 10.5])
+    assert not tx.is_inside_tube(res, on_axis, on_axis - [3.0, 0, 0], 60.0, level=29.0)
+    assert tx.is_inside_tube(res, on_axis, on_axis - [3.0, 0, 0], 60.0, level=30.0)
+
+
 def test_tracks_ridge_without_direction_image():
     # fine structured meshes can yield an all-zero direction image; the
     # tracker must fall back to the count ridge orientation
