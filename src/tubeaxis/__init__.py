@@ -28,11 +28,11 @@ from .normals import (OrientedFaceSet, digital_surface_faces,
                       estimate_digital_normals, face_normals, orient_inward)
 from .pipeline import STAGES, PipelineResult, run_pipeline
 from .rebuild import distance_to_polyline, error_map, error_summary, sweep_tube
-from .refine import (RefineParams, SectionAssociation, energy_and_gradient,
-                     optimize_centerline, optimize_point, section_points)
+from .refine import (energy_and_gradient, optimize_centerline, optimize_point,
+                     section_points)
 from .synth import (Arc, Straight, TubeTruth, degrade, gen_tube,
                     parse_tube_spec, render_heightmap, voxelize)
-from .track import (Centerline, Patch, extract_centerline, extract_patch,
+from .track import (Centerline, extract_centerline, extract_patch,
                     is_inside_tube, track_direction)
 
 __version__ = "0.1.0"
@@ -55,10 +55,10 @@ __all__ = [
     "face_normals", "orient_inward",
     "STAGES", "PipelineResult", "run_pipeline",
     "distance_to_polyline", "error_map", "error_summary", "sweep_tube",
-    "RefineParams", "SectionAssociation", "energy_and_gradient",
-    "optimize_centerline", "optimize_point", "section_points",
+    "energy_and_gradient", "optimize_centerline", "optimize_point",
+    "section_points",
     "Arc", "Straight", "TubeTruth", "degrade", "gen_tube", "parse_tube_spec",
     "render_heightmap", "voxelize",
-    "Centerline", "Patch", "extract_centerline", "extract_patch",
+    "Centerline", "extract_centerline", "extract_patch",
     "is_inside_tube", "track_direction",
 ]

@@ -14,6 +14,8 @@ one is required, and so on).
 from __future__ import annotations
 
 import argparse
+import functools
+import inspect
 import json
 import math
 import sys
@@ -29,7 +31,7 @@ from .ingest import (heightmap_to_mesh, load_heightmap, load_mesh, load_volume,
                      read_centerline_csv, write_artifacts, write_off)
 from .normals import (digital_surface_faces, estimate_digital_normals,
                       face_normals, orient_inward)
-from .pipeline import STAGES, run_pipeline, timed
+from .pipeline import SETTINGS, STAGES, run_pipeline, timed
 from .rebuild import error_summary
 from .synth import degrade, gen_tube, parse_tube_spec
 from .track import Centerline
@@ -84,33 +86,29 @@ _REPORTS = {
     "error": lambda r: error_summary(r.errors),
 }
 
-# the options of each stage as (flag, type, default, help); a flag's dest is
-# the run_pipeline keyword it sets and its key in the summary's params
+# the options of each stage as (flag, help); a flag's dest is the
+# run_pipeline keyword it sets and its key in the summary's params, and its
+# default and type come from the function that owns it (_setting)
 _STAGE_OPTIONS = {
     "track": (
-        ("--track-step", float, None, "centerline sampling step (default: radius)"),
-        ("--inside-threshold", float, 0.5,
+        ("--track-step", "centerline sampling step (default: radius)"),
+        ("--inside-threshold",
          "fraction of the seed accumulation required to continue"),
-        ("--max-angle", float, math.pi / 3, "max turning angle per step, radians"),
+        ("--max-angle", "max turning angle per step, radians"),
     ),
     "refine": (
-        ("--epsilon-o", float, 0.001, "energy-drop convergence threshold"),
-        ("--max-iter", int, 1000, "iteration cap per point"),
-        ("--area-weighting", bool, False,
-         "weight each surface point force by its face area"),
+        ("--epsilon-o", "energy-drop convergence threshold"),
+        ("--max-iter", "iteration cap per point"),
+        ("--area-weighting", "weight each surface point force by its face area"),
     ),
     "decompose": (
-        ("--alpha-flat", float, 0.05,
-         "max per-vertex turn, radians, still considered straight"),
-        ("--nu", float, 0.15,
-         "max midpoint deviation from the arc line, tangent-space units"),
-        ("--min-len", int, 3,
-         "ranges spanning fewer indices merge into their neighbor"),
-        ("--resid-tol", float, None,
-         "arc planarity gate, world units (default 0.3*gridstep)"),
+        ("--alpha-flat", "max per-vertex turn, radians, still considered straight"),
+        ("--nu", "max midpoint deviation from the arc line, tangent-space units"),
+        ("--min-len", "ranges spanning fewer indices merge into their neighbor"),
+        ("--resid-tol", "arc planarity gate, world units (default 0.3*gridstep)"),
     ),
     "reconstruct": (
-        ("--sides", int, 24, "vertices per reconstructed ring"),
+        ("--sides", "vertices per reconstructed ring"),
     ),
 }
 
@@ -134,6 +132,20 @@ _LIMITS = {
 
 def _dest(flag):
     return flag[2:].replace("-", "_")
+
+
+_signature = functools.cache(inspect.signature)  # one per owner, not per flag
+
+
+def _setting(stage, name):
+    """add_argument's keywords for a stage setting: the default that its
+    owner's signature declares (SETTINGS; run_pipeline derives track_step
+    and resid_tol), typed as that default (None: float); a bool is a switch."""
+    owner, names = SETTINGS[stage]
+    default = _signature(owner if name in names else run_pipeline).parameters[name].default
+    if isinstance(default, bool):
+        return {"action": "store_true", "default": default}
+    return {"type": float if default is None else type(default), "default": default}
 
 
 def _checked(flag, value, limit=_POSITIVE):
@@ -252,7 +264,7 @@ def _run(args):
         stages = stages[-1:]
     options = {_dest(flag): getattr(args, _dest(flag))
                for stage in command.stages
-               for flag, *_ in _STAGE_OPTIONS.get(stage, ())}
+               for flag, _ in _STAGE_OPTIONS.get(stage, ())}
     try:
         r = run_pipeline(faces, args.radius, gridstep=gridstep,
                          epsilon=args.epsilon_acc, min_norm=args.min_norm,
@@ -324,7 +336,7 @@ def _synth(args):
 
     info = {"input_path": args.spec, "input_type": "synthetic",
             "n_faces": mesh.n_faces}
-    params = {"radius": args.radius, "gridstep": mesh_step, "seed": args.seed}
+    params = {"radius": args.radius, "mesh_step": mesh_step, "seed": args.seed}
     results = {"n_faces": mesh.n_faces, "n_vertices": mesh.n_vertices,
                "truth_points": len(truth.points),
                "junctions": list(truth.junctions)}
@@ -370,9 +382,9 @@ def _add_input_args(p):
                    help="height per gray level for PGM height maps")
     p.add_argument("--hm-spacing", type=float, default=1.0,
                    help="pixel pitch in world units for PGM height maps")
-    p.add_argument("--epsilon-acc", type=float, default=None,
+    p.add_argument("--epsilon-acc", **_setting("accumulate", "epsilon"),
                    help="scan slack beyond the radius (default 0.1*radius)")
-    p.add_argument("--min-norm", type=float, default=0.1,
+    p.add_argument("--min-norm", **_setting("accumulate", "min_norm"),
                    help="minimal cross product norm kept in the direction image")
 
 
@@ -388,11 +400,8 @@ def build_parser():
         _add_common_args(p, "tube radius in input units")
         _add_input_args(p)
         for stage in command.stages:
-            for flag, kind, default, help in _STAGE_OPTIONS.get(stage, ()):
-                if kind is bool:
-                    p.add_argument(flag, action="store_true", help=help)
-                else:
-                    p.add_argument(flag, type=kind, default=default, help=help)
+            for flag, help in _STAGE_OPTIONS.get(stage, ()):
+                p.add_argument(flag, **_setting(stage, _dest(flag)), help=help)
         if command.centerline:
             p.add_argument("--centerline", default=None,
                            help="reuse a centerline CSV instead of tracking")

@@ -121,8 +121,7 @@ def _vertex_runs(alphas, n_segments, alpha_flat):
     return ranges
 
 
-def detect_arcs_and_lines(tsp: TangentSpacePolygon, alpha_flat=0.05, nu=0.15,
-                          min_len=3):
+def detect_arcs_and_lines(tsp: TangentSpacePolygon, alpha_flat, nu, min_len):
     """Label point ranges as straight or arc from the tangent-space plot.
 
     Flat-angle runs become STRAIGHT. Turning runs are grown greedily while

@@ -281,6 +281,8 @@ def _load_off_lines(path):
                 raise ParseError("missing count line", line=ln, path=path)
     try:
         nv, nf = int(counts[0]), int(counts[1])
+        if nv < 0 or nf < 0:
+            raise ValueError
     except (ValueError, IndexError):
         raise ParseError(f"bad count line {counts!r}", line=ln, path=path)
 
@@ -441,6 +443,8 @@ def load_pgm(path):
     magic = tokens[0].decode("ascii", "replace")
     try:
         cols, rows, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+        if cols < 0 or rows < 0:
+            raise ValueError
     except ValueError:
         raise ParseError("bad PGM header", path=path)
 
@@ -452,7 +456,9 @@ def load_pgm(path):
     elif magic == "P5":
         pos += 1  # single whitespace after maxval
         dtype = ">u2" if maxval > 255 else np.uint8
-        values = np.frombuffer(data[pos:], dtype=dtype, count=rows * cols).astype(np.int64)
+        size = np.dtype(dtype).itemsize  # a short body fails the check below
+        body = data[pos:pos + rows * cols * size]
+        values = np.frombuffer(body, dtype=dtype, count=len(body) // size).astype(np.int64)
     else:
         raise UnsupportedFormat(f"not a PGM file (magic {magic!r})")
     if values.size != rows * cols:

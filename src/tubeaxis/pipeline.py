@@ -5,12 +5,13 @@ error_map on the refined centerline. The command line, the tests and the
 demos all run their chains here, so every derived default is set in one
 place: the scan slack epsilon = 0.1 R (AccumulationParams), the tracking
 step R, the scan radius R + epsilon for both tracking and refinement, and
-the arc planarity gate 0.3 gridstep.
+the arc planarity gate 0.3 gridstep. Every other setting is passed
+through to the stage that takes it (SETTINGS), whose signature holds its
+default.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -21,7 +22,7 @@ from .accumulate import AccumulationParams, AccumulationResult, compute_accumula
 from .decompose import Decomposition, decompose_centerline
 from .ingest import TriMesh
 from .rebuild import error_map, sweep_tube
-from .refine import RefineParams, optimize_centerline
+from .refine import optimize_centerline
 from .track import Centerline, extract_centerline
 
 STAGES = ("accumulate", "track", "refine", "decompose", "reconstruct", "error_map")
@@ -29,6 +30,16 @@ STAGES = ("accumulate", "track", "refine", "decompose", "reconstruct", "error_ma
 # the stage whose output each stage reads
 _NEEDS = {"track": "accumulate", "refine": "track", "decompose": "track",
           "reconstruct": "track", "error_map": "track"}
+
+# the settings each stage takes, by keyword, with the function whose
+# signature declares their defaults
+SETTINGS = {
+    "accumulate": (AccumulationParams, ("epsilon", "min_norm")),
+    "track": (extract_centerline, ("inside_threshold", "max_angle")),
+    "refine": (optimize_centerline, ("epsilon_o", "max_iter", "area_weighting")),
+    "decompose": (decompose_centerline, ("alpha_flat", "nu", "min_len")),
+    "reconstruct": (sweep_tube, ("sides",)),
+}
 
 
 @contextmanager
@@ -56,17 +67,23 @@ class PipelineResult:
     timings: dict = field(default_factory=dict)
 
 
-def run_pipeline(faces, radius, *, gridstep=1.0, epsilon=None, min_norm=0.1,
-                 track_step=None, inside_threshold=0.5, max_angle=math.pi / 3,
-                 epsilon_o=0.001, max_iter=1000, area_weighting=False,
-                 alpha_flat=0.05, nu=0.15, min_len=3, resid_tol=None, sides=24,
-                 stages=STAGES, centerline=None) -> PipelineResult:
+def run_pipeline(faces, radius, *, gridstep=1.0, track_step=None, resid_tol=None,
+                 stages=STAGES, centerline=None, **settings) -> PipelineResult:
     """Run the named stages, in chain order, on oriented faces.
 
     stages is any subset of STAGES whose inputs it contains: STAGES[:k]
     stops after the k-th stage. A given centerline takes the place of
     accumulate and track; refine, if asked for, then refines it.
+    track_step defaults to the radius and resid_tol to 0.3 * gridstep.
+    Each other setting (see SETTINGS) goes to the stage that takes it,
+    which otherwise uses its own default; a name that no stage takes is
+    a TypeError.
     """
+    kw = {stage: {name: settings.pop(name) for name in names if name in settings}
+          for stage, (_, names) in SETTINGS.items()}
+    if settings:
+        raise TypeError("run_pipeline() got an unexpected keyword argument "
+                        f"{next(iter(settings))!r}")
     stages = set(stages)
     given = {"accumulate", "track"} if centerline is not None else set()
     for stage in stages:
@@ -77,8 +94,7 @@ def run_pipeline(faces, radius, *, gridstep=1.0, epsilon=None, min_norm=0.1,
         if _NEEDS.get(stage, stage) not in stages | given:
             raise ValueError(f"stage {stage!r} needs stage {_NEEDS[stage]!r}")
 
-    acc = AccumulationParams(radius=radius, epsilon=epsilon, gridstep=gridstep,
-                             min_norm=min_norm)
+    acc = AccumulationParams(radius=radius, gridstep=gridstep, **kw["accumulate"])
     out = PipelineResult(
         acc_params=acc, track_step=radius if track_step is None else track_step,
         resid_tol=0.3 * gridstep if resid_tol is None else resid_tol,
@@ -92,22 +108,19 @@ def run_pipeline(faces, radius, *, gridstep=1.0, epsilon=None, min_norm=0.1,
     if "track" in stages:
         with timed(t, "track"):
             out.raw = out.centerline = extract_centerline(
-                out.accumulation, out.track_step, acc.acc_radius,
-                inside_threshold=inside_threshold, max_angle=max_angle)
+                out.accumulation, out.track_step, acc.acc_radius, **kw["track"])
     if "refine" in stages:
-        params = RefineParams(radius=radius, acc_radius=acc.acc_radius,
-                              track_step=out.track_step, epsilon_o=epsilon_o,
-                              max_iter=max_iter, area_weighting=area_weighting)
         with timed(t, "refine"):
-            out.centerline = optimize_centerline(out.raw, faces, params)
+            out.centerline = optimize_centerline(
+                out.raw, faces, radius, acc.acc_radius, out.track_step,
+                **kw["refine"])
     if "decompose" in stages:
         with timed(t, "decompose"):
             out.decomposition = decompose_centerline(
-                out.centerline, alpha_flat=alpha_flat, nu=nu, min_len=min_len,
-                resid_tol=out.resid_tol)
+                out.centerline, resid_tol=out.resid_tol, **kw["decompose"])
     if "reconstruct" in stages:
         with timed(t, "reconstruct"):
-            out.tube = sweep_tube(out.centerline, radius, sides=sides)
+            out.tube = sweep_tube(out.centerline, radius, **kw["reconstruct"])
     if "error_map" in stages:
         with timed(t, "error_map"):
             out.errors = error_map(faces, out.centerline, radius)

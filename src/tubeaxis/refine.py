@@ -32,7 +32,6 @@ over the faces would give.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,32 +44,18 @@ _BALL_MARGIN = 1e-9  # relative radius padding of the candidate ball query
 # cell size of the face hash over acc_radius: smaller cells fit the ball
 # more closely, larger ones make fewer columns to look up
 _CELL_FRACTION = 0.25
+# the convergence settings of optimize_point and optimize_centerline: stop
+# when the accepted energy drop falls below EPSILON_O, or after MAX_ITER
+EPSILON_O = 0.001
+MAX_ITER = 1000
 
 
-@dataclass(frozen=True)
-class RefineParams:
-    radius: float
-    acc_radius: float
-    track_step: float
-    epsilon_o: float = 0.001      # stop when |E_prev - E| drops below this
-    max_iter: int = 1000
-    area_weighting: bool = False
-
-
-@dataclass
-class SectionAssociation:
-    """Surface points attached to centerline point i."""
-
-    index: int
-    points: np.ndarray
-    weights: np.ndarray | None = None
-
-
-def section_points(centerline, faces, i, acc_radius, track_step,
-                   use_areas=False, tree=None, near=None) -> SectionAssociation:
+def section_points(centerline, faces, i, acc_radius, track_step, tree=None,
+                   near=None):
     """Face centers within acc_radius of C_i whose axial offset along the
     local direction d_i falls in the slab (-track_step/2, +track_step/2],
-    in face order.
+    in face order, and the areas of their faces (the weights of area
+    weighting): returns (points, areas).
 
     ``tree`` is any index over ``faces.centers`` with a
     ``query_ball_point(point, r)`` that returns at least the indices within
@@ -93,8 +78,7 @@ def section_points(centerline, faces, i, acc_radius, track_step,
     sel = near[(dist <= acc_radius) & (proj > -0.5 * track_step) & (proj <= 0.5 * track_step)]
     if len(sel) < 3:
         raise TooFewPoints(f"only {len(sel)} surface points near centerline point {i}")
-    weights = faces.areas[sel] if use_areas else None
-    return SectionAssociation(index=i, points=faces.centers[sel], weights=weights)
+    return faces.centers[sel], faces.areas[sel]
 
 
 def energy_and_gradient(c, points, radius, weights=None, *, units=None):
@@ -135,7 +119,7 @@ def _gauss_newton_step(units, weights, f):
     return np.linalg.lstsq(weighted.T @ units, f, rcond=None)[0]
 
 
-def optimize_point(c0, points, radius, epsilon_o=0.001, max_iter=1000,
+def optimize_point(c0, points, radius, epsilon_o=EPSILON_O, max_iter=MAX_ITER,
                    weights=None):
     """Gauss-Newton descent of a single center with backtracking halving.
 
@@ -180,29 +164,32 @@ def optimize_point(c0, points, radius, epsilon_o=0.001, max_iter=1000,
     return c, e, max_iter
 
 
-def optimize_centerline(centerline, faces, params: RefineParams) -> Centerline:
+def optimize_centerline(centerline, faces, radius, acc_radius, track_step,
+                        epsilon_o=EPSILON_O, max_iter=MAX_ITER,
+                        area_weighting=False) -> Centerline:
     """Refine every centerline point independently.
 
-    Points with fewer than 3 associated surface points are passed through
-    untouched; the returned centerline's `refined` mask records which
-    points actually moved through the optimizer.
+    Each point's section (section_points with acc_radius and track_step)
+    is fitted to the known radius by optimize_point; area_weighting
+    weights each face center by its face area. Points with fewer than 3
+    associated surface points are passed through untouched; the returned
+    centerline's `refined` mask records which points actually moved
+    through the optimizer.
     """
     pts = centerline.points.copy()
     refined = np.zeros(len(pts), dtype=bool)
-    tree = CellHash(faces.centers, _CELL_FRACTION * params.acc_radius)
+    tree = CellHash(faces.centers, _CELL_FRACTION * acc_radius)
     balls = tree.query_ball_points(centerline.points,
-                                  params.acc_radius * (1.0 + _BALL_MARGIN))
+                                  acc_radius * (1.0 + _BALL_MARGIN))
     for i, near in enumerate(balls):
         try:
-            assoc = section_points(centerline, faces, i, params.acc_radius,
-                                   params.track_step, use_areas=params.area_weighting,
-                                   near=near)
+            section, areas = section_points(centerline, faces, i, acc_radius,
+                                            track_step, near=near)
         except TooFewPoints:
             continue
-        pts[i], _, _ = optimize_point(pts[i], assoc.points, params.radius,
-                                      epsilon_o=params.epsilon_o,
-                                      max_iter=params.max_iter,
-                                      weights=assoc.weights)
+        pts[i], _, _ = optimize_point(pts[i], section, radius, epsilon_o=epsilon_o,
+                                      max_iter=max_iter,
+                                      weights=areas if area_weighting else None)
         refined[i] = True
     dirs = _polyline_directions(pts, centerline.closed)
     return Centerline(points=pts, directions=dirs,

@@ -24,8 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (OrthonormalFrame, concat_ranges, digitize,
-                   frame_from_direction, normalize)
+from .core import concat_ranges, digitize, frame_from_direction, normalize
 from .errors import SeedInvalid
 
 _MAX_TRACK_STEPS = 100000
@@ -34,29 +33,6 @@ _ZERO_DIR = 1e-12
 _CORNERS = np.array(list(itertools.product((0, 1), repeat=3)))
 # (row, column) of the lower triangle of a 3 x 3 matrix
 _LOWER = ((0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2))
-
-
-@dataclass
-class Patch:
-    """Square slice of the count image orthogonal to the track direction."""
-
-    frame: OrthonormalFrame  # w = tracking direction, center = patch center
-    size: int
-    gridstep: float
-    values: np.ndarray
-
-    def world_of_pixel(self, a, b):
-        m = self.size // 2
-        return (self.frame.center
-                + (a - m) * self.gridstep * self.frame.u
-                + (b - m) * self.gridstep * self.frame.v)
-
-    def argmax_world(self):
-        """World position of the maximal pixel; ties go to the smallest
-        (row, col) in scan order."""
-        flat = int(np.argmax(self.values))
-        a, b = divmod(flat, self.size)
-        return self.world_of_pixel(a, b)
 
 
 @dataclass
@@ -199,10 +175,15 @@ def _local_direction(res, point, acc_radius):
     return _ridge_direction(res, point, acc_radius)
 
 
-def extract_patch(res, center, direction, acc_radius) -> Patch:
+def extract_patch(res, center, direction, acc_radius):
     """Sample the square patch of the accumulation `res` orthogonal to
     `direction` centered on `center`, with pixel pitch = gridstep and side
-    covering 2*acc_radius."""
+    covering 2*acc_radius.
+
+    Returns (values, frame): pixel (a, b) of the (size, size) values lies
+    at frame.center + (a - size // 2) * gridstep * frame.u
+    + (b - size // 2) * gridstep * frame.v, and frame.w is the direction.
+    """
     domain = res.domain
     frame = frame_from_direction(normalize(np.asarray(direction, dtype=float)),
                                  center=center)
@@ -213,12 +194,11 @@ def extract_patch(res, center, direction, acc_radius) -> Patch:
            + offs[:, None, None] * frame.u
            + offs[None, :, None] * frame.v)
     values = _sample_trilinear(res.keys, res.counts, domain, pts.reshape(-1, 3))
-    values = values.reshape(size, size)
-    return Patch(frame=frame, size=size, gridstep=domain.gridstep, values=values)
+    return values.reshape(size, size), frame
 
 
-def is_inside_tube(res, current, previous, ref_value, inside_threshold=0.5,
-                   max_angle=math.pi / 3, direction=None, level=None):
+def is_inside_tube(res, current, previous, ref_value, inside_threshold, max_angle,
+                   direction=None, level=None):
     """Continuation test: enough accumulation support at `current`, and the
     last step roughly follows the local principal direction (whose sign is
     ambiguous, so the angle is folded into [0, pi/2]).
@@ -260,7 +240,7 @@ def _lower_quartile(ordered):
 
 
 def track_direction(res, start, in_front, track_step, acc_radius,
-                    inside_threshold=0.5, max_angle=math.pi / 3):
+                    inside_threshold, max_angle):
     """One directional tracking run; returns (points, closed_flag).
 
     Stops when the continuation test fails, the next patch would leave the
@@ -298,10 +278,15 @@ def track_direction(res, start, in_front, track_step, acc_radius,
         patch_center = current + dir_vect * track_step
         if not res.domain.contains_point(patch_center):
             break
-        patch = extract_patch(res, patch_center, dir_vect, acc_radius)
-        if patch.values.max() <= 0:
+        values, frame = extract_patch(res, patch_center, dir_vect, acc_radius)
+        if values.max() <= 0:
             break
-        nxt = patch.argmax_world()
+        # the world position of the maximal pixel; ties go to the smallest
+        # (row, col) in scan order
+        a, b = divmod(int(np.argmax(values)), len(values))
+        m = len(values) // 2
+        g = res.domain.gridstep
+        nxt = frame.center + (a - m) * g * frame.u + (b - m) * g * frame.v
         if np.linalg.norm(nxt - current) <= _ZERO_DIR:
             break
         previous = current

@@ -1,6 +1,8 @@
 """Command line interface: exit codes, artifacts, summary determinism."""
 
+import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 import tubeaxis as tx
-from tubeaxis.cli import main
+from tubeaxis.cli import build_parser, main
 
 
 def run(args):
@@ -38,6 +40,12 @@ def test_synth_writes_mesh_truth_summary(tmp_path):
     kinds = {row.split(",")[7] for row in truth[1:]}
     assert kinds == {"S", "A"}
     assert any(row.split(",")[8] == "1" for row in truth[1:])
+    # mesh_step is the surface sampling step, not an accumulation gridstep
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["params"] == {"radius": 2.5, "mesh_step": 1.0, "seed": 0}
+    assert set(summary["results"]) == {"n_faces", "n_vertices", "truth_points",
+                                       "junctions"}
+    assert set(summary["timings"]) == {"synth", "write"}
 
 
 def test_radius_is_required(tmp_path, capsys):
@@ -377,3 +385,60 @@ def test_pipeline_does_not_import_numpy_ma(tube_off, tmp_path):
             capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         assert "numpy.ma imported: False" in proc.stdout
+
+
+@pytest.mark.parametrize("name,data", [
+    pytest.param("neg.off", b"OFF\n-1 0 0\n", id="off-negative-vertices"),
+    pytest.param("neg.off", b"OFF\n3 -1 0\n0 0 0\n1 0 0\n0 1 0\n",
+                 id="off-negative-faces"),
+    pytest.param("short.pgm", b"P5\n4 4 255\n\x01\x02", id="pgm-short-body")])
+def test_malformed_header_is_an_input_error(tmp_path, capsys, name, data):
+    path = tmp_path / name
+    path.write_bytes(data)
+    assert run(["pipeline", "--input", path, "--radius", 2,
+                "--out-dir", tmp_path / "out"]) == 1
+    err = capsys.readouterr().err
+    assert "input error" in err and str(path) in err
+    assert "Traceback" not in err
+
+
+# the function whose signature owns each stage flag's default, by dest
+_OWNERS = {
+    "epsilon_acc": (tx.AccumulationParams, "epsilon"),
+    "min_norm": (tx.AccumulationParams, "min_norm"),
+    "track_step": (tx.run_pipeline, "track_step"),
+    "inside_threshold": (tx.extract_centerline, "inside_threshold"),
+    "max_angle": (tx.extract_centerline, "max_angle"),
+    "epsilon_o": (tx.optimize_centerline, "epsilon_o"),
+    "max_iter": (tx.optimize_centerline, "max_iter"),
+    "area_weighting": (tx.optimize_centerline, "area_weighting"),
+    "alpha_flat": (tx.decompose_centerline, "alpha_flat"),
+    "nu": (tx.decompose_centerline, "nu"),
+    "min_len": (tx.decompose_centerline, "min_len"),
+    "resid_tol": (tx.run_pipeline, "resid_tol"),
+    "sides": (tx.sweep_tube, "sides"),
+}
+
+
+@pytest.mark.parametrize("command", list(_SUMMARY_KEYS))
+def test_stage_flag_defaults_are_their_owners_defaults(command):
+    args = build_parser().parse_args([command, "--input", "x.off", "--radius", "1"])
+    dests = _SUMMARY_KEYS[command][0] - {"radius", "gridstep", "normals", "orient"}
+    for dest in dests:
+        owner, name = _OWNERS[dest]
+        default = inspect.signature(owner).parameters[name].default
+        value = getattr(args, dest)
+        assert value == default and type(value) is type(default), dest
+
+
+def test_pipeline_without_flags_records_the_default_params(tube_off, tmp_path):
+    out = tmp_path / "p"
+    assert run(["pipeline", "--input", tube_off, "--radius", 4, "--out-dir", out]) == 0
+    params = json.loads((out / "summary.json").read_text())["params"]
+    gridstep = params["gridstep"]
+    assert params == {
+        "radius": 4.0, "epsilon_acc": 0.4, "gridstep": gridstep, "min_norm": 0.1,
+        "normals": "faces", "orient": "auto", "track_step": 4.0,
+        "inside_threshold": 0.5, "max_angle": math.pi / 3, "epsilon_o": 0.001,
+        "max_iter": 1000, "area_weighting": False, "alpha_flat": 0.05, "nu": 0.15,
+        "min_len": 3, "resid_tol": 0.3 * gridstep, "sides": 24}

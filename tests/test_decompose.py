@@ -191,9 +191,7 @@ def test_bent_pipe_mesh_decomposition(bent_pipe):
     radius = bent_pipe["radius"]
     acc_r = bent_pipe["params"].acc_radius
     raw = tx.extract_centerline(res, track_step=radius, acc_radius=acc_r)
-    params = tx.RefineParams(radius=radius, acc_radius=acc_r,
-                             track_step=radius)
-    refined = tx.optimize_centerline(raw, bent_pipe["faces"], params)
+    refined = tx.optimize_centerline(raw, bent_pipe["faces"], radius, acc_r, radius)
     dec = tx.decompose_centerline(refined, resid_tol=0.3)
     assert dec.kinds() == "SAS"
     arc = dec.segments[1]

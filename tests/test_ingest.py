@@ -147,6 +147,31 @@ def test_off_errors_keep_their_line_numbers(tmp_path, text, line):
     assert err.value.line == line
 
 
+@pytest.mark.parametrize("text", ["OFF\n-1 0 0\n", "OFF -1 0 0\n",
+                                  "OFF\n3 -1 0\n0 0 0\n1 0 0\n0 1 0\n"])
+def test_off_negative_count_names_the_count_line(tmp_path, text):
+    p = _write(tmp_path / "neg.off", text)
+    for reader in (load_off, tx.load_mesh):
+        with pytest.raises(tx.ParseError, match="bad count line") as err:
+            reader(p)
+        assert str(err.value.path) == p
+        assert err.value.line == text.count("\n", 0, text.index("-")) + 1
+
+
+@pytest.mark.parametrize("data", [
+    pytest.param(b"P5\n4 4 255\n\x01\x02", id="8-bit-short"),
+    pytest.param(b"P5\n4 4 65535\n\x01\x02\x03", id="16-bit-short"),
+    pytest.param(b"P5\n4 4 255\n", id="no-body"),
+    pytest.param(b"P5\n-4 4 255\n\x01\x02", id="negative-width"),
+    pytest.param(b"P2\n-2 -2 255\n1 2 3 4\n", id="negative-ascii")])
+def test_pgm_header_beyond_its_body_is_a_parse_error(tmp_path, data):
+    p = tmp_path / "bad.pgm"
+    p.write_bytes(data)
+    with pytest.raises(tx.ParseError) as err:
+        load_pgm(p)
+    assert err.value.path == p
+
+
 _SPECIAL_VALUES = [0.0, -0.0, 1e-300, 1e12, -2.5, -1e-7, 0.1, 123456789.123,
                    np.inf, -np.inf, np.nan, 5e-324, 1e300, -1.7976931348623157e308]
 

@@ -14,8 +14,7 @@ def _explicit_chain(case):
     params = tx.AccumulationParams(radius=radius, gridstep=1.0)
     res = tx.compute_accumulation(faces, params)
     raw = tx.extract_centerline(res, track_step=radius, acc_radius=params.acc_radius)
-    refined = tx.optimize_centerline(raw, faces, tx.RefineParams(
-        radius=radius, acc_radius=params.acc_radius, track_step=radius))
+    refined = tx.optimize_centerline(raw, faces, radius, params.acc_radius, radius)
     return {"accumulation": res, "raw": raw, "centerline": refined,
             "decomposition": tx.decompose_centerline(refined, resid_tol=0.3),
             "tube": tx.sweep_tube(refined, radius, sides=24),
@@ -118,3 +117,42 @@ def test_only_an_accumulate_run_replays_the_whole_direction_table(cylinder):
     tracked = tx.run_pipeline(cylinder.faces, cylinder.radius, stages=STAGES[:2])
     assert "dirs" not in vars(tracked.accumulation)
     assert alone.accumulation.dirs.tobytes() == tracked.accumulation.dirs.tobytes()
+
+
+def test_a_misspelt_setting_is_a_type_error(cylinder):
+    with pytest.raises(TypeError, match="inside_treshold"):
+        tx.run_pipeline(cylinder.faces, cylinder.radius, inside_treshold=0.4)
+
+
+# a value for every setting, none of them its default
+_GIVEN = {"accumulate": {"epsilon": 0.7, "min_norm": 0.3},
+          "track": {"inside_threshold": 0.4, "max_angle": 1.2},
+          "refine": {"epsilon_o": 0.01, "max_iter": 7, "area_weighting": True},
+          "decompose": {"alpha_flat": 0.1, "nu": 0.2, "min_len": 4},
+          "reconstruct": {"sides": 8}}
+
+
+def test_each_setting_reaches_only_its_stage(cylinder, monkeypatch):
+    from tubeaxis import pipeline
+
+    seen = {}
+
+    def spy(stage, fn):
+        def call(*args, **kwargs):
+            seen[stage] = kwargs
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(pipeline, fn.__name__, call)
+
+    for stage, fn in (("accumulate", pipeline.AccumulationParams),
+                      ("track", pipeline.extract_centerline),
+                      ("refine", pipeline.optimize_centerline),
+                      ("decompose", pipeline.decompose_centerline),
+                      ("reconstruct", pipeline.sweep_tube)):
+        spy(stage, fn)
+    settings = {k: v for given in _GIVEN.values() for k, v in given.items()}
+    r = tx.run_pipeline(cylinder.faces, cylinder.radius, **settings)
+    assert {stage: {k: v for k, v in kw.items() if k in settings}
+            for stage, kw in seen.items()} == _GIVEN
+    assert r.acc_params.min_norm == 0.3 and r.acc_params.epsilon == 0.7
+    # sides=8 gives 8-vertex rings
+    assert r.tube.n_vertices == 8 * len(r.centerline)

@@ -147,8 +147,8 @@ def test_section_slab_bounds():
     ])
     faces = tx.OrientedFaceSet(centers, np.tile([0.0, 1, 0], (5, 1)),
                                np.ones(5))
-    assoc = tx.section_points(cl, faces, 1, acc_radius=5.0, track_step=4.0)
-    got = {tuple(p) for p in assoc.points}
+    points, _ = tx.section_points(cl, faces, 1, acc_radius=5.0, track_step=4.0)
+    got = {tuple(p) for p in points}
     assert tuple(centers[0]) in got
     assert tuple(centers[1]) in got
     assert tuple(centers[4]) in got
@@ -162,6 +162,11 @@ def _full_scan_section(cl, centers, i, acc_radius, track_step):
     sel = ((np.linalg.norm(rel, axis=1) <= acc_radius)
            & (proj > -0.5 * track_step) & (proj <= 0.5 * track_step))
     return centers[sel]
+
+
+def _row_of(centers, points):
+    """The index in centers of each of points (all distinct rows)."""
+    return [int(np.flatnonzero((centers == p).all(axis=1))[0]) for p in points]
 
 
 def test_section_tree_query_equals_full_scan():
@@ -185,13 +190,15 @@ def test_section_tree_query_equals_full_scan():
     tree = cKDTree(centers)
     for i in range(3):
         expected = _full_scan_section(cl, centers, i, 5.0, 4.0)
-        own = tx.section_points(cl, faces, i, 5.0, 4.0, use_areas=True)
-        shared = tx.section_points(cl, faces, i, 5.0, 4.0, use_areas=True, tree=tree)
+        own, own_areas = tx.section_points(cl, faces, i, 5.0, 4.0)
+        shared, shared_areas = tx.section_points(cl, faces, i, 5.0, 4.0, tree=tree)
         assert len(expected) >= 3
-        assert np.array_equal(own.points, expected)
-        assert np.array_equal(shared.points, expected)
-        assert np.array_equal(own.weights, shared.weights)
-    got = tx.section_points(cl, faces, 1, 5.0, 4.0, tree=tree).points
+        assert np.array_equal(own, expected)
+        assert np.array_equal(shared, expected)
+        # each point's weight is its own face's area
+        assert np.array_equal(own_areas, faces.areas[_row_of(centers, own)])
+        assert np.array_equal(own_areas, shared_areas)
+    got, _ = tx.section_points(cl, faces, 1, 5.0, 4.0, tree=tree)
     kept = [bool((got == p).all(axis=1).any()) for p in planted]
     assert kept == [True, True, False, True, False, False]
 
@@ -213,8 +220,7 @@ def test_optimize_centerline_marks_unrefined_points():
     centers = np.vstack([ring0, ring1])
     faces = tx.OrientedFaceSet(centers, np.tile([1.0, 0, 0], (24, 1)),
                                np.ones(24))
-    params = tx.RefineParams(radius=2.0, acc_radius=2.5, track_step=4.0)
-    out = tx.optimize_centerline(cl, faces, params)
+    out = tx.optimize_centerline(cl, faces, 2.0, acc_radius=2.5, track_step=4.0)
     assert out.refined.tolist() == [True, True, False]
     assert np.allclose(out.points[2], pts[2])
 
@@ -229,20 +235,19 @@ def test_optimize_centerline_equals_one_section_query_per_point(bent_pipe):
     # a point far from the surface has no section and passes through
     raw = Centerline(points=np.vstack([raw.points, [[500.0, 0, 0]]]),
                      directions=np.vstack([raw.directions, [[1.0, 0, 0]]]))
-    params = tx.RefineParams(radius=radius, acc_radius=acc_radius, track_step=radius,
-                             area_weighting=True)
-    out = tx.optimize_centerline(raw, faces, params)
+    out = tx.optimize_centerline(raw, faces, radius, acc_radius, radius,
+                                 area_weighting=True)
     tree = cKDTree(faces.centers)
     expected = raw.points.copy()
     refined = np.zeros(len(raw), dtype=bool)
     for i in range(len(raw)):
         try:
-            assoc = tx.section_points(raw, faces, i, acc_radius, radius,
-                                      use_areas=True, tree=tree)
+            section, areas = tx.section_points(raw, faces, i, acc_radius, radius,
+                                               tree=tree)
         except tx.TooFewPoints:
             continue
-        expected[i] = tx.optimize_point(expected[i], assoc.points, radius,
-                                        weights=assoc.weights)[0]
+        expected[i] = tx.optimize_point(expected[i], section, radius,
+                                        weights=areas)[0]
         refined[i] = True
     assert refined[:-1].all() and not refined[-1]
     assert np.array_equal(out.refined, refined)
@@ -252,10 +257,8 @@ def test_optimize_centerline_equals_one_section_query_per_point(bent_pipe):
 def test_refined_cylinder_beats_raw(cylinder):
     raw = tx.extract_centerline(cylinder.result, track_step=cylinder.radius,
                                 acc_radius=cylinder.params.acc_radius)
-    params = tx.RefineParams(radius=cylinder.radius,
-                             acc_radius=cylinder.params.acc_radius,
-                             track_step=cylinder.radius)
-    refined = tx.optimize_centerline(raw, cylinder.faces, params)
+    refined = tx.optimize_centerline(raw, cylinder.faces, cylinder.radius,
+                                     cylinder.params.acc_radius, cylinder.radius)
     d_raw = cylinder.axis_distance(raw.points)
     d_ref = cylinder.axis_distance(refined.points)
     rms_raw = np.sqrt(np.mean(d_raw ** 2))
@@ -299,7 +302,7 @@ def _bent_pipe_sections(bent_pipe):
     tree = cKDTree(bent_pipe["faces"].centers)
     return [(raw.points[i],
              tx.section_points(raw, bent_pipe["faces"], i, acc_radius, radius,
-                               tree=tree).points)
+                               tree=tree)[0])
             for i in range(len(raw))]
 
 

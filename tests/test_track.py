@@ -10,7 +10,7 @@ from scipy import ndimage
 import tubeaxis as tx
 from tubeaxis.accumulate import AccumulationResult
 from tubeaxis.core import GridDomain
-from tubeaxis.track import (Patch, _lookup, _lower_quartile, _polyline_directions,
+from tubeaxis.track import (_lookup, _lower_quartile, _polyline_directions,
                             _ridge_direction, _sample_trilinear, _voxel_dir,
                             extract_patch, patch_size)
 
@@ -289,23 +289,42 @@ def test_running_quartile_equals_np_percentile():
 def test_patch_frame_and_pixels():
     res = _straight_ridge()
     center = np.array([20.0, 10.5, 10.5])
-    patch = extract_patch(res, center, np.array([1.0, 0, 0]), acc_radius=5.0)
-    assert patch.size == 11
-    m = patch.size // 2
-    assert np.allclose(patch.world_of_pixel(m, m), center)
-    # moving one pixel moves one gridstep in the patch plane
-    step = patch.world_of_pixel(m + 1, m) - patch.world_of_pixel(m, m)
-    assert np.linalg.norm(step) == pytest.approx(1.0)
-    assert abs(step @ np.array([1.0, 0, 0])) < 1e-12
+    values, frame = extract_patch(res, center, np.array([1.0, 0, 0]), acc_radius=5.0)
+    assert values.shape == (11, 11)
+    assert np.array_equal(frame.center, center)
+    assert np.allclose(frame.w, [1.0, 0, 0])
+    # pixel (a, b) is the count sampled (a - m, b - m) gridsteps along
+    # (u, v) from the center: one pixel is one gridstep in the patch plane
+    m = len(values) // 2
+    a, b = np.meshgrid(np.arange(11), np.arange(11), indexing="ij")
+    world = (center + (a - m)[..., None] * 1.0 * frame.u
+             + (b - m)[..., None] * 1.0 * frame.v)
+    want = _sample_trilinear(res.keys, res.counts, res.domain, world.reshape(-1, 3))
+    assert np.array_equal(values, want.reshape(11, 11))
+    assert values[m, m] == values.max()
 
 
-def test_patch_argmax_prefers_first_in_scan_order():
-    frame = tx.frame_from_direction(np.array([0.0, 0, 1.0]),
-                                    center=np.zeros(3))
-    values = np.zeros((5, 5))
-    values[1, 3] = values[3, 1] = 7.0  # tie: (1, 3) wins in scan order
-    patch = Patch(frame=frame, size=5, gridstep=1.0, values=values)
-    assert np.allclose(patch.argmax_world(), patch.world_of_pixel(1, 3))
+def test_patch_argmax_prefers_first_in_scan_order(monkeypatch):
+    # the first patch has two equal maxima: the run steps to the world
+    # position of the one with the smallest (row, col), (m - 1, m + 1)
+    res = _straight_ridge()
+    patches = []
+
+    def tied_patch(res, center, direction, acc_radius):
+        values, frame = extract_patch(res, center, direction, acc_radius)
+        if not patches:
+            m = len(values) // 2
+            values = np.zeros_like(values)
+            values[m - 1, m + 1] = values[m + 1, m - 1] = 7.0
+        patches.append(frame)
+        return values, frame
+
+    monkeypatch.setattr(tx.track, "extract_patch", tied_patch)
+    start = res.domain.voxel_center(res.max_pt)
+    points, _ = tx.track_direction(res, start, True, 3.0, 5.0, 0.5, math.pi / 3)
+    frame = patches[0]
+    assert len(points) > 2
+    assert np.array_equal(points[1], frame.center - 1.0 * frame.u + 1.0 * frame.v)
 
 
 def test_tracks_straight_ridge():
@@ -337,8 +356,9 @@ def test_tracking_samples_each_point_level_once(monkeypatch):
     assert len(points) == len(set(points)) + 1  # the seed, once per direction
     # a level given to the continuation test is the one it compares
     on_axis = np.array([20.0, 10.5, 10.5])
-    assert not tx.is_inside_tube(res, on_axis, on_axis - [3.0, 0, 0], 60.0, level=29.0)
-    assert tx.is_inside_tube(res, on_axis, on_axis - [3.0, 0, 0], 60.0, level=30.0)
+    prev = on_axis - [3.0, 0, 0]
+    assert not tx.is_inside_tube(res, on_axis, prev, 60.0, 0.5, math.pi / 3, level=29.0)
+    assert tx.is_inside_tube(res, on_axis, prev, 60.0, 0.5, math.pi / 3, level=30.0)
 
 
 def test_tracks_ridge_without_direction_image():
@@ -390,12 +410,11 @@ def test_inside_tube_thresholds():
     off_axis = np.array([20.0, 16.5, 10.5])
     prev = on_axis - np.array([3.0, 0, 0])
     ref = 60.0
-    assert tx.is_inside_tube(res, on_axis, prev, ref)
-    assert not tx.is_inside_tube(res, off_axis, off_axis - 3.0, ref)
+    assert tx.is_inside_tube(res, on_axis, prev, ref, 0.5, math.pi / 3)
+    assert not tx.is_inside_tube(res, off_axis, off_axis - 3.0, ref, 0.5, math.pi / 3)
     # a step nearly orthogonal to the ridge direction fails the angle test
     sideways_prev = on_axis - np.array([0.0, 3.0, 0.0])
-    assert not tx.is_inside_tube(res, on_axis, sideways_prev, ref,
-                                 max_angle=math.pi / 3)
+    assert not tx.is_inside_tube(res, on_axis, sideways_prev, ref, 0.5, math.pi / 3)
 
 
 def test_polyline_directions_unit_and_centered():
