@@ -32,8 +32,8 @@ line, dec = run.centerline, run.decomposition
 # the tangent-space polygon: x is arclength, y is accumulated turn angle;
 # straights are horizontal runs, arcs climb at slope 1/r
 tsp = tx.tangent_space_transform(line.points)
-print(f"total length {tsp.T[-1, 0]:.1f}, total turn "
-      f"{math.degrees(tsp.T[-1, 1]):.0f} degrees")
+print(f"total length {tsp.lengths.sum():.1f}, total turn "
+      f"{math.degrees(tsp.alphas.sum()):.0f} degrees")
 
 print(f"decomposition: {dec.kinds()}")
 for s in dec.segments:

@@ -7,9 +7,8 @@ straight and arc sections, and optionally rebuild an ideal tube to measure
 per-face deviation.
 """
 
-from .accumulate import (AccumulationParams, AccumulationResult, VoteCounts,
-                         accumulate_counts, accumulation_domain,
-                         compute_accumulation)
+from .accumulate import (AccumulationParams, AccumulationResult,
+                         accumulation_domain, compute_accumulation)
 from .core import (GridDomain, OrthonormalFrame, ScalarGrid3, VectorGrid3,
                    digitize, frame_from_direction, load_grid, normalize,
                    save_grid)
@@ -17,7 +16,7 @@ from .decompose import (Decomposition, Segment, TangentSpacePolygon,
                         decompose_centerline, detect_arcs_and_lines,
                         fit_circle_3d, tangent_space_transform)
 from .errors import (Collinear, CoincidentPoint, DegenerateFace,
-                     DegenerateTangent, DomainTooSmall, DuplicatePoint,
+                     DegenerateTangent, DomainTooLarge, DuplicatePoint,
                      EmptyInput, NotClosed, ParseError, SeedInvalid,
                      SelfIntersecting, TooFewPoints, TooSmall, TubeAxisError,
                      UnsupportedFormat, ZeroDirection)
@@ -38,14 +37,14 @@ from .track import (Centerline, extract_centerline, extract_patch,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccumulationParams", "AccumulationResult", "VoteCounts",
-    "accumulate_counts", "accumulation_domain", "compute_accumulation",
+    "AccumulationParams", "AccumulationResult", "accumulation_domain",
+    "compute_accumulation",
     "GridDomain", "OrthonormalFrame", "ScalarGrid3", "VectorGrid3",
     "digitize", "frame_from_direction", "load_grid", "normalize", "save_grid",
     "Decomposition", "Segment", "TangentSpacePolygon", "decompose_centerline",
     "detect_arcs_and_lines", "fit_circle_3d", "tangent_space_transform",
     "TubeAxisError", "ParseError", "UnsupportedFormat", "TooSmall",
-    "EmptyInput", "ZeroDirection", "DegenerateFace", "DomainTooSmall",
+    "EmptyInput", "ZeroDirection", "DegenerateFace", "DomainTooLarge",
     "SeedInvalid", "TooFewPoints", "CoincidentPoint", "DuplicatePoint",
     "Collinear", "SelfIntersecting", "NotClosed", "DegenerateTangent",
     "HeightMap", "TriMesh", "VoxelSet", "heightmap_to_mesh", "load_heightmap",

@@ -33,15 +33,16 @@ vectorized step, those of one voxel (as tracking reads it) one by one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .core import GridDomain, ScalarGrid3, VectorGrid3
-from .errors import DomainTooSmall, EmptyInput
+from .errors import DomainTooLarge, EmptyInput
 
 _STEP_EPS = 1e-9
+_INT64_MAX = np.iinfo(np.int64).max
 # events per direction-replay chunk; a chunk holds whole voxel groups
 _CHUNK = 1 << 14
 _WIDE = 64  # fewest voxel groups replayed in one vectorized step
@@ -83,48 +84,37 @@ class AccumulationParams:
         return int(math.ceil(self.acc_radius / self.gridstep - _STEP_EPS))
 
 
-@dataclass
-class VoteCounts:
-    """Votes per visited voxel: sorted linear ids and their counts.
+class AccumulationResult:
+    """Votes per visited voxel, the seed voxel and the direction sums.
 
-    `acc` is the dense count grid, scattered from the table on first read.
+    `keys` are the sorted int64 linear ids of the visited voxels and
+    `counts` their uint32 votes; `acc` is the dense count grid, scattered
+    from the table on first read. The direction sums are replayed from the
+    kept events where they are read: `direction_at` replays one voxel's
+    row on its first read, `dirs` (the (n_keys, 3) table) every row on
+    first access, with the same bits. A `dirs` table given by hand is read
+    as it is. `directions` is the dense grid scattered from `dirs`. The
+    faces' normals are read by the replay, so they must not change in place.
     """
-
-    domain: GridDomain = field(repr=False)
-    keys: np.ndarray = field(repr=False)    # sorted int64 linear voxel ids
-    counts: np.ndarray = field(repr=False)  # uint32, one per key
-    max_acc: int
-
-    @cached_property
-    def acc(self) -> ScalarGrid3:
-        grid = ScalarGrid3.zeros(self.domain)
-        grid.values.reshape(-1)[self.keys] = self.counts
-        return grid
-
-
-@dataclass(init=False)
-class AccumulationResult(VoteCounts):
-    """Vote counts plus the per-voxel direction sums and the seed voxel.
-
-    The direction sums are replayed from the kept events where they are
-    read: `direction_at` replays one voxel's row on its first read, `dirs`
-    (the (n_keys, 3) table) every row on first access, with the same bits.
-    A `dirs` table given by hand is read as it is. `directions` is the
-    dense grid scattered from `dirs`. The faces' normals are read by the
-    replay, so they must not change in place.
-    """
-
-    max_pt: tuple
 
     def __init__(self, domain, keys, counts, max_acc, max_pt, dirs=None, *,
                  events=None):
-        super().__init__(domain, keys, counts, max_acc)
+        self.domain = domain
+        self.keys = keys
+        self.counts = counts
+        self.max_acc = max_acc
         self.max_pt = max_pt
         # (face_of, bounds, normals, min_norm): see _replay_directions
         self._events = events
         self._rows = {}
         if dirs is not None:
             self.dirs = dirs
+
+    @cached_property
+    def acc(self) -> ScalarGrid3:
+        grid = ScalarGrid3.zeros(self.domain)
+        grid.values.reshape(-1)[self.keys] = self.counts
+        return grid
 
     @cached_property
     def dirs(self) -> np.ndarray:
@@ -150,7 +140,10 @@ class AccumulationResult(VoteCounts):
 
 def accumulation_domain(points, params: AccumulationParams) -> GridDomain:
     """Bounding lattice of the scan: point bbox plus acc_radius and one
-    voxel of margin on every side."""
+    voxel of margin on every side. Every scan starts inside it.
+
+    Raises DomainTooLarge when its voxels cannot all have int64 linear ids.
+    """
     points = np.atleast_2d(points)
     if points.size == 0:
         raise EmptyInput("no points to build a domain around")
@@ -159,8 +152,13 @@ def accumulation_domain(points, params: AccumulationParams) -> GridDomain:
     # several times slower
     lo = np.array([column.min() for column in points.T]) - pad
     hi = np.array([column.max() for column in points.T]) + pad
-    dims = np.maximum(np.ceil((hi - lo) / params.gridstep).astype(int), 1)
-    return GridDomain(origin=lo, gridstep=params.gridstep, dims=tuple(dims))
+    dims = np.maximum(np.ceil((hi - lo) / params.gridstep), 1)
+    if np.any(dims >= 2.0 ** 63):  # the int cast would wrap
+        raise DomainTooLarge(f"a domain of {dims} voxels is too large to index")
+    domain = GridDomain(origin=lo, gridstep=params.gridstep, dims=tuple(dims.astype(int)))
+    if domain.voxel_count > _INT64_MAX:
+        raise DomainTooLarge(f"a domain of {domain.dims} voxels is too large to index")
+    return domain
 
 
 def _march(centers, normals, params, domain):
@@ -170,15 +168,15 @@ def _march(centers, normals, params, domain):
 
     Row s holds every face's position s steps along its ray; face f's s-th
     position is event f * S + s of the sequential visit order. Positions
-    outside the domain get id -1; the domain box is convex, so a ray that
-    exits never re-enters and dropping them is a clean truncation.
+    outside the domain get id -1: a ray starts inside the domain, which is
+    padded by acc_radius, but a non-unit normal can carry it out. The
+    domain box is convex, so a ray that exits never re-enters and dropping
+    those positions is a clean truncation.
 
     Each row is built one axis at a time, in place: the voxel index
     floor(((c + dist * n) - origin) / gridstep) is tested against the
     bounds and added times its stride.
     """
-    if domain.voxel_count > np.iinfo(np.int64).max:
-        raise ValueError(f"domain of {domain.dims} voxels is too large to index")
     n_faces = centers.shape[1]
     strides = domain.strides
     rows = np.empty((params.n_steps, n_faces), dtype=np.int64)
@@ -187,7 +185,7 @@ def _march(centers, normals, params, domain):
     inside = np.empty(n_faces, dtype=bool)
     test = np.empty(n_faces, dtype=bool)
     steps = np.arange(params.n_steps, dtype=float) * params.gridstep
-    for s, (ids, dist) in enumerate(zip(rows, steps)):
+    for ids, dist in zip(rows, steps):
         ids.fill(0)
         inside.fill(True)
         for axis in range(3):
@@ -201,9 +199,6 @@ def _march(centers, normals, params, domain):
             np.copyto(index, pos, casting="unsafe")
             index *= strides[axis]
             ids += index
-        if s == 0 and not inside.all():
-            bad = int(np.flatnonzero(~inside)[0])
-            raise DomainTooSmall(f"scan of face {bad} starts outside the domain")
         ids[~inside] = -1
     return rows
 
@@ -235,9 +230,9 @@ def _group_events(ids, voxel_count):
     rows = np.atleast_2d(ids)
     n_steps = len(rows)
     n_events = rows.size
-    if voxel_count * n_events > np.iinfo(np.int64).max:
-        raise ValueError(f"{n_events} vote events in {voxel_count} voxels "
-                         "overflow the int64 sort keys")
+    if voxel_count * n_events > _INT64_MAX:
+        raise DomainTooLarge(f"{n_events} vote events in {voxel_count} voxels "
+                             "overflow the int64 sort keys")
     for s, row in enumerate(rows):
         row *= n_events
         row += np.arange(s, n_events, n_steps)
@@ -304,22 +299,9 @@ def _replay_directions(face_of, bounds, normals, min_norm, first, stop):
     return out
 
 
-def accumulate_counts(faces, params: AccumulationParams) -> VoteCounts:
-    """Vote counts only: no direction replay, no seed voxel."""
-    if len(faces) == 0:
-        raise EmptyInput("no faces to accumulate")
-    domain = accumulation_domain(faces.centers, params)
-    ids = _march(faces.centers.T.copy(), faces.normals.T.copy(), params,
-                 domain).reshape(-1)
-    ids.sort()
-    _, keys, counts = _runs(ids[np.searchsorted(ids, 0):])
-    return VoteCounts(domain=domain, keys=keys, counts=counts,
-                      max_acc=int(counts.max()))
-
-
-def compute_accumulation(faces, params: AccumulationParams,
-                         domain: GridDomain | None = None) -> AccumulationResult:
-    """Vote table of all scans and the events its directions are replayed from.
+def compute_accumulation(faces, params: AccumulationParams) -> AccumulationResult:
+    """Vote table of all scans over accumulation_domain(faces.centers,
+    params), and the events its directions are replayed from.
 
     max_pt is the voxel whose count first reached the final maximum, in
     scan order (ties on the count value are impossible under the
@@ -327,13 +309,7 @@ def compute_accumulation(faces, params: AccumulationParams,
     """
     if len(faces) == 0:
         raise EmptyInput("no faces to accumulate")
-    if domain is None:
-        domain = accumulation_domain(faces.centers, params)
-    elif domain.gridstep != params.gridstep:
-        # the rays would step at one pitch and be binned at the other
-        raise ValueError(f"domain gridstep {domain.gridstep} differs from "
-                         f"the scan's gridstep {params.gridstep}")
-
+    domain = accumulation_domain(faces.centers, params)
     ids = _march(faces.centers.T.copy(), faces.normals.T.copy(), params, domain)
     n_steps = len(ids)
     order, sorted_ids = _group_events(ids, domain.voxel_count)

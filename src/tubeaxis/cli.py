@@ -93,7 +93,8 @@ _STAGE_OPTIONS = {
     "track": (
         ("--track-step", "centerline sampling step (default: radius)"),
         ("--inside-threshold",
-         "fraction of the seed accumulation required to continue"),
+         "fraction of the run's reference vote level (lower quartile of the "
+         "accepted points) required to continue"),
         ("--max-angle", "max turning angle per step, radians"),
     ),
     "refine": (

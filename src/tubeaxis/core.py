@@ -91,10 +91,6 @@ class GridDomain:
             raise ValueError("dims must be positive")
 
     @property
-    def shape(self):
-        return self.dims
-
-    @property
     def voxel_count(self):
         nx, ny, nz = self.dims
         return nx * ny * nz

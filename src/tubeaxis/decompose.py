@@ -25,13 +25,13 @@ class TangentSpacePolygon:
     """Length/turn plot of a polyline.
 
     lengths[i] is |C_i C_{i+1}|; alphas[i] is the unsigned turn at vertex i
-    (alphas[0] = 0 by convention); T is the staircase polygon and midpoints
-    holds the per-segment midpoints of its horizontal edges.
+    (alphas[0] = 0 by convention); midpoints[i] is (arclength at the middle
+    of segment i, total turn up to vertex i): the midpoint of segment i's
+    horizontal edge in the staircase plot.
     """
 
     lengths: np.ndarray
     alphas: np.ndarray
-    T: np.ndarray
     midpoints: np.ndarray
 
 
@@ -76,17 +76,9 @@ def tangent_space_transform(points) -> TangentSpacePolygon:
     cosang = np.clip(np.einsum("ij,ij->i", units[:-1], units[1:]), -1.0, 1.0)
     alphas = np.concatenate([[0.0], np.arccos(cosang)])
 
-    cum_len = np.concatenate([[0.0], np.cumsum(lengths)])
-    cum_turn = np.cumsum(alphas)
-    # staircase: one horizontal edge per segment, vertical jumps at vertices
-    T = [(0.0, 0.0)]
-    for i in range(1, n):
-        T.append((cum_len[i], cum_turn[i - 1]))
-        T.append((cum_len[i], cum_turn[i]))
-    T.append((cum_len[n], cum_turn[n - 1]))
-    midpoints = np.column_stack([cum_len[:-1] + lengths / 2.0, cum_turn])
-    return TangentSpacePolygon(lengths=lengths, alphas=alphas,
-                               T=np.asarray(T), midpoints=midpoints)
+    cum_len = np.concatenate([[0.0], np.cumsum(lengths)[:-1]])
+    midpoints = np.column_stack([cum_len + lengths / 2.0, np.cumsum(alphas)])
+    return TangentSpacePolygon(lengths=lengths, alphas=alphas, midpoints=midpoints)
 
 
 def _line_max_deviation(pts2):

@@ -38,8 +38,8 @@ class DegenerateFace(TubeAxisError):
     pass
 
 
-class DomainTooSmall(TubeAxisError):
-    pass
+class DomainTooLarge(TubeAxisError):
+    """The voxel lattice of a scan, or its vote events, overflow int64 ids."""
 
 
 class SeedInvalid(TubeAxisError):

@@ -50,7 +50,6 @@ class TriMesh:
     ----------
     vertices : (V, 3) float array
     faces : (F, 3) int array of vertex indices
-    face_normals : optional (F, 3) unit normals carried from construction
 
     The face geometry is computed on first use and kept, so vertices and
     faces must not be modified in place after it.
@@ -58,7 +57,6 @@ class TriMesh:
 
     vertices: np.ndarray
     faces: np.ndarray
-    face_normals: np.ndarray | None = None
     _geometry: FaceGeometry | None = field(default=None, init=False, repr=False,
                                            compare=False)
 
@@ -67,8 +65,6 @@ class TriMesh:
         self.faces = np.asarray(self.faces, dtype=np.int64).reshape(-1, 3)
         if self.faces.size and self.faces.max() >= len(self.vertices):
             raise ValueError("face index exceeds vertex count")
-        if self.face_normals is not None:
-            self.face_normals = np.asarray(self.face_normals, dtype=float).reshape(-1, 3)
 
     @property
     def n_vertices(self):
@@ -98,9 +94,6 @@ class TriMesh:
             self._geometry = FaceGeometry(cross, np.linalg.norm(cross, axis=1),
                                           (a + b + c) / 3.0, longest)
         return self._geometry
-
-    def face_areas(self):
-        return 0.5 * self.geometry().norms
 
     def bounding_box(self):
         return self.vertices.min(axis=0), self.vertices.max(axis=0)

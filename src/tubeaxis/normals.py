@@ -51,20 +51,14 @@ class OrientedFaceSet:
 
 def face_normals(mesh) -> OrientedFaceSet:
     """Exact per-face normals, centroids and areas of a triangle mesh, from
-    its face geometry (TriMesh.geometry, computed once per mesh).
-
-    If the mesh carries precomputed unit normals they take precedence over
-    the cross-product orientation.
-    """
+    its face geometry (TriMesh.geometry, computed once per mesh)."""
     geometry = mesh.geometry()
     norms = geometry.norms
     if np.any(norms <= 1e-12):
         bad = int(np.argmin(norms))
         raise DegenerateFace(f"face {bad} has zero area")
-    normals = geometry.cross / norms[:, None]
-    if mesh.face_normals is not None and len(mesh.face_normals) == len(normals):
-        normals = mesh.face_normals / np.linalg.norm(mesh.face_normals, axis=1)[:, None]
-    return OrientedFaceSet(geometry.centers, normals, 0.5 * norms)
+    return OrientedFaceSet(geometry.centers, geometry.cross / norms[:, None],
+                           0.5 * norms)
 
 
 def digital_surface_faces(voxels) -> OrientedFaceSet:
@@ -232,14 +226,14 @@ def _ball_neighbourhoods(centers, radius):
     return counts, keys.astype(np.intp)
 
 
-def orient_inward(faces: OrientedFaceSet, mesh=None, mode="auto",
+def orient_inward(faces: OrientedFaceSet, mode="auto",
                   radius=None) -> OrientedFaceSet:
     """Resolve the global inward/outward ambiguity of a face set.
 
     mode="flip" negates all normals, mode="keep" returns the input as is,
-    and mode="auto" counts the votes of both orientations on a lattice of
-    step radius/3 (no directions) and keeps whichever concentrates more
-    votes (inward scans pile up on the axis, outward scans disperse). A
+    and mode="auto" accumulates both orientations on a lattice of step
+    radius/3 (replaying no direction) and keeps the one with the higher
+    max_acc (inward scans pile up on the axis, outward scans disperse). A
     tie raises SeedInvalid: the probe cannot tell the orientations apart.
     """
     if mode == "keep":
@@ -249,7 +243,7 @@ def orient_inward(faces: OrientedFaceSet, mesh=None, mode="auto",
     if mode != "auto":
         raise ValueError(f"unknown orientation mode {mode!r}")
 
-    from .accumulate import AccumulationParams, accumulate_counts
+    from .accumulate import AccumulationParams, compute_accumulation
 
     if radius is None:
         extent = float((column_max(faces.centers) - column_min(faces.centers)).max())
@@ -258,8 +252,8 @@ def orient_inward(faces: OrientedFaceSet, mesh=None, mode="auto",
     # long tubes one-voxel scans, on which both orientations tie
     params = AccumulationParams(radius=radius, epsilon=0.0, gridstep=radius / 3.0)
     flipped = faces.flipped()
-    kept_max = accumulate_counts(faces, params).max_acc
-    flipped_max = accumulate_counts(flipped, params).max_acc
+    kept_max = compute_accumulation(faces, params).max_acc
+    flipped_max = compute_accumulation(flipped, params).max_acc
     if kept_max == flipped_max:
         raise SeedInvalid(f"orientation probe ties at {kept_max} votes; "
                           "pass the orientation explicitly")

@@ -192,6 +192,5 @@ def optimize_centerline(centerline, faces, radius, acc_radius, track_step,
                                       weights=areas if area_weighting else None)
         refined[i] = True
     dirs = _polyline_directions(pts, centerline.closed)
-    return Centerline(points=pts, directions=dirs,
-                      source_max_pt=centerline.source_max_pt,
-                      closed=centerline.closed, refined=refined)
+    return Centerline(points=pts, directions=dirs, closed=centerline.closed,
+                      refined=refined)

@@ -39,7 +39,6 @@ _LOWER = ((0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2))
 class Centerline:
     points: np.ndarray
     directions: np.ndarray
-    source_max_pt: tuple | None = None
     closed: bool = False
     refined: np.ndarray | None = field(default=None, repr=False)
 
@@ -350,5 +349,4 @@ def extract_centerline(res, track_step, acc_radius, inside_threshold=0.5,
     if not closed and len(points) > 2:
         closed = np.linalg.norm(points[0] - points[-1]) < track_step
     dirs = _polyline_directions(points, closed)
-    return Centerline(points=points, directions=dirs,
-                      source_max_pt=res.max_pt, closed=closed)
+    return Centerline(points=points, directions=dirs, closed=closed)

@@ -126,8 +126,8 @@ def rank_replay(faces, params, domain):
     return keys, counts, dirs
 
 
-def _assert_matches_rank_replay(faces, params, domain=None):
-    res = tx.compute_accumulation(faces, params, domain=domain)
+def _assert_matches_rank_replay(faces, params):
+    res = tx.compute_accumulation(faces, params)
     ids = _march(faces.centers.T.copy(), faces.normals.T.copy(), params, res.domain)
     assert ids.T.tobytes() == rowwise_march(faces, params, res.domain).tobytes()
     keys, counts, dirs = rank_replay(faces, params, res.domain)
@@ -137,9 +137,9 @@ def _assert_matches_rank_replay(faces, params, domain=None):
     return res
 
 
-def _random_faces(rng, n, box=10.0):
+def _random_faces(rng, n, box=10.0, length=1.0):
     centers = rng.uniform(0, box, size=(n, 3))
-    normals = random_unit_vectors(rng, n)
+    normals = length * random_unit_vectors(rng, n)
     return tx.OrientedFaceSet(centers, normals, np.ones(n))
 
 
@@ -227,15 +227,6 @@ def test_empty_faces_raise():
         tx.compute_accumulation(faces, tx.AccumulationParams(radius=1.0))
 
 
-def test_face_outside_domain_raises():
-    faces = tx.OrientedFaceSet(np.array([[50.0, 0, 0]]),
-                               np.array([[1.0, 0, 0]]), np.ones(1))
-    params = tx.AccumulationParams(radius=1.0, gridstep=1.0)
-    dom = tx.GridDomain(origin=np.zeros(3), gridstep=1.0, dims=(4, 4, 4))
-    with pytest.raises(tx.DomainTooSmall):
-        tx.compute_accumulation(faces, params, domain=dom)
-
-
 def test_packed_sort_groups_events_like_a_stable_argsort():
     rng = np.random.default_rng(12)
     for n_voxels in (1, 7, 5000):
@@ -266,20 +257,29 @@ def test_packed_sort_keys_fit_int64_up_to_the_limit():
     order, sorted_ids = _group_events(ids.copy(), n_voxels)
     assert order.tolist() == [2, 0, 3]
     assert sorted_ids.tolist() == [0, n_voxels - 1, n_voxels - 1]
-    with pytest.raises(ValueError, match="overflow"):
+    with pytest.raises(tx.DomainTooLarge, match="overflow"):
         _group_events(ids, n_voxels + 1)
 
 
 def test_packed_sort_overflow_is_loud():
-    # 2**62 voxels index fine, but 2 faces x 2 steps of events do not fit
-    # the packed keys; nothing of the domain's size is allocated
-    faces = tx.OrientedFaceSet(np.array([[5.0, 5.0, 5.0], [6.0, 5.0, 5.0]]),
+    # faces this far apart span about 2**62 voxels, which index fine, but
+    # 2 faces x 2 steps of events do not fit the packed keys; nothing of
+    # the domain's size is allocated
+    faces = tx.OrientedFaceSet(np.array([[0.0, 0, 0], [2.0 ** 21, 2.0 ** 21, 2.0 ** 20]]),
                                np.array([[1.0, 0, 0], [-1.0, 0, 0]]), np.ones(2))
     params = tx.AccumulationParams(radius=1.0, gridstep=1.0)
-    dom = tx.GridDomain(origin=np.zeros(3), gridstep=1.0,
-                        dims=(2 ** 21, 2 ** 21, 2 ** 20))
-    with pytest.raises(ValueError, match="overflow"):
-        tx.compute_accumulation(faces, params, domain=dom)
+    assert 2 ** 62 < accumulation_domain(faces.centers, params).voxel_count < 2 ** 63
+    with pytest.raises(tx.DomainTooLarge, match="overflow"):
+        tx.compute_accumulation(faces, params)
+
+
+def test_domain_too_large_to_index_is_loud():
+    faces = tx.OrientedFaceSet(np.array([[0.0, 0, 0], [1e7, 1e7, 1e7]]),
+                               np.array([[1.0, 0, 0], [-1.0, 0, 0]]), np.ones(2))
+    for gridstep in (0.01, 1e-300):  # 1e27 voxels; dims past the int64 range
+        params = tx.AccumulationParams(radius=1.0, gridstep=gridstep)
+        with pytest.raises(tx.DomainTooLarge, match="too large to index"):
+            tx.compute_accumulation(faces, params)
 
 
 def test_bad_params_rejected():
@@ -344,22 +344,12 @@ def test_table_matches_dense_grids_on_bent_tube(bent_pipe):
 
 
 def test_table_matches_dense_grids_when_rays_leave_the_domain():
-    faces = _random_faces(np.random.default_rng(4), 80, box=6.0)
+    # normals of length 3 march three times acc_radius, past the padding
+    faces = _random_faces(np.random.default_rng(4), 80, box=6.0, length=3.0)
     params = tx.AccumulationParams(radius=4.0, gridstep=0.5)
-    # just big enough for the ray starts; most rays run out of the box
-    dom = tx.GridDomain(origin=np.zeros(3), gridstep=0.5, dims=(12, 12, 12))
-    res = tx.compute_accumulation(faces, params, domain=dom)
+    res = tx.compute_accumulation(faces, params)
     assert res.counts.sum() < len(faces) * params.n_steps
     _assert_table_matches_dense(res, faces, params)
-
-
-def test_counts_only_matches_the_full_table(bent_pipe):
-    res = bent_pipe["result"]
-    counts = tx.accumulate_counts(bent_pipe["faces"], bent_pipe["params"])
-    assert np.array_equal(counts.keys, res.keys)
-    assert np.array_equal(counts.counts, res.counts)
-    assert counts.max_acc == res.max_acc
-    assert counts.acc.values.tobytes() == res.acc.values.tobytes()
 
 
 def test_tracking_never_builds_the_dense_grids():
@@ -450,11 +440,10 @@ def test_voxel_whose_first_pairs_fail_the_gate():
 
 def test_replay_edge_cases_match_the_rank_replay():
     rng = np.random.default_rng(4)
+    # long normals: rays that run out of the domain
+    _assert_matches_rank_replay(_random_faces(rng, 80, box=6.0, length=3.0),
+                                tx.AccumulationParams(radius=4.0, gridstep=0.5))
     faces = _random_faces(rng, 80, box=6.0)
-    # rays that run out of a box just big enough for their starts
-    _assert_matches_rank_replay(
-        faces, tx.AccumulationParams(radius=4.0, gridstep=0.5),
-        tx.GridDomain(origin=np.zeros(3), gridstep=0.5, dims=(12, 12, 12)))
     one_step = tx.AccumulationParams(radius=0.5, epsilon=0.0, gridstep=1.0)
     assert one_step.n_steps == 1
     _assert_matches_rank_replay(faces, one_step)
@@ -470,14 +459,6 @@ def test_replay_chunks_hold_whole_voxel_groups(monkeypatch, chunk):
     res = _assert_matches_rank_replay(_diagonal_tube(12.0),
                                       tx.AccumulationParams(radius=3.0, gridstep=1.0))
     assert res.max_acc > 8
-
-
-def test_domain_with_another_gridstep_is_rejected():
-    faces = _random_faces(np.random.default_rng(3), 10, box=2.0)
-    params = tx.AccumulationParams(radius=1.0, gridstep=0.5)
-    dom = tx.GridDomain(origin=np.full(3, -3.0), gridstep=1.0, dims=(8, 8, 8))
-    with pytest.raises(ValueError, match="gridstep"):
-        tx.compute_accumulation(faces, params, domain=dom)
 
 
 def _capped_voxel_tube():

@@ -91,6 +91,32 @@ def test_pipeline_failure_is_exit_2(tmp_path):
     assert rc == 2
 
 
+@pytest.fixture(params=["far-triangles", "huge-radius"])
+def domain_too_large_args(request, tmp_path):
+    """Inputs whose accumulation lattice has more voxels than int64 ids."""
+    if request.param == "far-triangles":
+        far = tmp_path / "far.off"
+        far.write_text("OFF\n6 2 0\n0 0 0\n1 0 0\n0 1 0\n"
+                       "10000000 10000000 10000000\n10000001 10000000 10000000\n"
+                       "10000000 10000001 10000000\n3 0 1 2\n3 3 4 5\n")
+        return ["--input", far, "--radius", 1, "--gridstep", 0.01]
+    assert run(["synth", "--spec", "S:20", "--radius", 2,
+                "--out-dir", tmp_path / "synth"]) == 0
+    return ["--input", tmp_path / "synth" / "tube.off", "--radius", 1e12]
+
+
+@pytest.mark.parametrize("orient", ["auto", "keep"])
+def test_domain_too_large_is_exit_2(domain_too_large_args, tmp_path, capsys,
+                                    orient):
+    # each once ended in a ValueError traceback; the far triangles fail
+    # in the orientation probe under auto, the rest in the accumulate stage
+    rc = run(["pipeline", *domain_too_large_args, "--orient", orient,
+              "--out-dir", tmp_path / "out"])
+    assert rc == 2
+    assert "pipeline failure: DomainTooLarge" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
 @pytest.mark.parametrize("value", ["0", "-1.5", "nan", "inf"])
 def test_bad_normal_radius_is_exit_1(tmp_path, capsys, value):
     vox = tmp_path / "v.xyz"

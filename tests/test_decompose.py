@@ -51,11 +51,9 @@ def test_staircase_shape():
     assert tsp.lengths.shape == (3,)
     assert tsp.alphas[1] == pytest.approx(0.0)
     assert tsp.alphas[2] == pytest.approx(math.pi / 2)
-    # T walks right along x and only jumps at vertices
-    assert np.all(np.diff(tsp.T[:, 0]) >= 0)
-    assert np.all(np.diff(tsp.T[:, 1]) >= 0)
-    assert tsp.T[0].tolist() == [0.0, 0.0]
-    assert tsp.T[-1].tolist() == [3.0, math.pi / 2]
+    # the middle of each segment's horizontal edge in the staircase plot
+    assert tsp.midpoints == pytest.approx(np.array([[0.5, 0.0], [1.5, 0.0],
+                                                    [2.5, math.pi / 2]]))
 
 
 def test_degenerate_polylines_rejected():

@@ -156,3 +156,8 @@ def test_each_setting_reaches_only_its_stage(cylinder, monkeypatch):
     assert r.acc_params.min_norm == 0.3 and r.acc_params.epsilon == 0.7
     # sides=8 gives 8-vertex rings
     assert r.tube.n_vertices == 8 * len(r.centerline)
+
+
+def test_every_public_name_resolves_once():
+    assert [name for name in tx.__all__ if not hasattr(tx, name)] == []
+    assert sorted(tx.__all__) == sorted(set(tx.__all__))
