@@ -39,7 +39,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import GridDomain, ScalarGrid3, VectorGrid3
-from .errors import DomainTooLarge, EmptyInput
+from .errors import DomainTooLarge, EmptyInput, TooSmall
 
 _STEP_EPS = 1e-9
 _INT64_MAX = np.iinfo(np.int64).max
@@ -240,7 +240,9 @@ def _group_events(ids, voxel_count):
     packed.sort()
     packed = packed[np.searchsorted(packed, 0):]
     sorted_ids = packed // n_events
-    return np.remainder(packed, n_events, out=packed), sorted_ids
+    # the remainder, which np.remainder computes several times slower
+    packed -= sorted_ids * n_events
+    return packed, sorted_ids
 
 
 def _replay_directions(face_of, bounds, normals, min_norm, first, stop):
@@ -303,12 +305,17 @@ def compute_accumulation(faces, params: AccumulationParams) -> AccumulationResul
     """Vote table of all scans over accumulation_domain(faces.centers,
     params), and the events its directions are replayed from.
 
+    Raises TooSmall when acc_radius is too short for one scan step.
+
     max_pt is the voxel whose count first reached the final maximum, in
     scan order (ties on the count value are impossible under the
     strictly-greater update rule this mirrors).
     """
     if len(faces) == 0:
         raise EmptyInput("no faces to accumulate")
+    if params.n_steps == 0:
+        raise TooSmall(f"acc_radius {params.acc_radius:g} is too small for a scan "
+                       f"step at gridstep {params.gridstep:g}")
     domain = accumulation_domain(faces.centers, params)
     ids = _march(faces.centers.T.copy(), faces.normals.T.copy(), params, domain)
     n_steps = len(ids)

@@ -18,6 +18,9 @@ from .errors import DegenerateFace, EmptyInput, SeedInvalid
 
 _CELL_MARGIN = 1e-9  # relative cell padding, so rounding never drops a pair
 _CHUNK_PAIRS = 1 << 16  # candidate pairs tested, or neighbour pairs gathered, at once
+# closed-form eigenvectors need the two smallest eigenvalues this far
+# apart, relative to the largest eigenvalue magnitude; eigh solves the rest
+_MIN_GAP = 1e-2
 
 _FACET_DIRS = np.array([
     [1, 0, 0], [-1, 0, 0],
@@ -74,12 +77,15 @@ def digital_surface_faces(voxels) -> OrientedFaceSet:
     if len(pts) == 0:
         raise EmptyInput("voxel set is empty")
     keys, strides = _lattice_keys(pts)
-    # a neighbour p+d is set iff its key is among the sorted voxel keys
-    nbr = keys[:, None] + _FACET_DIRS @ strides
-    sorted_keys = np.sort(keys)
+    # a neighbour p+d is set iff its key is among the sorted voxel keys;
+    # load_volume's points come in key order, so the sort is usually done
+    sorted_keys = keys if np.all(keys[:-1] <= keys[1:]) else np.sort(keys)
+    # one row of needles per direction: sorted like the keys, which
+    # searchsorted walks faster than interleaved ones
+    nbr = (_FACET_DIRS @ strides)[:, None] + keys
     pos = np.searchsorted(sorted_keys, nbr)
     absent = sorted_keys[np.minimum(pos, len(pts) - 1)] != nbr
-    vox, facet = np.nonzero(absent)
+    vox, facet = np.nonzero(absent.T)
     dirs = _FACET_DIRS[facet]
     return OrientedFaceSet(pts[vox] + 0.5 + 0.5 * dirs,
                            dirs.astype(float),
@@ -134,9 +140,13 @@ def estimate_digital_normals(faces: OrientedFaceSet, radius: float) -> OrientedF
     One stable sort of the neighbourhood sizes groups the facets by size
     k, in facet order within a group. A group is taken in batches of
     about _CHUNK_PAIRS neighbour pairs; each batch's (m, 3, k) block of
-    neighbour coordinates is taken one axis at a time, and its covariances
-    go through one batched eigh; the arithmetic is that of np.cov with
-    bias=True, so every normal equals the per-facet computation bit for bit.
+    neighbour coordinates is taken one axis at a time, and its covariances,
+    with np.cov's arithmetic (bias=True), go into one (n, 3, 3) array. Then
+    _least_eigenvector solves all of them at once in closed form, and the
+    sign step runs once over all rows. The eigenvectors are not LAPACK's
+    bit for bit: they agree with np.linalg.eigh's to about 1e-15 where the
+    two smallest eigenvalues are apart, and are eigh's own where they are
+    not (see _least_eigenvector).
     """
     centers = faces.centers
     counts, members = _ball_neighbourhoods(centers, float(radius))
@@ -145,29 +155,81 @@ def estimate_digital_normals(faces: OrientedFaceSet, radius: float) -> OrientedF
     columns = [np.ascontiguousarray(centers[:, axis]) for axis in range(3)]
     by_size = np.argsort(counts, kind="stable")
     sizes = counts[by_size]
-    first = np.flatnonzero(np.diff(sizes, prepend=-1))
+    # the facets with 3 or more neighbours, by size: a suffix of by_size
+    skip = int(np.searchsorted(sizes, 3))
+    solved = by_size[skip:]
+    cov = np.empty((len(solved), 3, 3))
+    first = skip + np.flatnonzero(np.diff(sizes[skip:], prepend=-1))
     for lo, hi in zip(first, np.r_[first[1:], len(sizes)]):
         k = int(sizes[lo])
-        if k < 3:
-            continue
         # a group in batches of about _CHUNK_PAIRS pairs, so that on flat
         # surfaces, where most facets share one size, the group's block
         # does not set the peak; every facet's numbers are its own
         batch = max(_CHUNK_PAIRS // k, 1)
-        for rows in np.split(by_size[lo:hi], np.arange(batch, hi - lo, batch)):
+        for at in range(lo, hi, batch):
+            stop = min(at + batch, hi)
+            rows = by_size[at:stop]
             idx = members[starts[rows, None] + np.arange(k)]
             # (m, 3, k): the k neighbour centers of each facet, centred
             local = np.empty((len(rows), 3, k))
             for axis, column in enumerate(columns):
                 np.take(column, idx, out=local[:, axis, :])
             local -= local.mean(axis=2, keepdims=True)
-            cov = local @ local.transpose(0, 2, 1)
-            cov *= 1.0 / k
-            n = np.linalg.eigh(cov)[1][:, :, 0]
-            # sign-match to outward, then flip inward
-            opposed = (n * faces.normals[rows]).sum(axis=1) < 0
-            normals[rows] = np.where(opposed[:, None], n, -n)
+            block = cov[at - skip:stop - skip]
+            np.matmul(local, local.transpose(0, 2, 1), out=block)
+            block *= 1.0 / k
+    n = _least_eigenvector(cov)
+    # sign-match to outward, then flip inward
+    opposed = (n * faces.normals[solved]).sum(axis=1) < 0
+    normals[solved] = np.where(opposed[:, None], n, -n)
     return OrientedFaceSet(centers, normals, faces.areas)
+
+
+def _least_eigenvector(cov):
+    """(n, 3) unit eigenvectors of the smallest eigenvalues of the
+    symmetric (n, 3, 3) matrices `cov`.
+
+    The eigenvalues are the trigonometric roots of the characteristic
+    cubic (Smith, CACM 1961): with q = trace/3 and p = |cov - qI|_F/sqrt(6),
+    they are q + 2p cos(phi + 2 pi j/3), j = 0, 1, 2, where
+    phi = arccos(det((cov - qI)/p)/2)/3. The eigenvector of the smallest,
+    lo, is the longest cross product of two rows of cov - lo I (Kopp,
+    2008). Its error grows as the gap to the middle eigenvalue shrinks, so
+    rows whose two smallest eigenvalues differ by no more than _MIN_GAP of
+    the largest eigenvalue magnitude (zero, isotropic and rank-1 matrices
+    among them), and rows whose longest cross product is zero or not
+    finite, take np.linalg.eigh's eigenvector instead.
+    """
+    m = len(cov)
+    # the lower triangle, which np.linalg.eigh reads too
+    a, _, _, d, b, _, e, f, c = cov.reshape(m, 9).T.copy()
+    with np.errstate(all="ignore"):
+        q = (a + b + c) / 3.0
+        a0, b0, c0 = a - q, b - q, c - q
+        p = np.sqrt((a0 * a0 + b0 * b0 + c0 * c0 + 2.0 * (d * d + e * e + f * f)) / 6.0)
+        det = a0 * (b0 * c0 - f * f) - d * (d * c0 - f * e) + e * (d * f - b0 * e)
+        phi = np.arccos(np.clip(det / (2.0 * p * p * p), -1.0, 1.0)) / 3.0
+        lo = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
+        hi = q + 2.0 * p * np.cos(phi)
+        gap = (3.0 * q - lo - hi) - lo  # the middle eigenvalue minus lo
+        # the rows of cov - lo I, crossed pairwise: (pair, component, row)
+        a0, b0, c0 = a - lo, b - lo, c - lo
+        crosses = np.array([
+            [d * f - e * b0, e * d - a0 * f, a0 * b0 - d * d],
+            [d * c0 - e * f, e * e - a0 * c0, a0 * f - d * e],
+            [b0 * c0 - f * f, f * e - d * c0, d * f - b0 * e],
+        ])
+        x, y, z = crosses.transpose(1, 0, 2)
+        lengths = np.sqrt(x * x + y * y + z * z)
+        longest = np.argmax(lengths, axis=0)
+        rows = np.arange(m)
+        length = lengths[longest, rows]
+        v = crosses[longest, :, rows] / length[:, None]
+        fallback = ~((gap > _MIN_GAP * np.maximum(np.abs(lo), np.abs(hi)))
+                     & (length > 0) & (length < np.inf))
+    if fallback.any():
+        v[fallback] = np.linalg.eigh(cov[fallback])[1][:, :, 0]
+    return v
 
 
 def _ball_neighbourhoods(centers, radius):
@@ -222,7 +284,8 @@ def _ball_neighbourhoods(centers, radius):
     keys = keys[:used]
     keys.sort()
     counts = np.diff(np.searchsorted(keys, np.arange(n + 1, dtype=key_type) * key_type(n)))
-    np.remainder(keys, key_type(n), out=keys)
+    # keys mod n, which np.remainder computes several times slower
+    keys -= keys // key_type(n) * key_type(n)
     return counts, keys.astype(np.intp)
 
 

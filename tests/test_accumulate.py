@@ -227,6 +227,14 @@ def test_empty_faces_raise():
         tx.compute_accumulation(faces, tx.AccumulationParams(radius=1.0))
 
 
+def test_scan_without_a_step_raises_too_small():
+    faces = tx.OrientedFaceSet(np.zeros((2, 3)), np.eye(3)[:2], np.ones(2))
+    params = tx.AccumulationParams(radius=1e-12, gridstep=1.0)
+    assert params.n_steps == 0
+    with pytest.raises(tx.TooSmall, match="acc_radius .* gridstep"):
+        tx.compute_accumulation(faces, params)
+
+
 def test_packed_sort_groups_events_like_a_stable_argsort():
     rng = np.random.default_rng(12)
     for n_voxels in (1, 7, 5000):

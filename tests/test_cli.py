@@ -117,6 +117,20 @@ def test_domain_too_large_is_exit_2(domain_too_large_args, tmp_path, capsys,
     assert not (tmp_path / "out" / "summary.json").exists()
 
 
+def test_scan_without_a_step_is_exit_2(tmp_path, capsys):
+    # acc_radius below 1e-9 gridstep leaves no scan step; this once ended
+    # in a ValueError traceback from the vote count
+    assert run(["synth", "--spec", "S:20", "--radius", 2,
+                "--out-dir", tmp_path / "synth"]) == 0
+    rc = run(["pipeline", "--input", tmp_path / "synth" / "tube.off",
+              "--radius", 1e-12, "--orient", "keep", "--out-dir", tmp_path / "out"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "pipeline failure: TooSmall: acc_radius" in err
+    assert "gridstep" in err and "Traceback" not in err
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
 @pytest.mark.parametrize("value", ["0", "-1.5", "nan", "inf"])
 def test_bad_normal_radius_is_exit_1(tmp_path, capsys, value):
     vox = tmp_path / "v.xyz"

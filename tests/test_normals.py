@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 import tubeaxis as tx
@@ -25,20 +27,36 @@ def _facets_by_set_lookup(points):
             np.asarray(normals, dtype=float).reshape(-1, 3))
 
 
-def _normals_by_facet_cov(faces, radius):
-    """Reference: one np.cov and one eigh per facet."""
+def _facet_covariances(faces, radius):
+    """(n, 3, 3) np.cov (bias=True) of each facet's neighbour centers, and
+    the facets with 3 or more neighbours."""
     centers = faces.centers
     neighborhoods = cKDTree(centers).query_ball_point(centers, r=float(radius))
+    rows = np.array([i for i, idx in enumerate(neighborhoods) if len(idx) >= 3],
+                    dtype=np.intp)
+    cov = np.array([np.cov(centers[neighborhoods[i]].T, bias=True) for i in rows])
+    return cov.reshape(-1, 3, 3), rows
+
+
+def _signed_inward(faces, rows, n):
+    """Negated provisional normals, with row i's vector n[i] signed to
+    match its provisional normal, then flipped inward."""
     normals = -faces.normals
-    for i, idx in enumerate(neighborhoods):
-        if len(idx) < 3:
-            continue
-        w, v = np.linalg.eigh(np.cov(centers[idx].T, bias=True))
-        n = v[:, 0]
-        if np.dot(n, faces.normals[i]) < 0:
-            n = -n
-        normals[i] = -n
+    for i, v in zip(rows, n):
+        normals[i] = v if np.dot(v, faces.normals[i]) < 0 else -v
     return normals
+
+
+def _normals_by_facet_cov(faces, radius):
+    """Reference: one np.cov per facet and one closed-form solve of them all."""
+    cov, rows = _facet_covariances(faces, radius)
+    return _signed_inward(faces, rows, normals._least_eigenvector(cov))
+
+
+def _normals_by_facet_eigh(faces, radius):
+    """Reference: one np.cov and one eigh per facet, as LAPACK solves it."""
+    cov, rows = _facet_covariances(faces, radius)
+    return _signed_inward(faces, rows, [np.linalg.eigh(c)[1][:, 0] for c in cov])
 
 
 def _assert_facets_match_reference(points):
@@ -104,6 +122,22 @@ def test_facets_match_set_lookup_on_random_blobs():
     for _ in range(5):
         pts = rng.integers(-4, 5, size=(rng.integers(1, 120), 3))
         _assert_facets_match_reference(pts)
+
+
+def test_facets_match_set_lookup_with_shuffled_points():
+    # voxelize (like load_volume) gives the points in key order, which
+    # skips the key sort; shuffled points take it
+    mesh, _ = tx.gen_tube(tx.parse_tube_spec("S:12,A:8:60,S:6"), 3.0, 1.0,
+                          cap_ends=True)
+    pts = tx.voxelize(mesh, 1.0).points
+    keys = normals._lattice_keys(np.asarray(pts, dtype=np.int64))[0]
+    assert np.all(keys[1:] > keys[:-1])
+    rng = np.random.default_rng(8)
+    for _ in range(3):
+        shuffled = pts[rng.permutation(len(pts))]
+        keys = normals._lattice_keys(np.asarray(shuffled, dtype=np.int64))[0]
+        assert not np.all(keys[1:] >= keys[:-1])
+        _assert_facets_match_reference(shuffled)
 
 
 def test_facets_with_duplicate_points():
@@ -180,6 +214,107 @@ def test_estimated_normals_match_per_facet_cov_on_capped_tube(radius):
     fs = _assert_facets_match_reference(tx.voxelize(mesh, 1.0).points)
     est = tx.estimate_digital_normals(fs, radius)
     assert np.array_equal(est.normals, _normals_by_facet_cov(fs, radius))
+
+
+def _capped_tube_facets():
+    mesh, _ = tx.gen_tube(tx.parse_tube_spec("S:12,A:8:60,S:6"), 3.0, 1.0,
+                          cap_ends=True)
+    return tx.digital_surface_faces(tx.voxelize(mesh, 1.0))
+
+
+def _assert_equal_up_to_sign(v, w, tol):
+    err = np.minimum(np.abs(v - w).max(axis=1), np.abs(v + w).max(axis=1))
+    assert err.max() <= tol
+
+
+@pytest.fixture()
+def eigh_rows(monkeypatch):
+    """The number of matrices of each np.linalg.eigh call, in call order."""
+    rows, eigh = [], np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        rows.append(len(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    return rows
+
+
+@pytest.mark.parametrize("facets,radius,fallback", [
+    # the tube's two smallest eigenvalues are always apart; the mixed
+    # voxels' rods and corners give rank-deficient covariances too
+    *(pytest.param(_capped_tube_facets, r, False, id=f"tube-{r}") for r in (2.0, 3.0)),
+    *(pytest.param(lambda: tx.digital_surface_faces(tx.VoxelSet(_mixed_voxels())), r,
+                   None, id=f"mixed-{r}") for r in (0.9, 1.0, 1.6, 2.5)),
+])
+def test_closed_form_eigenvectors_agree_with_eigh(eigh_rows, facets, radius, fallback):
+    fs = facets()
+    est = tx.estimate_digital_normals(fs, radius)
+    if fallback is False:
+        assert eigh_rows == []
+    cov, _ = _facet_covariances(fs, radius)
+    _assert_equal_up_to_sign(normals._least_eigenvector(cov),
+                             np.linalg.eigh(cov)[1][:, :, 0], 1e-12)
+    _assert_equal_up_to_sign(est.normals, _normals_by_facet_eigh(fs, radius), 1e-12)
+
+
+def _line_of_facets(direction, n=5):
+    centers = np.arange(n)[:, None] * np.asarray(direction, dtype=float)
+    return tx.OrientedFaceSet(centers, np.tile([0.0, 0.0, 1.0], (n, 1)), np.ones(n))
+
+
+@pytest.mark.parametrize("faces,radius", [
+    # every facet sees all the others: rank-1, isotropic and zero covariances
+    (_line_of_facets([1, 0, 0]), 10.0),
+    (_line_of_facets([0.3, -1.7, 2.9]), 20.0),
+    (tx.OrientedFaceSet(np.vstack([np.eye(3), -np.eye(3)]),
+                        np.vstack([np.eye(3), -np.eye(3)]), np.ones(6)), 2.5),
+    (tx.OrientedFaceSet(np.tile([1.5, -2.0, 3.0], (4, 1)),
+                        np.tile([0.0, 1.0, 0.0], (4, 1)), np.ones(4)), 1.0),
+], ids=["collinear", "collinear-oblique", "isotropic", "zero"])
+def test_rank_deficient_covariances_take_eigh(eigh_rows, faces, radius):
+    est = tx.estimate_digital_normals(faces, radius)
+    assert eigh_rows == [len(faces)]
+    assert np.array_equal(est.normals, _normals_by_facet_eigh(faces, radius))
+
+
+# past about 1e+-77 the squared lengths of the cross products overflow or
+# underflow, and eigh must take the row
+_PSD_SCALES = (1e-90, 1e-6, 1.0, 1e6, 1e90)
+_GAPS = (0.0, 1e-15, 1e-12, 1e-8, 1e-4, 1e-2, 0.1, 1.0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(quaternion=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+       smallest=st.floats(0.0, 1.0),
+       gap=st.one_of(st.sampled_from(_GAPS), st.floats(0.0, 1.0)),
+       spread=st.one_of(st.sampled_from(_GAPS), st.floats(0.0, 1.0)),
+       scale=st.sampled_from(_PSD_SCALES))
+def test_closed_form_eigenvector_of_random_psd_matrices(quaternion, smallest, gap,
+                                                        spread, scale):
+    # rotated diag(l1, l2, l3), with l2 - l1 down to 0 and l3 - l2 as well
+    w, x, y, z = quaternion
+    norm = np.sqrt(w * w + x * x + y * y + z * z)
+    if norm < 1e-3:
+        w, x, y, z, norm = 1.0, 0.0, 0.0, 0.0, 1.0
+    w, x, y, z = w / norm, x / norm, y / norm, z / norm
+    rot = np.array([[1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+                    [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+                    [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)]])
+    values = scale * np.array([smallest, smallest + gap, smallest + gap + spread])
+    cov = rot @ np.diag(values) @ rot.T
+    cov = 0.5 * (cov + cov.T)
+    v = normals._least_eigenvector(cov[None])[0]
+    lam, vecs = np.linalg.eigh(cov)
+    top = np.abs(lam).max()
+    assert np.all(np.isfinite(v))
+    assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+    assert np.linalg.norm(cov @ v - lam[0] * v) <= 1e-12 * top
+    rel_gap = (lam[1] - lam[0]) / top if top > 0 else 0.0
+    if rel_gap < 0.5 * normals._MIN_GAP:
+        assert np.array_equal(v, vecs[:, 0])  # eigh's own vector
+    elif rel_gap > 2 * normals._MIN_GAP:
+        _assert_equal_up_to_sign(v[None], vecs[:, :1].T, 1e-13 / rel_gap)
 
 
 @pytest.mark.parametrize("radius", [0.6, 1.0, 2 ** 0.5, 2.5])
