@@ -2,11 +2,8 @@
 
 Every face casts a ray from its center along its (inward) unit normal,
 stepping by gridstep while still closer than accRadius to the start. Each
-visited voxel counts one vote; from the second visit on, the cross product
-of the previous and current visiting normals accumulates into a principal
-direction per voxel. For an ideal tube of radius R and accRadius slightly
-above R, votes pile up on the axis and the per-voxel direction aligns with
-it.
+visited voxel counts one vote. For an ideal tube of radius R and accRadius
+slightly above R, votes pile up on the axis.
 
 The votes are kept in a table of the visited voxels, not in grids sized by
 the bounding box: the sorted int64 linear ids of the voxels that received
@@ -18,16 +15,13 @@ holds 0. The dense `acc` and `directions` grids of a result are scattered
 from the table the first time they are read (to write them out, say);
 tracking never reads them.
 
-The implementation is vectorized but reproduces the sequential per-face,
-per-step semantics bit for bit. Votes are order-free. The direction update
-has a sign that depends on the running value, but a voxel's direction only
-changes when that voxel is visited. So the events are kept grouped by
-voxel in chronological order (as int32 face ids), and a voxel's direction
-sum is replayed from its own group when it is read: tracking reads a few
-dozen voxels, the `accumulate` subcommand all of them. The min_norm gate
-does not depend on the running value, so it runs on all pairs at once, and
-only the passing pairs are replayed: the k-th of many voxels in one
-vectorized step, those of one voxel (as tracking reads it) one by one.
+A voxel's direction comes from the normals of its own vote events, kept
+grouped by voxel (as int32 face ids): the least eigenvector of their
+tensor, the sum of n n^T (see _tensor_directions). The tensor is
+order-free, so the direction is computed where it is read: tracking reads
+a few dozen voxels, the `accumulate` subcommand all of them. This departs
+from the paper's direction image, a sign-dependent running sum of the
+cross products of consecutive visiting normals.
 """
 
 from __future__ import annotations
@@ -43,9 +37,11 @@ from .errors import DomainTooLarge, EmptyInput, TooSmall
 
 _STEP_EPS = 1e-9
 _INT64_MAX = np.iinfo(np.int64).max
-# events per direction-replay chunk; a chunk holds whole voxel groups
-_CHUNK = 1 << 14
-_WIDE = 64  # fewest voxel groups replayed in one vectorized step
+# largest share of the trace the least eigenvalue of a direction's normal
+# tensor may hold, and smallest share the middle one must
+_FLAT = 0.02
+# (row, column) of the upper triangle of a 3 x 3 matrix
+_UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
 
 @dataclass(frozen=True)
@@ -53,14 +49,12 @@ class AccumulationParams:
     """Scan geometry: tube radius, slack, lattice resolution.
 
     acc_radius = radius + epsilon bounds the scan length; epsilon defaults
-    to 0.1*radius. min_norm discards near-parallel normal pairs whose cross
-    product is too short to carry direction information.
+    to 0.1*radius.
     """
 
     radius: float
     epsilon: float | None = None
     gridstep: float = 1.0
-    min_norm: float = 0.1
 
     def __post_init__(self):
         if not (math.isfinite(self.radius) and self.radius > 0):
@@ -71,8 +65,6 @@ class AccumulationParams:
             object.__setattr__(self, "epsilon", 0.1 * self.radius)
         if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
             raise ValueError("epsilon must be >= 0 and finite")
-        if not 0 < self.min_norm < 1:
-            raise ValueError("min_norm must be in (0, 1)")
 
     @property
     def acc_radius(self):
@@ -85,16 +77,17 @@ class AccumulationParams:
 
 
 class AccumulationResult:
-    """Votes per visited voxel, the seed voxel and the direction sums.
+    """Votes per visited voxel, the seed voxel and the voxel directions.
 
     `keys` are the sorted int64 linear ids of the visited voxels and
     `counts` their uint32 votes; `acc` is the dense count grid, scattered
-    from the table on first read. The direction sums are replayed from the
-    kept events where they are read: `direction_at` replays one voxel's
-    row on its first read, `dirs` (the (n_keys, 3) table) every row on
-    first access, with the same bits. A `dirs` table given by hand is read
-    as it is. `directions` is the dense grid scattered from `dirs`. The
-    faces' normals are read by the replay, so they must not change in place.
+    from the table on first read. The directions (unit vectors, or 0 where
+    a voxel's normals fix none; see _tensor_directions) are computed from
+    the kept events where they are read: `direction_at` computes one
+    voxel's row, `dirs` (the (n_keys, 3) table) every row on first access,
+    with the same bits. A `dirs` table given by hand is read as it is.
+    `directions` is the dense grid scattered from `dirs`. The faces'
+    normals are read then, so they must not change in place.
     """
 
     def __init__(self, domain, keys, counts, max_acc, max_pt, dirs=None, *,
@@ -104,9 +97,7 @@ class AccumulationResult:
         self.counts = counts
         self.max_acc = max_acc
         self.max_pt = max_pt
-        # (face_of, bounds, normals, min_norm): see _replay_directions
-        self._events = events
-        self._rows = {}
+        self._events = events  # (face_of, bounds, normals): see _tensor_directions
         if dirs is not None:
             self.dirs = dirs
 
@@ -118,18 +109,16 @@ class AccumulationResult:
 
     @cached_property
     def dirs(self) -> np.ndarray:
-        return _replay_directions(*self._events, 0, len(self.keys))
+        return _tensor_directions(*self._events, 0, len(self.keys))
 
     def direction_at(self, key):
-        """Direction sum of the voxel with linear id key; 0 if it has no vote."""
+        """Direction of the voxel with linear id key; 0 if it has no vote."""
         row = int(np.searchsorted(self.keys, key))
         if row == len(self.keys) or self.keys[row] != key:
             return np.zeros(3)
         if "dirs" in vars(self):
             return self.dirs[row]
-        if row not in self._rows:
-            self._rows[row] = _replay_directions(*self._events, row, row + 1)[0]
-        return self._rows[row]
+        return _tensor_directions(*self._events, row, row + 1)[0]
 
     @cached_property
     def directions(self) -> VectorGrid3:
@@ -245,65 +234,37 @@ def _group_events(ids, voxel_count):
     return packed, sorted_ids
 
 
-def _replay_directions(face_of, bounds, normals, min_norm, first, stop):
-    """(stop - first, 3) direction sums of the voxel groups first .. stop - 1.
+def _tensor_directions(face_of, bounds, normals, first, stop):
+    """(stop - first, 3) tube directions of the voxel groups first .. stop - 1.
 
-    Group r's events are the faces face_of[bounds[r]:bounds[r + 1]] in visit
-    order; ``normals`` is (F, 3). The min_norm gate runs on all pairs of a
-    chunk at once, with np.cross's and np.linalg.norm's arithmetic. Then
-    the k-th passing pair of every group is added in one vectorized step
-    while _WIDE groups have one, and the rest one pair at a time, with the
-    step's bits: einsum's dot ((sx x + sy y) + sz z), and a sign of -1 as
-    a subtraction. Chunks hold whole groups: at most _CHUNK events, or one
-    larger group.
+    Group r's events are the faces face_of[bounds[r]:bounds[r + 1]];
+    ``normals`` is (F, 3). A direction is the least eigenvector of the
+    group's normal tensor, the sum of n n^T over its events: the normals
+    of a tube's wall lie on a great circle of the Gauss map, and its pole
+    is the axis. A group's row is 0 unless its normals span a plane and
+    little else: the least eigenvalue at most _FLAT of the trace, and the
+    middle one at least 4 times the least and _FLAT of the trace (normals
+    that all agree have no pole). A kept vector is turned so that its
+    largest-magnitude component is positive.
     """
-    out = np.zeros((stop - first, 3))
-    i = first
-    while i < stop:
-        j = min(max(int(np.searchsorted(bounds, bounds[i] + _CHUNK, "right")) - 1,
-                    i + 1), stop)
-        e0 = bounds[i]
-        # pair k joins the chunk's events k and k + 1
-        prev = normals.take(face_of[e0:bounds[j]], axis=0).T
-        prev, cur = prev[:, :-1], prev[:, 1:]
-        axes = np.empty_like(prev)
-        for c, (a, b) in enumerate(((1, 2), (2, 0), (0, 1))):
-            np.subtract(prev[a] * cur[b], prev[b] * cur[a], out=axes[c])
-        ok = np.sqrt((axes[0] * axes[0] + axes[1] * axes[1]) + axes[2] * axes[2]) > min_norm
-        ok[bounds[i + 1:j] - e0 - 1] = False  # pairs across two groups
-        pair = np.flatnonzero(ok)
-        axes = axes[:, pair].T
-        row = np.searchsorted(bounds[i:j], e0 + pair, "right") + (i - 1 - first)
-        starts, _, n_pass = _runs(row)
-        live, k = np.arange(len(starts)), 0
-        while len(live) >= _WIDE:
-            at = starts[live] + k
-            step, rows = axes[at], row[at]
-            current = out[rows]
-            sign = np.sign(np.einsum("ij,ij->i", step, current))
-            sign[sign == 0] = 1.0
-            current += step * sign[:, None]
-            out[rows] = current
-            k += 1
-            live = live[n_pass[live] > k]
-        for a, b in zip((starts[live] + k).tolist(), (starts[live] + n_pass[live]).tolist()):
-            sx, sy, sz = out[row[a]].tolist()
-            for x, y, z in axes[a:b].tolist():
-                dot = (sx * x + sy * y) + sz * z
-                if dot < 0:
-                    sx, sy, sz = sx - x, sy - y, sz - z
-                elif dot >= 0:
-                    sx, sy, sz = sx + x, sy + y, sz + z
-                else:  # a NaN dot is np.sign's sign too
-                    sx, sy, sz = sx + x * dot, sy + y * dot, sz + z * dot
-            out[row[a]] = sx, sy, sz
-        i = j
-    return out
+    e0 = bounds[first]
+    n = normals.take(face_of[e0:bounds[stop]], axis=0).T  # (3, events)
+    starts = bounds[first:stop] - e0
+    sums = np.empty((stop - first, 3, 3))
+    for i, j in _UPPER:
+        sums[:, i, j] = sums[:, j, i] = np.add.reduceat(n[i] * n[j], starts)
+    values, vectors = np.linalg.eigh(sums)
+    lo, mid = values[:, 0], values[:, 1]
+    floor = _FLAT * np.trace(sums, axis1=1, axis2=2)
+    kept = (floor > 0) & (lo <= floor) & (mid >= np.maximum(4 * lo, floor))
+    axes = vectors[:, :, 0]
+    sign = np.sign(axes[np.arange(len(axes)), np.abs(axes).argmax(axis=1)])
+    return np.where(kept[:, None], axes * sign[:, None], 0.0)
 
 
 def compute_accumulation(faces, params: AccumulationParams) -> AccumulationResult:
     """Vote table of all scans over accumulation_domain(faces.centers,
-    params), and the events its directions are replayed from.
+    params), and the events its directions are computed from.
 
     Raises TooSmall when acc_radius is too short for one scan step.
 
@@ -332,7 +293,7 @@ def compute_accumulation(faces, params: AccumulationParams) -> AccumulationResul
 
     order //= n_steps  # event -> face; the int64 march buffer is not kept
     face_of = order.astype(np.int32 if len(faces) < 2 ** 31 else np.int64)
-    events = (face_of, np.append(starts, len(face_of)), faces.normals, params.min_norm)
     return AccumulationResult(domain=domain, keys=keys, counts=counts,
                               max_acc=max_acc, max_pt=tuple(int(i) for i in max_pt),
-                              events=events)
+                              events=(face_of, np.append(starts, len(face_of)),
+                                      faces.normals))

@@ -121,7 +121,6 @@ _AT_LEAST_1 = (lambda v: v >= 1, "at least 1")
 _LIMITS = {
     "radius": _POSITIVE, "normal_radius": _POSITIVE, "hm_scale": _POSITIVE,
     "hm_spacing": _POSITIVE, "epsilon_acc": _NON_NEGATIVE,
-    "min_norm": (lambda v: 0 < v < 1, "in (0, 1)"),
     "track_step": _POSITIVE, "max_angle": _POSITIVE,
     "inside_threshold": (lambda v: 0 <= v <= 1, "in [0, 1]"),
     "epsilon_o": _NON_NEGATIVE, "max_iter": _AT_LEAST_1,
@@ -268,8 +267,8 @@ def _run(args):
                for flag, _ in _STAGE_OPTIONS.get(stage, ())}
     try:
         r = run_pipeline(faces, args.radius, gridstep=gridstep,
-                         epsilon=args.epsilon_acc, min_norm=args.min_norm,
-                         stages=stages, centerline=centerline, **options)
+                         epsilon=args.epsilon_acc, stages=stages,
+                         centerline=centerline, **options)
     except TubeAxisError as exc:
         raise _StageFailure() from exc
     timings.update(r.timings)
@@ -291,8 +290,7 @@ def _run(args):
     results.update((key, _REPORTS[key](r)) for key in command.reports)
 
     params = dict(options, radius=args.radius, epsilon_acc=r.acc_params.epsilon,
-                  gridstep=gridstep, min_norm=args.min_norm, normals=normals,
-                  orient=args.orient)
+                  gridstep=gridstep, normals=normals, orient=args.orient)
     for key in ("track_step", "resid_tol"):
         if key in params:
             params[key] = getattr(r, key)
@@ -385,8 +383,6 @@ def _add_input_args(p):
                    help="pixel pitch in world units for PGM height maps")
     p.add_argument("--epsilon-acc", **_setting("accumulate", "epsilon"),
                    help="scan slack beyond the radius (default 0.1*radius)")
-    p.add_argument("--min-norm", **_setting("accumulate", "min_norm"),
-                   help="minimal cross product norm kept in the direction image")
 
 
 def build_parser():

@@ -277,9 +277,7 @@ class ScalarGrid3:
 class VectorGrid3:
     """Dense per-voxel 3-vectors, indexed ``values[i, j, k]``.
 
-    Stored vectors are running sums (of cross products, for the direction
-    image) and therefore need not be unit; voxels never updated hold the
-    zero vector.
+    Stored vectors need not be unit; voxels never set hold the zero vector.
     """
 
     domain: GridDomain

@@ -295,7 +295,7 @@ def orient_inward(faces: OrientedFaceSet, mode="auto",
 
     mode="flip" negates all normals, mode="keep" returns the input as is,
     and mode="auto" accumulates both orientations on a lattice of step
-    radius/3 (replaying no direction) and keeps the one with the higher
+    radius/3 (computing no direction) and keeps the one with the higher
     max_acc (inward scans pile up on the axis, outward scans disperse). A
     tie raises SeedInvalid: the probe cannot tell the orientations apart.
     """

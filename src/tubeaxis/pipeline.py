@@ -34,7 +34,7 @@ _NEEDS = {"track": "accumulate", "refine": "track", "decompose": "track",
 # the settings each stage takes, by keyword, with the function whose
 # signature declares their defaults
 SETTINGS = {
-    "accumulate": (AccumulationParams, ("epsilon", "min_norm")),
+    "accumulate": (AccumulationParams, ("epsilon",)),
     "track": (extract_centerline, ("inside_threshold", "max_angle")),
     "refine": (optimize_centerline, ("epsilon_o", "max_iter", "area_weighting")),
     "decompose": (decompose_centerline, ("alpha_flat", "nu", "min_len")),
@@ -103,8 +103,6 @@ def run_pipeline(faces, radius, *, gridstep=1.0, track_step=None, resid_tol=None
     if "accumulate" in stages:
         with timed(t, "accumulate"):
             out.accumulation = compute_accumulation(faces, acc)
-            if "track" not in stages:  # the whole direction table is the output
-                out.accumulation.dirs
     if "track" in stages:
         with timed(t, "track"):
             out.raw = out.centerline = extract_centerline(

@@ -10,9 +10,10 @@ A step is a few small numpy calls, so their fixed cost is most of its
 time. The run's reference level, the lower quartile of the accepted
 points' levels, is read off a list kept sorted as points are accepted
 (np.percentile's value, bit for bit, without its sort and its numpy.ma
-import). The count-ridge fallback, which most steps take on fine meshes,
-builds its voxel centers one axis at a time and sums only the lower
-triangle of its covariance, in einsum's order.
+import). The local direction is the voxel's normal-tensor axis (see
+accumulate._tensor_directions) where its normals fix one. The count-ridge
+fallback, taken where they do not, builds its voxel centers one axis at a
+time and sums only the lower triangle of its covariance, in einsum's order.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ def _sample_trilinear(keys, values, domain, points):
 
 
 def _voxel_dir(res, point):
-    """Direction image value at the voxel containing a world point."""
+    """Direction of the voxel containing a world point; 0 outside the domain."""
     idx, inb = res.domain.index_array(point)
     if not inb[0]:
         return np.zeros(3)
@@ -115,12 +116,12 @@ def patch_size(acc_radius, gridstep):
 def _ridge_direction(res, point, acc_radius):
     """Principal axis of the count ridge in a patch-sized box around a point.
 
-    Fallback for degenerate direction images. On fine structured meshes
-    adjacent faces can be nearly parallel, so consecutive vote rays fail the
-    cross-product norm gate and the direction image stays zero even on the
-    axis. The count image still carries the ridge; its count^2-weighted
-    principal component recovers the local direction (sign is arbitrary).
-    Returns None when the box is empty or has no dominant axis.
+    Fallback where a voxel's direction is 0: its normals do not span a
+    plane (all of them agree, say), or normals off the plane enter the
+    tensor, as a cap's do near a capped end. The count image still carries
+    the ridge; its count^2-weighted principal component recovers the local
+    direction (sign is arbitrary). Returns None when the box is empty or
+    has no dominant axis.
     """
     dom = res.domain
     idx = digitize(point, dom)
@@ -165,8 +166,8 @@ def _ridge_direction(res, point, acc_radius):
 
 
 def _local_direction(res, point, acc_radius):
-    """Unit tracking direction at a point: the direction image where it is
-    nonzero, otherwise the count-ridge principal axis. None if neither."""
+    """Unit tracking direction at a point: the voxel's direction where it
+    is nonzero, otherwise the count-ridge principal axis. None if neither."""
     d = _voxel_dir(res, point)
     n = np.linalg.norm(d)
     if n > _ZERO_DIR:
@@ -206,8 +207,9 @@ def is_inside_tube(res, current, previous, ref_value, inside_threshold, max_angl
     a low running quantile of the accepted points rather than the seed value
     alone: bends and cap discs focus the vote rays and can elevate the seed
     severalfold above the level of straight sections, which would starve
-    the test there. `direction` and `level` override the sampled direction
-    image and count at `current` (the tracker passes its own values).
+    the test there. `direction` and `level` override the voxel direction
+    and the sampled count at `current` (the tracker passes its own values);
+    where the direction is 0 the angle test passes.
     """
     if level is None:
         level = _sample_trilinear(res.keys, res.counts, res.domain, current)[0]
@@ -249,7 +251,8 @@ def track_direction(res, start, in_front, track_step, acc_radius,
     start = np.asarray(start, dtype=float)
     d0 = _local_direction(res, start, acc_radius)
     if d0 is None:
-        raise SeedInvalid("direction image vanishes at the tracking seed")
+        raise SeedInvalid("neither the voxel nor the count ridge fixes a "
+                          "direction at the tracking seed")
     last_vect = d0 * (1.0 if in_front else -1.0)
     # the current point's sampled level; the accepted points' levels, sorted
     level = _sample_trilinear(res.keys, res.counts, res.domain, start)[0]

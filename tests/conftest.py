@@ -1,11 +1,19 @@
-"""Shared fixtures: one small reference cylinder reused across modules."""
+"""Shared fixtures: one small reference cylinder reused across modules.
+
+Property tests run under one hypothesis profile: the same examples on
+every run, no deadline and no example database.
+"""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import tubeaxis as tx
+
+settings.register_profile("tubeaxis", derandomize=True, deadline=None, database=None)
+settings.load_profile("tubeaxis")
 
 
 class CylinderCase:
@@ -69,6 +77,24 @@ def bent_pipe():
     result = tx.compute_accumulation(faces, params)
     return {"radius": radius, "mesh": mesh, "truth": truth, "faces": faces,
             "params": params, "result": result}
+
+
+def capped_voxel_pipe():
+    """A small capped bent pipe, radius 3, the way the voxel path sees it:
+    boundary facets with covariance normals, oriented inward."""
+    mesh, _ = tx.gen_tube([tx.Straight(10.0), tx.Arc(8.0, math.pi / 2),
+                           tx.Straight(10.0)], radius=3.0, mesh_step=1.0,
+                          cap_ends=True)
+    faces = tx.estimate_digital_normals(tx.digital_surface_faces(tx.voxelize(mesh, 1.0)), 2.0)
+    return tx.orient_inward(faces, mode="auto", radius=3.0)
+
+
+def quaternion_rotation(q):
+    """Rotation matrix of the quaternion (w, x, y, z), scaled to unit length."""
+    w, x, y, z = np.asarray(q, dtype=float) / np.linalg.norm(q)
+    return np.array([[1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+                     [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+                     [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)]])
 
 
 def random_unit_vectors(rng, n):

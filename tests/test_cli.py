@@ -146,8 +146,7 @@ def test_bad_normal_radius_is_exit_1(tmp_path, capsys, value):
     *(pytest.param("--gridstep", v, id=v) for v in ("0", "-1", "nan", "inf", "-inf")),
     # each of these once exited 0 with a meaningless result or a traceback
     ("--track-step", "0"), ("--track-step", "-3"), ("--max-angle", "-1"),
-    ("--sides", "0"), ("--sides", "-2"), ("--min-norm", "2"),
-    ("--epsilon-acc", "-1"), ("--inside-threshold", "2"), ("--max-iter", "0"),
+    ("--sides", "0"), ("--sides", "-2"), ("--epsilon-acc", "-1"), ("--inside-threshold", "2"), ("--max-iter", "0"),
     ("--hm-spacing", "0")])
 def test_bad_gridstep_is_exit_1(tube_off, tmp_path, capsys, flag, value):
     # the same holds for every range-checked stage option
@@ -163,6 +162,8 @@ _PIPE = ["pipeline", "--input", "missing.off", "--radius", "2"]
 
 @pytest.mark.parametrize("args", [
     pytest.param(_PIPE + ["--bogus", "1"], id="unknown-flag"),
+    # the direction image's setting, gone with it
+    pytest.param(_PIPE + ["--min-norm", "0.1"], id="removed-min-norm"),
     pytest.param(_PIPE + ["--radius", "abc"], id="not-a-number"),
     pytest.param(_PIPE + ["--orient", "sideways"], id="bad-choice"),
     pytest.param(_PIPE + ["--seed", "1"], id="seed-outside-synth"),
@@ -240,6 +241,10 @@ def test_accumulate_writes_grids(tube_off, tmp_path):
     assert int(grid.values.max()) == summary["results"]["max_acc"]
     dirs = tx.load_grid(out / "directions")
     assert dirs.values.shape == tuple(summary["results"]["domain_dims"]) + (3,)
+    # unit vectors where the normals fix a direction, zeros elsewhere
+    lengths = np.linalg.norm(dirs.values, axis=-1)
+    assert np.all((lengths == 0) | (np.abs(lengths - 1) < 1e-12))
+    assert np.any(lengths > 0)
 
 
 def test_pipeline_end_to_end(tube_off, tmp_path):
@@ -277,7 +282,7 @@ def test_summary_is_deterministic_up_to_timings(tube_off, tmp_path):
     assert (out / "centerline.csv").read_bytes() == first_csv
 
 
-_PARAMS = {"radius", "epsilon_acc", "gridstep", "min_norm", "normals", "orient"}
+_PARAMS = {"radius", "epsilon_acc", "gridstep", "normals", "orient"}
 _TRACK = {"track_step", "inside_threshold", "max_angle"}
 _REFINE = {"epsilon_o", "max_iter", "area_weighting"}
 _DECOMPOSE = {"alpha_flat", "nu", "min_len", "resid_tol"}
@@ -445,7 +450,6 @@ def test_malformed_header_is_an_input_error(tmp_path, capsys, name, data):
 # the function whose signature owns each stage flag's default, by dest
 _OWNERS = {
     "epsilon_acc": (tx.AccumulationParams, "epsilon"),
-    "min_norm": (tx.AccumulationParams, "min_norm"),
     "track_step": (tx.run_pipeline, "track_step"),
     "inside_threshold": (tx.extract_centerline, "inside_threshold"),
     "max_angle": (tx.extract_centerline, "max_angle"),
@@ -477,8 +481,8 @@ def test_pipeline_without_flags_records_the_default_params(tube_off, tmp_path):
     params = json.loads((out / "summary.json").read_text())["params"]
     gridstep = params["gridstep"]
     assert params == {
-        "radius": 4.0, "epsilon_acc": 0.4, "gridstep": gridstep, "min_norm": 0.1,
-        "normals": "faces", "orient": "auto", "track_step": 4.0,
+        "radius": 4.0, "epsilon_acc": 0.4, "gridstep": gridstep, "normals": "faces",
+        "orient": "auto", "track_step": 4.0,
         "inside_threshold": 0.5, "max_angle": math.pi / 3, "epsilon_o": 0.001,
         "max_iter": 1000, "area_weighting": False, "alpha_flat": 0.05, "nu": 0.15,
         "min_len": 3, "resid_tol": 0.3 * gridstep, "sides": 24}

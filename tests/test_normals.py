@@ -12,6 +12,8 @@ import tubeaxis as tx
 from tubeaxis import normals
 from tubeaxis.normals import _FACET_DIRS, _ball_neighbourhoods
 
+from conftest import quaternion_rotation
+
 
 def _facets_by_set_lookup(points):
     """Reference: probe a set of tuples for each voxel's six neighbours."""
@@ -284,7 +286,7 @@ _PSD_SCALES = (1e-90, 1e-6, 1.0, 1e6, 1e90)
 _GAPS = (0.0, 1e-15, 1e-12, 1e-8, 1e-4, 1e-2, 0.1, 1.0)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(quaternion=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
        smallest=st.floats(0.0, 1.0),
        gap=st.one_of(st.sampled_from(_GAPS), st.floats(0.0, 1.0)),
@@ -293,14 +295,9 @@ _GAPS = (0.0, 1e-15, 1e-12, 1e-8, 1e-4, 1e-2, 0.1, 1.0)
 def test_closed_form_eigenvector_of_random_psd_matrices(quaternion, smallest, gap,
                                                         spread, scale):
     # rotated diag(l1, l2, l3), with l2 - l1 down to 0 and l3 - l2 as well
-    w, x, y, z = quaternion
-    norm = np.sqrt(w * w + x * x + y * y + z * z)
-    if norm < 1e-3:
-        w, x, y, z, norm = 1.0, 0.0, 0.0, 0.0, 1.0
-    w, x, y, z = w / norm, x / norm, y / norm, z / norm
-    rot = np.array([[1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-                    [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-                    [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)]])
+    if np.linalg.norm(quaternion) < 1e-3:
+        quaternion = (1.0, 0.0, 0.0, 0.0)
+    rot = quaternion_rotation(quaternion)
     values = scale * np.array([smallest, smallest + gap, smallest + gap + spread])
     cov = rot @ np.diag(values) @ rot.T
     cov = 0.5 * (cov + cov.T)

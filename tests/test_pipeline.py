@@ -109,23 +109,16 @@ def test_a_stage_without_its_input_is_rejected(cylinder, stages, given):
                         centerline=centerline if given else None)
 
 
-def test_only_an_accumulate_run_replays_the_whole_direction_table(cylinder):
-    # the table is that run's output, so its accumulate timing includes it;
-    # tracking replays only the rows it reads
-    alone = tx.run_pipeline(cylinder.faces, cylinder.radius, stages=STAGES[:1])
-    assert "dirs" in vars(alone.accumulation)
-    tracked = tx.run_pipeline(cylinder.faces, cylinder.radius, stages=STAGES[:2])
-    assert "dirs" not in vars(tracked.accumulation)
-    assert alone.accumulation.dirs.tobytes() == tracked.accumulation.dirs.tobytes()
-
-
 def test_a_misspelt_setting_is_a_type_error(cylinder):
-    with pytest.raises(TypeError, match="inside_treshold"):
-        tx.run_pipeline(cylinder.faces, cylinder.radius, inside_treshold=0.4)
+    # min_norm was the direction image's setting, which the normal tensor
+    # does without
+    for name, value in (("inside_treshold", 0.4), ("min_norm", 0.1)):
+        with pytest.raises(TypeError, match=name):
+            tx.run_pipeline(cylinder.faces, cylinder.radius, **{name: value})
 
 
 # a value for every setting, none of them its default
-_GIVEN = {"accumulate": {"epsilon": 0.7, "min_norm": 0.3},
+_GIVEN = {"accumulate": {"epsilon": 0.7},
           "track": {"inside_threshold": 0.4, "max_angle": 1.2},
           "refine": {"epsilon_o": 0.01, "max_iter": 7, "area_weighting": True},
           "decompose": {"alpha_flat": 0.1, "nu": 0.2, "min_len": 4},
@@ -153,7 +146,7 @@ def test_each_setting_reaches_only_its_stage(cylinder, monkeypatch):
     r = tx.run_pipeline(cylinder.faces, cylinder.radius, **settings)
     assert {stage: {k: v for k, v in kw.items() if k in settings}
             for stage, kw in seen.items()} == _GIVEN
-    assert r.acc_params.min_norm == 0.3 and r.acc_params.epsilon == 0.7
+    assert r.acc_params.epsilon == 0.7
     # sides=8 gives 8-vertex rings
     assert r.tube.n_vertices == 8 * len(r.centerline)
 

@@ -10,9 +10,12 @@ from scipy import ndimage
 import tubeaxis as tx
 from tubeaxis.accumulate import AccumulationResult
 from tubeaxis.core import GridDomain
-from tubeaxis.track import (_lookup, _lower_quartile, _polyline_directions,
-                            _ridge_direction, _sample_trilinear, _voxel_dir,
-                            extract_patch, patch_size)
+from tubeaxis.track import (_local_direction, _lookup, _lower_quartile,
+                            _polyline_directions, _ridge_direction,
+                            _sample_trilinear, _voxel_dir, extract_patch,
+                            patch_size)
+
+from conftest import capped_voxel_pipe
 
 
 def _field_result(domain, counts, dirs):
@@ -369,6 +372,45 @@ def test_tracks_ridge_without_direction_image():
     assert len(cl) >= 9
     assert cl.points[:, 0].max() - cl.points[:, 0].min() > 25.0
     assert np.all(np.abs(cl.points[:, 1] - 10.5) < 0.75)
+
+
+def _assert_falls_back_to_the_ridge(res, point, acc_radius):
+    """The voxel at point has votes but reads direction 0, so the local
+    direction is the count ridge's."""
+    key = res.domain.index_array(point)[0][0] @ res.domain.strides
+    assert np.isin(key, res.keys)
+    assert res.direction_at(key).tobytes() == np.zeros(3).tobytes()
+    ridge = _ridge_direction(res, point, acc_radius)
+    assert ridge is not None
+    assert np.array_equal(_local_direction(res, point, acc_radius), ridge)
+    return ridge
+
+
+def test_rank_one_voxel_reads_zero_and_tracking_follows_the_ridge():
+    # a row of faces along x that all face +y: every voxel's events share
+    # one normal, a rank-1 tensor with no axis, while the votes form a
+    # sheet that is long along x
+    centers = np.stack([np.arange(0.0, 40.0, 0.25), np.zeros(160), np.zeros(160)], axis=1)
+    normals = np.tile([0.0, 1.0, 0.0], (160, 1))
+    params = tx.AccumulationParams(radius=3.0, gridstep=1.0)
+    res = tx.compute_accumulation(tx.OrientedFaceSet(centers, normals, np.ones(160)),
+                                  params)
+    assert res.max_acc > 1
+    assert not np.any(res.dirs)
+    ridge = _assert_falls_back_to_the_ridge(res, np.array([20.1, 1.5, 0.1]),
+                                            params.acc_radius)
+    assert abs(ridge[0]) > 0.99
+
+
+def test_capped_end_voxel_reads_zero_and_tracking_follows_the_ridge():
+    # the seed of a capped voxel pipe sits near its cap, where the cap's
+    # normals, along the axis, enter the tensor and spoil its plane
+    params = tx.AccumulationParams(radius=3.0, gridstep=1.0)
+    res = tx.compute_accumulation(capped_voxel_pipe(), params)
+    seed = res.domain.voxel_center(res.max_pt)
+    assert seed[0] < 4.0  # within a radius and a voxel of the cap at x = 0
+    ridge = _assert_falls_back_to_the_ridge(res, seed, params.acc_radius)
+    assert abs(ridge[0]) > 0.99  # the first straight runs along x
 
 
 def test_closed_loop_detected():
