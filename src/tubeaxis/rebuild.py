@@ -8,14 +8,13 @@ a finely sampled centerline costs about as much as a coarse one.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .core import (CellHash, column_max, column_min, concat_ranges, frame_from_direction,
                    normalize)
 from .errors import DegenerateTangent, EmptyInput, TooSmall
 from .ingest import TriMesh
+from .synth import _band_faces, _ring_vertices
 from .track import _polyline_directions
 
 _EPS = 1e-12
@@ -46,35 +45,17 @@ def sweep_tube(centerline, radius, sides=24) -> TriMesh:
     tangents = _polyline_directions(points, closed)
 
     u = frame_from_direction(tangents[0]).u
-    theta = 2 * math.pi * np.arange(sides) / sides
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-    n = len(points)
-    vertices = np.empty((n * sides, 3))
-    for k in range(n):
-        t = tangents[k]
+    us = np.empty_like(points)
+    for k, t in enumerate(tangents):
         u = u - np.dot(u, t) * t
         nu = np.linalg.norm(u)
         if nu <= 1e-9:
             u = frame_from_direction(t).u
         else:
             u = u / nu
-        v = np.cross(t, u)
-        vertices[k * sides:(k + 1) * sides] = (
-            points[k] + radius * (np.outer(cos_t, u) + np.outer(sin_t, v)))
-
-    j = np.arange(sides)
-    jn = (j + 1) % sides
-    bands = n if closed else n - 1
-    faces = []
-    for k in range(bands):
-        k2 = (k + 1) % n
-        a = k * sides + j
-        b = k * sides + jn
-        c = k2 * sides + jn
-        d = k2 * sides + j
-        faces.append(np.column_stack([a, b, d]))
-        faces.append(np.column_stack([b, c, d]))
-    return TriMesh(vertices, np.concatenate(faces))
+        us[k] = u
+    vertices = _ring_vertices(points, us, np.cross(tangents, us), radius, sides)
+    return TriMesh(vertices, _band_faces(len(points), sides, closed))
 
 
 def distance_to_polyline(points, polyline, closed=False):

@@ -18,6 +18,11 @@ from .core import frame_from_direction, normalize
 from .errors import NotClosed, SelfIntersecting, TooSmall
 from .ingest import HeightMap, TriMesh, VoxelSet
 
+_SCAN_PAIRS = 1 << 16  # pixel-face pairs one chunk of _scan_triangles tests
+# pixel-centre offsets, in steps, that keep the centres off exact edge and
+# vertex alignments
+_JITTER = (1.000000173e-4, 1.000000311e-4)
+
 
 @dataclass(frozen=True)
 class Straight:
@@ -126,37 +131,45 @@ def gen_tube(segments, radius, mesh_step, start=None, cap_ends=False):
     truth = TubeTruth(points, tangents, kinds, junctions)
 
     nsides = max(3, round(2 * math.pi * radius / mesh_step))
-    theta = 2 * math.pi * np.arange(nsides) / nsides
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
     nrings = len(points)
-    vertices = np.empty((nrings * nsides, 3))
-    for k in range(nrings):
-        ring = (points[k]
-                + radius * (np.outer(cos_t, frames_u[k]) + np.outer(sin_t, frames_v[k])))
-        vertices[k * nsides:(k + 1) * nsides] = ring
-
-    # quads between consecutive rings, wound so cross products face outward
-    j = np.arange(nsides)
-    jn = (j + 1) % nsides
-    faces = []
-    for k in range(nrings - 1):
-        a = k * nsides + j
-        b = k * nsides + jn
-        c = (k + 1) * nsides + jn
-        d = (k + 1) * nsides + j
-        faces.append(np.column_stack([a, b, d]))
-        faces.append(np.column_stack([b, c, d]))
-    faces = np.concatenate(faces)
+    vertices = _ring_vertices(points, np.asarray(frames_u), np.asarray(frames_v), radius,
+                              nsides)
+    faces = _band_faces(nrings, nsides, closed=False)
 
     if cap_ends:
         c0 = len(vertices)
         c1 = c0 + 1
         vertices = np.vstack([vertices, points[0], points[-1]])
         last = (nrings - 1) * nsides
+        j = np.arange(nsides)
+        jn = (j + 1) % nsides
         start_cap = np.column_stack([np.full(nsides, c0), jn, j])
         end_cap = np.column_stack([np.full(nsides, c1), last + j, last + jn])
         faces = np.concatenate([faces, start_cap, end_cap])
     return TriMesh(vertices, faces), truth
+
+
+def _ring_vertices(points, us, vs, radius, nsides):
+    """Vertices of one circle of nsides per ring, ring-major: ring k is
+    points[k] + radius (cos theta u[k] + sin theta v[k])."""
+    theta = 2 * math.pi * np.arange(nsides) / nsides
+    rings = (np.cos(theta)[:, None] * us[:, None, :]
+             + np.sin(theta)[:, None] * vs[:, None, :])
+    return (points[:, None, :] + radius * rings).reshape(-1, 3)
+
+
+def _band_faces(nrings, nsides, closed):
+    """Two triangles per quad between consecutive rings of _ring_vertices,
+    wound so cross products face outward; closed also joins the last ring
+    to the first. Each band lists its (a, b, d) triangles, then (b, c, d)."""
+    j = np.arange(nsides)
+    k = np.arange(nrings if closed else nrings - 1)[:, None]
+    here = k * nsides
+    there = (k + 1) % nrings * nsides
+    a, b = here + j, here + (j + 1) % nsides
+    c, d = there + (j + 1) % nsides, there + j
+    return np.stack([np.stack([a, b, d], axis=-1), np.stack([b, c, d], axis=-1)],
+                    axis=1).reshape(-1, 3)
 
 
 def degrade(mesh, mode, seed=0, sigma=None, view_dir=None, angle_range=None,
@@ -182,9 +195,7 @@ def degrade(mesh, mode, seed=0, sigma=None, view_dir=None, angle_range=None,
         if view_dir is None:
             raise ValueError("partial-scan mode needs view_dir")
         view = normalize(np.asarray(view_dir, dtype=float))
-        a, b, c = mesh.corners()
-        normals = np.cross(b - a, c - a)
-        keep = normals @ view < 0
+        keep = mesh.geometry().cross @ view < 0
         return _submesh(mesh, keep)
 
     if mode == "sector-removal":
@@ -192,9 +203,7 @@ def degrade(mesh, mode, seed=0, sigma=None, view_dir=None, angle_range=None,
             raise ValueError("sector-removal needs angle_range, axis_point, axis_dir")
         axis = normalize(np.asarray(axis_dir, dtype=float))
         frame = frame_from_direction(axis)
-        a, b, c = mesh.corners()
-        centers = (a + b + c) / 3.0
-        rel = centers - np.asarray(axis_point, dtype=float)
+        rel = mesh.geometry().centers - np.asarray(axis_point, dtype=float)
         rel -= np.outer(rel @ axis, axis)
         ang = np.arctan2(rel @ frame.v, rel @ frame.u) % (2 * math.pi)
         lo, hi = (angle_range[0] % (2 * math.pi), angle_range[1] % (2 * math.pi))
@@ -207,8 +216,7 @@ def degrade(mesh, mode, seed=0, sigma=None, view_dir=None, angle_range=None,
     if mode == "holes":
         if count is None or radius is None:
             raise ValueError("holes mode needs count and radius")
-        a, b, c = mesh.corners()
-        centers = (a + b + c) / 3.0
+        centers = mesh.geometry().centers
         picks = rng.choice(len(centers), size=min(count, len(centers)), replace=False)
         keep = np.ones(len(centers), dtype=bool)
         for pi in picks:
@@ -227,6 +235,55 @@ def _submesh(mesh, face_mask):
     return TriMesh(mesh.vertices[used], remap[faces])
 
 
+def _scan_triangles(depth, u, v, origin, step, shape, offset):
+    """Every lattice pixel centre that a triangle covers, as (i, j, depth).
+
+    depth, u and v are the (F, 3) corner coordinates of the faces along
+    the view axis and the two plane axes. Pixel (i, j), 0 <= (i, j) < shape,
+    has its centre at origin + ((i, j) + offset) step, moved by _JITTER
+    steps off exact edge and vertex alignments. Each face tests the pixel
+    centres of its bounding box by a barycentric solve and gives one hit
+    per centre inside, with its depth interpolated; a face whose projection
+    has |det| < 1e-30 covers nothing. Faces are taken in chunks of about
+    _SCAN_PAIRS pixel-face pairs.
+    """
+    (u0, u1, u2), (v0, v1, v2), (d0, d1, d2) = u.T, v.T, depth.T
+    det = (u1 - u0) * (v2 - v0) - (u2 - u0) * (v1 - v0)
+    box = []  # per axis, the first pixel of each face's box and its size
+    for c0, c1, c2, o, n in ((u0, u1, u2, origin[0], shape[0]),
+                             (v0, v1, v2, origin[1], shape[1])):
+        first = np.maximum(np.floor((np.minimum(np.minimum(c0, c1), c2) - o) / step - offset), 0)
+        last = np.minimum(np.ceil((np.maximum(np.maximum(c0, c1), c2) - o) / step - offset), n - 1)
+        box += [first.astype(np.int64), (last - first + 1).astype(np.int64)]
+    i0, ni, j0, nj = box
+    faces = np.flatnonzero((ni > 0) & (nj > 0) & ~(np.abs(det) < 1e-30))
+    count = ni[faces] * nj[faces]
+    end = np.cumsum(count)
+    eps_u, eps_v = step * _JITTER[0], step * _JITTER[1]
+    hits = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))]
+    start = 0
+    while start < len(faces):
+        stop = np.searchsorted(end, end[start] - count[start] + _SCAN_PAIRS, side="right")
+        stop = max(start + 1, int(stop))
+        n = count[start:stop]
+        f = np.repeat(faces[start:stop], n)
+        r = np.arange(len(f)) - np.repeat(np.cumsum(n) - n, n)
+        ii = i0[f] + r // nj[f]
+        jj = j0[f] + r % nj[f]
+        a_u, a_v = u0[f], v0[f]
+        # the pixel centre relative to corner 0
+        pu = origin[0] + (ii + offset) * step + eps_u - a_u
+        pv = origin[1] + (jj + offset) * step + eps_v - a_v
+        w1 = (pu * (v2[f] - a_v) - (u2[f] - a_u) * pv) / det[f]
+        w2 = ((u1[f] - a_u) * pv - pu * (v1[f] - a_v)) / det[f]
+        inside = (w1 >= 0) & (w2 >= 0) & (w1 + w2 <= 1)
+        f, w1, w2 = f[inside], w1[inside], w2[inside]
+        hits.append((ii[inside], jj[inside],
+                     d0[f] + w1 * (d1[f] - d0[f]) + w2 * (d2[f] - d0[f])))
+        start = stop
+    return tuple(np.concatenate(x) for x in zip(*hits))
+
+
 def voxelize(mesh, gridstep) -> VoxelSet:
     """Interior voxels of a closed mesh by parity ray casting along x.
 
@@ -243,43 +300,15 @@ def voxelize(mesh, gridstep) -> VoxelSet:
     dims = np.ceil((hi - lo + 2 * gridstep) / gridstep).astype(int)
     nx, ny, nz = (int(d) for d in dims)
 
-    # jitter row coordinates off exact edge/vertex alignments
-    eps_y = gridstep * 1.000000173e-4
-    eps_z = gridstep * 1.000000311e-4
-
-    a, b, c = mesh.corners()
+    x, y, z = (mesh.vertices[:, axis][mesh.faces] for axis in range(3))
+    jj, kk, xhit = _scan_triangles(x, y, z, origin[1:], gridstep, (ny, nz), 0.5)
+    rows = jj * nz + kk
+    # first voxel center strictly beyond the crossing
+    i0 = np.clip(np.floor((xhit - origin[0]) / gridstep - 0.5).astype(int) + 1, 0, nx)
     hit_delta = np.zeros((nx + 1, ny * nz), dtype=np.int64)
     hit_count = np.zeros(ny * nz, dtype=np.int64)
-
-    for fa, fb, fc in zip(a, b, c):
-        ys = np.array([fa[1], fb[1], fc[1]])
-        zs = np.array([fa[2], fb[2], fc[2]])
-        j0 = max(0, int(np.floor((ys.min() - origin[1]) / gridstep - 0.5)))
-        j1 = min(ny - 1, int(np.ceil((ys.max() - origin[1]) / gridstep - 0.5)))
-        k0 = max(0, int(np.floor((zs.min() - origin[2]) / gridstep - 0.5)))
-        k1 = min(nz - 1, int(np.ceil((zs.max() - origin[2]) / gridstep - 0.5)))
-        if j1 < j0 or k1 < k0:
-            continue
-        jj, kk = np.meshgrid(np.arange(j0, j1 + 1), np.arange(k0, k1 + 1), indexing="ij")
-        jj, kk = jj.ravel(), kk.ravel()
-        py = origin[1] + (jj + 0.5) * gridstep + eps_y
-        pz = origin[2] + (kk + 0.5) * gridstep + eps_z
-
-        # barycentric solve in the (y, z) projection
-        det = (fb[1] - fa[1]) * (fc[2] - fa[2]) - (fc[1] - fa[1]) * (fb[2] - fa[2])
-        if abs(det) < 1e-30:
-            continue
-        w1 = ((py - fa[1]) * (fc[2] - fa[2]) - (fc[1] - fa[1]) * (pz - fa[2])) / det
-        w2 = ((fb[1] - fa[1]) * (pz - fa[2]) - (py - fa[1]) * (fb[2] - fa[2])) / det
-        inside = (w1 >= 0) & (w2 >= 0) & (w1 + w2 <= 1)
-        if not inside.any():
-            continue
-        xhit = fa[0] + w1[inside] * (fb[0] - fa[0]) + w2[inside] * (fc[0] - fa[0])
-        rows = jj[inside] * nz + kk[inside]
-        # first voxel center strictly beyond the crossing
-        i0 = np.clip(np.floor((xhit - origin[0]) / gridstep - 0.5).astype(int) + 1, 0, nx)
-        np.add.at(hit_delta, (i0, rows), 1)
-        np.add.at(hit_count, rows, 1)
+    np.add.at(hit_delta, (i0, rows), 1)
+    np.add.at(hit_count, rows, 1)
 
     active = hit_count > 0
     odd_rows = int(((hit_count % 2 == 1) & active).sum())
@@ -304,41 +333,15 @@ def render_heightmap(mesh, view_axis="z", resolution=1.0) -> HeightMap:
     axis = {"x": 0, "y": 1, "z": 2}[view_axis]
     others = [i for i in range(3) if i != axis]
     verts2 = mesh.vertices[:, others]
-    depth = mesh.vertices[:, axis]
     lo = verts2.min(axis=0)
     hi = verts2.max(axis=0)
     w = int(np.ceil((hi[0] - lo[0]) / resolution)) + 1
     h = int(np.ceil((hi[1] - lo[1]) / resolution)) + 1
 
+    depth, u, v = (mesh.vertices[:, c][mesh.faces] for c in [axis] + others)
+    ii, jj, z = _scan_triangles(depth, u, v, lo, resolution, (w, h), 0.0)
     heights = np.full((w, h), -np.inf)
-    eps_u = resolution * 1.000000173e-4
-    eps_v = resolution * 1.000000311e-4
-    for f in mesh.faces:
-        tri2 = verts2[f]
-        td = depth[f]
-        i0 = max(0, int(np.floor((tri2[:, 0].min() - lo[0]) / resolution)))
-        i1 = min(w - 1, int(np.ceil((tri2[:, 0].max() - lo[0]) / resolution)))
-        j0 = max(0, int(np.floor((tri2[:, 1].min() - lo[1]) / resolution)))
-        j1 = min(h - 1, int(np.ceil((tri2[:, 1].max() - lo[1]) / resolution)))
-        if i1 < i0 or j1 < j0:
-            continue
-        ii, jj = np.meshgrid(np.arange(i0, i1 + 1), np.arange(j0, j1 + 1), indexing="ij")
-        ii, jj = ii.ravel(), jj.ravel()
-        pu = lo[0] + ii * resolution + eps_u
-        pv = lo[1] + jj * resolution + eps_v
-        det = ((tri2[1, 0] - tri2[0, 0]) * (tri2[2, 1] - tri2[0, 1])
-               - (tri2[2, 0] - tri2[0, 0]) * (tri2[1, 1] - tri2[0, 1]))
-        if abs(det) < 1e-30:
-            continue
-        w1 = ((pu - tri2[0, 0]) * (tri2[2, 1] - tri2[0, 1])
-              - (tri2[2, 0] - tri2[0, 0]) * (pv - tri2[0, 1])) / det
-        w2 = ((tri2[1, 0] - tri2[0, 0]) * (pv - tri2[0, 1])
-              - (pu - tri2[0, 0]) * (tri2[1, 1] - tri2[0, 1])) / det
-        inside = (w1 >= 0) & (w2 >= 0) & (w1 + w2 <= 1)
-        if not inside.any():
-            continue
-        z = td[0] + w1[inside] * (td[1] - td[0]) + w2[inside] * (td[2] - td[0])
-        np.maximum.at(heights, (ii[inside], jj[inside]), z)
+    np.maximum.at(heights, (ii, jj), z)
 
     covered = np.isfinite(heights)
     if not covered.any():

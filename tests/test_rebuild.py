@@ -7,7 +7,7 @@ import pytest
 
 import tubeaxis as tx
 from tubeaxis import rebuild
-from tubeaxis.track import Centerline
+from tubeaxis.track import Centerline, _polyline_directions
 
 
 def _line_centerline(n=11, step=2.0):
@@ -62,6 +62,41 @@ def test_sweep_frames_do_not_twist():
     ring0 = mesh.vertices[0::12]  # vertex 0 of each ring
     jumps = np.linalg.norm(np.diff(ring0, axis=0), axis=1)
     assert jumps.max() < 1.5  # no sudden half-turn flips
+
+
+def _sweep_per_ring(points, radius, sides, closed):
+    """Reference for sweep_tube's mesh: the per-ring loops it ran before
+    the ring mesher was shared with gen_tube."""
+    tangents = _polyline_directions(points, closed)
+    u = tx.frame_from_direction(tangents[0]).u
+    theta = 2 * math.pi * np.arange(sides) / sides
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    rings = []
+    for p, t in zip(points, tangents):
+        u = u - np.dot(u, t) * t
+        nu = np.linalg.norm(u)
+        u = tx.frame_from_direction(t).u if nu <= 1e-9 else u / nu
+        rings.append(p + radius * (np.outer(cos_t, u) + np.outer(sin_t, np.cross(t, u))))
+    n = len(points)
+    j = np.arange(sides)
+    jn = (j + 1) % sides
+    faces = []
+    for k in range(n if closed else n - 1):
+        k2 = (k + 1) % n
+        a, b, c, d = k * sides + j, k * sides + jn, k2 * sides + jn, k2 * sides + j
+        faces += [np.column_stack([a, b, d]), np.column_stack([b, c, d])]
+    return np.concatenate(rings), np.concatenate(faces)
+
+
+@pytest.mark.parametrize("closed", [False, True])
+def test_sweep_matches_the_per_ring_loops(closed):
+    theta = np.linspace(0, 2 * math.pi, 90, endpoint=False)
+    pts = np.column_stack([20 * np.cos(theta), 20 * np.sin(theta), 3 * np.sin(3 * theta)])
+    cl = Centerline(points=pts, directions=np.zeros_like(pts), closed=closed)
+    mesh = tx.sweep_tube(cl, radius=2.0, sides=24)
+    vertices, faces = _sweep_per_ring(pts, 2.0, 24, closed)
+    assert mesh.vertices.tobytes() == vertices.tobytes()
+    assert mesh.faces.tobytes() == faces.tobytes()
 
 
 def test_sweep_needs_two_points():

@@ -6,6 +6,60 @@ import numpy as np
 import pytest
 
 import tubeaxis as tx
+from tubeaxis import synth
+
+
+def _scan_per_face(depth, u, v, origin, step, shape, offset):
+    """Reference for synth._scan_triangles: the per-face loop voxelize and
+    render_heightmap each ran, with the same formulas in the same order,
+    so either scan must give them the same bits."""
+    eps_u, eps_v = step * 1.000000173e-4, step * 1.000000311e-4
+    hits = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))]
+    for td, tu, tv in zip(depth, u, v):
+        i0 = max(0, int(np.floor((tu.min() - origin[0]) / step - offset)))
+        i1 = min(shape[0] - 1, int(np.ceil((tu.max() - origin[0]) / step - offset)))
+        j0 = max(0, int(np.floor((tv.min() - origin[1]) / step - offset)))
+        j1 = min(shape[1] - 1, int(np.ceil((tv.max() - origin[1]) / step - offset)))
+        if i1 < i0 or j1 < j0:
+            continue
+        ii, jj = np.meshgrid(np.arange(i0, i1 + 1), np.arange(j0, j1 + 1), indexing="ij")
+        ii, jj = ii.ravel(), jj.ravel()
+        pu = origin[0] + (ii + offset) * step + eps_u
+        pv = origin[1] + (jj + offset) * step + eps_v
+        det = (tu[1] - tu[0]) * (tv[2] - tv[0]) - (tu[2] - tu[0]) * (tv[1] - tv[0])
+        if abs(det) < 1e-30:
+            continue
+        w1 = ((pu - tu[0]) * (tv[2] - tv[0]) - (tu[2] - tu[0]) * (pv - tv[0])) / det
+        w2 = ((tu[1] - tu[0]) * (pv - tv[0]) - (pu - tu[0]) * (tv[1] - tv[0])) / det
+        inside = (w1 >= 0) & (w2 >= 0) & (w1 + w2 <= 1)
+        z = td[0] + w1[inside] * (td[1] - td[0]) + w2[inside] * (td[2] - td[0])
+        hits.append((ii[inside], jj[inside], z))
+    return tuple(np.concatenate(x) for x in zip(*hits))
+
+
+def _rings_per_ring(points, us, vs, radius, nsides):
+    """Reference for synth._ring_vertices: one ring at a time."""
+    theta = 2 * math.pi * np.arange(nsides) / nsides
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    return np.concatenate([p + radius * (np.outer(cos_t, u) + np.outer(sin_t, v))
+                           for p, u, v in zip(points, us, vs)])
+
+
+def _bands_per_ring(nrings, nsides, closed):
+    """Reference for synth._band_faces: one band of quads at a time."""
+    j = np.arange(nsides)
+    jn = (j + 1) % nsides
+    faces = []
+    for k in range(nrings if closed else nrings - 1):
+        k2 = (k + 1) % nrings
+        a, b, c, d = k * nsides + j, k * nsides + jn, k2 * nsides + jn, k2 * nsides + j
+        faces += [np.column_stack([a, b, d]), np.column_stack([b, c, d])]
+    return np.concatenate(faces)
+
+
+def _small_capped_tube():
+    segs = tx.parse_tube_spec("S:12,A:9:100:40,S:8")
+    return tx.gen_tube(segs, radius=3.0, mesh_step=0.7, cap_ends=True)[0]
 
 
 def test_gen_tube_counts_and_truth():
@@ -36,6 +90,18 @@ def test_junction_indices_split_kinds():
     j0, j1 = truth.junctions
     assert truth.kinds[j0] == "S" and truth.kinds[j0 + 1] == "A"
     assert truth.kinds[j1] == "A" and truth.kinds[j1 + 1] == "S"
+
+
+@pytest.mark.parametrize("spec, cap_ends", [
+    ("S:12", False), ("S:12", True), ("S:10,A:8:90,S:5", True), ("A:10:120:40,S:6", False)])
+def test_gen_tube_matches_the_per_ring_mesher(monkeypatch, spec, cap_ends):
+    segs = tx.parse_tube_spec(spec)
+    mesh, _ = tx.gen_tube(segs, radius=2.0, mesh_step=0.7, cap_ends=cap_ends)
+    monkeypatch.setattr(synth, "_ring_vertices", _rings_per_ring)
+    monkeypatch.setattr(synth, "_band_faces", _bands_per_ring)
+    ref, _ = tx.gen_tube(segs, radius=2.0, mesh_step=0.7, cap_ends=cap_ends)
+    assert mesh.vertices.tobytes() == ref.vertices.tobytes()
+    assert mesh.faces.tobytes() == ref.faces.tobytes()
 
 
 def test_arc_radius_must_exceed_tube_radius():
@@ -131,6 +197,58 @@ def test_voxelize_requires_watertight_mesh():
     mesh, _ = tx.gen_tube([tx.Straight(20.0)], radius=4.0, mesh_step=1.0)
     with pytest.raises(tx.NotClosed):
         tx.voxelize(mesh, gridstep=1.0)
+
+
+def _same_voxels(a, b):
+    return (a.points.tobytes() == b.points.tobytes()
+            and a.origin.tobytes() == b.origin.tobytes())
+
+
+@pytest.mark.parametrize("spec, radius, mesh_step, gridstep", [
+    ("S:240,A:40:90,S:240", 8.0, 1.0, 1.0),  # the voxel_pipe benchmark input
+    ("S:12,A:9:100:40,S:8", 3.0, 0.7, 0.6)])
+def test_voxelize_matches_the_per_face_scan(monkeypatch, spec, radius, mesh_step, gridstep):
+    mesh, _ = tx.gen_tube(tx.parse_tube_spec(spec), radius, mesh_step, cap_ends=True)
+    vol = tx.voxelize(mesh, gridstep)
+    monkeypatch.setattr(synth, "_scan_triangles", _scan_per_face)
+    assert _same_voxels(vol, tx.voxelize(mesh, gridstep))
+
+
+def test_voxelize_skips_faces_seen_edge_on():
+    mesh = _small_capped_tube()
+    # a face in the y = z plane containing the x direction: det is exactly 0
+    extra = np.array([[1.0, 0.0, 0.0], [5.0, 0.0, 0.0], [2.0, 1.0, 1.0]])
+    n = mesh.n_vertices
+    edge_on = tx.TriMesh(np.vstack([mesh.vertices, extra]),
+                         np.vstack([mesh.faces, [[n, n + 1, n + 2]]]))
+    assert _same_voxels(tx.voxelize(edge_on, 0.6), tx.voxelize(mesh, 0.6))
+
+
+def test_scan_chunks_do_not_change_the_bits(monkeypatch):
+    mesh = _small_capped_tube()
+    vol = tx.voxelize(mesh, 0.6)
+    maps = [tx.render_heightmap(mesh, axis, 0.45) for axis in "xyz"]
+    monkeypatch.setattr(synth, "_SCAN_PAIRS", 5)
+    assert _same_voxels(vol, tx.voxelize(mesh, 0.6))
+    for axis, hm in zip("xyz", maps):
+        assert hm.heights.tobytes() == tx.render_heightmap(mesh, axis, 0.45).heights.tobytes()
+
+
+@pytest.mark.parametrize("axis", "xyz")
+def test_heightmap_matches_the_per_face_scan(monkeypatch, axis):
+    mesh = _small_capped_tube()
+    hm = tx.render_heightmap(mesh, axis, 0.45)
+    monkeypatch.setattr(synth, "_scan_triangles", _scan_per_face)
+    ref = tx.render_heightmap(mesh, axis, 0.45)
+    assert hm.heights.tobytes() == ref.heights.tobytes()
+    assert (hm.width, hm.height, hm.origin) == (ref.width, ref.height, ref.origin)
+
+
+def test_heightmap_of_a_face_seen_edge_on_is_too_small():
+    # projected along z the triangle is a segment: it covers no pixel
+    verts = np.array([[0.0, 0, 0], [3.0, 0, 0], [0.0, 0, 2.0]])
+    with pytest.raises(tx.TooSmall):
+        tx.render_heightmap(tx.TriMesh(verts, [[0, 1, 2]]), view_axis="z")
 
 
 def test_heightmap_of_flat_square():
