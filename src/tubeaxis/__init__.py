@@ -10,8 +10,7 @@ per-face deviation.
 from .accumulate import (AccumulationParams, AccumulationResult,
                          accumulation_domain, compute_accumulation)
 from .core import (GridDomain, OrthonormalFrame, ScalarGrid3, VectorGrid3,
-                   digitize, frame_from_direction, load_grid, normalize,
-                   save_grid)
+                   digitize, frame_from_direction, normalize)
 from .decompose import (Decomposition, Segment, TangentSpacePolygon,
                         decompose_centerline, detect_arcs_and_lines,
                         fit_circle_3d, tangent_space_transform)
@@ -40,7 +39,7 @@ __all__ = [
     "AccumulationParams", "AccumulationResult", "accumulation_domain",
     "compute_accumulation",
     "GridDomain", "OrthonormalFrame", "ScalarGrid3", "VectorGrid3",
-    "digitize", "frame_from_direction", "load_grid", "normalize", "save_grid",
+    "digitize", "frame_from_direction", "normalize",
     "Decomposition", "Segment", "TangentSpacePolygon", "decompose_centerline",
     "detect_arcs_and_lines", "fit_circle_3d", "tangent_space_transform",
     "TubeAxisError", "ParseError", "UnsupportedFormat", "TooSmall",

@@ -12,8 +12,8 @@ Rays only visit a shell around the axis, so the table grows with faces x
 steps while the domain grows with the volume of the box. Readers look
 voxels up with searchsorted on the ids; a voxel missing from the table
 holds 0. The dense `acc` and `directions` grids of a result are scattered
-from the table the first time they are read (to write them out, say);
-tracking never reads them.
+from the table the first time they are read; tracking never reads them,
+and the `accumulate` subcommand writes the table itself.
 
 A voxel's direction comes from the normals of its own vote events, kept
 grouped by voxel (as int32 face ids): the least eigenvector of their
@@ -32,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import GridDomain, ScalarGrid3, VectorGrid3
+from .core import GridDomain, ScalarGrid3, VectorGrid3, column_max, column_min
 from .errors import DomainTooLarge, EmptyInput, TooSmall
 
 _STEP_EPS = 1e-9
@@ -137,10 +137,8 @@ def accumulation_domain(points, params: AccumulationParams) -> GridDomain:
     if points.size == 0:
         raise EmptyInput("no points to build a domain around")
     pad = params.acc_radius + params.gridstep
-    # column by column: numpy's axis-0 reduction of an (N, 3) array is
-    # several times slower
-    lo = np.array([column.min() for column in points.T]) - pad
-    hi = np.array([column.max() for column in points.T]) + pad
+    lo = column_min(points) - pad
+    hi = column_max(points) + pad
     dims = np.maximum(np.ceil((hi - lo) / params.gridstep), 1)
     if np.any(dims >= 2.0 ** 63):  # the int cast would wrap
         raise DomainTooLarge(f"a domain of {dims} voxels is too large to index")

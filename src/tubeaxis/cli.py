@@ -24,11 +24,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import save_grid
 from .errors import (EmptyInput, ParseError, TooSmall, TubeAxisError,
                      UnsupportedFormat)
 from .ingest import (heightmap_to_mesh, load_heightmap, load_mesh, load_volume,
-                     read_centerline_csv, write_artifacts, write_off)
+                     read_centerline_csv, write_accumulation_npz,
+                     write_artifacts, write_off)
 from .normals import (digital_surface_faces, estimate_digital_normals,
                       face_normals, orient_inward)
 from .pipeline import SETTINGS, STAGES, run_pipeline, timed
@@ -61,7 +61,7 @@ class _Command(NamedTuple):
 _CHAIN = ("accumulate", "track", "refine")
 
 COMMANDS = {
-    "accumulate": _Command("write the vote and direction grids", _CHAIN[:1],
+    "accumulate": _Command("write the vote table (accumulation.npz)", _CHAIN[:1],
                            ("max_acc", "max_pt", "domain_dims")),
     "centerline": _Command("track the raw centerline", _CHAIN[:2], ("max_acc",)),
     "refine": _Command("optimize centerline point positions", _CHAIN, (), True),
@@ -277,10 +277,8 @@ def _run(args):
     with timed(timings, "write"):
         if r.centerline is None:
             out_dir.mkdir(parents=True, exist_ok=True)
-            outputs = {name: [str(p) for p in save_grid(getattr(r.accumulation, attr),
-                                                        out_dir / name)]
-                       for name, attr in (("accumulation", "acc"),
-                                          ("directions", "directions"))}
+            outputs = {"accumulation_npz": str(out_dir / "accumulation.npz")}
+            write_accumulation_npz(r.accumulation, outputs["accumulation_npz"])
         else:
             outputs = write_artifacts(
                 out_dir, r.centerline, decomposition=r.decomposition,

@@ -7,10 +7,8 @@ dense axis-aligned grid described by :class:`GridDomain`.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -195,14 +193,11 @@ class CellHash:
             self._stencils[r, forward] = np.column_stack([ox, oy, oz_lo, oz])[keep]
         return self._stencils[r, forward]
 
-    def query_ball_point(self, point, r):
-        """Ascending indices of the points within r of point, by
-        d^2 <= r^2 in this arithmetic; callers whose own distance test
-        must not lose a point to rounding pad r by a relative margin."""
-        return next(self.query_ball_points(np.reshape(point, (1, 3)), r))
-
     def query_ball_points(self, points, r):
-        """query_ball_point for each of points, yielded in order.
+        """Ascending indices of the points within r of each of points, by
+        d^2 <= r^2 in this arithmetic, yielded in order; callers whose own
+        distance test must not lose a point to rounding pad r by a
+        relative margin.
 
         One :meth:`ranges` lookup serves all points; the distance tests
         then run on about _CHUNK_CANDIDATES candidates at a time, so the
@@ -286,51 +281,3 @@ class VectorGrid3:
     @classmethod
     def zeros(cls, domain: GridDomain):
         return cls(domain, np.zeros(domain.dims + (3,), dtype=np.float64))
-
-
-# --- grid serialization -----------------------------------------------------
-#
-# A grid is stored as <stem>.json (header) plus <stem>.raw holding the raw
-# little-endian array, x-fastest then y then z, vector components interleaved
-# per voxel.
-
-_DTYPES = {"uint32": "<u4", "float64": "<f8"}
-
-
-def save_grid(grid, stem):
-    stem = Path(stem)
-    if isinstance(grid, ScalarGrid3):
-        dtype, components = "uint32", 1
-        flat = grid.values.transpose(2, 1, 0).astype(_DTYPES[dtype])
-    elif isinstance(grid, VectorGrid3):
-        dtype, components = "float64", 3
-        flat = grid.values.transpose(2, 1, 0, 3).astype(_DTYPES[dtype])
-    else:
-        raise TypeError(f"cannot serialize {type(grid).__name__}")
-    header = {
-        "dims": list(grid.domain.dims),
-        "origin": [float(c) for c in grid.domain.origin],
-        "gridstep": float(grid.domain.gridstep),
-        "dtype": dtype,
-        "components": components,
-    }
-    with open(stem.with_suffix(".json"), "w") as fh:
-        json.dump(header, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    with open(stem.with_suffix(".raw"), "wb") as fh:
-        fh.write(np.ascontiguousarray(flat).tobytes())
-    return stem.with_suffix(".json"), stem.with_suffix(".raw")
-
-
-def load_grid(stem):
-    stem = Path(stem)
-    with open(stem.with_suffix(".json")) as fh:
-        header = json.load(fh)
-    nx, ny, nz = header["dims"]
-    domain = GridDomain(np.array(header["origin"]), header["gridstep"], (nx, ny, nz))
-    raw = np.fromfile(stem.with_suffix(".raw"), dtype=_DTYPES[header["dtype"]])
-    if header["components"] == 1:
-        values = raw.reshape(nz, ny, nx).transpose(2, 1, 0).copy()
-        return ScalarGrid3(domain, values)
-    values = raw.reshape(nz, ny, nx, 3).transpose(2, 1, 0, 3).copy()
-    return VectorGrid3(domain, values)

@@ -65,6 +65,8 @@ class TriMesh:
         self.faces = np.asarray(self.faces, dtype=np.int64).reshape(-1, 3)
         if self.faces.size and self.faces.max() >= len(self.vertices):
             raise ValueError("face index exceeds vertex count")
+        if self.faces.size and self.faces.min() < 0:
+            raise ValueError("face index is negative")
 
     @property
     def n_vertices(self):
@@ -591,6 +593,18 @@ def write_face_scalar_csv(values, path):
             fields[::2] = range(lo, lo + len(block))
             fields[1::2] = block
             fh.write(("%d,%.9g\n" * len(block)) % tuple(fields))
+
+
+def write_accumulation_npz(accumulation, path):
+    """Write an accumulation's vote table as one uncompressed npz, for
+    np.load: ``index`` the (n, 3) int64 lattice indices of the visited
+    voxels in key order, ``counts`` their uint32 votes, ``directions``
+    the (n, 3) rows of ``dirs``, and the domain's ``origin``,
+    ``gridstep`` and ``dims``."""
+    domain = accumulation.domain
+    index = np.column_stack(np.unravel_index(accumulation.keys, domain.dims))
+    np.savez(path, index=index, counts=accumulation.counts, directions=accumulation.dirs,
+             origin=domain.origin, gridstep=domain.gridstep, dims=domain.dims)
 
 
 def write_artifacts(out_dir, centerline, decomposition=None, meshes=None,

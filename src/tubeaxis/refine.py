@@ -50,27 +50,19 @@ EPSILON_O = 0.001
 MAX_ITER = 1000
 
 
-def section_points(centerline, faces, i, acc_radius, track_step, tree=None,
-                   near=None):
+def section_points(centerline, faces, i, acc_radius, track_step, near):
     """Face centers within acc_radius of C_i whose axial offset along the
     local direction d_i falls in the slab (-track_step/2, +track_step/2],
     in face order, and the areas of their faces (the weights of area
     weighting): returns (points, areas).
 
-    ``tree`` is any index over ``faces.centers`` with a
-    ``query_ball_point(point, r)`` that returns at least the indices within
-    r (a :class:`CellHash` by default, or a k-d tree); callers that take
-    sections at many points build it once. ``near``, if given, stands for
-    that query's result. The query only gathers candidates (with a margin
-    for its own rounding); the distance and slab tests below decide, so
-    the selection is that of a full scan.
+    ``near`` holds the candidate face indices: at least those whose
+    centers lie within acc_radius of C_i, such as a ball query's result
+    with a margin for its own rounding. The distance and slab tests below
+    decide, so the selection is that of a full scan.
     """
     c = centerline.points[i]
     d = centerline.directions[i]
-    if near is None:
-        if tree is None:
-            tree = CellHash(faces.centers, _CELL_FRACTION * acc_radius)
-        near = tree.query_ball_point(c, acc_radius * (1.0 + _BALL_MARGIN))
     near = np.sort(np.asarray(near, dtype=np.intp))
     rel = faces.centers[near] - c
     dist = np.linalg.norm(rel, axis=1)

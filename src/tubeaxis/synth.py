@@ -305,7 +305,8 @@ def voxelize(mesh, gridstep) -> VoxelSet:
     rows = jj * nz + kk
     # first voxel center strictly beyond the crossing
     i0 = np.clip(np.floor((xhit - origin[0]) / gridstep - 0.5).astype(int) + 1, 0, nx)
-    hit_delta = np.zeros((nx + 1, ny * nz), dtype=np.int64)
+    # parity needs one bit: uint8 sums wrap at 256, which is even
+    hit_delta = np.zeros((nx + 1, ny * nz), dtype=np.uint8)
     hit_count = np.zeros(ny * nz, dtype=np.int64)
     np.add.at(hit_delta, (i0, rows), 1)
     np.add.at(hit_count, rows, 1)
@@ -315,9 +316,9 @@ def voxelize(mesh, gridstep) -> VoxelSet:
     if active.any() and odd_rows > 0.001 * int(active.sum()):
         raise NotClosed(f"{odd_rows} of {int(active.sum())} rows have odd crossing parity")
 
-    parity = np.cumsum(hit_delta[:nx], axis=0) % 2
-    interior = parity.astype(bool).reshape(nx, ny, nz)
-    idx = np.argwhere(interior)
+    parity = np.cumsum(hit_delta[:nx], axis=0, dtype=np.uint8)
+    parity &= 1
+    idx = np.argwhere(parity.reshape(nx, ny, nz))
     if len(idx) == 0:
         raise NotClosed("parity casting found no enclosed volume")
     return VoxelSet(idx, origin=origin, gridstep=gridstep)

@@ -237,14 +237,50 @@ def test_accumulate_writes_grids(tube_off, tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["command"] == "accumulate"
     assert summary["results"]["max_acc"] >= 2
-    grid = tx.load_grid(out / "accumulation")
-    assert int(grid.values.max()) == summary["results"]["max_acc"]
-    dirs = tx.load_grid(out / "directions")
-    assert dirs.values.shape == tuple(summary["results"]["domain_dims"]) + (3,)
+    assert summary["outputs"] == {"accumulation_npz": str(out / "accumulation.npz")}
+    table = np.load(out / "accumulation.npz")
+    assert int(table["counts"].max()) == summary["results"]["max_acc"]
+    assert table["dims"].tolist() == summary["results"]["domain_dims"]
+    # one lattice index per voted voxel, inside the domain, none repeated
+    index = table["index"]
+    assert index.shape == (len(table["counts"]), 3)
+    assert np.all((index >= 0) & (index < table["dims"]))
+    assert len(np.unique(index, axis=0)) == len(index)
     # unit vectors where the normals fix a direction, zeros elsewhere
-    lengths = np.linalg.norm(dirs.values, axis=-1)
+    lengths = np.linalg.norm(table["directions"], axis=-1)
     assert np.all((lengths == 0) | (np.abs(lengths - 1) < 1e-12))
     assert np.any(lengths > 0)
+
+
+def test_accumulate_npz_is_the_vote_table(tube_off, tmp_path):
+    out = tmp_path / "acc"
+    assert run(["accumulate", "--input", tube_off, "--radius", 4,
+                "--gridstep", 1.0, "--out-dir", out]) == 0
+    faces = tx.orient_inward(tx.face_normals(tx.load_mesh(tube_off)), mode="auto",
+                             radius=4.0)
+    res = tx.compute_accumulation(faces, tx.AccumulationParams(radius=4.0,
+                                                               gridstep=1.0))
+    table = np.load(out / "accumulation.npz")
+    assert set(table.files) == {"index", "counts", "directions", "origin",
+                                "gridstep", "dims"}
+    index, counts, dirs = table["index"], table["counts"], table["directions"]
+    assert index.dtype == np.int64 and counts.dtype == np.uint32
+    assert dirs.dtype == np.float64
+    assert np.array_equal(index, np.column_stack(np.unravel_index(res.keys,
+                                                                  res.domain.dims)))
+    assert counts.tobytes() == res.counts.tobytes()
+    assert dirs.tobytes() == res.dirs.tobytes()
+    assert table["origin"].tobytes() == res.domain.origin.tobytes()
+    assert float(table["gridstep"]) == res.domain.gridstep
+    assert tuple(table["dims"]) == res.domain.dims
+    # scattered into dense grids, the table is the dense accumulation
+    dims = tuple(table["dims"])
+    acc = np.zeros(dims, dtype=np.uint32)
+    acc[tuple(index.T)] = counts
+    directions = np.zeros(dims + (3,))
+    directions[tuple(index.T)] = dirs
+    assert acc.tobytes() == res.acc.values.tobytes()
+    assert directions.tobytes() == res.directions.values.tobytes()
 
 
 def test_pipeline_end_to_end(tube_off, tmp_path):

@@ -1,14 +1,12 @@
-"""Frames, grid domains, the cell hash and raw grid serialization."""
+"""Frames, grid domains and the cell hash."""
 
-import json
 import math
 
 import numpy as np
 import pytest
 
-from tubeaxis import (GridDomain, ScalarGrid3, VectorGrid3, ZeroDirection,
-                      digitize, frame_from_direction, load_grid, normalize,
-                      save_grid)
+from tubeaxis import (GridDomain, ZeroDirection, digitize, frame_from_direction,
+                      normalize)
 from tubeaxis.core import CellHash, column_max, column_min, concat_ranges
 
 
@@ -108,56 +106,6 @@ def test_domain_rejects_a_non_finite_origin(origin):
         GridDomain(origin=np.array(origin), gridstep=1.0, dims=(4, 4, 4))
 
 
-@pytest.mark.parametrize("field,value", [("gridstep", math.nan),
-                                         ("origin", [0.0, math.nan, 0.0]),
-                                         ("origin", [math.inf, 0.0, 0.0])])
-def test_load_grid_rejects_a_non_finite_header(tmp_path, field, value):
-    dom = GridDomain(origin=np.zeros(3), gridstep=1.0, dims=(2, 2, 2))
-    stem = tmp_path / "acc"
-    save_grid(ScalarGrid3.zeros(dom), stem)
-    header = json.loads(stem.with_suffix(".json").read_text())
-    header[field] = value
-    stem.with_suffix(".json").write_text(json.dumps(header))
-    with pytest.raises(ValueError, match=field):
-        load_grid(stem)
-
-
-def test_scalar_grid_roundtrip(tmp_path):
-    dom = GridDomain(origin=np.array([0.5, -1.0, 2.0]), gridstep=0.75,
-                     dims=(3, 4, 2))
-    rng = np.random.default_rng(3)
-    values = rng.integers(0, 1000, size=(3, 4, 2)).astype(np.uint32)
-    stem = tmp_path / "acc"
-    save_grid(ScalarGrid3(dom, values), stem)
-    back = load_grid(stem)
-    assert np.array_equal(back.values, values)
-    assert back.domain.dims == dom.dims
-    assert back.domain.gridstep == dom.gridstep
-    assert np.allclose(back.domain.origin, dom.origin)
-
-
-def test_vector_grid_roundtrip(tmp_path):
-    dom = GridDomain(origin=np.zeros(3), gridstep=1.0, dims=(2, 3, 4))
-    rng = np.random.default_rng(4)
-    values = rng.normal(size=(2, 3, 4, 3))
-    stem = tmp_path / "dir"
-    save_grid(VectorGrid3(dom, values), stem)
-    back = load_grid(stem)
-    assert np.array_equal(back.values, values)
-
-
-def test_raw_layout_is_x_fastest(tmp_path):
-    # a 2x1x1 grid must serialize as [v(0,0,0), v(1,0,0)]
-    dom = GridDomain(origin=np.zeros(3), gridstep=1.0, dims=(2, 1, 1))
-    values = np.array([[[5]], [[9]]], dtype=np.uint32)
-    stem = tmp_path / "tiny"
-    save_grid(ScalarGrid3(dom, values), stem)
-    raw = np.fromfile(f"{stem}.raw", dtype="<u4")
-    assert raw.tolist() == [5, 9]
-    meta = json.loads(open(f"{stem}.json").read())
-    assert meta["dims"] == [2, 1, 1]
-
-
 @pytest.mark.parametrize("cell, r", [(1.0, 1.0), (0.5, 1.3), (2.0, 0.7),
                                      (0.25, 2.0)])
 def test_cell_hash_ball_query_holds_the_ball(cell, r):
@@ -167,8 +115,7 @@ def test_cell_hash_ball_query_holds_the_ball(cell, r):
     # query points inside, on and far outside the box of the points
     queries = np.vstack([rng.normal(size=(40, 3)) * 4, pts[:10],
                          [[50.0, 0, 0], [-9.0, -9.0, -9.0]]])
-    for q in queries:
-        got = grid.query_ball_point(q, r * (1 + 1e-9))
+    for q, got in zip(queries, grid.query_ball_points(queries, r * (1 + 1e-9))):
         assert np.all(np.diff(got) > 0)
         dist = np.linalg.norm(pts - q, axis=1)
         assert set(np.flatnonzero(dist <= r)) <= set(got.tolist())
@@ -204,7 +151,6 @@ def test_cell_hash_batched_ball_queries_equal_single_queries(chunk, monkeypatch)
             expected = _one_ball(grid, q, r)
             assert ids.dtype == expected.dtype
             assert np.array_equal(ids, expected)
-            assert np.array_equal(grid.query_ball_point(q, r), expected)
     assert list(grid.query_ball_points(np.empty((0, 3)), 1.0)) == []
 
 

@@ -464,6 +464,15 @@ def test_load_mesh_geometry_equals_separate_passes(tmp_path):
         assert mesh.median_face_size() == float(np.median(longest))
 
 
+@pytest.mark.parametrize("faces, message", [([[0, 1, -1]], "negative"),
+                                             ([[0, 1, 3]], "exceeds")])
+def test_trimesh_rejects_face_indices_outside_the_vertices(faces, message):
+    # -1 would otherwise wrap around to the last vertex
+    verts = np.array([[0.0, 0, 0], [3.0, 0, 0], [0.0, 4, 0]])
+    with pytest.raises(ValueError, match=message):
+        tx.TriMesh(verts, faces)
+
+
 def test_median_face_size_is_longest_edge_median():
     verts = np.array([[0.0, 0, 0], [3.0, 0, 0], [0.0, 4, 0]])
     mesh = tx.TriMesh(verts, np.array([[0, 1, 2]]))

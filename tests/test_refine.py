@@ -147,7 +147,8 @@ def test_section_slab_bounds():
     ])
     faces = tx.OrientedFaceSet(centers, np.tile([0.0, 1, 0], (5, 1)),
                                np.ones(5))
-    points, _ = tx.section_points(cl, faces, 1, acc_radius=5.0, track_step=4.0)
+    points, _ = tx.section_points(cl, faces, 1, acc_radius=5.0, track_step=4.0,
+                                  near=np.arange(len(centers)))
     got = {tuple(p) for p in points}
     assert tuple(centers[0]) in got
     assert tuple(centers[1]) in got
@@ -188,17 +189,20 @@ def test_section_tree_query_equals_full_scan():
     faces = tx.OrientedFaceSet(centers, np.tile([0.0, 1, 0], (len(centers), 1)),
                                rng.uniform(0.5, 1.5, len(centers)))
     tree = cKDTree(centers)
+    everything = np.arange(len(centers))
     for i in range(3):
         expected = _full_scan_section(cl, centers, i, 5.0, 4.0)
-        own, own_areas = tx.section_points(cl, faces, i, 5.0, 4.0)
-        shared, shared_areas = tx.section_points(cl, faces, i, 5.0, 4.0, tree=tree)
+        own, own_areas = tx.section_points(cl, faces, i, 5.0, 4.0, everything)
+        ball = tree.query_ball_point(cl.points[i], 5.0 * (1 + 1e-9))
+        shared, shared_areas = tx.section_points(cl, faces, i, 5.0, 4.0, ball)
         assert len(expected) >= 3
         assert np.array_equal(own, expected)
         assert np.array_equal(shared, expected)
         # each point's weight is its own face's area
         assert np.array_equal(own_areas, faces.areas[_row_of(centers, own)])
         assert np.array_equal(own_areas, shared_areas)
-    got, _ = tx.section_points(cl, faces, 1, 5.0, 4.0, tree=tree)
+    ball = tree.query_ball_point(cl.points[1], 5.0 * (1 + 1e-9))
+    got, _ = tx.section_points(cl, faces, 1, 5.0, 4.0, ball)
     kept = [bool((got == p).all(axis=1).any()) for p in planted]
     assert kept == [True, True, False, True, False, False]
 
@@ -209,7 +213,8 @@ def test_section_needs_three_points():
     faces = tx.OrientedFaceSet(np.array([[0.0, 1.0, 0.0]]),
                                np.array([[0.0, 1, 0]]), np.ones(1))
     with pytest.raises(tx.TooFewPoints):
-        tx.section_points(cl, faces, 0, acc_radius=5.0, track_step=4.0)
+        tx.section_points(cl, faces, 0, acc_radius=5.0, track_step=4.0,
+                          near=np.arange(1))
 
 
 def test_optimize_centerline_marks_unrefined_points():
@@ -237,13 +242,14 @@ def test_optimize_centerline_equals_one_section_query_per_point(bent_pipe):
                      directions=np.vstack([raw.directions, [[1.0, 0, 0]]]))
     out = tx.optimize_centerline(raw, faces, radius, acc_radius, radius,
                                  area_weighting=True)
-    tree = cKDTree(faces.centers)
+    balls = cKDTree(faces.centers).query_ball_point(raw.points,
+                                                    acc_radius * (1 + 1e-9))
     expected = raw.points.copy()
     refined = np.zeros(len(raw), dtype=bool)
     for i in range(len(raw)):
         try:
             section, areas = tx.section_points(raw, faces, i, acc_radius, radius,
-                                               tree=tree)
+                                               balls[i])
         except tx.TooFewPoints:
             continue
         expected[i] = tx.optimize_point(expected[i], section, radius,
@@ -299,10 +305,11 @@ def _bent_pipe_sections(bent_pipe):
     acc_radius = bent_pipe["params"].acc_radius
     raw = tx.extract_centerline(bent_pipe["result"], track_step=radius,
                                 acc_radius=acc_radius)
-    tree = cKDTree(bent_pipe["faces"].centers)
+    balls = cKDTree(bent_pipe["faces"].centers).query_ball_point(
+        raw.points, acc_radius * (1 + 1e-9))
     return [(raw.points[i],
              tx.section_points(raw, bent_pipe["faces"], i, acc_radius, radius,
-                               tree=tree)[0])
+                               balls[i])[0])
             for i in range(len(raw))]
 
 

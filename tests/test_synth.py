@@ -1,6 +1,7 @@
 """Ground-truth tube generation, degradation, voxelization, height maps."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -212,6 +213,22 @@ def test_voxelize_matches_the_per_face_scan(monkeypatch, spec, radius, mesh_step
     vol = tx.voxelize(mesh, gridstep)
     monkeypatch.setattr(synth, "_scan_triangles", _scan_per_face)
     assert _same_voxels(vol, tx.voxelize(mesh, gridstep))
+
+
+def test_voxelize_parity_takes_a_byte_per_lattice_voxel():
+    # the voxel_pipe benchmark tube: a 290 x 290 x 18 lattice box; int64
+    # crossing deltas, their cumsum and its parity took 24 bytes a voxel
+    mesh, _ = tx.gen_tube(tx.parse_tube_spec("S:240,A:40:90,S:240"), 8.0, 1.0,
+                          cap_ends=True)
+    tracemalloc.start()
+    try:
+        vol = tx.voxelize(mesh, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    box = 290 * 290 * 18
+    assert len(vol.points) == 112_520
+    assert peak < 12 * box
 
 
 def test_voxelize_skips_faces_seen_edge_on():
