@@ -37,6 +37,7 @@ from .errors import DomainTooLarge, EmptyInput, TooSmall
 
 _STEP_EPS = 1e-9
 _INT64_MAX = np.iinfo(np.int64).max
+_BLOCK = 1 << 16  # events whose remainders one step computes
 # largest share of the trace the least eigenvalue of a direction's normal
 # tensor may hold, and smallest share the middle one must
 _FLAT = 0.02
@@ -227,8 +228,10 @@ def _group_events(ids, voxel_count):
     packed.sort()
     packed = packed[np.searchsorted(packed, 0):]
     sorted_ids = packed // n_events
-    # the remainder, which np.remainder computes several times slower
-    packed -= sorted_ids * n_events
+    # the remainder, which np.remainder computes several times slower; a
+    # block at a time, so that no third array of every event is made
+    for lo in range(0, len(packed), _BLOCK):
+        packed[lo:lo + _BLOCK] -= sorted_ids[lo:lo + _BLOCK] * n_events
     return packed, sorted_ids
 
 
@@ -276,7 +279,7 @@ def compute_accumulation(faces, params: AccumulationParams) -> AccumulationResul
         raise TooSmall(f"acc_radius {params.acc_radius:g} is too small for a scan "
                        f"step at gridstep {params.gridstep:g}")
     domain = accumulation_domain(faces.centers, params)
-    ids = _march(faces.centers.T.copy(), faces.normals.T.copy(), params, domain)
+    ids = _march(*faces.columns(), params, domain)
     n_steps = len(ids)
     order, sorted_ids = _group_events(ids, domain.voxel_count)
     del ids

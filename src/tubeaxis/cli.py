@@ -194,7 +194,10 @@ def _load_input(args, timings):
             info.update(n_faces=mesh.n_faces, n_vertices=mesh.n_vertices)
         elif kind == "voxels":
             volume = load_volume(path)
-            faces = digital_surface_faces(volume)
+            try:
+                faces = digital_surface_faces(volume)
+            except ValueError as exc:  # coordinates its lattice cannot index
+                raise ParseError(str(exc), path=path) from None
             native_step = 1.0
             info.update(n_voxels=len(volume), n_faces=len(faces))
         else:
@@ -383,7 +386,10 @@ def _add_input_args(p):
                    help="scan slack beyond the radius (default 0.1*radius)")
 
 
-def build_parser():
+def build_parser(commands=None):
+    """The tubeaxis parser. Every subcommand is listed, but only those in
+    ``commands`` (default: all) get their options; a subcommand's parser
+    is only read when it runs, or when its help is asked for."""
     parser = _Parser(
         prog="tubeaxis",
         description="Centerline extraction and straight/arc analysis of 3D "
@@ -392,6 +398,8 @@ def build_parser():
 
     for name, command in COMMANDS.items():
         p = sub.add_parser(name, help=command.about)
+        if commands is not None and name not in commands:
+            continue
         _add_common_args(p, "tube radius in input units")
         _add_input_args(p)
         for stage in command.stages:
@@ -403,6 +411,8 @@ def build_parser():
         p.set_defaults(func=_run)
 
     p = sub.add_parser("synth", help="generate a ground-truth tube")
+    if commands is not None and "synth" not in commands:
+        return parser
     _add_common_args(p, "tube cross-section radius")
     p.add_argument("--spec", required=True,
                    help="segments like 'S:30,A:15:90,S:30' "
@@ -422,7 +432,11 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # the top-level parser takes no option with a value, so the subcommand
+    # that argparse runs, if any, is the first argument that names one
+    names = [*COMMANDS, "synth"]
+    parser = build_parser(commands=[next((a for a in argv if a in names), None)])
     try:
         args = parser.parse_args(argv)
     except UsageError as exc:

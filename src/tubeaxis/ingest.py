@@ -83,18 +83,31 @@ class TriMesh:
 
     def geometry(self) -> FaceGeometry:
         """Cross products, centers and longest edges of all faces, from one
-        gathering of the corners."""
+        gathering of the corners.
+
+        The three edge vectors are taken once; the cross products and
+        squared lengths are then built column by column, with the bits of
+        np.cross (a1 b2 - a2 b1, ...) and np.linalg.norm(axis=1)
+        (sqrt((x^2 + y^2) + z^2)), which are several times slower on
+        (F, 3) rows. The longest edge is the root of the largest square,
+        as sqrt is monotonic.
+        """
         if self._geometry is None:
-            a, b, c = self.corners()
-            ab, ac = b - a, c - a
-            cross = np.cross(ab, ac)
-            longest = np.maximum.reduce([
-                np.linalg.norm(ab, axis=1),
-                np.linalg.norm(c - b, axis=1),
-                np.linalg.norm(ac, axis=1),  # a - c is -(c - a) exactly
-            ])
-            self._geometry = FaceGeometry(cross, np.linalg.norm(cross, axis=1),
-                                          (a + b + c) / 3.0, longest)
+            # one contiguous row of vertex ids per corner, which take
+            # gathers several times faster than a column of the faces
+            a, b, c = (self.vertices.take(ids, axis=0) for ids in self.faces.T.copy())
+            ab, ac, bc = b - a, c - a, c - b  # a - c is -(c - a) exactly
+            centers = a + b
+            centers += c
+            centers /= 3.0
+            del a, b, c  # freed before the cross products, which set the peak
+            cross = np.empty_like(ab)
+            for axis, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
+                np.subtract(ab[:, j] * ac[:, k], ab[:, k] * ac[:, j], out=cross[:, axis])
+            longest = np.maximum(_squared_lengths(ab), _squared_lengths(bc))
+            np.maximum(longest, _squared_lengths(ac), out=longest)
+            self._geometry = FaceGeometry(cross, np.sqrt(_squared_lengths(cross)),
+                                          centers, np.sqrt(longest))
         return self._geometry
 
     def bounding_box(self):
@@ -117,6 +130,14 @@ class TriMesh:
         if np.isnan(part[-1]):  # NaN sorts last
             return math.nan
         return float(part[lo:half + 1].mean())
+
+
+def _squared_lengths(rows):
+    """(x^2 + y^2) + z^2 of each (F, 3) row, by columns."""
+    total = rows[:, 0] * rows[:, 0]
+    total += rows[:, 1] * rows[:, 1]
+    total += rows[:, 2] * rows[:, 2]
+    return total
 
 
 @dataclass
@@ -254,10 +275,10 @@ def _parse_off_triangles(data):
     records = _read_table(data[start[1]:start[2] - 1], np.int64, (nf, 4))
     if vertices is None or records is None:
         return None
-    faces = records[:, 1:]
+    faces = np.ascontiguousarray(records[:, 1:])  # tested several times faster than the view
     if np.any(records[:, 0] != 3) or np.any(faces < 0) or np.any(faces >= nv):
         return None
-    return vertices, np.ascontiguousarray(faces)
+    return vertices, faces
 
 
 def _load_off_lines(path):

@@ -9,7 +9,7 @@ global orientation actually points inward.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,11 +31,18 @@ _FACET_DIRS = np.array([
 
 @dataclass
 class OrientedFaceSet:
-    """Face centers with unit normals and areas, in input face order."""
+    """Face centers with unit normals and areas, in input face order.
+
+    The (3, F) columns of the centers and normals are made on first use
+    and kept (see columns), so centers and normals must not be modified
+    in place after it.
+    """
 
     centers: np.ndarray
     normals: np.ndarray
     areas: np.ndarray
+    _columns: tuple | None = field(default=None, init=False, repr=False,
+                                   compare=False)
 
     def __post_init__(self):
         self.centers = np.asarray(self.centers, dtype=float).reshape(-1, 3)
@@ -48,8 +55,19 @@ class OrientedFaceSet:
     def __len__(self):
         return len(self.centers)
 
+    def columns(self):
+        """(centers, normals) as contiguous (3, F) arrays, one row per axis."""
+        if self._columns is None:
+            self._columns = (self.centers.T.copy(), self.normals.T.copy())
+        return self._columns
+
     def flipped(self):
-        return OrientedFaceSet(self.centers, -self.normals, self.areas)
+        """The faces with negated normals; its columns are this set's,
+        the normals negated, so neither set transposes them again."""
+        centers, normals = self.columns()
+        out = OrientedFaceSet(self.centers, -self.normals, self.areas)
+        out._columns = (centers, -normals)
+        return out
 
 
 def face_normals(mesh) -> OrientedFaceSet:
@@ -79,17 +97,36 @@ def digital_surface_faces(voxels) -> OrientedFaceSet:
     keys, strides = _lattice_keys(pts)
     # a neighbour p+d is set iff its key is among the sorted voxel keys;
     # load_volume's points come in key order, so the sort is usually done
-    sorted_keys = keys if np.all(keys[:-1] <= keys[1:]) else np.sort(keys)
-    # one row of needles per direction: sorted like the keys, which
-    # searchsorted walks faster than interleaved ones
-    nbr = (_FACET_DIRS @ strides)[:, None] + keys
+    order = None if np.all(keys[:-1] <= keys[1:]) else np.argsort(keys, kind="stable")
+    sorted_keys = keys if order is None else keys[order]
+    absent = np.empty((6, len(pts)), dtype=bool)
+    # +-x, +-y: one row of needles per direction, sorted like the keys,
+    # which searchsorted walks faster than interleaved ones
+    nbr = (_FACET_DIRS[:4] @ strides)[:, None] + keys
     pos = np.searchsorted(sorted_keys, nbr)
-    absent = sorted_keys[np.minimum(pos, len(pts) - 1)] != nbr
+    np.not_equal(sorted_keys[np.minimum(pos, len(pts) - 1)], nbr, out=absent[:4])
+    # +-z (stride 1): key + 1 is set iff it is the next distinct key, and
+    # key - 1 iff it is the previous one
+    above, below = _next_keys_adjacent(sorted_keys)
+    if order is None:
+        absent[4], absent[5] = ~above, ~below
+    else:
+        absent[4, order], absent[5, order] = ~above, ~below
     vox, facet = np.nonzero(absent.T)
     dirs = _FACET_DIRS[facet]
     return OrientedFaceSet(pts[vox] + 0.5 + 0.5 * dirs,
                            dirs.astype(float),
                            np.ones(len(vox)))
+
+
+def _next_keys_adjacent(sorted_keys):
+    """(above, below): for each of the sorted int64 keys, whether key + 1
+    and key - 1 are among them. Copies of a key share their answers."""
+    starts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
+    adjacent = np.diff(sorted_keys[starts]) == 1  # between distinct keys
+    copies = np.diff(np.r_[starts, len(sorted_keys)])
+    return (np.repeat(np.r_[adjacent, False], copies),
+            np.repeat(np.r_[False, adjacent], copies))
 
 
 def _lattice_keys(pts):

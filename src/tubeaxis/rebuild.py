@@ -58,7 +58,7 @@ def sweep_tube(centerline, radius, sides=24) -> TriMesh:
     return TriMesh(vertices, _band_faces(len(points), sides, closed))
 
 
-def distance_to_polyline(points, polyline, closed=False):
+def distance_to_polyline(points, polyline, closed=False, *, min_reach=0.0):
     """Exact distance from query points to a polyline, per point.
 
     The segment holding a point's nearest polyline location has its
@@ -71,6 +71,12 @@ def distance_to_polyline(points, polyline, closed=False):
     until 27 cells would span the polyline, and the points still unsure
     measure every segment. All use the same per-pair formula, so the
     result is that of the full F x P scan.
+
+    min_reach, a distance that most points are known to lie at or beyond
+    (error_map passes the tube radius), skips the rounds whose cells
+    could settle no point that far: the first round has the first cell
+    size h in the sequence with h - half >= min_reach. It changes no
+    result, only the work.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     poly = np.atleast_2d(np.asarray(polyline, dtype=float))
@@ -94,6 +100,8 @@ def distance_to_polyline(points, polyline, closed=False):
     best = np.empty(len(points))
     todo = np.arange(len(points))
     h = 4.0 * half
+    while h - half < min_reach and 3.0 * h < extent:
+        h *= 2.0
     while len(todo) and 3.0 * h < extent:
         todo = _measure_by_cells(points, todo, segments, CellHash(mid, h), half, best)
         h *= 2.0
@@ -165,7 +173,8 @@ def error_map(faces, centerline, radius):
     if centerline is None or len(centerline.points) == 0:
         raise EmptyInput("centerline is empty")
     d = distance_to_polyline(faces.centers, centerline.points,
-                             closed=getattr(centerline, "closed", False))
+                             closed=getattr(centerline, "closed", False),
+                             min_reach=radius)
     return (d - radius) ** 2
 
 

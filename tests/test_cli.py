@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import tubeaxis as tx
+from tubeaxis import cli
 from tubeaxis.cli import build_parser, main
 
 
@@ -481,6 +482,77 @@ def test_malformed_header_is_an_input_error(tmp_path, capsys, name, data):
     err = capsys.readouterr().err
     assert "input error" in err and str(path) in err
     assert "Traceback" not in err
+
+
+def _int64_extreme_voxels():
+    return "0 0 0\n9223372036854775807 1 2\n"
+
+
+def _spread_out_voxels():
+    # 2.1M distinct values per axis: 2.1M^3 lattice keys do not fit in int64
+    i = 3 * np.arange(700_000)
+    return "".join(f"{v} {v} {v}\n" for v in i.tolist())
+
+
+@pytest.mark.parametrize("text,message", [
+    pytest.param(_int64_extreme_voxels, "int64 range", id="int64-extreme"),
+    pytest.param(_spread_out_voxels, "too spread out", id="too-spread-out")])
+def test_voxels_the_lattice_cannot_index_are_an_input_error(tmp_path, capsys,
+                                                            text, message):
+    # these once ended in a ValueError traceback from the facet lattice
+    path = tmp_path / "voxels.xyz"
+    path.write_text(text())
+    assert run(["pipeline", "--input", path, "--radius", 2,
+                "--out-dir", tmp_path / "out"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"tubeaxis pipeline: input error: {path}: ")
+    assert message in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def _outcome(argv, capsys):
+    """(exit code, stdout, stderr) of main(argv); --help exits by SystemExit."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+_NAMES = [*cli.COMMANDS, "synth"]
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["--help"], 0), (["-h", "pipeline"], 0), ([], 1), (["bogus"], 1),
+    (["bogus", "pipeline"], 1), (["--", "pipeline"], 1), (["pipeline"], 1),
+    (["pipeline", "--bogus", "1"], 1), (["-x", "synth", "--radius", "1"], 1),
+    (["synth", "--spec", "S:1"], 1),
+    *(([name, "--help"], 0) for name in _NAMES)],
+    ids=lambda v: (" ".join(v) or "no-arguments") if isinstance(v, list) else f"exit-{v}")
+def test_help_and_usage_errors_match_the_parser_of_every_subcommand(monkeypatch, capsys,
+                                                                    argv, code):
+    # main gives options only to the subcommand it runs; what it prints and
+    # returns is what the parser with every subcommand's options gives
+    lazy = _outcome(argv, capsys)
+    assert lazy[0] == code and (lazy[1] if code == 0 else lazy[2]).startswith("usage: ")
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda commands=None: full())
+    assert _outcome(argv, capsys) == lazy
+
+
+def test_main_builds_only_the_options_of_the_subcommand_it_runs(monkeypatch, tmp_path):
+    built = []
+    add = cli._add_common_args
+    monkeypatch.setattr(cli, "_add_common_args",
+                        lambda p, *rest: (built.append(p.prog), add(p, *rest)))
+    assert run(["synth", "--spec", "S:10", "--radius", 2, "--out-dir", tmp_path]) == 0
+    assert run(["centerline", "--input", tmp_path / "tube.off", "--radius", 2,
+                "--out-dir", tmp_path / "c"]) == 0
+    assert built == ["tubeaxis synth", "tubeaxis centerline"]
+    built.clear()
+    build_parser()
+    assert built == [f"tubeaxis {name}" for name in _NAMES]
 
 
 # the function whose signature owns each stage flag's default, by dest

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tubeaxis as tx
 import tubeaxis.ingest as ingest
@@ -462,6 +464,40 @@ def test_load_mesh_geometry_equals_separate_passes(tmp_path):
         assert fs.centers.tobytes() == ((a + b + c) / 3.0).tobytes()
         assert fs.areas.tobytes() == (0.5 * norms).tobytes()
         assert mesh.median_face_size() == float(np.median(longest))
+
+
+def _geometry_by_rows(vertices, faces):
+    """Reference: np.cross and np.linalg.norm on (F, 3) rows, as
+    TriMesh.geometry computed the face geometry before its columns."""
+    v, f = vertices, faces
+    a, b, c = v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
+    ab, ac = b - a, c - a
+    cross = np.cross(ab, ac)
+    longest = np.maximum.reduce([np.linalg.norm(ab, axis=1),
+                                 np.linalg.norm(c - b, axis=1),
+                                 np.linalg.norm(ac, axis=1)])
+    return cross, np.linalg.norm(cross, axis=1), (a + b + c) / 3.0, longest
+
+
+@settings(max_examples=200)
+@given(n_vertices=st.integers(3, 40), n_faces=st.integers(0, 60),
+       offset=st.sampled_from([0.0, 1.0, -3e11, 1e12]),
+       scale=st.sampled_from([1e-6, 1.0, 1e3, 1e12]),
+       degenerate=st.integers(0, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_geometry_by_columns_equals_np_cross_and_norm_bit_for_bit(
+        n_vertices, n_faces, offset, scale, degenerate, seed):
+    # random triangles, some zero-area (a repeated corner or three
+    # collinear ones), with coordinates up to about 1e12
+    rng = np.random.default_rng(seed)
+    vertices = offset + scale * rng.normal(size=(n_vertices, 3))
+    vertices[1] = 0.5 * (vertices[0] + vertices[2])  # collinear with 0 and 2
+    special = np.array([[0, 1, 2], [3, 3, 4], [5, 6, 5], [0, 0, 0]]) % n_vertices
+    faces = np.vstack([special[:degenerate],
+                       rng.integers(0, n_vertices, size=(n_faces, 3))])
+    geometry = tx.TriMesh(vertices, faces).geometry()
+    for got, want in zip(geometry, _geometry_by_rows(vertices, faces)):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("faces, message", [([[0, 1, -1]], "negative"),

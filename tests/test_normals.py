@@ -100,6 +100,43 @@ def test_flipped_negates_normals():
     assert np.array_equal(fs.flipped().normals, -fs.normals)
 
 
+def test_columns_are_made_once_and_flipped_negates_them():
+    rng = np.random.default_rng(3)
+    fs = tx.OrientedFaceSet(rng.normal(size=(7, 3)), rng.normal(size=(7, 3)), np.ones(7))
+    centers, normals_ = fs.columns()
+    assert centers.flags.c_contiguous and normals_.flags.c_contiguous
+    assert centers.tobytes() == fs.centers.T.copy().tobytes()
+    assert normals_.tobytes() == fs.normals.T.copy().tobytes()
+    assert fs.columns()[0] is centers
+    flipped_centers, flipped_normals = fs.flipped().columns()
+    assert flipped_centers is centers
+    assert flipped_normals.tobytes() == (-fs.normals).T.copy().tobytes()
+
+
+def test_orientation_probe_transposes_the_faces_once(monkeypatch):
+    # both probe scans and the returned set read the columns made for
+    # the input, whichever orientation wins
+    mesh, _ = tx.gen_tube(tx.parse_tube_spec("S:20"), 3.0, 1.0)
+    made = []
+    columns = tx.OrientedFaceSet.columns
+
+    def spy(self):
+        if self._columns is None:
+            made.append(len(self))
+        return columns(self)
+
+    monkeypatch.setattr(tx.OrientedFaceSet, "columns", spy)
+    for flip in (False, True):
+        made.clear()
+        faces = tx.face_normals(mesh).flipped() if flip else tx.face_normals(mesh)
+        oriented = tx.orient_inward(faces, mode="auto", radius=3.0)
+        res = tx.compute_accumulation(oriented, tx.AccumulationParams(radius=3.0))
+        assert made == [len(faces)]
+        fresh = tx.OrientedFaceSet(oriented.centers, oriented.normals, oriented.areas)
+        assert np.array_equal(res.counts, tx.compute_accumulation(
+            fresh, tx.AccumulationParams(radius=3.0)).counts)
+
+
 def test_single_voxel_has_six_facets():
     fs = _assert_facets_match_reference(np.array([[4, 5, 6]]))
     assert len(fs) == 6
@@ -147,6 +184,35 @@ def test_facets_with_duplicate_points():
     pts = np.array([[0, 0, 0], [1, 0, 0], [0, 0, 0], [5, 5, 5], [5, 5, 5]])
     fs = _assert_facets_match_reference(pts)
     assert len(fs) == 10 + 5 + 6 + 6
+
+
+def _voxel_columns(rng, columns, height, spread):
+    """Runs of voxels along z, one per (x, y) column, from random starts:
+    a column's top voxel is the last key of its run."""
+    base = rng.integers(-spread, spread + 1, size=(columns, 3))
+    return np.concatenate([b + np.column_stack([np.zeros((n, 2), dtype=np.int64),
+                                                np.arange(n)])
+                           for b, n in zip(base, rng.integers(1, height + 1, columns))])
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2 ** 32 - 1), columns=st.integers(1, 12),
+       height=st.integers(1, 6), spread=st.sampled_from([1, 3, 2 ** 40]),
+       arrange=st.sampled_from(["sorted", "shuffled", "duplicated",
+                                "duplicated, shuffled"]))
+def test_facets_above_and_below_match_set_lookup(seed, columns, height, spread,
+                                                  arrange):
+    # the +-z neighbours come from the sorted keys, the others from
+    # searchsorted: columns stacked on each other and side by side, in
+    # key order, shuffled, or with repeated voxels
+    rng = np.random.default_rng(seed)
+    pts = _voxel_columns(rng, columns, height, spread)
+    if "duplicated" in arrange:
+        pts = np.vstack([pts, pts[rng.integers(0, len(pts), size=len(pts) // 2 + 1)]])
+    pts = pts[np.argsort(normals._lattice_keys(pts)[0], kind="stable")]
+    if "shuffled" in arrange:
+        pts = pts[rng.permutation(len(pts))]
+    _assert_facets_match_reference(pts)
 
 
 def test_facets_with_negative_coordinates():

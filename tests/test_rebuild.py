@@ -256,6 +256,37 @@ def test_distance_to_a_finer_polyline_needs_no_full_scan(monkeypatch, step):
     assert np.array_equal(got, _dense_distance(pts, poly))
 
 
+@pytest.mark.parametrize("step", [3.0, 1.5, 1.0, 0.5, 0.25])
+def test_error_map_distances_equal_the_full_scan_at_any_track_step(bent_pipe,
+                                                                    monkeypatch, step):
+    # the refined centerline tracked at each step, measured from the face
+    # centers with and without min_reach: the rounds min_reach starts at
+    # are the last ones of the full sequence, and the distances are those
+    # of the dense F x P pass either way
+    faces, radius = bent_pipe["faces"], bent_pipe["radius"]
+    line = tx.run_pipeline(faces, radius, track_step=step,
+                           stages=("accumulate", "track", "refine")).centerline
+    cells = []
+    measure = rebuild._measure_by_cells
+
+    def spy(points, rows, segments, grid, half, best):
+        cells[-1].append((grid.cell, half))
+        return measure(points, rows, segments, grid, half, best)
+
+    monkeypatch.setattr(rebuild, "_measure_by_cells", spy)
+    want = _dense_distance(faces.centers, line.points)
+    for min_reach in (0.0, radius):
+        cells.append([])
+        got = tx.distance_to_polyline(faces.centers, line.points, min_reach=min_reach)
+        assert got.tobytes() == want.tobytes()
+    every, skipped = cells
+    assert every[len(every) - len(skipped):] == skipped
+    assert all(cell - half >= radius for cell, half in skipped[:1])
+    assert all(cell - half < radius for cell, half in every[:len(every) - len(skipped)])
+    errors = tx.error_map(faces, line, radius)
+    assert errors.tobytes() == ((want - radius) ** 2).tobytes()
+
+
 def test_distance_to_a_long_segment_whose_midpoint_is_out_of_the_cells():
     # one segment of length 8 among unit steps: cells of 16, and the
     # faces near x = 16.3 sit two cells from its midpoint (0, 0, 0) while
