@@ -162,33 +162,58 @@ def _march(centers, normals, params, domain):
     those positions is a clean truncation.
 
     Each row is built one axis at a time, in place: the voxel index
-    floor(((c + dist * n) - origin) / gridstep) is tested against the
-    bounds and added times its stride.
+    floor(((c + dist * n) - origin) / gridstep) is added times its stride.
+    Every rounding in that index is monotone in dist, so along a ray each
+    index runs one way, and a ray inside the bounds at its first and its
+    last step is inside at every step. Only those bounds are tested; the
+    rays that fail them are marched again with the bounds tested at every
+    step.
     """
+    rows, inside = _step_rows(centers, normals, params, domain, every_step=False)
+    out = np.flatnonzero(~inside)
+    if len(out):
+        rows[:, out] = _step_rows(centers[:, out], normals[:, out], params, domain,
+                                  every_step=True)[0]
+    return rows
+
+
+def _step_rows(centers, normals, params, domain, every_step):
+    """The (S, F) rows of _march, and whether each ray is inside the bounds
+    at its first and last step. With ``every_step`` the bounds are tested
+    at every step and the positions outside get id -1."""
     n_faces = centers.shape[1]
     strides = domain.strides
     rows = np.empty((params.n_steps, n_faces), dtype=np.int64)
     pos = np.empty(n_faces)
     index = np.empty(n_faces, dtype=np.int64)
-    inside = np.empty(n_faces, dtype=bool)
+    inside = np.ones(n_faces, dtype=bool)
     test = np.empty(n_faces, dtype=bool)
     steps = np.arange(params.n_steps, dtype=float) * params.gridstep
-    for ids, dist in zip(rows, steps):
-        ids.fill(0)
-        inside.fill(True)
+    ends = (0, params.n_steps - 1)
+    for s, (ids, dist) in enumerate(zip(rows, steps)):
+        tested = every_step or s in ends
+        if every_step:
+            inside.fill(True)
         for axis in range(3):
             np.multiply(normals[axis], dist, out=pos)
             pos += centers[axis]
             pos -= domain.origin[axis]
             pos /= domain.gridstep
             np.floor(pos, out=pos)
-            inside &= np.greater_equal(pos, 0, out=test)
-            inside &= np.less(pos, domain.dims[axis], out=test)
-            np.copyto(index, pos, casting="unsafe")
-            index *= strides[axis]
-            ids += index
-        ids[~inside] = -1
-    return rows
+            if tested:
+                inside &= np.greater_equal(pos, 0, out=test)
+                inside &= np.less(pos, domain.dims[axis], out=test)
+            if axis == 0:
+                np.copyto(ids, pos, casting="unsafe")
+                ids *= strides[0]
+            else:
+                np.copyto(index, pos, casting="unsafe")
+                if axis == 1:
+                    index *= strides[1]
+                ids += index  # the z stride is 1
+        if every_step:
+            ids[~inside] = -1
+    return rows, inside
 
 
 def _runs(sorted_ids):

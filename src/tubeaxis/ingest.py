@@ -361,8 +361,10 @@ def load_obj(path):
 def load_mesh(path, fmt=None) -> TriMesh:
     """Load an OFF or OBJ mesh; zero-area faces are dropped with a warning.
 
-    The returned mesh carries the face geometry computed for that test,
-    so face_normals and median_face_size do not gather the corners again.
+    A vertex with a NaN or infinite coordinate is a ParseError naming the
+    first such vertex. The returned mesh carries the face geometry
+    computed for the area test, so face_normals and median_face_size do
+    not gather the corners again.
     """
     path = Path(path)
     if fmt is None:
@@ -374,6 +376,11 @@ def load_mesh(path, fmt=None) -> TriMesh:
         vertices, faces = load_obj(path)
     else:
         raise UnsupportedFormat(f"unknown mesh format {fmt!r}")
+    finite = np.isfinite(vertices)
+    if not finite.all():
+        bad = int(np.flatnonzero(~finite.all(axis=1))[0])
+        raise ParseError(f"vertex {bad} has a non-finite coordinate "
+                         f"({', '.join(_fmt(x) for x in vertices[bad])})", path=path)
     mesh = TriMesh(vertices, faces)
     geometry = mesh.geometry()
     keep = 0.5 * geometry.norms > _AREA_EPS
@@ -604,16 +611,17 @@ def write_decomposition_csv(decomposition, path):
 
 def write_face_scalar_csv(values, path):
     """Write "face,value" rows, the value as %.9g; the rows are formatted
-    _CSV_BLOCK at a time, by one % over the block's indices and values."""
+    _CSV_BLOCK at a time, by one bytes % over the block's indices and
+    values (the text str % gives, without its encoding pass)."""
     values = np.asarray(values, dtype=float).ravel().tolist()
-    with open(path, "w") as fh:
-        fh.write("face,value\n")
+    with open(path, "wb") as fh:
+        fh.write(b"face,value\n")
         for lo in range(0, len(values), _CSV_BLOCK):
             block = values[lo:lo + _CSV_BLOCK]
             fields = [None] * (2 * len(block))
             fields[::2] = range(lo, lo + len(block))
             fields[1::2] = block
-            fh.write(("%d,%.9g\n" * len(block)) % tuple(fields))
+            fh.write((b"%d,%.9g\n" * len(block)) % tuple(fields))
 
 
 def write_accumulation_npz(accumulation, path):

@@ -3,7 +3,10 @@
 The error map measures exact point-to-polyline distances. Each point
 takes its candidate segments from a uniform cell hash over the segment
 midpoints, with cells that grow for the points far from the polyline, so
-a finely sampled centerline costs about as much as a coarse one.
+a finely sampled centerline costs about as much as a coarse one. The
+passes over the points run one coordinate column at a time, and the
+distances of a cell's points to its few candidate segments are
+(segments, points) arrays reduced over their short first axis.
 """
 
 from __future__ import annotations
@@ -73,10 +76,11 @@ def distance_to_polyline(points, polyline, closed=False, *, min_reach=0.0):
     result is that of the full F x P scan.
 
     min_reach, a distance that most points are known to lie at or beyond
-    (error_map passes the tube radius), skips the rounds whose cells
-    could settle no point that far: the first round has the first cell
-    size h in the sequence with h - half >= min_reach. It changes no
-    result, only the work.
+    (error_map passes the tube radius), skips the cells that could settle
+    no point that far: the first round has cells of
+    h = max(4 half, min_reach + half), the smallest that settle a point
+    min_reach away, and the later rounds double it. Any cell size gives
+    exact rounds, so it changes no result, only the work.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     poly = np.atleast_2d(np.asarray(polyline, dtype=float))
@@ -99,9 +103,7 @@ def distance_to_polyline(points, polyline, closed=False, *, min_reach=0.0):
 
     best = np.empty(len(points))
     todo = np.arange(len(points))
-    h = 4.0 * half
-    while h - half < min_reach and 3.0 * h < extent:
-        h *= 2.0
+    h = max(4.0 * half, min_reach + half)
     while len(todo) and 3.0 * h < extent:
         todo = _measure_by_cells(points, todo, segments, CellHash(mid, h), half, best)
         h *= 2.0
@@ -115,18 +117,37 @@ def distance_to_polyline(points, polyline, closed=False, *, min_reach=0.0):
 def _measure_by_cells(points, rows, segments, grid, half, best):
     """Set best[rows] for the rows whose nearest segment surely has its
     midpoint in the 27 cells of ``grid`` around theirs; return the others.
-    The rows of one cell share one candidate list."""
+    The rows of one cell share one candidate list.
+
+    Each row's cell index, box test and C-order key (that of
+    np.ravel_multi_index over the box padded by one cell) are built from
+    points[rows, axis], one axis at a time."""
     reach = (grid.cell - half) / (1.0 + _REACH_MARGIN)
-    cells = grid.cells(points[rows])
+    cells = []
     # only cells at most one away from the box have candidates
-    near = np.all((cells >= -1) & (cells <= grid.dims), axis=1)
+    near = np.ones(len(rows), dtype=bool)
+    key = np.zeros(len(rows), dtype=np.int64)
+    for axis, dim in enumerate(grid.dims):
+        cell = points[rows, axis]
+        cell -= grid.origin[axis]
+        cell /= grid.cell
+        cell = np.floor(cell, out=cell).astype(np.int64)
+        near &= cell >= -1
+        near &= cell <= dim
+        key *= dim + 2
+        key += cell
+        key += 1
+        cells.append(cell)
+    kept = np.flatnonzero(near)
     unsure = [rows[~near]]
-    rows, cells = rows[near], cells[near]
-    key = np.ravel_multi_index((cells + 1).T, grid.dims + 2)
+    key = key[kept]
     by_cell = np.argsort(key, kind="stable")
-    rows, cells, key = rows[by_cell], cells[by_cell], key[by_cell]
+    kept, key = kept[by_cell], key[by_cell]
+    rows = rows[kept]
     first = np.flatnonzero(np.diff(key, prepend=-1))
-    start, stop = grid.ranges(cells[first], _NEIGHBOUR_COLUMNS)
+    lead = kept[first]
+    start, stop = grid.ranges(np.column_stack([cell[lead] for cell in cells]),
+                              _NEIGHBOUR_COLUMNS)
     cand = grid.order[concat_ranges(start.ravel(), stop.ravel())]
     cand_end = np.cumsum((stop - start).sum(axis=1))
     cand_start = np.r_[0, cand_end[:-1]]
@@ -148,20 +169,29 @@ def _measure_by_cells(points, rows, segments, grid, half, best):
 def _nearest_distance(p, a, ab, a_ab, ab_len2):
     """Distance from each p[i] to the nearest of the (S, 3) segments a, ab.
 
-    The (len(p), S) arrays are built one axis at a time: the projection
-    a + t ab, its offset from p squared, and the squares summed x, y, z.
+    The (S, len(p)) arrays, one row per segment, are built one axis at a
+    time: the projection a + t ab, its offset from p squared, and the
+    squares summed x, y, z; the minimum is taken over the S rows. Every
+    value has the bits of the (len(p), S) layout: the einsum below sums
+    each dot product in the same order as "ik,jk->ij" does.
     """
-    # t[i, j]: clamped parameter of the projection of point i on segment j
-    t = np.einsum("ik,jk->ij", p, ab) - a_ab
-    t = np.clip(t / ab_len2, 0.0, 1.0)
-    d2 = np.zeros_like(t)
+    # t[j, i]: clamped parameter of the projection of point i on segment j
+    t = np.einsum("jk,ik->ji", ab, p)
+    t -= a_ab[:, None]
+    t /= ab_len2[:, None]
+    np.clip(t, 0.0, 1.0, out=t)
+    d2 = np.empty_like(t)
+    delta = np.empty_like(t)
     for axis in range(3):
-        delta = t * ab[:, axis]
-        delta += a[:, axis]
-        np.subtract(p[:, axis, None], delta, out=delta)
-        delta *= delta
-        d2 += delta
-    return np.sqrt(d2.min(axis=1))
+        np.multiply(t, ab[:, axis, None], out=delta)
+        delta += a[:, axis, None]
+        np.subtract(p[:, axis], delta, out=delta)
+        if axis == 0:
+            np.multiply(delta, delta, out=d2)  # 0 + x^2 is x^2
+        else:
+            delta *= delta
+            d2 += delta
+    return np.sqrt(np.minimum.reduce(d2, axis=0))
 
 
 def error_map(faces, centerline, radius):

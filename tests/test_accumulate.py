@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import tubeaxis as tx
 from tubeaxis.accumulate import _group_events, _march, _runs, accumulation_domain
+from tubeaxis.core import GridDomain
 
 from conftest import capped_voxel_pipe, quaternion_rotation, random_unit_vectors
 
@@ -109,6 +110,35 @@ def rowwise_march(faces, params, domain):
         inb = np.all((idx >= 0) & (idx < dims), axis=1)
         ids[:, s] = np.where(inb, idx @ domain.strides, -1)
     return ids
+
+
+def stepwise_march(centers, normals, params, domain):
+    """The columnar march with the bounds tested at every step, as the
+    library computed it before it tested only each ray's two ends."""
+    n_faces = centers.shape[1]
+    strides = domain.strides
+    rows = np.empty((params.n_steps, n_faces), dtype=np.int64)
+    pos = np.empty(n_faces)
+    index = np.empty(n_faces, dtype=np.int64)
+    inside = np.empty(n_faces, dtype=bool)
+    test = np.empty(n_faces, dtype=bool)
+    steps = np.arange(params.n_steps, dtype=float) * params.gridstep
+    for ids, dist in zip(rows, steps):
+        ids.fill(0)
+        inside.fill(True)
+        for axis in range(3):
+            np.multiply(normals[axis], dist, out=pos)
+            pos += centers[axis]
+            pos -= domain.origin[axis]
+            pos /= domain.gridstep
+            np.floor(pos, out=pos)
+            inside &= np.greater_equal(pos, 0, out=test)
+            inside &= np.less(pos, domain.dims[axis], out=test)
+            np.copyto(index, pos, casting="unsafe")
+            index *= strides[axis]
+            ids += index
+        ids[~inside] = -1
+    return rows
 
 
 def _assert_march_matches_rowwise(faces, params):
@@ -383,6 +413,46 @@ def test_march_edge_cases_match_the_rowwise_march():
     _assert_march_matches_rowwise(faces, one_step)
     _assert_march_matches_rowwise(_random_faces(rng, 1),
                                   tx.AccumulationParams(radius=3.0, gridstep=0.5))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_march_tested_at_the_ends_matches_the_stepwise_march(seed):
+    # a hand-made domain 0 .. 10 on each axis in steps of 0.5 (every
+    # position below is exact in binary), and rays of every kind: unit
+    # normals, normals of length 3 that leave the domain, axis-aligned
+    # normals of either sign (zeros and negative zeros), NaN and infinite
+    # normals, and rays that start on the lower and the upper faces of the
+    # domain or just outside them
+    rng = np.random.default_rng(60 + seed)
+    domain = GridDomain(origin=np.zeros(3), gridstep=0.5, dims=(20, 20, 20))
+    params = tx.AccumulationParams(radius=3.0, gridstep=0.5)
+    n = 200
+    centers = [rng.uniform(0.0, 10.0, size=(3 * n, 3))]
+    normals = [random_unit_vectors(rng, n), 3.0 * random_unit_vectors(rng, n),
+               rng.choice([-1.0, -0.0, 0.0, 1.0], size=(n, 3))]
+    edges = [([10.0, 5.0, 5.0], [-1.0, 0.0, 0.0]),   # starts on the upper x face
+             ([5.0, 10.0, 5.0], [0.3, -0.9, 0.1]),   # on the upper y face, inward
+             ([5.0, 5.0, 10.0], [0.0, 0.0, 1.0]),    # on the upper z face, outward
+             ([0.0, 5.0, 5.0], [-1.0, 0.0, 0.0]),    # on the lower face, outward
+             ([-0.5, 5.0, 5.0], [1.0, 0.0, 0.0]),    # below the domain, inward
+             ([8.5, 5.0, 5.0], [1.0, 0.0, 0.0]),     # ends on the upper face
+             ([5.0, 5.0, 5.0], [np.nan, 0.0, 0.0]),
+             ([5.0, 5.0, 5.0], [np.nan] * 3),
+             ([5.0, 5.0, 5.0], [0.0, np.inf, 0.0]),
+             ([5.0, 5.0, 5.0], [0.0, 0.0, -np.inf])]
+    centers.append([c for c, _ in edges])
+    normals.append([v for _, v in edges])
+    centers = np.vstack(centers).T.copy()
+    normals = np.vstack(normals).T.copy()
+    order = rng.permutation(centers.shape[1])
+    centers, normals = centers[:, order].copy(), normals[:, order].copy()
+    with np.errstate(invalid="ignore"):  # NaN and infinite positions cast to int
+        want = stepwise_march(centers, normals, params, domain)
+        got = _march(centers, normals, params, domain)
+    assert got.tobytes() == want.tobytes()
+    # some rays are cut short and some start outside
+    assert np.any(want[0] == -1) and np.any(want[-1] == -1)
+    assert np.any((want[0] == -1) & (want[1] != -1))
 
 
 def _assert_rows_on_demand_match(faces, params):

@@ -84,6 +84,24 @@ def test_unsupported_format_is_exit_1(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_non_finite_vertex_is_exit_1(tube_off, tmp_path, capsys, token):
+    # one coordinate of vertex 7 of an S:40 tube; the loader names it
+    # before any face geometry is computed
+    lines = tube_off.read_text().splitlines(keepends=True)
+    x, y, z = lines[2 + 7].split()
+    lines[2 + 7] = f"{x} {token} {z}\n"
+    bad = tmp_path / "bad.off"
+    bad.write_text("".join(lines))
+    out = tmp_path / "out"
+    rc = run(["pipeline", "--input", bad, "--radius", 4, "--out-dir", out])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "input error:" in err[0] and "vertex 7 has a non-finite coordinate" in err[0]
+    assert not (out / "summary.json").exists()
+
+
 def test_pipeline_failure_is_exit_2(tmp_path):
     one = tmp_path / "one.off"
     one.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")

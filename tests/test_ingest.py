@@ -190,6 +190,24 @@ def test_write_face_scalar_csv_matches_row_by_row_writer(tmp_path, values):
     write_face_scalar_csv(values, path)
     expected = "face,value\n" + "".join(f"{i},{_fmt(v)}\n" for i, v in enumerate(values))
     assert path.read_bytes() == expected.encode()
+    # the bytes % of the writer gives the text of the str % it replaced
+    fields = tuple(x for row in enumerate(values.tolist()) for x in row)
+    assert path.read_bytes() == ("face,value\n" + ("%d,%.9g\n" * len(values)) % fields).encode()
+
+
+@pytest.mark.parametrize("suffix", ["off", "obj"])
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN", "1e400"])
+def test_load_mesh_rejects_a_non_finite_vertex(tmp_path, suffix, token):
+    verts = f"0 0 0\n1 0 0\n0 {token} 0\n0 0 1\n"
+    if suffix == "off":
+        text = "OFF\n4 2 0\n" + verts + "3 0 1 2\n3 0 1 3\n"
+    else:
+        text = "".join("v " + line + "\n" for line in verts.splitlines()) + "f 1 2 3\nf 1 2 4\n"
+    path = tmp_path / f"bad.{suffix}"
+    path.write_text(text)
+    with pytest.raises(tx.ParseError, match="vertex 2 has a non-finite coordinate") as err:
+        tx.load_mesh(path)
+    assert err.value.path == path
 
 
 def test_obj_parses_and_ignores_normals(tmp_path):

@@ -4,10 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tubeaxis as tx
 from tubeaxis import rebuild
 from tubeaxis.track import Centerline, _polyline_directions
+
+from conftest import random_unit_vectors
 
 
 def _line_centerline(n=11, step=2.0):
@@ -162,6 +166,42 @@ def test_nearest_distance_columns_equal_the_rows_bit_for_bit(seed):
     assert got.tobytes() == _nearest_distance_by_rows(pts, *segments).tobytes()
 
 
+@settings(max_examples=150)
+@given(n_segments=st.integers(1, 40), closed=st.booleans(),
+       step=st.sampled_from([0.05, 1.0, 7.0]), wander=st.sampled_from([0.2, 1.0]),
+       repeats=st.integers(0, 6), radius=st.sampled_from([0.2, 3.0]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_distance_to_polyline_equals_the_dense_scan(n_segments, closed, step, wander,
+                                                    repeats, radius, seed):
+    # a walk of 1-40 segments, some of zero length, that keeps a heading
+    # (long enough for the cell rounds to run) or wanders, and points of
+    # three kinds: about radius from the polyline, far from it (the
+    # all-segment scan after the cell rounds) and outside the box of the
+    # segment midpoints (past the ends and the corners of the box)
+    rng = np.random.default_rng(seed)
+    heading = random_unit_vectors(rng, 1)
+    poly = np.cumsum((heading + rng.normal(size=(n_segments + 1, 3)) * wander) * step,
+                     axis=0)
+    for i in rng.integers(1, n_segments + 1, size=repeats):
+        poly[i] = poly[i - 1]
+    near = (poly[rng.integers(0, len(poly), size=40)]
+            + random_unit_vectors(rng, 40) * radius * rng.uniform(0.5, 1.5, size=(40, 1)))
+    extent = max(float(np.ptp(poly, axis=0).max()), step)
+    far = poly.mean(axis=0) + random_unit_vectors(rng, 10) * extent * rng.uniform(2, 50)
+    mid = 0.5 * (poly[:-1] + poly[1:])
+    lo, hi = mid.min(axis=0), mid.max(axis=0)
+    corners = np.array([[x, y, z] for x in (lo[0], hi[0]) for y in (lo[1], hi[1])
+                        for z in (lo[2], hi[2])])
+    outside = np.vstack([poly[[0, -1]], corners + rng.normal(size=(8, 3)) * radius,
+                         hi + np.abs(rng.normal(size=(5, 3))) * step,
+                         lo - np.abs(rng.normal(size=(5, 3))) * step])
+    pts = np.vstack([near, far, outside])
+    want = _dense_distance(pts, poly, closed)
+    for min_reach in (0.0, radius):
+        got = tx.distance_to_polyline(pts, poly, closed=closed, min_reach=min_reach)
+        assert got.tobytes() == want.tobytes()
+
+
 def test_distance_to_polyline_matches_brute_force():
     rng = np.random.default_rng(0)
     poly = np.cumsum(rng.normal(size=(12, 3)), axis=0)
@@ -260,9 +300,10 @@ def test_distance_to_a_finer_polyline_needs_no_full_scan(monkeypatch, step):
 def test_error_map_distances_equal_the_full_scan_at_any_track_step(bent_pipe,
                                                                     monkeypatch, step):
     # the refined centerline tracked at each step, measured from the face
-    # centers with and without min_reach: the rounds min_reach starts at
-    # are the last ones of the full sequence, and the distances are those
-    # of the dense F x P pass either way
+    # centers with and without min_reach: without it the rounds start at
+    # cells of 4 half, with it at the smallest cells that settle a face
+    # one radius out, each later round doubles the cells, and the
+    # distances are those of the dense F x P pass either way
     faces, radius = bent_pipe["faces"], bent_pipe["radius"]
     line = tx.run_pipeline(faces, radius, track_step=step,
                            stages=("accumulate", "track", "refine")).centerline
@@ -280,10 +321,38 @@ def test_error_map_distances_equal_the_full_scan_at_any_track_step(bent_pipe,
         got = tx.distance_to_polyline(faces.centers, line.points, min_reach=min_reach)
         assert got.tobytes() == want.tobytes()
     every, skipped = cells
-    assert every[len(every) - len(skipped):] == skipped
-    assert all(cell - half >= radius for cell, half in skipped[:1])
-    assert all(cell - half < radius for cell, half in every[:len(every) - len(skipped)])
+    half = every[0][1]
+    assert every[0][0] == 4.0 * half
+    assert skipped[0][0] == max(4.0 * half, radius + half)
+    for rounds in cells:
+        assert [cell for cell, _ in rounds[1:]] == [2.0 * cell for cell, _ in rounds[:-1]]
     errors = tx.error_map(faces, line, radius)
+    assert errors.tobytes() == ((want - radius) ** 2).tobytes()
+
+
+def test_error_map_rounds_at_a_fine_track_step_are_never_idle(bent_pipe, monkeypatch):
+    # at --track-step 0.5 the segments are short, so 4 half is well below
+    # the radius: the first round has cells of radius + half and settles
+    # the faces inside the tube's radius. Every round settles faces; the
+    # rounds of smaller cells, which settle none, are skipped
+    faces, radius = bent_pipe["faces"], bent_pipe["radius"]
+    line = tx.run_pipeline(faces, radius, track_step=0.5,
+                           stages=("accumulate", "track", "refine")).centerline
+    rounds = []
+    measure = rebuild._measure_by_cells
+
+    def spy(points, rows, segments, grid, half, best):
+        left = measure(points, rows, segments, grid, half, best)
+        rounds.append((grid.cell, half, len(rows), len(left)))
+        return left
+
+    monkeypatch.setattr(rebuild, "_measure_by_cells", spy)
+    errors = tx.error_map(faces, line, radius)
+    cell, half = rounds[0][:2]
+    assert 4.0 * half < radius
+    assert cell == radius + half
+    assert all(left < given for _, _, given, left in rounds)
+    want = _dense_distance(faces.centers, line.points)
     assert errors.tobytes() == ((want - radius) ** 2).tobytes()
 
 
