@@ -27,8 +27,8 @@ import numpy as np
 from .errors import (EmptyInput, ParseError, TooSmall, TubeAxisError,
                      UnsupportedFormat)
 from .ingest import (heightmap_to_mesh, load_heightmap, load_mesh, load_volume,
-                     read_centerline_csv, write_accumulation_npz,
-                     write_artifacts, write_off)
+                     read_centerline_csv, write_artifacts, write_off,
+                     write_truth_csv)
 from .normals import (digital_surface_faces, estimate_digital_normals,
                       face_normals, orient_inward)
 from .pipeline import SETTINGS, STAGES, run_pipeline, timed
@@ -70,7 +70,8 @@ COMMANDS = {
     "reconstruct": _Command("sweep an ideal tube along the centerline",
                             _CHAIN + ("reconstruct",), ("reconstructed_faces",),
                             True),
-    "error-map": _Command("per-face squared distance to the ideal tube",
+    "error-map": _Command("per-face squared deviation (d - R)^2, in length^2, "
+                          "d the face center's distance to the centerline",
                           _CHAIN + ("error_map",), ("error",), True),
     "pipeline": _Command("run every stage and write all artifacts", STAGES,
                          ("max_acc", "max_pt", "segments", "kinds", "error")),
@@ -276,17 +277,9 @@ def _run(args):
         raise _StageFailure() from exc
     timings.update(r.timings)
 
-    out_dir = Path(args.out_dir)
     with timed(timings, "write"):
-        if r.centerline is None:
-            out_dir.mkdir(parents=True, exist_ok=True)
-            outputs = {"accumulation_npz": str(out_dir / "accumulation.npz")}
-            write_accumulation_npz(r.accumulation, outputs["accumulation_npz"])
-        else:
-            outputs = write_artifacts(
-                out_dir, r.centerline, decomposition=r.decomposition,
-                meshes=None if r.tube is None else {"reconstructed": r.tube},
-                face_scalars=None if r.errors is None else {"error_map": r.errors})
+        outputs = write_artifacts(args.out_dir, r.centerline, decomposition=r.decomposition,
+                                  tube=r.tube, errors=r.errors, accumulation=r.accumulation)
     results = {} if r.centerline is None else _centerline_results(r.centerline)
     results.update((key, _REPORTS[key](r)) for key in command.reports)
 
@@ -325,14 +318,7 @@ def _synth(args):
     truth_path = out_dir / "truth.csv"
     with timed(timings, "write"):
         write_off(mesh, mesh_path)
-        junctions = set(truth.junctions)
-        with open(truth_path, "w") as fh:
-            fh.write("index,x,y,z,tx,ty,tz,kind,junction\n")
-            for i, (p, t, k) in enumerate(zip(truth.points, truth.tangents,
-                                              truth.kinds)):
-                fh.write(f"{i},{p[0]:.9g},{p[1]:.9g},{p[2]:.9g},"
-                         f"{t[0]:.9g},{t[1]:.9g},{t[2]:.9g},{k},"
-                         f"{1 if i in junctions else 0}\n")
+        write_truth_csv(truth, truth_path)
 
     info = {"input_path": args.spec, "input_type": "synthetic",
             "n_faces": mesh.n_faces}
@@ -368,8 +354,9 @@ def _add_input_args(p):
     p.add_argument("--input-type", choices=["mesh", "voxels", "heightmap", "auto"],
                    default="auto")
     p.add_argument("--gridstep", default="auto",
-                   help="lattice step; 'auto' uses the median longest face edge "
-                        "(meshes) or the native resolution (voxels, height maps)")
+                   help="lattice step; 'auto' uses the median longest triangle "
+                        "edge (meshes; height maps, where a flat cell's diagonal "
+                        "gives sqrt(2) * --hm-spacing) or 1 (voxels)")
     p.add_argument("--normals", choices=["faces", "estimate"], default=None,
                    help="face normals as given, or covariance-smoothed "
                         "(default: estimate for voxel inputs, faces otherwise)")

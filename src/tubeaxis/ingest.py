@@ -11,6 +11,9 @@ other file, and every malformed one, goes through the line reader, which
 reports the line that is wrong. A loaded mesh keeps the face geometry
 (cross products, centers, longest edges) computed to drop its zero-area
 faces, for face_normals and median_face_size to reuse.
+
+Every text writer formats its rows by _write_rows, one bytes % per _ROWS
+rows; write_artifacts names a run's files and keys its manifest by them.
 """
 
 from __future__ import annotations
@@ -29,8 +32,7 @@ from .errors import EmptyInput, ParseError, TooSmall, UnsupportedFormat
 logger = logging.getLogger(__name__)
 
 _AREA_EPS = 1e-12
-_CSV_BLOCK = 1 << 16  # error-map rows formatted by one % operation
-_OFF_BLOCK = 1 << 12  # OFF lines formatted by one %; their Python floats stay small
+_ROWS = 1 << 12  # text rows formatted by one %; their Python values stay small
 
 
 class FaceGeometry(NamedTuple):
@@ -358,8 +360,9 @@ def load_obj(path):
     return vertices, faces
 
 
-def load_mesh(path, fmt=None) -> TriMesh:
-    """Load an OFF or OBJ mesh; zero-area faces are dropped with a warning.
+def load_mesh(path) -> TriMesh:
+    """Load an OFF or OBJ mesh, by the path's suffix; zero-area faces are
+    dropped with a warning.
 
     A vertex with a NaN or infinite coordinate is a ParseError naming the
     first such vertex. The returned mesh carries the face geometry
@@ -367,9 +370,7 @@ def load_mesh(path, fmt=None) -> TriMesh:
     not gather the corners again.
     """
     path = Path(path)
-    if fmt is None:
-        fmt = path.suffix.lstrip(".").lower()
-    fmt = fmt.lower()
+    fmt = path.suffix.lstrip(".").lower()
     if fmt == "off":
         vertices, faces = load_off(path)
     elif fmt == "obj":
@@ -531,38 +532,46 @@ def _fmt(x):
     return format(float(x), ".9g")
 
 
+def _write_rows(fh, line, columns):
+    """Write ``line % row`` for every row of the equal-length 1-D array
+    columns to the binary file fh, _ROWS rows at a time, by one bytes %
+    over the block's interleaved fields: the text str % gives, without the
+    text layer's encoding pass."""
+    width, n = len(columns), len(columns[0])
+    for lo in range(0, n, _ROWS):
+        rows = min(_ROWS, n - lo)
+        fields = [None] * (width * rows)
+        for k, column in enumerate(columns):
+            fields[k::width] = column[lo:lo + rows].tolist()
+        fh.write(line * rows % tuple(fields))
+
+
 def write_off(mesh: TriMesh, path):
-    """Write a triangle mesh as OFF, vertices as %.9g (the text of _fmt);
-    the lines are formatted _OFF_BLOCK at a time, by one % over a block."""
-    with open(path, "w") as fh:
-        fh.write(f"OFF\n{mesh.n_vertices} {mesh.n_faces} 0\n")
-        for line, rows in (("%.9g %.9g %.9g\n", np.asarray(mesh.vertices, dtype=float)),
-                           ("3 %d %d %d\n", np.asarray(mesh.faces))):
-            for lo in range(0, len(rows), _OFF_BLOCK):
-                block = rows[lo:lo + _OFF_BLOCK]
-                fh.write(line * len(block) % tuple(block.ravel().tolist()))
+    """Write a triangle mesh as OFF, vertices as %.9g (the text of _fmt)."""
+    with open(path, "wb") as fh:
+        fh.write(b"OFF\n%d %d 0\n" % (mesh.n_vertices, mesh.n_faces))
+        _write_rows(fh, b"%.9g %.9g %.9g\n", mesh.vertices.T)
+        _write_rows(fh, b"3 %d %d %d\n", mesh.faces.T)
 
 
-def write_centerline_obj(points, path, closed=False):
-    """Write a polyline as OBJ v records plus a single l record."""
-    points = np.atleast_2d(points)
-    with open(path, "w") as fh:
-        for p in points:
-            fh.write(f"v {_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}\n")
-        ids = list(range(1, len(points) + 1))
-        if closed:
-            ids.append(1)
-        fh.write("l " + " ".join(str(i) for i in ids) + "\n")
+def write_centerline_obj(centerline, path):
+    """Write a Centerline's points as OBJ v records plus a single l record,
+    which returns to the first point if the centerline is closed."""
+    ids = list(range(1, len(centerline.points) + 1))
+    if centerline.closed:
+        ids.append(1)
+    with open(path, "wb") as fh:
+        _write_rows(fh, b"v %.9g %.9g %.9g\n", centerline.points.T)
+        fh.write(b"l %s\n" % " ".join(map(str, ids)).encode())
 
 
-def write_centerline_csv(points, directions, path):
-    points = np.atleast_2d(points)
-    directions = np.atleast_2d(directions)
-    with open(path, "w") as fh:
-        fh.write("index,x,y,z,dx,dy,dz\n")
-        for i, (p, d) in enumerate(zip(points, directions)):
-            fh.write(f"{i},{_fmt(p[0])},{_fmt(p[1])},{_fmt(p[2])},"
-                     f"{_fmt(d[0])},{_fmt(d[1])},{_fmt(d[2])}\n")
+def write_centerline_csv(centerline, path):
+    """Write a Centerline's points and directions as index,x,y,z,dx,dy,dz rows."""
+    with open(path, "wb") as fh:
+        fh.write(b"index,x,y,z,dx,dy,dz\n")
+        _write_rows(fh, b"%d" + b",%.9g" * 6 + b"\n",
+                    [np.arange(len(centerline.points)), *centerline.points.T,
+                     *centerline.directions.T])
 
 
 def read_centerline_csv(path):
@@ -610,18 +619,22 @@ def write_decomposition_csv(decomposition, path):
 
 
 def write_face_scalar_csv(values, path):
-    """Write "face,value" rows, the value as %.9g; the rows are formatted
-    _CSV_BLOCK at a time, by one bytes % over the block's indices and
-    values (the text str % gives, without its encoding pass)."""
-    values = np.asarray(values, dtype=float).ravel().tolist()
+    """Write "face,value" rows, the value as %.9g."""
+    values = np.asarray(values, dtype=float).ravel()
     with open(path, "wb") as fh:
         fh.write(b"face,value\n")
-        for lo in range(0, len(values), _CSV_BLOCK):
-            block = values[lo:lo + _CSV_BLOCK]
-            fields = [None] * (2 * len(block))
-            fields[::2] = range(lo, lo + len(block))
-            fields[1::2] = block
-            fh.write((b"%d,%.9g\n" * len(block)) % tuple(fields))
+        _write_rows(fh, b"%d,%.9g\n", [np.arange(len(values)), values])
+
+
+def write_truth_csv(truth, path):
+    """Write a TubeTruth as index,x,y,z,tx,ty,tz,kind,junction rows, junction
+    1 where two segments meet, else 0."""
+    index = np.arange(len(truth.points))
+    with open(path, "wb") as fh:
+        fh.write(b"index,x,y,z,tx,ty,tz,kind,junction\n")
+        _write_rows(fh, b"%d" + b",%.9g" * 6 + b",%s,%d\n",
+                    [index, *truth.points.T, *truth.tangents.T,
+                     np.asarray(truth.kinds, dtype=bytes), np.isin(index, truth.junctions)])
 
 
 def write_accumulation_npz(accumulation, path):
@@ -636,40 +649,29 @@ def write_accumulation_npz(accumulation, path):
              origin=domain.origin, gridstep=domain.gridstep, dims=domain.dims)
 
 
-def write_artifacts(out_dir, centerline, decomposition=None, meshes=None,
-                    face_scalars=None):
-    """Write pipeline outputs under ``out_dir``; returns a name->path manifest.
-
-    ``meshes`` maps artifact names to TriMesh objects (written as OFF);
-    ``face_scalars`` maps names to per-face value arrays written as sidecar
-    CSVs.
-    """
-    if centerline is None or len(centerline.points) == 0:
+def write_artifacts(out_dir, centerline, decomposition=None, tube=None, errors=None,
+                    accumulation=None):
+    """Write a run's outputs under ``out_dir``: centerline.obj/.csv, then
+    decomposition.csv, reconstructed.off (``tube``) and error_map.csv
+    (``errors``) if given; without a centerline, accumulation.npz. Returns
+    the manifest, which keys each path by its file name, dot made underscore.
+    An empty centerline, or neither, is EmptyInput."""
+    if centerline is None and accumulation is not None:
+        files = (("accumulation.npz", write_accumulation_npz, accumulation),)
+    elif centerline is None or len(centerline.points) == 0:
         raise EmptyInput("centerline is empty")
+    else:
+        files = (("centerline.obj", write_centerline_obj, centerline),
+                 ("centerline.csv", write_centerline_csv, centerline),
+                 ("decomposition.csv", write_decomposition_csv, decomposition),
+                 ("reconstructed.off", write_off, tube),
+                 ("error_map.csv", write_face_scalar_csv, errors))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {}
-
-    obj_path = out_dir / "centerline.obj"
-    write_centerline_obj(centerline.points, obj_path, closed=centerline.closed)
-    manifest["centerline_obj"] = str(obj_path)
-
-    csv_path = out_dir / "centerline.csv"
-    write_centerline_csv(centerline.points, centerline.directions, csv_path)
-    manifest["centerline_csv"] = str(csv_path)
-
-    if decomposition is not None:
-        dec_path = out_dir / "decomposition.csv"
-        write_decomposition_csv(decomposition, dec_path)
-        manifest["decomposition_csv"] = str(dec_path)
-
-    for name, mesh in (meshes or {}).items():
-        mesh_path = out_dir / f"{name}.off"
-        write_off(mesh, mesh_path)
-        manifest[f"{name}_off"] = str(mesh_path)
-
-    for name, values in (face_scalars or {}).items():
-        scalar_path = out_dir / f"{name}.csv"
-        write_face_scalar_csv(values, scalar_path)
-        manifest[f"{name}_csv"] = str(scalar_path)
+    for name, write, value in files:
+        if value is not None:
+            path = out_dir / name
+            write(value, path)
+            manifest[name.replace(".", "_")] = str(path)
     return manifest

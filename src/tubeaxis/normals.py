@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CellHash, column_max, column_min, concat_ranges
+from .core import CellHash, concat_ranges
 from .errors import DegenerateFace, EmptyInput, SeedInvalid
 
 _CELL_MARGIN = 1e-9  # relative cell padding, so rounding never drops a pair
@@ -331,10 +331,11 @@ def orient_inward(faces: OrientedFaceSet, mode="auto",
     """Resolve the global inward/outward ambiguity of a face set.
 
     mode="flip" negates all normals, mode="keep" returns the input as is,
-    and mode="auto" accumulates both orientations on a lattice of step
-    radius/3 (computing no direction) and keeps the one with the higher
-    max_acc (inward scans pile up on the axis, outward scans disperse). A
-    tie raises SeedInvalid: the probe cannot tell the orientations apart.
+    and mode="auto" accumulates both orientations at the tube radius on a
+    lattice of step radius/3 (computing no direction) and keeps the one
+    with the higher max_acc (inward scans pile up on the axis, outward
+    scans disperse). A tie raises SeedInvalid: the probe cannot tell the
+    orientations apart, which a wrong radius can cause.
     """
     if mode == "keep":
         return faces
@@ -346,8 +347,7 @@ def orient_inward(faces: OrientedFaceSet, mode="auto",
     from .accumulate import AccumulationParams, compute_accumulation
 
     if radius is None:
-        extent = float((column_max(faces.centers) - column_min(faces.centers)).max())
-        radius = 0.25 * max(extent, 1e-9)
+        raise ValueError("mode 'auto' needs the tube radius")
     # 3 steps per scan whatever the extent: a step tied to the extent gave
     # long tubes one-voxel scans, on which both orientations tie
     params = AccumulationParams(radius=radius, epsilon=0.0, gridstep=radius / 3.0)
@@ -355,6 +355,7 @@ def orient_inward(faces: OrientedFaceSet, mode="auto",
     kept_max = compute_accumulation(faces, params).max_acc
     flipped_max = compute_accumulation(flipped, params).max_acc
     if kept_max == flipped_max:
-        raise SeedInvalid(f"orientation probe ties at {kept_max} votes; "
-                          "pass the orientation explicitly")
+        raise SeedInvalid(f"orientation probe ties at {kept_max} votes at radius "
+                          f"{radius:g}; the tube radius may be wrong, or pass the "
+                          "orientation explicitly")
     return faces if kept_max > flipped_max else flipped

@@ -209,6 +209,9 @@ def error_map(faces, centerline, radius):
 
 
 def error_summary(errors):
+    """Mean, max, RMS and count of an error map's values. The values are
+    the squared deviations (d - R)^2, so mean and max are in length^2,
+    and the RMS is that of the squares, also in length^2."""
     errors = np.asarray(errors, dtype=float).ravel()
     if errors.size == 0:
         return {"mean": 0.0, "max": 0.0, "rms": 0.0, "count": 0}

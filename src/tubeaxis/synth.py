@@ -56,7 +56,7 @@ def _rodrigues(vec, axis, angle):
     return (vec * c + np.cross(axis, vec) * s + axis * np.dot(axis, vec) * (1 - c))
 
 
-def gen_tube(segments, radius, mesh_step, start=None, cap_ends=False):
+def gen_tube(segments, radius, mesh_step, cap_ends=False):
     """Generate a tube mesh plus its ground truth.
 
     Parameters
@@ -64,8 +64,6 @@ def gen_tube(segments, radius, mesh_step, start=None, cap_ends=False):
     segments : sequence of Straight / Arc specs
     radius : tube (cross-section) radius
     mesh_step : target spacing of rings and of vertices around each ring
-    start : optional (point, tangent, normal1, normal2) start frame;
-        defaults to origin, +x tangent, +y/+z normals
     cap_ends : close both ends with triangle fans (needed for voxelization,
         which requires a watertight surface)
 
@@ -82,13 +80,11 @@ def gen_tube(segments, radius, mesh_step, start=None, cap_ends=False):
             raise SelfIntersecting(
                 f"arc radius {seg.radius} must exceed tube radius {radius}")
 
-    if start is None:
-        p = np.zeros(3)
-        t = np.array([1.0, 0.0, 0.0])
-        u = np.array([0.0, 1.0, 0.0])
-        v = np.array([0.0, 0.0, 1.0])
-    else:
-        p, t, u, v = (np.asarray(x, dtype=float) for x in start)
+    # the axis starts at the origin along +x, with +y/+z ring normals
+    p = np.zeros(3)
+    t = np.array([1.0, 0.0, 0.0])
+    u = np.array([0.0, 1.0, 0.0])
+    v = np.array([0.0, 0.0, 1.0])
 
     points = [p.copy()]
     tangents = [t.copy()]

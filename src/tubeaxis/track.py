@@ -251,8 +251,9 @@ def track_direction(res, start, in_front, track_step, acc_radius,
     start = np.asarray(start, dtype=float)
     d0 = _local_direction(res, start, acc_radius)
     if d0 is None:
-        raise SeedInvalid("neither the voxel nor the count ridge fixes a "
-                          "direction at the tracking seed")
+        raise SeedInvalid("neither the voxel nor the count ridge fixes a direction "
+                          f"at the tracking seed, scanning to {acc_radius:g} (tube "
+                          "radius + epsilon); the tube radius may be wrong")
     last_vect = d0 * (1.0 if in_front else -1.0)
     # the current point's sampled level; the accepted points' levels, sorted
     level = _sample_trilinear(res.keys, res.counts, res.domain, start)[0]
@@ -334,7 +335,9 @@ def extract_centerline(res, track_step, acc_radius, inside_threshold=0.5,
     the centerline closed, as does a head-tail gap below track_step.
     """
     if res.max_acc < 2:
-        raise SeedInvalid(f"accumulation maximum {res.max_acc} is too weak to seed tracking")
+        raise SeedInvalid(f"accumulation maximum {res.max_acc} is too weak to seed "
+                          f"tracking, scanning to {acc_radius:g} (tube radius + "
+                          "epsilon); the tube radius may be wrong")
     seed = res.domain.voxel_center(res.max_pt)
 
     fwd, closed = track_direction(res, seed, True, track_step, acc_radius,

@@ -218,6 +218,41 @@ def test_one_point_centerline_cannot_be_reconstructed(tube_off, tmp_path,
     assert not (tmp_path / "out" / "summary.json").exists()
 
 
+@pytest.mark.parametrize("spacing", [1.0, 0.5, 2.0])
+def test_auto_gridstep_of_a_height_map_is_the_cell_diagonal(tmp_path, spacing):
+    # each cell splits along a diagonal, so a flat map's longest edges are
+    # sqrt(2) * --hm-spacing, not the pixel pitch
+    path = tmp_path / "flat.pgm"
+    path.write_text("P2\n5 4\n255\n" + "7 7 7 7 7\n" * 4)
+    out = tmp_path / "out"
+    assert run(["accumulate", "--input", path, "--radius", 3, "--hm-spacing", spacing,
+                "--orient", "keep", "--out-dir", out]) == 0
+    params = json.loads((out / "summary.json").read_text())["params"]
+    assert params["gridstep"] == math.sqrt(2) * spacing
+
+
+@pytest.mark.parametrize("spec, true_radius, mesh_step, radius, message", [
+    # tracking finds no direction at the seed when scanning to 3.3
+    ("S:60,A:30:90,S:60", 6, 0.515, 3,
+     "neither the voxel nor the count ridge fixes a direction at the tracking seed, "
+     "scanning to 3.3 (tube radius + epsilon); the tube radius may be wrong"),
+    # the orientation probe ties
+    ("S:30,A:15:90,S:30", 3, 1, 1,
+     "orientation probe ties at 2 votes at radius 1; the tube radius may be wrong, "
+     "or pass the orientation explicitly"),
+])
+def test_seed_failures_name_the_radius(tmp_path, capsys, spec, true_radius, mesh_step,
+                                       radius, message):
+    assert run(["synth", "--spec", spec, "--radius", true_radius, "--mesh-step", mesh_step,
+                "--out-dir", tmp_path / "tube"]) == 0
+    capsys.readouterr()
+    rc = run(["pipeline", "--input", tmp_path / "tube" / "tube.off", "--radius", radius,
+              "--out-dir", tmp_path / "out"])
+    assert rc == 2
+    assert capsys.readouterr().err == (f"tubeaxis pipeline: pipeline failure: "
+                                       f"SeedInvalid: {message}\n")
+
+
 def test_too_small_input_is_exit_1(tmp_path, capsys):
     # the same error type raised while loading is an input error
     path = tmp_path / "strip.pgm"

@@ -244,6 +244,9 @@ def test_load_mesh_drops_degenerate_faces(tmp_path, caplog):
     assert any("degenerate" in r.message for r in caplog.records)
 
 
+# the row-by-row writers that _write_rows replaced, kept as references
+
+
 def _rowwise_off(mesh):
     """OFF text as the line-by-line writer formatted it."""
     return ("OFF\n" + f"{mesh.n_vertices} {mesh.n_faces} 0\n"
@@ -251,11 +254,76 @@ def _rowwise_off(mesh):
             + "".join(f"3 {f[0]} {f[1]} {f[2]}\n" for f in mesh.faces))
 
 
+def _rowwise_obj(centerline):
+    ids = list(range(1, len(centerline.points) + 1))
+    if centerline.closed:
+        ids.append(1)
+    return ("".join(f"v {_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}\n" for p in centerline.points)
+            + "l " + " ".join(str(i) for i in ids) + "\n")
+
+
+def _rowwise_centerline_csv(centerline):
+    return "index,x,y,z,dx,dy,dz\n" + "".join(
+        f"{i},{_fmt(p[0])},{_fmt(p[1])},{_fmt(p[2])},{_fmt(d[0])},{_fmt(d[1])},{_fmt(d[2])}\n"
+        for i, (p, d) in enumerate(zip(centerline.points, centerline.directions)))
+
+
+def _rowwise_truth_csv(truth):
+    junctions = set(truth.junctions)
+    return "index,x,y,z,tx,ty,tz,kind,junction\n" + "".join(
+        f"{i},{p[0]:.9g},{p[1]:.9g},{p[2]:.9g},{t[0]:.9g},{t[1]:.9g},{t[2]:.9g},{k},"
+        f"{1 if i in junctions else 0}\n"
+        for i, (p, t, k) in enumerate(zip(truth.points, truth.tangents, truth.kinds)))
+
+
+def _rowwise_face_scalar_csv(values):
+    return "face,value\n" + "".join(f"{i},{_fmt(v)}\n" for i, v in enumerate(values))
+
+
+def _special_rows(n, shift):
+    """(n, 3) rows cycling through _SPECIAL_VALUES from index shift."""
+    return np.resize(np.roll(_SPECIAL_VALUES, -shift), 3 * n).reshape(n, 3)
+
+
+_ROW_WRITERS = {
+    "off": lambda n: (write_off, _rowwise_off,
+                      tx.TriMesh(_special_rows(max(n, 3), 0),
+                                 np.arange(3 * n).reshape(n, 3) % max(n, 3))),
+    "obj": lambda n: (ingest.write_centerline_obj, _rowwise_obj,
+                      tx.Centerline(_special_rows(n, 1), _special_rows(n, 2), closed=False)),
+    "obj-closed": lambda n: (ingest.write_centerline_obj, _rowwise_obj,
+                             tx.Centerline(_special_rows(n, 3), _special_rows(n, 0),
+                                           closed=True)),
+    "centerline-csv": lambda n: (write_centerline_csv, _rowwise_centerline_csv,
+                                 tx.Centerline(_special_rows(n, 4), _special_rows(n, 7))),
+    "truth-csv": lambda n: (ingest.write_truth_csv, _rowwise_truth_csv,
+                            tx.TubeTruth(_special_rows(n, 5), _special_rows(n, 6),
+                                         ["S", "A", "A"][:n] + ["S"] * (n - 3),
+                                         [i for i in (1, 3) if i < n])),
+    "error-map-csv": lambda n: (write_face_scalar_csv, _rowwise_face_scalar_csv,
+                                np.resize(_SPECIAL_VALUES, n)),
+}
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, None])
+@pytest.mark.parametrize("n", [0, 1, 7, 15])
+@pytest.mark.parametrize("kind", list(_ROW_WRITERS))
+def test_writers_match_their_row_by_row_writers(tmp_path, monkeypatch, kind, n, rows):
+    # 1, 2 and 3 rows per % put rows on and off the block edges; None keeps
+    # the default; the values hold +-0.0, +-inf, NaN, 5e-324 and 1e300
+    if rows is not None:
+        monkeypatch.setattr(ingest, "_ROWS", rows)
+    write, rowwise, data = _ROW_WRITERS[kind](n)
+    path = tmp_path / "out"
+    write(data, path)
+    assert path.read_bytes() == rowwise(data).encode()
+
+
 @pytest.mark.parametrize("block", [1, 2, 4, 1 << 12])
 @pytest.mark.parametrize("n_faces", [0, 1, 3])
 def test_write_off_matches_row_by_row_writer(tmp_path, monkeypatch, block, n_faces):
     # block sizes of 1 and 2 put rows on and off the block edges
-    monkeypatch.setattr(ingest, "_OFF_BLOCK", block)
+    monkeypatch.setattr(ingest, "_ROWS", block)
     vertices = np.reshape(_SPECIAL_VALUES + [7.0], (5, 3))
     faces = np.array([[0, 1, 2], [4, 3, 2], [1, 4, 0]])[:n_faces].reshape(-1, 3)
     mesh = tx.TriMesh(vertices, faces)
@@ -416,7 +484,7 @@ def test_centerline_csv_roundtrip(tmp_path):
     pts = rng.normal(size=(9, 3)) * 10
     dirs = rng.normal(size=(9, 3))
     path = tmp_path / "c.csv"
-    write_centerline_csv(pts, dirs, path)
+    write_centerline_csv(tx.Centerline(pts, dirs), path)
     p2, d2 = tx.read_centerline_csv(path)
     assert np.allclose(p2, pts, atol=1e-7)
     assert np.allclose(d2, dirs, atol=1e-7)
@@ -455,6 +523,44 @@ def test_write_artifacts_manifest(tmp_path, cylinder):
         assert key in manifest
     pts, _ = tx.read_centerline_csv(manifest["centerline_csv"])
     assert len(pts) == len(cl)
+
+
+def test_write_artifacts_names_each_file_in_the_manifest(tmp_path, cylinder):
+    run = tx.run_pipeline(cylinder.faces, cylinder.radius, gridstep=cylinder.gridstep)
+    out = tmp_path / "out"
+    manifest = tx.write_artifacts(out, run.centerline, decomposition=run.decomposition,
+                                  tube=run.tube, errors=run.errors,
+                                  accumulation=run.accumulation)
+    # every file once, keyed by its name with the dot as an underscore; a
+    # run with a centerline does not write its accumulation
+    names = {"centerline.obj", "centerline.csv", "decomposition.csv",
+             "reconstructed.off", "error_map.csv"}
+    assert {p.name for p in out.iterdir()} == names
+    assert manifest == {name.replace(".", "_"): str(out / name) for name in names}
+    assert (out / "error_map.csv").read_bytes().count(b"\n") == len(run.errors) + 1
+    # outputs not given are not written
+    partial = tmp_path / "partial"
+    assert set(tx.write_artifacts(partial, run.centerline, errors=run.errors)) == {
+        "centerline_obj", "centerline_csv", "error_map_csv"}
+    assert {p.name for p in partial.iterdir()} == {"centerline.obj", "centerline.csv",
+                                                   "error_map.csv"}
+
+
+def test_write_artifacts_writes_the_accumulation_without_a_centerline(tmp_path, cylinder):
+    out = tmp_path / "out"
+    manifest = tx.write_artifacts(out, None, accumulation=cylinder.result)
+    assert manifest == {"accumulation_npz": str(out / "accumulation.npz")}
+    assert [p.name for p in out.iterdir()] == ["accumulation.npz"]
+    table = np.load(out / "accumulation.npz")
+    assert table["counts"].tobytes() == cylinder.result.counts.tobytes()
+
+
+def test_write_artifacts_empty_centerline_is_empty_input(tmp_path, cylinder):
+    empty = tx.Centerline(np.empty((0, 3)), np.empty((0, 3)))
+    for centerline, accumulation in ((empty, None), (empty, cylinder.result), (None, None)):
+        with pytest.raises(tx.EmptyInput, match="centerline is empty"):
+            tx.write_artifacts(tmp_path / "out", centerline, accumulation=accumulation)
+    assert not (tmp_path / "out").exists()
 
 
 def test_load_mesh_geometry_equals_separate_passes(tmp_path):

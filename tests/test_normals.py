@@ -550,5 +550,12 @@ def test_orient_auto_tie_raises():
     centers = np.stack([xs.ravel(), ys.ravel(), np.zeros(xs.size)], axis=1)
     normals = np.tile([0.0, 0.0, 1.0], (len(centers), 1))
     sheet = tx.OrientedFaceSet(centers, normals, np.ones(len(centers)))
-    with pytest.raises(tx.SeedInvalid, match="tie"):
+    with pytest.raises(tx.SeedInvalid, match="ties at .* votes at radius 3; the tube "
+                       "radius may be wrong"):
         tx.orient_inward(sheet, mode="auto", radius=3.0)
+
+
+def test_orient_auto_needs_the_radius():
+    mesh, _ = tx.gen_tube(tx.parse_tube_spec("S:20"), 3.0, 1.0)
+    with pytest.raises(ValueError, match="needs the tube radius"):
+        tx.orient_inward(tx.face_normals(mesh), mode="auto")

@@ -442,7 +442,9 @@ def test_weak_seed_raises():
     counts = np.zeros((6, 6, 6), dtype=np.uint32)
     counts[3, 3, 3] = 1
     res = _field_result(domain, counts, np.zeros((6, 6, 6, 3)))
-    with pytest.raises(tx.SeedInvalid):
+    with pytest.raises(tx.SeedInvalid, match=r"maximum 1 is too weak to seed tracking, "
+                       r"scanning to 3 \(tube radius \+ epsilon\); the tube radius "
+                       "may be wrong"):
         tx.extract_centerline(res, track_step=2.0, acc_radius=3.0)
 
 
