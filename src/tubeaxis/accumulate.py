@@ -27,6 +27,7 @@ cross products of consecutive visiting normals.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -43,6 +44,7 @@ _BLOCK = 1 << 16  # events whose remainders one step computes
 _FLAT = 0.02
 # (row, column) of the upper triangle of a 3 x 3 matrix
 _UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+VotePeak = namedtuple("VotePeak", "max_acc")
 
 
 @dataclass(frozen=True)
@@ -288,6 +290,18 @@ def _tensor_directions(face_of, bounds, normals, first, stop):
     return np.where(kept[:, None], axes * sign[:, None], 0.0)
 
 
+def _scan(faces, params):
+    """The domain and the (S, F) march ids of every face's scan."""
+    if len(faces) == 0:
+        raise EmptyInput("no faces to accumulate")
+    if params.n_steps == 0:
+        raise TooSmall(f"acc_radius {params.acc_radius:g} is too small for a scan "
+                       f"step at gridstep {params.gridstep:g}")
+    centers, normals = faces.columns()
+    domain = accumulation_domain(centers.T, params)  # reduced one contiguous row at a time
+    return domain, _march(centers, normals, params, domain)
+
+
 def compute_accumulation(faces, params: AccumulationParams) -> AccumulationResult:
     """Vote table of all scans over accumulation_domain(faces.centers,
     params), and the events its directions are computed from.
@@ -298,13 +312,7 @@ def compute_accumulation(faces, params: AccumulationParams) -> AccumulationResul
     scan order (ties on the count value are impossible under the
     strictly-greater update rule this mirrors).
     """
-    if len(faces) == 0:
-        raise EmptyInput("no faces to accumulate")
-    if params.n_steps == 0:
-        raise TooSmall(f"acc_radius {params.acc_radius:g} is too small for a scan "
-                       f"step at gridstep {params.gridstep:g}")
-    domain = accumulation_domain(faces.centers, params)
-    ids = _march(*faces.columns(), params, domain)
+    domain, ids = _scan(faces, params)
     n_steps = len(ids)
     order, sorted_ids = _group_events(ids, domain.voxel_count)
     del ids
@@ -323,3 +331,12 @@ def compute_accumulation(faces, params: AccumulationParams) -> AccumulationResul
                               max_acc=max_acc, max_pt=tuple(int(i) for i in max_pt),
                               events=(face_of, np.append(starts, len(face_of)),
                                       faces.normals))
+
+
+def count_peak(faces, params: AccumulationParams) -> VotePeak:
+    """compute_accumulation(faces, params).max_acc alone, from one plain sort
+    of the march ids (int32 where they fit): no event keys, face ids or seed."""
+    domain, ids = _scan(faces, params)
+    ids = ids.reshape(-1).astype(np.int32 if domain.voxel_count < 2 ** 31 else np.int64)
+    ids.sort()
+    return VotePeak(int(_runs(ids[np.searchsorted(ids, 0):])[2].max()))

@@ -110,10 +110,6 @@ class GridDomain:
         inb = np.all((idx >= 0) & (idx < np.asarray(self.dims)), axis=1)
         return idx, inb
 
-    def contains_point(self, p):
-        _, inb = self.index_array(p)
-        return bool(inb[0])
-
 
 class CellHash:
     """Points bucketed in a uniform grid of cubic cells, for neighbour
@@ -248,12 +244,13 @@ def concat_ranges(start, stop):
 def digitize(p, domain: GridDomain):
     """Map a world point to its voxel index, or None when outside the domain.
 
-    Out-of-domain is an ordinary value here, not a failure.
+    Out-of-domain is an ordinary value here, not a failure. index_array's
+    arithmetic on Python floats; NaN and +-inf fail the [0, dims) test.
     """
-    idx, inb = domain.index_array(p)
-    if not inb[0]:
-        return None
-    return tuple(int(c) for c in idx[0])
+    t = [(x - o) / domain.gridstep
+         for x, o in zip(np.ravel(p).tolist(), domain.origin.tolist())]
+    inside = all(0 <= c < n for c, n in zip(t, domain.dims))
+    return tuple(map(math.floor, t)) if inside else None
 
 
 @dataclass

@@ -410,7 +410,7 @@ def load_volume(path) -> VoxelSet:
     # the rows of np.unique(pts, axis=0), without its structured-view sort
     pts = pts[np.lexsort(pts.T[::-1])]
     first = np.ones(len(pts), dtype=bool)
-    first[1:] = np.any(pts[1:] != pts[:-1], axis=1)
+    first[1:] = np.logical_or.reduce([col[1:] != col[:-1] for col in pts.T])
     unique = pts[first]
     if len(unique) != len(pts):
         logger.warning("%s: removed %d duplicate voxel(s)", path, len(pts) - len(unique))

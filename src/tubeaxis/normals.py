@@ -331,11 +331,11 @@ def orient_inward(faces: OrientedFaceSet, mode="auto",
     """Resolve the global inward/outward ambiguity of a face set.
 
     mode="flip" negates all normals, mode="keep" returns the input as is,
-    and mode="auto" accumulates both orientations at the tube radius on a
-    lattice of step radius/3 (computing no direction) and keeps the one
-    with the higher max_acc (inward scans pile up on the axis, outward
-    scans disperse). A tie raises SeedInvalid: the probe cannot tell the
-    orientations apart, which a wrong radius can cause.
+    and mode="auto" scans both orientations at the tube radius on a
+    lattice of step radius/3 and keeps the one whose fullest voxel has
+    more votes (inward scans pile up on the axis, outward scans disperse);
+    count_peak computes that count alone. A tie raises SeedInvalid: the
+    probe cannot tell the orientations apart, which a wrong radius can cause.
     """
     if mode == "keep":
         return faces
@@ -344,7 +344,7 @@ def orient_inward(faces: OrientedFaceSet, mode="auto",
     if mode != "auto":
         raise ValueError(f"unknown orientation mode {mode!r}")
 
-    from .accumulate import AccumulationParams, compute_accumulation
+    from .accumulate import AccumulationParams, count_peak
 
     if radius is None:
         raise ValueError("mode 'auto' needs the tube radius")
@@ -352,8 +352,8 @@ def orient_inward(faces: OrientedFaceSet, mode="auto",
     # long tubes one-voxel scans, on which both orientations tie
     params = AccumulationParams(radius=radius, epsilon=0.0, gridstep=radius / 3.0)
     flipped = faces.flipped()
-    kept_max = compute_accumulation(faces, params).max_acc
-    flipped_max = compute_accumulation(flipped, params).max_acc
+    kept_max = count_peak(faces, params).max_acc
+    flipped_max = count_peak(flipped, params).max_acc
     if kept_max == flipped_max:
         raise SeedInvalid(f"orientation probe ties at {kept_max} votes at radius "
                           f"{radius:g}; the tube radius may be wrong, or pass the "

@@ -103,10 +103,8 @@ def _sample_trilinear(keys, values, domain, points):
 
 def _voxel_dir(res, point):
     """Direction of the voxel containing a world point; 0 outside the domain."""
-    idx, inb = res.domain.index_array(point)
-    if not inb[0]:
-        return np.zeros(3)
-    return res.direction_at(idx[0] @ res.domain.strides)
+    idx = digitize(point, res.domain)
+    return np.zeros(3) if idx is None else res.direction_at(np.dot(idx, res.domain.strides))
 
 
 def patch_size(acc_radius, gridstep):
@@ -247,6 +245,9 @@ def track_direction(res, start, in_front, track_step, acc_radius,
     Stops when the continuation test fails, the next patch would leave the
     domain, the patch is empty, the local direction vanishes, or the run
     loops back to its start (closed tube).
+
+    The start's level is sampled; an accepted point's is the patch pixel
+    it was built from by that pixel's operations, the sample there bit for bit.
     """
     start = np.asarray(start, dtype=float)
     d0 = _local_direction(res, start, acc_radius)
@@ -279,7 +280,7 @@ def track_direction(res, start, in_front, track_step, acc_radius,
         if dir_vect is None:
             break
         patch_center = current + dir_vect * track_step
-        if not res.domain.contains_point(patch_center):
+        if digitize(patch_center, res.domain) is None:
             break
         values, frame = extract_patch(res, patch_center, dir_vect, acc_radius)
         if values.max() <= 0:
@@ -296,7 +297,7 @@ def track_direction(res, start, in_front, track_step, acc_radius,
         last_vect = dir_vect
         current = nxt
         points.append(current.copy())
-        level = _sample_trilinear(res.keys, res.counts, res.domain, current)[0]
+        level = values[a, b]
         bisect.insort(levels, level)
         if step_i >= 2 and np.linalg.norm(current - start) < 0.75 * track_step:
             closed = True

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tubeaxis import (GridDomain, ZeroDirection, digitize, frame_from_direction,
                       normalize)
@@ -86,11 +88,50 @@ def test_digitize_outside_returns_none():
     assert digitize(np.array([3.999, 3.999, 3.999]), dom) == (3, 3, 3)
 
 
-def test_contains_point_boundaries():
+def test_digitize_boundaries():
     dom = GridDomain(origin=np.zeros(3), gridstep=0.5, dims=(4, 4, 4))
-    assert dom.contains_point(np.array([0.0, 0.0, 0.0]))
-    assert dom.contains_point(np.array([1.999, 1.0, 1.0]))
-    assert not dom.contains_point(np.array([2.001, 1.0, 1.0]))
+    assert digitize(np.array([0.0, 0.0, 0.0]), dom) == (0, 0, 0)
+    assert digitize(np.array([-0.0, 1.0, 1.0]), dom) == (0, 2, 2)
+    assert digitize(np.array([1.999, 1.0, 1.0]), dom) == (3, 2, 2)
+    assert digitize(np.array([2.0, 1.0, 1.0]), dom) is None  # a face at dims
+    assert digitize(np.array([2.001, 1.0, 1.0]), dom) is None
+    assert digitize(np.array([[1.0, 1.0, math.nan]]), dom) is None
+    # (p - origin) overflows to inf
+    far = GridDomain(origin=np.array([-1e308, 0.0, 0.0]), gridstep=0.5, dims=(4, 4, 4))
+    assert digitize([1e308, 0.0, 0.0], far) is None
+
+
+def _voxel_units(n):
+    """A coordinate in voxel units on an axis of n voxels: in or just
+    around the domain, on a voxel face (0 and n among them), far outside,
+    or not a number."""
+    return st.one_of(
+        st.floats(-2.0, n + 2.0),
+        st.integers(-1, n + 1).map(float),
+        st.sampled_from([1e300, -1e300, 2.0 ** 63, -2.0 ** 63, math.nan, math.inf,
+                         -math.inf]),
+    )
+
+
+@st.composite
+def _domains_and_points(draw):
+    dims = tuple(draw(st.lists(st.integers(1, 50), min_size=3, max_size=3)))
+    dom = GridDomain(origin=np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=3,
+                                                   max_size=3))),
+                     gridstep=draw(st.one_of(st.floats(1e-3, 1e3),
+                                             st.sampled_from([0.1, 0.25, 1.0, 1 / 3]))),
+                     dims=dims)
+    units = draw(st.lists(st.tuples(*map(_voxel_units, dims)), min_size=1, max_size=20))
+    return dom, dom.origin + np.array(units) * dom.gridstep
+
+
+@given(_domains_and_points())
+def test_digitize_is_index_array_row_for_row(domain_and_points):
+    dom, pts = domain_and_points
+    with np.errstate(invalid="ignore"):  # NaN and inf cast to int
+        idx, inb = dom.index_array(pts)
+    for p, i, inside in zip(pts, idx, inb):
+        assert digitize(p, dom) == (tuple(i.tolist()) if inside else None)
 
 
 @pytest.mark.parametrize("gridstep", [math.nan, math.inf, 0.0, -1.0])

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 import tubeaxis as tx
-from tubeaxis import normals
+from tubeaxis import accumulate, normals
+from tubeaxis.accumulate import _march, accumulation_domain, count_peak
 from tubeaxis.normals import _FACET_DIRS, _ball_neighbourhoods
 
-from conftest import quaternion_rotation
+from conftest import capped_voxel_pipe, quaternion_rotation
 
 
 def _facets_by_set_lookup(points):
@@ -550,9 +551,79 @@ def test_orient_auto_tie_raises():
     centers = np.stack([xs.ravel(), ys.ravel(), np.zeros(xs.size)], axis=1)
     normals = np.tile([0.0, 0.0, 1.0], (len(centers), 1))
     sheet = tx.OrientedFaceSet(centers, normals, np.ones(len(centers)))
+    params = _probe_params(3.0)
+    votes = [count_peak(f, params).max_acc for f in (sheet, sheet.flipped())]
+    assert votes == [tx.compute_accumulation(sheet, params).max_acc] * 2
     with pytest.raises(tx.SeedInvalid, match="ties at .* votes at radius 3; the tube "
                        "radius may be wrong"):
         tx.orient_inward(sheet, mode="auto", radius=3.0)
+
+
+def _probe_params(radius):
+    """The lattice orient_inward probes on."""
+    return tx.AccumulationParams(radius=radius, epsilon=0.0, gridstep=radius / 3.0)
+
+
+def _conftest_tube(name, request):
+    """(faces, radius) of a conftest tube, oriented inward."""
+    if name == "capped_voxel_pipe":
+        return capped_voxel_pipe(), 3.0
+    if name == "cylinder":
+        case = request.getfixturevalue("cylinder")
+        return case.faces, case.radius
+    case = request.getfixturevalue(name)
+    return case["faces"], case["radius"]
+
+
+@pytest.mark.parametrize("tube", ["cylinder", "bent_pipe", "capped_voxel_pipe"])
+def test_probe_count_is_the_accumulation_maximum(tube, request):
+    faces, radius = _conftest_tube(tube, request)
+    # every 7th normal 8 times too long: those rays leave the domain
+    stretched = faces.normals.copy()
+    stretched[::7] *= 8.0
+    stray = tx.OrientedFaceSet(faces.centers, stretched, faces.areas)
+    for params in (_probe_params(radius), tx.AccumulationParams(radius=radius)):
+        domain = accumulation_domain(stray.centers, params)
+        assert (_march(*stray.columns(), params, domain) == -1).any()
+        for f in (faces, faces.flipped(), stray, stray.flipped()):
+            want = tx.compute_accumulation(f, params).max_acc
+            assert count_peak(f, params).max_acc == want
+
+
+def test_probe_count_with_ids_past_int32():
+    # a face at the origin and two alike at the far corner of a domain of
+    # more than 2**31 voxels: the fullest voxel's id does not fit int32
+    centers = np.array([[0.0, 0.0, 0.0], [2000.0, 2000.0, 1000.0],
+                        [2000.0, 2000.0, 1000.0]])
+    faces = tx.OrientedFaceSet(centers, np.tile([0.0, 0.0, -1.0], (3, 1)), np.ones(3))
+    params = tx.AccumulationParams(radius=3.0, gridstep=1.0)
+    assert accumulation_domain(faces.centers, params).voxel_count > 2 ** 31
+    assert count_peak(faces, params).max_acc == 2
+    assert tx.compute_accumulation(faces, params).max_acc == 2
+
+
+@pytest.fixture()
+def group_events_calls(monkeypatch):
+    """The number of events of each accumulate._group_events call, in
+    call order."""
+    calls, group_events = [], accumulate._group_events
+
+    def counting_group_events(ids, voxel_count):
+        calls.append(np.size(ids))
+        return group_events(ids, voxel_count)
+
+    monkeypatch.setattr(accumulate, "_group_events", counting_group_events)
+    return calls
+
+
+def test_orientation_probe_groups_no_events(group_events_calls, bent_pipe):
+    faces, radius = bent_pipe["faces"], bent_pipe["radius"]
+    for f in (faces, faces.flipped()):
+        oriented = tx.orient_inward(f, mode="auto", radius=radius)
+        assert oriented.normals.tobytes() == faces.normals.tobytes()
+    assert group_events_calls == []
+    tx.compute_accumulation(faces, bent_pipe["params"])
+    assert len(group_events_calls) == 1
 
 
 def test_orient_auto_needs_the_radius():

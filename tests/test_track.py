@@ -13,7 +13,7 @@ from tubeaxis.core import GridDomain
 from tubeaxis.track import (_local_direction, _lookup, _lower_quartile,
                             _polyline_directions, _ridge_direction,
                             _sample_trilinear, _voxel_dir, extract_patch,
-                            patch_size)
+                            is_inside_tube, patch_size)
 
 from conftest import capped_voxel_pipe
 
@@ -309,7 +309,9 @@ def test_patch_frame_and_pixels():
 
 def test_patch_argmax_prefers_first_in_scan_order(monkeypatch):
     # the first patch has two equal maxima: the run steps to the world
-    # position of the one with the smallest (row, col), (m - 1, m + 1)
+    # position of the one with the smallest (row, col), (m - 1, m + 1).
+    # The planted value becomes that point's level, so it is the patch's
+    # own peak, which the continuation test accepts
     res = _straight_ridge()
     patches = []
 
@@ -317,8 +319,9 @@ def test_patch_argmax_prefers_first_in_scan_order(monkeypatch):
         values, frame = extract_patch(res, center, direction, acc_radius)
         if not patches:
             m = len(values) // 2
+            peak = values.max()
             values = np.zeros_like(values)
-            values[m - 1, m + 1] = values[m + 1, m - 1] = 7.0
+            values[m - 1, m + 1] = values[m + 1, m - 1] = peak
         patches.append(frame)
         return values, frame
 
@@ -343,20 +346,30 @@ def test_tracks_straight_ridge():
 
 
 def test_tracking_samples_each_point_level_once(monkeypatch):
-    # the continuation test takes the level the tracker sampled on
-    # accepting the point, so no single point is sampled twice
+    # an accepted point's level is the patch pixel it was taken from: no
+    # accepted point is sampled alone, and the level the continuation test
+    # gets is the sample at that point, bit for bit
     res = _straight_ridge()
-    points = []
+    alone, tested = [], []
 
     def sample(keys, values, domain, pts):
         if len(np.atleast_2d(pts)) == 1:
-            points.append(np.asarray(pts, dtype=float).tobytes())
+            alone.append(np.asarray(pts, dtype=float).tobytes())
         return _sample_trilinear(keys, values, domain, pts)
 
+    def inside(res, current, *args, level=None, **kwargs):
+        tested.append((current.copy(), level))
+        return is_inside_tube(res, current, *args, level=level, **kwargs)
+
     monkeypatch.setattr(tx.track, "_sample_trilinear", sample)
+    monkeypatch.setattr(tx.track, "is_inside_tube", inside)
     cl = tx.extract_centerline(res, track_step=3.0, acc_radius=5.0)
-    assert len(set(points)) >= len(cl)
-    assert len(points) == len(set(points)) + 1  # the seed, once per direction
+    seed = res.domain.voxel_center(res.max_pt)
+    assert alone == [seed.tobytes()] * 2  # the seed, once per direction
+    assert {p.tobytes() for p in cl.points} <= {p.tobytes() for p, _ in tested}
+    for point, level in tested:
+        want = _sample_trilinear(res.keys, res.counts, res.domain, point)[0]
+        assert level.tobytes() == want.tobytes()
     # a level given to the continuation test is the one it compares
     on_axis = np.array([20.0, 10.5, 10.5])
     prev = on_axis - [3.0, 0, 0]
