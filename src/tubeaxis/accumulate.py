@@ -3,7 +3,8 @@
 Every face casts a ray from its center along its (inward) unit normal,
 stepping by gridstep while still closer than accRadius to the start. Each
 visited voxel counts one vote. For an ideal tube of radius R and accRadius
-slightly above R, votes pile up on the axis.
+slightly above R, votes pile up on the axis. The normals are unit
+(OrientedFaceSet checks them), so every vote lands in accumulation_domain.
 
 The votes are kept in a table of the visited voxels, not in grids sized by
 the bounding box: the sorted int64 linear ids of the voxels that received
@@ -38,6 +39,7 @@ from .errors import DomainTooLarge, EmptyInput, TooSmall
 
 _STEP_EPS = 1e-9
 _INT64_MAX = np.iinfo(np.int64).max
+_FAR = 2.0 ** 48  # gridsteps from 0 below which rounding stays far inside a voxel
 _BLOCK = 1 << 16  # events whose remainders one step computes
 # largest share of the trace the least eigenvalue of a direction's normal
 # tensor may hold, and smallest share the middle one must
@@ -132,9 +134,11 @@ class AccumulationResult:
 
 def accumulation_domain(points, params: AccumulationParams) -> GridDomain:
     """Bounding lattice of the scan: point bbox plus acc_radius and one
-    voxel of margin on every side. Every scan starts inside it.
+    voxel of margin on every side, which holds every scan along a unit
+    normal and the rounding of its positions (a few ulps, under _FAR).
 
-    Raises DomainTooLarge when its voxels cannot all have int64 linear ids.
+    Raises DomainTooLarge when it reaches _FAR gridsteps from 0, or when
+    its voxels cannot all have int64 linear ids.
     """
     points = np.atleast_2d(points)
     if points.size == 0:
@@ -142,9 +146,10 @@ def accumulation_domain(points, params: AccumulationParams) -> GridDomain:
     pad = params.acc_radius + params.gridstep
     lo = column_min(points) - pad
     hi = column_max(points) + pad
+    if np.abs(np.r_[lo, hi]).max() >= _FAR * params.gridstep:  # so dims < 2**63 too
+        raise DomainTooLarge(f"a domain from {lo} to {hi} is too large to index "
+                             f"exactly at gridstep {params.gridstep:g}")
     dims = np.maximum(np.ceil((hi - lo) / params.gridstep), 1)
-    if np.any(dims >= 2.0 ** 63):  # the int cast would wrap
-        raise DomainTooLarge(f"a domain of {dims} voxels is too large to index")
     domain = GridDomain(origin=lo, gridstep=params.gridstep, dims=tuple(dims.astype(int)))
     if domain.voxel_count > _INT64_MAX:
         raise DomainTooLarge(f"a domain of {domain.dims} voxels is too large to index")
@@ -157,54 +162,25 @@ def _march(centers, normals, params, domain):
     ``centers`` and ``normals`` are (3, F): one contiguous row per axis.
 
     Row s holds every face's position s steps along its ray; face f's s-th
-    position is event f * S + s of the sequential visit order. Positions
-    outside the domain get id -1: a ray starts inside the domain, which is
-    padded by acc_radius, but a non-unit normal can carry it out. The
-    domain box is convex, so a ray that exits never re-enters and dropping
-    those positions is a clean truncation.
-
-    Each row is built one axis at a time, in place: the voxel index
+    position is event f * S + s of the sequential visit order. Each row is
+    built one axis at a time, in place: the voxel index
     floor(((c + dist * n) - origin) / gridstep) is added times its stride.
-    Every rounding in that index is monotone in dist, so along a ray each
-    index runs one way, and a ray inside the bounds at its first and its
-    last step is inside at every step. Only those bounds are tested; the
-    rays that fail them are marched again with the bounds tested at every
-    step.
+    No bound is tested: the normals are unit (OrientedFaceSet checks
+    them), so every position lies inside accumulation_domain.
     """
-    rows, inside = _step_rows(centers, normals, params, domain, every_step=False)
-    out = np.flatnonzero(~inside)
-    if len(out):
-        rows[:, out] = _step_rows(centers[:, out], normals[:, out], params, domain,
-                                  every_step=True)[0]
-    return rows
-
-
-def _step_rows(centers, normals, params, domain, every_step):
-    """The (S, F) rows of _march, and whether each ray is inside the bounds
-    at its first and last step. With ``every_step`` the bounds are tested
-    at every step and the positions outside get id -1."""
     n_faces = centers.shape[1]
     strides = domain.strides
     rows = np.empty((params.n_steps, n_faces), dtype=np.int64)
     pos = np.empty(n_faces)
     index = np.empty(n_faces, dtype=np.int64)
-    inside = np.ones(n_faces, dtype=bool)
-    test = np.empty(n_faces, dtype=bool)
     steps = np.arange(params.n_steps, dtype=float) * params.gridstep
-    ends = (0, params.n_steps - 1)
-    for s, (ids, dist) in enumerate(zip(rows, steps)):
-        tested = every_step or s in ends
-        if every_step:
-            inside.fill(True)
+    for ids, dist in zip(rows, steps):
         for axis in range(3):
             np.multiply(normals[axis], dist, out=pos)
             pos += centers[axis]
             pos -= domain.origin[axis]
             pos /= domain.gridstep
             np.floor(pos, out=pos)
-            if tested:
-                inside &= np.greater_equal(pos, 0, out=test)
-                inside &= np.less(pos, domain.dims[axis], out=test)
             if axis == 0:
                 np.copyto(ids, pos, casting="unsafe")
                 ids *= strides[0]
@@ -213,14 +189,12 @@ def _step_rows(centers, normals, params, domain, every_step):
                 if axis == 1:
                     index *= strides[1]
                 ids += index  # the z stride is 1
-        if every_step:
-            ids[~inside] = -1
-    return rows, inside
+    return rows
 
 
 def _runs(sorted_ids):
     """(starts, keys, counts) of the runs of equal ids in a sorted id
-    array that holds no out-of-domain (-1) entries; counts are uint32."""
+    array; counts are uint32."""
     new = np.empty(len(sorted_ids), dtype=bool)
     new[:1] = True
     np.not_equal(sorted_ids[1:], sorted_ids[:-1], out=new[1:])
@@ -232,15 +206,14 @@ def _runs(sorted_ids):
 
 
 def _group_events(ids, voxel_count):
-    """(order, sorted_ids) of the in-domain events, grouped by voxel id and
-    in chronological order inside each group, as a stable argsort would give.
+    """(order, sorted_ids) of the events, grouped by voxel id and in
+    chronological order inside each group, as a stable argsort would give.
 
     ``ids`` holds the march's (S, F) step rows, or one row of events in
-    visit order. One sort of the packed keys id * E + event index does it:
-    they are unique, so their order is the (id, index) order, and
-    out-of-domain events (id -1) pack to negative keys that sort first.
-    The keys are packed, sorted and split in place, so ``ids`` is
-    overwritten and ``order`` is a view of it.
+    visit order, every id in [0, voxel_count). One sort of the packed keys
+    id * E + event index does it: they are unique, so their order is the
+    (id, index) order. The keys are packed, sorted and split in place, so
+    ``ids`` is overwritten and ``order`` is a view of it.
     """
     rows = np.atleast_2d(ids)
     n_steps = len(rows)
@@ -253,7 +226,6 @@ def _group_events(ids, voxel_count):
         row += np.arange(s, n_events, n_steps)
     packed = rows.reshape(-1)
     packed.sort()
-    packed = packed[np.searchsorted(packed, 0):]
     sorted_ids = packed // n_events
     # the remainder, which np.remainder computes several times slower; a
     # block at a time, so that no third array of every event is made
@@ -284,7 +256,7 @@ def _tensor_directions(face_of, bounds, normals, first, stop):
     values, vectors = np.linalg.eigh(sums)
     lo, mid = values[:, 0], values[:, 1]
     floor = _FLAT * np.trace(sums, axis1=1, axis2=2)
-    kept = (floor > 0) & (lo <= floor) & (mid >= np.maximum(4 * lo, floor))
+    kept = (lo <= floor) & (mid >= np.maximum(4 * lo, floor))
     axes = vectors[:, :, 0]
     sign = np.sign(axes[np.arange(len(axes)), np.abs(axes).argmax(axis=1)])
     return np.where(kept[:, None], axes * sign[:, None], 0.0)
@@ -334,9 +306,9 @@ def compute_accumulation(faces, params: AccumulationParams) -> AccumulationResul
 
 
 def count_peak(faces, params: AccumulationParams) -> VotePeak:
-    """compute_accumulation(faces, params).max_acc alone, from one plain sort
-    of the march ids (int32 where they fit): no event keys, face ids or seed."""
+    """compute_accumulation(faces, params).max_acc alone, the longest run of
+    the march ids after one plain sort (int32 where they fit): no event keys."""
     domain, ids = _scan(faces, params)
     ids = ids.reshape(-1).astype(np.int32 if domain.voxel_count < 2 ** 31 else np.int64)
     ids.sort()
-    return VotePeak(int(_runs(ids[np.searchsorted(ids, 0):])[2].max()))
+    return VotePeak(int(_runs(ids)[2].max()))

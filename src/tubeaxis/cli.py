@@ -31,7 +31,7 @@ from .ingest import (heightmap_to_mesh, load_heightmap, load_mesh, load_volume,
                      write_truth_csv)
 from .normals import (digital_surface_faces, estimate_digital_normals,
                       face_normals, orient_inward)
-from .pipeline import SETTINGS, STAGES, run_pipeline, timed
+from .pipeline import LIMITS, NON_NEGATIVE, POSITIVE, SETTINGS, STAGES, run_pipeline, timed
 from .rebuild import error_summary
 from .synth import degrade, gen_tube, parse_tube_spec
 from .track import Centerline
@@ -114,21 +114,11 @@ _STAGE_OPTIONS = {
     ),
 }
 
-_POSITIVE = (lambda v: v > 0, "positive and finite")
-_NON_NEGATIVE = (lambda v: v >= 0, "non-negative and finite")
-_AT_LEAST_1 = (lambda v: v >= 1, "at least 1")
-
 # every numeric option with what it must be, checked before anything loads
-_LIMITS = {
-    "radius": _POSITIVE, "normal_radius": _POSITIVE, "hm_scale": _POSITIVE,
-    "hm_spacing": _POSITIVE, "epsilon_acc": _NON_NEGATIVE,
-    "track_step": _POSITIVE, "max_angle": _POSITIVE,
-    "inside_threshold": (lambda v: 0 <= v <= 1, "in [0, 1]"),
-    "epsilon_o": _NON_NEGATIVE, "max_iter": _AT_LEAST_1,
-    "alpha_flat": _NON_NEGATIVE, "nu": _NON_NEGATIVE, "min_len": _AT_LEAST_1,
-    "resid_tol": _NON_NEGATIVE, "sides": (lambda v: v >= 3, "at least 3"),
-    "mesh_step": _POSITIVE, "sigma": _NON_NEGATIVE,
-}
+_LIMITS = {"radius": POSITIVE, "normal_radius": POSITIVE, "hm_scale": POSITIVE,
+           "hm_spacing": POSITIVE, "epsilon_acc": LIMITS["epsilon"],
+           **{name: limit for name, limit in LIMITS.items() if name != "epsilon"},
+           "mesh_step": POSITIVE, "sigma": NON_NEGATIVE}
 
 
 def _dest(flag):
@@ -149,7 +139,7 @@ def _setting(stage, name):
     return {"type": float if default is None else type(default), "default": default}
 
 
-def _checked(flag, value, limit=_POSITIVE):
+def _checked(flag, value, limit=POSITIVE):
     """The value as a float; a UsageError unless it is finite and in limit."""
     test, must = limit
     try:

@@ -39,7 +39,8 @@ class DegenerateFace(TubeAxisError):
 
 
 class DomainTooLarge(TubeAxisError):
-    """The voxel lattice of a scan, or its vote events, overflow int64 ids."""
+    """The voxel lattice of a scan, or its vote events, overflow int64 ids,
+    or the lattice lies too far from the origin to index exactly."""
 
 
 class SeedInvalid(TubeAxisError):

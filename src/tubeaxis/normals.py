@@ -9,6 +9,7 @@ global orientation actually points inward.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +18,7 @@ from .core import CellHash, concat_ranges
 from .errors import DegenerateFace, EmptyInput, SeedInvalid
 
 _CELL_MARGIN = 1e-9  # relative cell padding, so rounding never drops a pair
+_UNIT_TOL = 1e-12  # largest |n . n - 1| of a face normal (see OrientedFaceSet)
 _CHUNK_PAIRS = 1 << 16  # candidate pairs tested, or neighbour pairs gathered, at once
 # closed-form eigenvectors need the two smallest eigenvalues this far
 # apart, relative to the largest eigenvalue magnitude; eigh solves the rest
@@ -32,6 +34,12 @@ _FACET_DIRS = np.array([
 @dataclass
 class OrientedFaceSet:
     """Face centers with unit normals and areas, in input face order.
+
+    Construction raises a ValueError naming the first face whose center
+    is not finite, whose area is not finite and >= 0, or whose normal n
+    has |n . n - 1| > _UNIT_TOL. So |n| <= 1 + 5e-13: a scan, which stops
+    short of acc_radius, stays inside the voxel that accumulation_domain
+    pads beyond acc_radius, and accumulate._march tests no bounds.
 
     The (3, F) columns of the centers and normals are made on first use
     and kept (see columns), so centers and normals must not be modified
@@ -51,6 +59,16 @@ class OrientedFaceSet:
         n = len(self.centers)
         if len(self.normals) != n or len(self.areas) != n:
             raise ValueError("centers, normals and areas must have equal length")
+        # NaN and inf fail every test below
+        off = np.abs(np.einsum("ij,ij->i", self.normals, self.normals) - 1.0)
+        if not ((off <= _UNIT_TOL).all() and np.isfinite(self.centers).all()
+                and np.isfinite(self.areas).all() and (self.areas >= 0).all()):
+            ok = ((off <= _UNIT_TOL) & np.isfinite(self.centers).all(axis=1)
+                  & np.isfinite(self.areas) & (self.areas >= 0))
+            f = int(np.argmin(ok))
+            raise ValueError(f"face {f} has center {self.centers[f]}, area {self.areas[f]} and "
+                             f"normal {self.normals[f]}, not a finite center, a finite area "
+                             f">= 0 and a unit normal (|n . n - 1| <= {_UNIT_TOL:g})")
 
     def __len__(self):
         return len(self.centers)
@@ -62,11 +80,11 @@ class OrientedFaceSet:
         return self._columns
 
     def flipped(self):
-        """The faces with negated normals; its columns are this set's,
-        the normals negated, so neither set transposes them again."""
+        """The faces with negated normals, unit as these are, so not checked
+        again; its columns are this set's, the normals negated."""
         centers, normals = self.columns()
-        out = OrientedFaceSet(self.centers, -self.normals, self.areas)
-        out._columns = (centers, -normals)
+        out = copy.copy(self)
+        out.normals, out._columns = -self.normals, (centers, -normals)
         return out
 
 
@@ -75,9 +93,9 @@ def face_normals(mesh) -> OrientedFaceSet:
     its face geometry (TriMesh.geometry, computed once per mesh)."""
     geometry = mesh.geometry()
     norms = geometry.norms
-    if np.any(norms <= 1e-12):
-        bad = int(np.argmin(norms))
-        raise DegenerateFace(f"face {bad} has zero area")
+    if not np.all((norms > 1e-12) & (norms < np.inf)):
+        bad = int(np.argmin(np.where(norms < np.inf, norms, 0.0)))
+        raise DegenerateFace(f"face {bad} has an area that is zero or overflows")
     return OrientedFaceSet(geometry.centers, geometry.cross / norms[:, None],
                            0.5 * norms)
 

@@ -12,6 +12,7 @@ default.
 
 from __future__ import annotations
 
+import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -39,6 +40,19 @@ SETTINGS = {
     "refine": (optimize_centerline, ("epsilon_o", "max_iter", "area_weighting")),
     "decompose": (decompose_centerline, ("alpha_flat", "nu", "min_len")),
     "reconstruct": (sweep_tube, ("sides",)),
+}
+
+POSITIVE = (lambda v: v > 0, "positive and finite")
+NON_NEGATIVE = (lambda v: v >= 0, "non-negative and finite")
+AT_LEAST_1 = (lambda v: v >= 1, "at least 1")
+
+# (test, wording) of what each numeric setting must be besides finite
+LIMITS = {
+    "epsilon": NON_NEGATIVE, "track_step": POSITIVE, "max_angle": POSITIVE,
+    "inside_threshold": (lambda v: 0 <= v <= 1, "in [0, 1]"),
+    "epsilon_o": NON_NEGATIVE, "max_iter": AT_LEAST_1,
+    "alpha_flat": NON_NEGATIVE, "nu": NON_NEGATIVE, "min_len": AT_LEAST_1,
+    "resid_tol": NON_NEGATIVE, "sides": (lambda v: v >= 3, "at least 3"),
 }
 
 
@@ -77,7 +91,8 @@ def run_pipeline(faces, radius, *, gridstep=1.0, track_step=None, resid_tol=None
     track_step defaults to the radius and resid_tol to 0.3 * gridstep.
     Each other setting (see SETTINGS) goes to the stage that takes it,
     which otherwise uses its own default; a name that no stage takes is
-    a TypeError.
+    a TypeError. A setting, given or derived, outside LIMITS is a
+    ValueError, raised before any stage runs.
     """
     kw = {stage: {name: settings.pop(name) for name in names if name in settings}
           for stage, (_, names) in SETTINGS.items()}
@@ -99,6 +114,11 @@ def run_pipeline(faces, radius, *, gridstep=1.0, track_step=None, resid_tol=None
         acc_params=acc, track_step=radius if track_step is None else track_step,
         resid_tol=0.3 * gridstep if resid_tol is None else resid_tol,
         raw=centerline, centerline=centerline)
+    values = {name: value for stage in kw.values() for name, value in stage.items()}
+    values.update(epsilon=acc.epsilon, track_step=out.track_step, resid_tol=out.resid_tol)
+    for name, (test, must) in LIMITS.items():
+        if name in values and not (math.isfinite(values[name]) and test(values[name])):
+            raise ValueError(f"{name} must be {must}, got {values[name]!r}")
     t = out.timings
     if "accumulate" in stages:
         with timed(t, "accumulate"):

@@ -195,25 +195,22 @@ def extract_patch(res, center, direction, acc_radius):
     return values.reshape(size, size), frame
 
 
-def is_inside_tube(res, current, previous, ref_value, inside_threshold, max_angle,
-                   direction=None, level=None):
+def is_inside_tube(current, previous, ref_value, inside_threshold, max_angle,
+                   direction, level):
     """Continuation test: enough accumulation support at `current`, and the
     last step roughly follows the local principal direction (whose sign is
     ambiguous, so the angle is folded into [0, pi/2]).
 
-    ref_value is the reference accumulation level of the run. Tracking uses
-    a low running quantile of the accepted points rather than the seed value
-    alone: bends and cap discs focus the vote rays and can elevate the seed
-    severalfold above the level of straight sections, which would starve
-    the test there. `direction` and `level` override the voxel direction
-    and the sampled count at `current` (the tracker passes its own values);
-    where the direction is 0 the angle test passes.
+    `level` is the count at `current` and `direction` the tracking
+    direction there (None or 0: the angle test passes). ref_value is the
+    run's reference level, a low running quantile of the accepted points
+    rather than the seed's: bends and cap discs focus the vote rays and can
+    elevate the seed severalfold above straight sections, which would
+    starve the test there.
     """
-    if level is None:
-        level = _sample_trilinear(res.keys, res.counts, res.domain, current)[0]
     if level < inside_threshold * ref_value:
         return False
-    d = _voxel_dir(res, current) if direction is None else np.asarray(direction, dtype=float)
+    d = np.zeros(3) if direction is None else np.asarray(direction, dtype=float)
     dn = np.linalg.norm(d)
     step = np.asarray(current, dtype=float) - np.asarray(previous, dtype=float)
     sn = np.linalg.norm(step)
@@ -270,8 +267,8 @@ def track_direction(res, start, in_front, track_step, acc_radius,
         if dir_vect is not None and float(np.dot(last_vect, dir_vect)) < 0:
             dir_vect = -dir_vect
         ref = float(_lower_quartile(levels))
-        if not is_inside_tube(res, current, previous, ref, inside_threshold,
-                              max_angle, direction=dir_vect, level=level):
+        if not is_inside_tube(current, previous, ref, inside_threshold, max_angle,
+                              dir_vect, level):
             # the point that fails the continuation test is outside the tube;
             # drop it instead of leaving one overshoot point per open end
             if len(points) > 1:

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 import tubeaxis as tx
 from tubeaxis.accumulate import _group_events, _march, _runs, accumulation_domain
-from tubeaxis.core import GridDomain
 
 from conftest import capped_voxel_pipe, quaternion_rotation, random_unit_vectors
 
@@ -50,7 +49,7 @@ def tensor_reference(visits):
         values, vectors = np.linalg.eigh(tensor)
         floor = 0.02 * np.trace(tensor)
         d = np.zeros(3)
-        if floor > 0 and values[0] <= floor and values[1] >= max(4 * values[0], floor):
+        if values[0] <= floor and values[1] >= max(4 * values[0], floor):
             d = vectors[:, 0] * np.sign(vectors[np.argmax(np.abs(vectors[:, 0])), 0])
         dirs[i] = d
     return dirs
@@ -113,8 +112,8 @@ def rowwise_march(faces, params, domain):
 
 
 def stepwise_march(centers, normals, params, domain):
-    """The columnar march with the bounds tested at every step, as the
-    library computed it before it tested only each ray's two ends."""
+    """The columnar march with the bounds tested at every step and the
+    positions outside the domain given id -1."""
     n_faces = centers.shape[1]
     strides = domain.strides
     rows = np.empty((params.n_steps, n_faces), dtype=np.int64)
@@ -152,10 +151,23 @@ def _assert_march_matches_rowwise(faces, params):
     assert np.array_equal(res.counts, counts)
 
 
-def _random_faces(rng, n, box=10.0, length=1.0):
+def _random_faces(rng, n, box=10.0):
     centers = rng.uniform(0, box, size=(n, 3))
-    normals = length * random_unit_vectors(rng, n)
-    return tx.OrientedFaceSet(centers, normals, np.ones(n))
+    return tx.OrientedFaceSet(centers, random_unit_vectors(rng, n), np.ones(n))
+
+
+# unit normals pointing out of a box along its axes and its diagonals
+_OUTWARD = np.vstack([np.eye(3), -np.eye(3),
+                      np.array([[x, y, z] for x in (-1, 1) for y in (-1, 1)
+                                for z in (-1, 1)]) / math.sqrt(3.0)])
+
+
+def _with_faces_on_the_box_extremes(centers, normals):
+    """(centers, normals) with faces added on the corners of the centers'
+    bounding box, each corner's normals pointing out of the box."""
+    lo, hi = centers.min(axis=0), centers.max(axis=0)
+    corners = np.array([np.where(np.signbit(n), lo, hi) for n in _OUTWARD])
+    return np.vstack([centers, corners]), np.vstack([normals, _OUTWARD])
 
 
 _RANDOM_SETS = [  # seed, faces, radius, gridstep
@@ -242,32 +254,30 @@ def test_scan_without_a_step_raises_too_small():
 def test_packed_sort_groups_events_like_a_stable_argsort():
     rng = np.random.default_rng(12)
     for n_voxels in (1, 7, 5000):
-        ids = rng.integers(-1, n_voxels, size=20_000)
+        ids = rng.integers(0, n_voxels, size=20_000)
         order, sorted_ids = _group_events(ids.copy(), n_voxels)
         expected = np.argsort(ids, kind="stable")
-        expected = expected[ids[expected] >= 0]
         assert np.array_equal(order, expected)
         assert np.array_equal(sorted_ids, ids[expected])
 
 
 def test_packed_sort_of_step_rows_follows_the_visit_order():
     # the march's (S, F) rows: face f's step s is event f * S + s
-    rows = np.random.default_rng(13).integers(-1, 50, size=(4, 300))
+    rows = np.random.default_rng(13).integers(0, 50, size=(4, 300))
     order, sorted_ids = _group_events(rows.copy(), 50)
     events = rows.T.ravel()
     expected = np.argsort(events, kind="stable")
-    expected = expected[events[expected] >= 0]
     assert np.array_equal(order, expected)
     assert np.array_equal(sorted_ids, events[expected])
 
 
 def test_packed_sort_keys_fit_int64_up_to_the_limit():
     int64_max = np.iinfo(np.int64).max
-    ids = np.array([3, -1, 0, 3], dtype=np.int64)
+    ids = np.array([3, 0, 3], dtype=np.int64)
     n_voxels = int64_max // len(ids)
     ids[ids == 3] = n_voxels - 1
     order, sorted_ids = _group_events(ids.copy(), n_voxels)
-    assert order.tolist() == [2, 0, 3]
+    assert order.tolist() == [1, 0, 2]
     assert sorted_ids.tolist() == [0, n_voxels - 1, n_voxels - 1]
     with pytest.raises(tx.DomainTooLarge, match="overflow"):
         _group_events(ids, n_voxels + 1)
@@ -286,9 +296,12 @@ def test_packed_sort_overflow_is_loud():
 
 
 def test_domain_too_large_to_index_is_loud():
-    faces = tx.OrientedFaceSet(np.array([[0.0, 0, 0], [1e7, 1e7, 1e7]]),
-                               np.array([[1.0, 0, 0], [-1.0, 0, 0]]), np.ones(2))
-    for gridstep in (0.01, 1e-300):  # 1e27 voxels; dims past the int64 range
+    normals = np.array([[1.0, 0, 0], [-1.0, 0, 0]])
+    apart = np.array([[0.0, 0, 0], [1e7, 1e7, 1e7]])
+    # 1e27 voxels; dims past the int64 range; a few voxels 1e17 from 0,
+    # where a rounded scan position can miss its voxel by more than one
+    for centers, gridstep in ((apart, 0.01), (apart, 1e-300), (apart[::-1] + 1e17, 1.0)):
+        faces = tx.OrientedFaceSet(centers, normals, np.ones(2))
         params = tx.AccumulationParams(radius=1.0, gridstep=gridstep)
         with pytest.raises(tx.DomainTooLarge, match="too large to index"):
             tx.compute_accumulation(faces, params)
@@ -349,12 +362,16 @@ def test_table_matches_dense_grids_on_bent_tube(bent_pipe):
                                 bent_pipe["params"])
 
 
-def test_table_matches_dense_grids_when_rays_leave_the_domain():
-    # normals of length 3 march three times acc_radius, past the padding
-    faces = _random_faces(np.random.default_rng(4), 80, box=6.0, length=3.0)
+def test_table_matches_dense_grids_when_rays_point_out_of_the_box():
+    # scans that run from the box's corners away from it reach the
+    # domain's margin, and every one of their positions votes
+    rng = np.random.default_rng(4)
+    centers, normals = _with_faces_on_the_box_extremes(rng.uniform(0, 6.0, size=(80, 3)),
+                                                       random_unit_vectors(rng, 80))
+    faces = tx.OrientedFaceSet(centers, normals, np.ones(len(centers)))
     params = tx.AccumulationParams(radius=4.0, gridstep=0.5)
     res = tx.compute_accumulation(faces, params)
-    assert res.counts.sum() < len(faces) * params.n_steps
+    assert res.counts.sum() == len(faces) * params.n_steps
     _assert_table_matches_dense(res, faces, params)
 
 
@@ -404,9 +421,6 @@ def test_columnar_march_matches_the_rowwise_march(seed):
 
 def test_march_edge_cases_match_the_rowwise_march():
     rng = np.random.default_rng(4)
-    # long normals: rays that run out of the domain
-    _assert_march_matches_rowwise(_random_faces(rng, 80, box=6.0, length=3.0),
-                                  tx.AccumulationParams(radius=4.0, gridstep=0.5))
     faces = _random_faces(rng, 80, box=6.0)
     one_step = tx.AccumulationParams(radius=0.5, epsilon=0.0, gridstep=1.0)
     assert one_step.n_steps == 1
@@ -417,42 +431,54 @@ def test_march_edge_cases_match_the_rowwise_march():
 
 @pytest.mark.parametrize("seed", range(3))
 def test_march_tested_at_the_ends_matches_the_stepwise_march(seed):
-    # a hand-made domain 0 .. 10 on each axis in steps of 0.5 (every
-    # position below is exact in binary), and rays of every kind: unit
-    # normals, normals of length 3 that leave the domain, axis-aligned
-    # normals of either sign (zeros and negative zeros), NaN and infinite
-    # normals, and rays that start on the lower and the upper faces of the
-    # domain or just outside them
+    # centers on a lattice of step 0.5 (every position is exact in binary),
+    # with faces on the corners of their box whose normals point out of it,
+    # and rays of every unit kind: random, and axis-aligned of either sign
+    # (zeros and negative zeros); every position stays inside the domain on
+    # each axis, and the rays from the box's ends reach its last layers
     rng = np.random.default_rng(60 + seed)
-    domain = GridDomain(origin=np.zeros(3), gridstep=0.5, dims=(20, 20, 20))
     params = tx.AccumulationParams(radius=3.0, gridstep=0.5)
     n = 200
-    centers = [rng.uniform(0.0, 10.0, size=(3 * n, 3))]
-    normals = [random_unit_vectors(rng, n), 3.0 * random_unit_vectors(rng, n),
-               rng.choice([-1.0, -0.0, 0.0, 1.0], size=(n, 3))]
-    edges = [([10.0, 5.0, 5.0], [-1.0, 0.0, 0.0]),   # starts on the upper x face
-             ([5.0, 10.0, 5.0], [0.3, -0.9, 0.1]),   # on the upper y face, inward
-             ([5.0, 5.0, 10.0], [0.0, 0.0, 1.0]),    # on the upper z face, outward
-             ([0.0, 5.0, 5.0], [-1.0, 0.0, 0.0]),    # on the lower face, outward
-             ([-0.5, 5.0, 5.0], [1.0, 0.0, 0.0]),    # below the domain, inward
-             ([8.5, 5.0, 5.0], [1.0, 0.0, 0.0]),     # ends on the upper face
-             ([5.0, 5.0, 5.0], [np.nan, 0.0, 0.0]),
-             ([5.0, 5.0, 5.0], [np.nan] * 3),
-             ([5.0, 5.0, 5.0], [0.0, np.inf, 0.0]),
-             ([5.0, 5.0, 5.0], [0.0, 0.0, -np.inf])]
-    centers.append([c for c, _ in edges])
-    normals.append([v for _, v in edges])
-    centers = np.vstack(centers).T.copy()
-    normals = np.vstack(normals).T.copy()
-    order = rng.permutation(centers.shape[1])
-    centers, normals = centers[:, order].copy(), normals[:, order].copy()
-    with np.errstate(invalid="ignore"):  # NaN and infinite positions cast to int
-        want = stepwise_march(centers, normals, params, domain)
-        got = _march(centers, normals, params, domain)
-    assert got.tobytes() == want.tobytes()
-    # some rays are cut short and some start outside
-    assert np.any(want[0] == -1) and np.any(want[-1] == -1)
-    assert np.any((want[0] == -1) & (want[1] != -1))
+    axis_aligned = np.vstack([np.eye(3), -np.eye(3)])[rng.integers(0, 6, size=n)]
+    axis_aligned *= rng.choice([-1.0, 1.0], size=(n, 1))
+    centers, normals = _with_faces_on_the_box_extremes(
+        rng.integers(0, 21, size=(3 * n, 3)) * 0.5,
+        np.vstack([random_unit_vectors(rng, n), axis_aligned, random_unit_vectors(rng, n)]))
+    faces = tx.OrientedFaceSet(centers, normals, np.ones(len(centers)))
+    domain = accumulation_domain(faces.centers, params)
+    ids = _march(*faces.columns(), params, domain)
+    assert ids.tobytes() == stepwise_march(*faces.columns(), params, domain).tobytes()
+    index = np.stack(np.unravel_index(ids.ravel(), domain.dims))
+    dims = np.array(domain.dims)
+    assert np.all(index.min(axis=1) >= 0) and np.all(index.max(axis=1) < dims)
+    assert np.all(index.min(axis=1) <= 2) and np.all(index.max(axis=1) >= dims - 3)
+
+
+_UNIT = st.floats(-1.0, 1.0)
+_QUATERNION = st.tuples(_UNIT, _UNIT, _UNIT, _UNIT).filter(lambda q: np.linalg.norm(q) > 0.1)
+
+
+@given(q=_QUATERNION, shift=st.tuples(*(st.floats(-1e6, 1e6),) * 3),
+       radius=st.floats(0.5, 12.0), gridstep=st.floats(0.1, 3.0), probe=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60)
+def test_march_of_unit_normals_stays_in_the_domain(q, shift, radius, gridstep, probe, seed):
+    # faces in any pose, on the main lattice or the orientation probe's
+    # (step R/3, no slack), with faces on the corners of the box whose
+    # normals point out of it: every position lands in the domain, as the
+    # march with the bounds tested at every step finds
+    rng = np.random.default_rng(seed)
+    rot = quaternion_rotation(q)
+    centers, normals = _with_faces_on_the_box_extremes(
+        rng.uniform(-10.0, 10.0, size=(60, 3)) @ rot.T + shift,
+        random_unit_vectors(rng, 60) @ rot.T)
+    faces = tx.OrientedFaceSet(centers, normals, np.ones(len(centers)))
+    params = (tx.AccumulationParams(radius=radius, epsilon=0.0, gridstep=radius / 3.0)
+              if probe else tx.AccumulationParams(radius=radius, gridstep=gridstep))
+    domain = accumulation_domain(faces.centers, params)
+    ids = _march(*faces.columns(), params, domain)
+    assert 0 <= ids.min() and ids.max() < domain.voxel_count
+    assert ids.tobytes() == stepwise_march(*faces.columns(), params, domain).tobytes()
 
 
 def _assert_rows_on_demand_match(faces, params):
@@ -511,19 +537,7 @@ def test_gate_wants_the_middle_eigenvalue_at_4_times_the_least(spread, kept):
         assert abs(d[1]) > 0.99  # the axis of least spread
 
 
-def test_voxel_whose_normals_are_zero_reads_zero():
-    # a zero normal votes every step in its own voxel; the zero tensor has
-    # every vector as its least eigenvector and must not pick one
-    faces = tx.OrientedFaceSet(np.array([[0.5, 0.5, 0.5]]), np.zeros((1, 3)), np.ones(1))
-    res = tx.compute_accumulation(faces, tx.AccumulationParams(radius=2.0, gridstep=1.0))
-    assert res.counts.tolist() == [3]
-    assert res.dirs.tobytes() == np.zeros((1, 3)).tobytes()
-
-
-_UNIT = st.floats(-1.0, 1.0)
-
-
-@given(q=st.tuples(_UNIT, _UNIT, _UNIT, _UNIT).filter(lambda q: np.linalg.norm(q) > 0.1),
+@given(q=_QUATERNION,
        shift=st.tuples(*(st.floats(-50.0, 50.0),) * 3),
        seed=st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=40)

@@ -1,6 +1,7 @@
 """Face normals, digital surface facets and inward orientation."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,10 +11,10 @@ from scipy.spatial import cKDTree
 
 import tubeaxis as tx
 from tubeaxis import accumulate, normals
-from tubeaxis.accumulate import _march, accumulation_domain, count_peak
+from tubeaxis.accumulate import accumulation_domain, count_peak
 from tubeaxis.normals import _FACET_DIRS, _ball_neighbourhoods
 
-from conftest import capped_voxel_pipe, quaternion_rotation
+from conftest import capped_voxel_pipe, quaternion_rotation, random_unit_vectors
 
 
 def _facets_by_set_lookup(points):
@@ -90,20 +91,26 @@ def test_winding_flips_normal():
 def test_degenerate_face_raises():
     verts = np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]])
     mesh = tx.TriMesh(verts, np.array([[0, 1, 2]]))
-    with pytest.raises(tx.DegenerateFace):
+    with pytest.raises(tx.DegenerateFace, match="face 0 has an area that is zero"):
+        tx.face_normals(mesh)
+    # finite vertices whose cross product overflows, which would give the
+    # face set a NaN normal
+    mesh = tx.TriMesh(np.array([[0.0, 0, 0], [1e200, 0, 0], [0, 1e200, 0]]),
+                      np.array([[0, 1, 2]]))
+    with np.errstate(over="ignore"), pytest.raises(tx.DegenerateFace, match="face 0"):
         tx.face_normals(mesh)
 
 
 def test_flipped_negates_normals():
     rng = np.random.default_rng(2)
     fs = tx.OrientedFaceSet(rng.normal(size=(5, 3)),
-                            rng.normal(size=(5, 3)), np.ones(5))
+                            random_unit_vectors(rng, 5), np.ones(5))
     assert np.array_equal(fs.flipped().normals, -fs.normals)
 
 
 def test_columns_are_made_once_and_flipped_negates_them():
     rng = np.random.default_rng(3)
-    fs = tx.OrientedFaceSet(rng.normal(size=(7, 3)), rng.normal(size=(7, 3)), np.ones(7))
+    fs = tx.OrientedFaceSet(rng.normal(size=(7, 3)), random_unit_vectors(rng, 7), np.ones(7))
     centers, normals_ = fs.columns()
     assert centers.flags.c_contiguous and normals_.flags.c_contiguous
     assert centers.tobytes() == fs.centers.T.copy().tobytes()
@@ -112,6 +119,48 @@ def test_columns_are_made_once_and_flipped_negates_them():
     flipped_centers, flipped_normals = fs.flipped().columns()
     assert flipped_centers is centers
     assert flipped_normals.tobytes() == (-fs.normals).T.copy().tobytes()
+
+
+@pytest.mark.parametrize("field,value", [
+    pytest.param("normals", [np.nan, 0.0, 0.0], id="nan-normal"),
+    pytest.param("normals", [0.0, -np.inf, 0.0], id="inf-normal"),
+    pytest.param("normals", [0.0, 0.0, 0.0], id="zero-normal"),
+    pytest.param("normals", [0.0, 3.0, 0.0], id="length-3-normal"),
+    pytest.param("normals", [1.0 + 6e-13, 0.0, 0.0], id="normal-past-tolerance"),
+    pytest.param("centers", [0.0, np.nan, 0.0], id="nan-center"),
+    pytest.param("centers", [np.inf, 0.0, 0.0], id="inf-center"),
+    pytest.param("areas", -1.0, id="negative-area"),
+    pytest.param("areas", np.nan, id="nan-area"),
+])
+def test_face_set_names_the_first_face_that_breaks_the_contract(field, value):
+    faces = {"centers": np.arange(12.0).reshape(4, 3),
+             "normals": np.tile([0.0, 0.0, 1.0], (4, 1)), "areas": np.ones(4)}
+    faces[field][2] = faces[field][3] = value
+    center, normal, area = faces["centers"][2], faces["normals"][2], faces["areas"][2]
+    want = (f"face 2 has center {center}, area {area} and normal {normal}, not a finite "
+            "center, a finite area >= 0 and a unit normal (|n . n - 1| <= 1e-12)")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as error:
+            tx.OrientedFaceSet(**faces)
+    assert str(error.value) == want
+
+
+def test_face_set_takes_normals_within_the_tolerance():
+    normals = np.array([[1.0 + 4e-13, 0.0, 0.0], [0.0, 1.0 - 4e-13, 0.0]])
+    faces = tx.OrientedFaceSet(np.zeros((2, 3)), normals, np.zeros(2))
+    assert faces.normals.tobytes() == normals.tobytes()
+
+
+def test_nan_normals_fail_where_the_faces_are_built():
+    # three faces on the x axis with NaN normals, which the radius 2 scan
+    # once met only after a numpy cast warning, as a bare reduction error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^face 0 has center \[0\. 0\. 0\.\], area "
+                           r"1\.0 and normal \[nan nan nan\]"):
+            tx.OrientedFaceSet(np.arange(3.0)[:, None] * [1.0, 0.0, 0.0],
+                               np.full((3, 3), np.nan), np.ones(3))
 
 
 def test_orientation_probe_transposes_the_faces_once(monkeypatch):
@@ -509,7 +558,7 @@ def test_estimated_normals_on_digital_plane():
 def test_orient_keep_and_flip():
     rng = np.random.default_rng(3)
     fs = tx.OrientedFaceSet(rng.normal(size=(4, 3)),
-                            rng.normal(size=(4, 3)), np.ones(4))
+                            random_unit_vectors(rng, 4), np.ones(4))
     assert tx.orient_inward(fs, mode="keep") is fs
     assert np.array_equal(tx.orient_inward(fs, mode="flip").normals,
                           -fs.normals)
@@ -578,14 +627,8 @@ def _conftest_tube(name, request):
 @pytest.mark.parametrize("tube", ["cylinder", "bent_pipe", "capped_voxel_pipe"])
 def test_probe_count_is_the_accumulation_maximum(tube, request):
     faces, radius = _conftest_tube(tube, request)
-    # every 7th normal 8 times too long: those rays leave the domain
-    stretched = faces.normals.copy()
-    stretched[::7] *= 8.0
-    stray = tx.OrientedFaceSet(faces.centers, stretched, faces.areas)
     for params in (_probe_params(radius), tx.AccumulationParams(radius=radius)):
-        domain = accumulation_domain(stray.centers, params)
-        assert (_march(*stray.columns(), params, domain) == -1).any()
-        for f in (faces, faces.flipped(), stray, stray.flipped()):
+        for f in (faces, faces.flipped()):
             want = tx.compute_accumulation(f, params).max_acc
             assert count_peak(f, params).max_acc == want
 

@@ -1,10 +1,13 @@
 """run_pipeline against the explicit stage chain it replaces."""
 
+import math
+
 import numpy as np
 import pytest
 
 import tubeaxis as tx
-from tubeaxis.pipeline import STAGES
+from tubeaxis import pipeline
+from tubeaxis.pipeline import LIMITS, STAGES
 
 
 def _explicit_chain(case):
@@ -117,6 +120,25 @@ def test_a_misspelt_setting_is_a_type_error(cylinder):
             tx.run_pipeline(cylinder.faces, cylinder.radius, **{name: value})
 
 
+# a value outside its limits for every range-checked setting
+_OUT_OF_RANGE = {"epsilon": -0.1, "track_step": -1.0, "max_angle": math.inf,
+                 "inside_threshold": 1.5, "epsilon_o": -0.1, "max_iter": 0,
+                 "alpha_flat": -0.1, "nu": math.nan, "min_len": 0,
+                 "resid_tol": -1.0, "sides": 2}
+
+
+@pytest.mark.parametrize("name", _OUT_OF_RANGE)
+def test_an_out_of_range_setting_fails_before_any_stage(cylinder, monkeypatch, name):
+    assert _OUT_OF_RANGE.keys() == LIMITS.keys()
+
+    def stage(*args, **kwargs):
+        raise AssertionError("a stage ran")
+
+    monkeypatch.setattr(pipeline, "compute_accumulation", stage)
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        tx.run_pipeline(cylinder.faces, cylinder.radius, **{name: _OUT_OF_RANGE[name]})
+
+
 # a value for every setting, none of them its default
 _GIVEN = {"accumulate": {"epsilon": 0.7},
           "track": {"inside_threshold": 0.4, "max_angle": 1.2},
@@ -126,8 +148,6 @@ _GIVEN = {"accumulate": {"epsilon": 0.7},
 
 
 def test_each_setting_reaches_only_its_stage(cylinder, monkeypatch):
-    from tubeaxis import pipeline
-
     seen = {}
 
     def spy(stage, fn):

@@ -357,9 +357,9 @@ def test_tracking_samples_each_point_level_once(monkeypatch):
             alone.append(np.asarray(pts, dtype=float).tobytes())
         return _sample_trilinear(keys, values, domain, pts)
 
-    def inside(res, current, *args, level=None, **kwargs):
-        tested.append((current.copy(), level))
-        return is_inside_tube(res, current, *args, level=level, **kwargs)
+    def inside(current, *args):
+        tested.append((current.copy(), args[-1]))  # the level
+        return is_inside_tube(current, *args)
 
     monkeypatch.setattr(tx.track, "_sample_trilinear", sample)
     monkeypatch.setattr(tx.track, "is_inside_tube", inside)
@@ -373,8 +373,9 @@ def test_tracking_samples_each_point_level_once(monkeypatch):
     # a level given to the continuation test is the one it compares
     on_axis = np.array([20.0, 10.5, 10.5])
     prev = on_axis - [3.0, 0, 0]
-    assert not tx.is_inside_tube(res, on_axis, prev, 60.0, 0.5, math.pi / 3, level=29.0)
-    assert tx.is_inside_tube(res, on_axis, prev, 60.0, 0.5, math.pi / 3, level=30.0)
+    d = _voxel_dir(res, on_axis)
+    assert not tx.is_inside_tube(on_axis, prev, 60.0, 0.5, math.pi / 3, d, 29.0)
+    assert tx.is_inside_tube(on_axis, prev, 60.0, 0.5, math.pi / 3, d, 30.0)
 
 
 def test_tracks_ridge_without_direction_image():
@@ -467,11 +468,22 @@ def test_inside_tube_thresholds():
     off_axis = np.array([20.0, 16.5, 10.5])
     prev = on_axis - np.array([3.0, 0, 0])
     ref = 60.0
-    assert tx.is_inside_tube(res, on_axis, prev, ref, 0.5, math.pi / 3)
-    assert not tx.is_inside_tube(res, off_axis, off_axis - 3.0, ref, 0.5, math.pi / 3)
+
+    def inside(current, previous):
+        # the direction and level the tracker reads at current
+        level = _sample_trilinear(res.keys, res.counts, res.domain, current)[0]
+        return tx.is_inside_tube(current, previous, ref, 0.5, math.pi / 3,
+                                 _voxel_dir(res, current), level)
+
+    assert inside(on_axis, prev)
+    assert not inside(off_axis, off_axis - 3.0)
     # a step nearly orthogonal to the ridge direction fails the angle test
     sideways_prev = on_axis - np.array([0.0, 3.0, 0.0])
-    assert not tx.is_inside_tube(res, on_axis, sideways_prev, ref, 0.5, math.pi / 3)
+    assert not inside(on_axis, sideways_prev)
+    # no direction passes the angle test, as a zero one does
+    level = _sample_trilinear(res.keys, res.counts, res.domain, on_axis)[0]
+    for d in (None, np.zeros(3)):
+        assert tx.is_inside_tube(on_axis, sideways_prev, ref, 0.5, math.pi / 3, d, level)
 
 
 def test_polyline_directions_unit_and_centered():
