@@ -4,8 +4,9 @@ Centerline of a straight cylinder, end to end
 
 The shortest possible tour: synthesize a tube, pile up surface-normal
 votes on a voxel lattice, walk the vote ridge, then refine each point as
-the least-squares center of its cross-section. run_pipeline runs those
-three stages in one call and keeps each stage's output.
+the least-squares center of its cross-section. run_pipeline turns the
+mesh into oriented faces, runs those three stages in one call and keeps
+each stage's output.
 """
 
 import numpy as np
@@ -17,16 +18,14 @@ import tubeaxis as tx
 mesh, truth = tx.gen_tube([tx.Straight(100.0)], radius=5.0, mesh_step=1.0)
 print(f"mesh: {mesh.n_vertices} vertices, {mesh.n_faces} faces")
 
-# per-face centers and unit normals, flipped to point into the tube;
-# "auto" probes which side concentrates votes
-faces = tx.orient_inward(tx.face_normals(mesh), mode="auto", radius=5.0)
-
-# accumulate: every face shoots a ray along its inward normal, one vote
+# the front: per-face centers and unit normals, flipped to point into the
+# tube, where orient="auto" (the default) probes which side concentrates
+# votes; accumulate: every face shoots a ray along its inward normal, one vote
 # per visited voxel, while closer than radius + 10% to the start;
 # track: walk the vote ridge both ways from the best voxel, one step per
 # radius; refine: slide each point to the center whose distance to the
 # nearby surface points best matches the known radius
-run = tx.run_pipeline(faces, radius=5.0, gridstep=1.0,
+run = tx.run_pipeline(mesh, radius=5.0, gridstep=1.0,
                       stages=("accumulate", "track", "refine"))
 res, raw, refined = run.accumulation, run.raw, run.centerline
 print(f"accumulation: max {res.max_acc} votes at voxel {res.max_pt}")

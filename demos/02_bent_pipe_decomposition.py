@@ -22,10 +22,9 @@ mesh, truth = tx.gen_tube(segs, radius=R, mesh_step=1.0)
 print(f"pipe mesh: {mesh.n_faces} faces, ground-truth junctions at "
       f"{list(truth.junctions)}")
 
-faces = tx.orient_inward(tx.face_normals(mesh), mode="auto", radius=R)
-# the chain through decompose; its arc planarity gate defaults to
-# 0.3 gridstep
-run = tx.run_pipeline(faces, radius=R, gridstep=mesh.median_face_size(),
+# the chain through decompose, on the mesh's own gridstep (its median
+# longest edge); the arc planarity gate defaults to 0.3 gridstep
+run = tx.run_pipeline(mesh, radius=R,
                       stages=("accumulate", "track", "refine", "decompose"))
 line, dec = run.centerline, run.decomposition
 

@@ -33,12 +33,11 @@ cases = {
 
 print(f"{'case':14s} {'faces':>6s} {'raw RMS':>8s} {'refined RMS':>12s}")
 for name, damaged in cases.items():
-    faces = tx.orient_inward(tx.face_normals(damaged), mode="auto", radius=R)
-    run = tx.run_pipeline(faces, radius=R, gridstep=1.0,
+    run = tx.run_pipeline(damaged, radius=R, gridstep=1.0,
                           stages=("accumulate", "track", "refine"))
     d_raw = tx.distance_to_polyline(run.raw.points, truth.points)
     d_ref = tx.distance_to_polyline(run.centerline.points, truth.points)
-    print(f"{name:14s} {len(faces):6d} {np.sqrt(np.mean(d_raw**2)):8.3f} "
+    print(f"{name:14s} {len(run.faces):6d} {np.sqrt(np.mean(d_raw**2)):8.3f} "
           f"{np.sqrt(np.mean(d_ref**2)):12.3f}")
 
 print("\nall RMS values are in voxel units (gridstep 1)")

@@ -4,8 +4,9 @@ One tube, three acquisition modalities
 
 The pipeline only ever sees oriented surface points, so the same bent
 tube can come in as a triangle mesh, as a voxelized volume, or as a
-height map covering the visible half. All three centerlines should
-agree to within a voxel.
+height map covering the visible half: run_pipeline gives each its
+oriented faces, and the chain after that is the same. All three
+centerlines should agree to within a voxel.
 """
 
 import math
@@ -19,34 +20,32 @@ segs = [tx.Straight(30.0), tx.Arc(15.0, math.pi / 2), tx.Straight(30.0)]
 mesh, truth = tx.gen_tube(segs, radius=R, mesh_step=1.0)
 
 
-def extract(faces, radius, gridstep):
-    """Refined centerline points: accumulate, track and refine."""
-    return tx.run_pipeline(faces, radius, gridstep=gridstep,
-                           stages=("accumulate", "track", "refine")).centerline.points
+def extract(surface, radius, gridstep):
+    """The run through refine: its faces and refined centerline points."""
+    run = tx.run_pipeline(surface, radius, gridstep=gridstep,
+                          stages=("accumulate", "track", "refine"))
+    return run.faces, run.centerline.points
 
 
-# 1) plain triangle mesh
-faces = tx.orient_inward(tx.face_normals(mesh), mode="auto", radius=R)
-line_mesh = extract(faces, R, g)
+# 1) plain triangle mesh, with its exact face normals
+_, line_mesh = extract(mesh, R, g)
 print(f"mesh:      {mesh.n_faces} faces -> {len(line_mesh)} centerline points")
 
 # 2) voxelized volume: parity ray casting needs a closed surface, so cap
-# the ends first; boundary facets get covariance-smoothed normals
+# the ends first; boundary facets get covariance-smoothed normals. The
+# volume lives on its own lattice, in whose units the radius is given;
+# map the result back to world
 capped, _ = tx.gen_tube(segs, radius=R, mesh_step=1.0, cap_ends=True)
 vol = tx.voxelize(capped, gridstep=g)
-faces = tx.digital_surface_faces(vol)
+faces, line_vox = extract(vol, R / g, 1.0)
 print(f"voxels:    {len(vol)} interior voxels, {len(faces)} boundary facets")
-faces = tx.estimate_digital_normals(faces, max(2.0, 0.5 * R / g))
-faces = tx.orient_inward(faces, mode="auto", radius=R / g)
-# the volume lives on its own lattice; map the result back to world
-line_vox = vol.to_world(extract(faces, R / g, 1.0))
+line_vox = vol.to_world(line_vox)
 
 # 3) height map: the top surface as seen from +z, one sample per voxel
 hm = tx.render_heightmap(mesh, view_axis="z", resolution=g)
 hmesh = tx.heightmap_to_mesh(hm)
 print(f"heightmap: {hm.width} x {hm.height} samples -> {hmesh.n_faces} faces")
-faces = tx.orient_inward(tx.face_normals(hmesh), mode="auto", radius=R)
-line_hm = extract(faces, R, g)
+_, line_hm = extract(hmesh, R, g)
 
 # score all three against the generating axis
 for name, line in (("mesh", line_mesh), ("voxels", line_vox),

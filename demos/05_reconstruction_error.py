@@ -22,14 +22,14 @@ segs = [tx.Straight(30 * R), tx.Arc(5 * R, math.pi / 2), tx.Straight(30 * R),
         tx.Arc(5 * R, math.pi), tx.Straight(30 * R)]
 mesh, truth = tx.gen_tube(segs, radius=R, mesh_step=1.0)
 
-faces = tx.orient_inward(tx.face_normals(mesh), mode="auto", radius=R)
-# the chain without decompose: reconstruct sweeps a 24-sided ring along
-# the refined centerline with a rotation-minimizing frame, and error_map
-# scores every input face against that ideal tube
-run = tx.run_pipeline(faces, radius=R, gridstep=mesh.median_face_size(),
+# the chain without decompose, on the mesh's own gridstep: reconstruct
+# sweeps a 24-sided ring along the refined centerline with a
+# rotation-minimizing frame, and error_map scores every input face
+# against that ideal tube
+run = tx.run_pipeline(mesh, radius=R,
                       stages=("accumulate", "track", "refine", "reconstruct",
                               "error_map"))
-tube = run.tube
+faces, tube = run.faces, run.tube
 out = pathlib.Path(__file__).parent / "output"
 out.mkdir(exist_ok=True)
 tx.write_off(tube, out / "reconstructed.off")

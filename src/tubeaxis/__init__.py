@@ -16,7 +16,7 @@ from .decompose import (Decomposition, Segment, TangentSpacePolygon,
                         fit_circle_3d, tangent_space_transform)
 from .errors import (Collinear, CoincidentPoint, DegenerateFace,
                      DegenerateTangent, DomainTooLarge, DuplicatePoint,
-                     EmptyInput, NotClosed, ParseError, SeedInvalid,
+                     EmptyInput, NotClosed, OutOfRange, ParseError, SeedInvalid,
                      SelfIntersecting, TooFewPoints, TooSmall, TubeAxisError,
                      UnsupportedFormat, ZeroDirection)
 from .ingest import (HeightMap, TriMesh, VoxelSet, heightmap_to_mesh,
@@ -42,7 +42,7 @@ __all__ = [
     "digitize", "frame_from_direction", "normalize",
     "Decomposition", "Segment", "TangentSpacePolygon", "decompose_centerline",
     "detect_arcs_and_lines", "fit_circle_3d", "tangent_space_transform",
-    "TubeAxisError", "ParseError", "UnsupportedFormat", "TooSmall",
+    "TubeAxisError", "OutOfRange", "ParseError", "UnsupportedFormat", "TooSmall",
     "EmptyInput", "ZeroDirection", "DegenerateFace", "DomainTooLarge",
     "SeedInvalid", "TooFewPoints", "CoincidentPoint", "DuplicatePoint",
     "Collinear", "SelfIntersecting", "NotClosed", "DegenerateTangent",

@@ -29,8 +29,6 @@ from .errors import (EmptyInput, ParseError, TooSmall, TubeAxisError,
 from .ingest import (heightmap_to_mesh, load_heightmap, load_mesh, load_volume,
                      read_centerline_csv, write_artifacts, write_off,
                      write_truth_csv)
-from .normals import (digital_surface_faces, estimate_digital_normals,
-                      face_normals, orient_inward)
 from .pipeline import LIMITS, NON_NEGATIVE, POSITIVE, SETTINGS, STAGES, run_pipeline, timed
 from .rebuild import error_summary
 from .synth import degrade, gen_tube, parse_tube_spec
@@ -115,10 +113,8 @@ _STAGE_OPTIONS = {
 }
 
 # every numeric option with what it must be, checked before anything loads
-_LIMITS = {"radius": POSITIVE, "normal_radius": POSITIVE, "hm_scale": POSITIVE,
-           "hm_spacing": POSITIVE, "epsilon_acc": LIMITS["epsilon"],
-           **{name: limit for name, limit in LIMITS.items() if name != "epsilon"},
-           "mesh_step": POSITIVE, "sigma": NON_NEGATIVE}
+_LIMITS = {**LIMITS, "epsilon_acc": LIMITS["epsilon"], "hm_scale": POSITIVE,
+           "hm_spacing": POSITIVE, "mesh_step": POSITIVE, "sigma": NON_NEGATIVE}
 
 
 def _dest(flag):
@@ -153,19 +149,17 @@ def _checked(flag, value, limit=POSITIVE):
 
 def _check_options(args):
     """Range-check every numeric option; --gridstep becomes a float or None."""
-    for dest, limit in _LIMITS.items():
-        if getattr(args, dest, None) is not None:
-            _checked("--" + dest.replace("_", "-"), getattr(args, dest), limit)
     if hasattr(args, "gridstep"):
         args.gridstep = (None if args.gridstep == "auto"
                          else _checked("--gridstep", args.gridstep))
+    for dest, limit in _LIMITS.items():
+        if getattr(args, dest, None) is not None:
+            _checked("--" + dest.replace("_", "-"), getattr(args, dest), limit)
 
 
 def _load_input(args, timings):
-    """Load the input into an oriented face set.
-
-    Returns (faces, gridstep, normals mode, input facts for the summary).
-    """
+    """Read the input file into a surface: (TriMesh or VoxelSet, input facts
+    for the summary, which the run adds its face count to)."""
     path = Path(args.input)
     if not path.exists():
         raise FileNotFoundError(f"input file {path} does not exist")
@@ -179,40 +173,16 @@ def _load_input(args, timings):
     info = {"input_path": str(path), "input_type": kind}
     with timed(timings, "load"):
         if kind == "mesh":
-            mesh = load_mesh(path)
-            faces = face_normals(mesh)
-            native_step = mesh.median_face_size()
-            info.update(n_faces=mesh.n_faces, n_vertices=mesh.n_vertices)
+            surface = load_mesh(path)
+            info.update(n_vertices=surface.n_vertices)
         elif kind == "voxels":
-            volume = load_volume(path)
-            try:
-                faces = digital_surface_faces(volume)
-            except ValueError as exc:  # coordinates its lattice cannot index
-                raise ParseError(str(exc), path=path) from None
-            native_step = 1.0
-            info.update(n_voxels=len(volume), n_faces=len(faces))
+            surface = load_volume(path)
+            info.update(n_voxels=len(surface))
         else:
             hm = load_heightmap(path, scale=args.hm_scale, spacing=args.hm_spacing)
-            mesh = heightmap_to_mesh(hm)
-            faces = face_normals(mesh)
-            native_step = mesh.median_face_size()
-            info.update(n_faces=mesh.n_faces, heightmap_size=[hm.width, hm.height])
-
-    # staircase face normals vote poorly, so voxel inputs default to smoothed
-    normals = args.normals or ("estimate" if kind == "voxels" else "faces")
-    if normals == "estimate":
-        radius = (max(2.0, 0.5 * args.radius) if args.normal_radius is None
-                  else args.normal_radius)
-        with timed(timings, "normals"):
-            faces = estimate_digital_normals(faces, radius)
-
-    with timed(timings, "orient"):
-        faces = orient_inward(faces, mode=args.orient, radius=args.radius)
-
-    gridstep = args.gridstep
-    if gridstep is None:
-        gridstep = _checked("--gridstep auto (the median face size)", native_step)
-    return faces, gridstep, normals, info
+            surface = heightmap_to_mesh(hm)
+            info.update(heightmap_size=[hm.width, hm.height])
+    return surface, info
 
 
 def _read_centerline(path):
@@ -251,7 +221,7 @@ def _run(args):
     """Load the input, run the subcommand's stages, write and report."""
     command = COMMANDS[args.command]
     timings = {}
-    faces, gridstep, normals, info = _load_input(args, timings)
+    surface, info = _load_input(args, timings)
     stages, centerline = command.stages, None
     if getattr(args, "centerline", None):
         centerline = _read_centerline(args.centerline)
@@ -260,12 +230,18 @@ def _run(args):
                for stage in command.stages
                for flag, _ in _STAGE_OPTIONS.get(stage, ())}
     try:
-        r = run_pipeline(faces, args.radius, gridstep=gridstep,
-                         epsilon=args.epsilon_acc, stages=stages,
+        r = run_pipeline(surface, args.radius, gridstep=args.gridstep,
+                         normals=args.normals, normal_radius=args.normal_radius,
+                         orient=args.orient, epsilon=args.epsilon_acc, stages=stages,
                          centerline=centerline, **options)
+    except ParseError as exc:  # voxel coordinates the facet lattice cannot index
+        raise ParseError(exc.reason, path=info["input_path"]) from None
+    except EmptyInput:  # an empty voxel set, an input error as an empty mesh file is
+        raise
     except TubeAxisError as exc:
         raise _StageFailure() from exc
     timings.update(r.timings)
+    info["n_faces"] = len(r.faces)
 
     with timed(timings, "write"):
         outputs = write_artifacts(args.out_dir, r.centerline, decomposition=r.decomposition,
@@ -274,7 +250,7 @@ def _run(args):
     results.update((key, _REPORTS[key](r)) for key in command.reports)
 
     params = dict(options, radius=args.radius, epsilon_acc=r.acc_params.epsilon,
-                  gridstep=gridstep, normals=normals, orient=args.orient)
+                  gridstep=r.acc_params.gridstep, normals=r.normals, orient=args.orient)
     for key in ("track_step", "resid_tol"):
         if key in params:
             params[key] = getattr(r, key)

@@ -5,6 +5,10 @@ class TubeAxisError(Exception):
     """Base class for all library errors."""
 
 
+class OutOfRange(TubeAxisError, ValueError):
+    """A run_pipeline setting, given or derived, outside pipeline.LIMITS."""
+
+
 class ParseError(TubeAxisError):
     def __init__(self, reason, line=None, path=None):
         self.reason = reason

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EmptyInput, ParseError, TooSmall, UnsupportedFormat
+from .errors import DegenerateFace, EmptyInput, ParseError, TooSmall, UnsupportedFormat
 
 logger = logging.getLogger(__name__)
 
@@ -92,7 +92,7 @@ class TriMesh:
         np.cross (a1 b2 - a2 b1, ...) and np.linalg.norm(axis=1)
         (sqrt((x^2 + y^2) + z^2)), which are several times slower on
         (F, 3) rows. The longest edge is the root of the largest square,
-        as sqrt is monotonic.
+        as sqrt is monotonic. Overflows give inf or NaN, without a warning.
         """
         if self._geometry is None:
             # one contiguous row of vertex ids per corner, which take
@@ -104,12 +104,13 @@ class TriMesh:
             centers /= 3.0
             del a, b, c  # freed before the cross products, which set the peak
             cross = np.empty_like(ab)
-            for axis, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
-                np.subtract(ab[:, j] * ac[:, k], ab[:, k] * ac[:, j], out=cross[:, axis])
-            longest = np.maximum(_squared_lengths(ab), _squared_lengths(bc))
-            np.maximum(longest, _squared_lengths(ac), out=longest)
-            self._geometry = FaceGeometry(cross, np.sqrt(_squared_lengths(cross)),
-                                          centers, np.sqrt(longest))
+            with np.errstate(over="ignore", invalid="ignore"):
+                for axis, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
+                    np.subtract(ab[:, j] * ac[:, k], ab[:, k] * ac[:, j], out=cross[:, axis])
+                longest = np.maximum(_squared_lengths(ab), _squared_lengths(bc))
+                np.maximum(longest, _squared_lengths(ac), out=longest)
+                norms = np.sqrt(_squared_lengths(cross))
+            self._geometry = FaceGeometry(cross, norms, centers, np.sqrt(longest))
         return self._geometry
 
     def bounding_box(self):
@@ -365,9 +366,9 @@ def load_mesh(path) -> TriMesh:
     dropped with a warning.
 
     A vertex with a NaN or infinite coordinate is a ParseError naming the
-    first such vertex. The returned mesh carries the face geometry
-    computed for the area test, so face_normals and median_face_size do
-    not gather the corners again.
+    first such vertex, a face whose area or edge overflows a DegenerateFace
+    and a mesh without faces an EmptyInput. The mesh keeps the geometry of
+    the area test for face_normals and median_face_size.
     """
     path = Path(path)
     fmt = path.suffix.lstrip(".").lower()
@@ -384,12 +385,18 @@ def load_mesh(path) -> TriMesh:
                          f"({', '.join(_fmt(x) for x in vertices[bad])})", path=path)
     mesh = TriMesh(vertices, faces)
     geometry = mesh.geometry()
+    finite = np.isfinite(geometry.norms) & np.isfinite(geometry.longest)
+    if not finite.all():
+        raise DegenerateFace(f"face {int(np.argmin(finite))} has an area or an edge "
+                             "that overflows")
     keep = 0.5 * geometry.norms > _AREA_EPS
     dropped = int((~keep).sum())
     if dropped:
         logger.warning("%s: dropped %d degenerate face(s)", path, dropped)
         mesh = TriMesh(vertices, mesh.faces[keep])
         mesh._geometry = FaceGeometry(*(values[keep] for values in geometry))
+    if mesh.n_faces == 0:
+        raise EmptyInput("no faces to accumulate")
     logger.info("%s: %d vertices, %d faces", path, mesh.n_vertices, mesh.n_faces)
     return mesh
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import CellHash, concat_ranges
-from .errors import DegenerateFace, EmptyInput, SeedInvalid
+from .errors import DegenerateFace, EmptyInput, ParseError, SeedInvalid
 
 _CELL_MARGIN = 1e-9  # relative cell padding, so rounding never drops a pair
 _UNIT_TOL = 1e-12  # largest |n . n - 1| of a face normal (see OrientedFaceSet)
@@ -161,7 +161,7 @@ def _lattice_keys(pts):
     """
     info = np.iinfo(np.int64)
     if pts.min() <= info.min or pts.max() >= info.max:
-        raise ValueError("voxel coordinates must lie strictly inside the int64 range")
+        raise ParseError("voxel coordinates must lie strictly inside the int64 range")
     ranks = np.empty_like(pts)
     sizes = []
     for axis in range(3):
@@ -170,7 +170,7 @@ def _lattice_keys(pts):
         ranks[:, axis] = np.searchsorted(values, pts[:, axis])
         sizes.append(len(values))
     if sizes[0] * sizes[1] * sizes[2] > info.max:
-        raise ValueError(f"voxel coordinates too spread out to index "
+        raise ParseError(f"voxel coordinates too spread out to index "
                          f"({sizes[0]} x {sizes[1]} x {sizes[2]} distinct values)")
     strides = np.array([sizes[1] * sizes[2], sizes[2], 1], dtype=np.int64)
     return ranks @ strides, strides

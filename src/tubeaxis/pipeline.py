@@ -1,13 +1,13 @@
-"""The stage chain on oriented faces, run once.
+"""The stage chain from a surface to its outputs, run once.
 
-accumulate -> track -> refine, then any of decompose, reconstruct and
-error_map on the refined centerline. The command line, the tests and the
-demos all run their chains here, so every derived default is set in one
-place: the scan slack epsilon = 0.1 R (AccumulationParams), the tracking
-step R, the scan radius R + epsilon for both tracking and refinement, and
-the arc planarity gate 0.3 gridstep. Every other setting is passed
-through to the stage that takes it (SETTINGS), whose signature holds its
-default.
+The front gives a mesh its face normals, a voxel set smoothed facet
+normals, and orients them inward. Then accumulate -> track -> refine,
+then any of decompose, reconstruct and error_map on the refined
+centerline. The command line, the tests and the demos all run their
+chains here, so every derived default is set in one place: run_pipeline
+(whose docstring lists them) and AccumulationParams (epsilon = 0.1 R).
+Every other setting is passed through to the stage that takes it
+(SETTINGS), whose signature holds its default.
 """
 
 from __future__ import annotations
@@ -21,7 +21,10 @@ import numpy as np
 
 from .accumulate import AccumulationParams, AccumulationResult, compute_accumulation
 from .decompose import Decomposition, decompose_centerline
-from .ingest import TriMesh
+from .errors import OutOfRange
+from .ingest import TriMesh, VoxelSet
+from .normals import (OrientedFaceSet, digital_surface_faces, estimate_digital_normals,
+                      face_normals, orient_inward)
 from .rebuild import error_map, sweep_tube
 from .refine import optimize_centerline
 from .track import Centerline, extract_centerline
@@ -48,6 +51,7 @@ AT_LEAST_1 = (lambda v: v >= 1, "at least 1")
 
 # (test, wording) of what each numeric setting must be besides finite
 LIMITS = {
+    "radius": POSITIVE, "gridstep": POSITIVE, "normal_radius": POSITIVE,
     "epsilon": NON_NEGATIVE, "track_step": POSITIVE, "max_angle": POSITIVE,
     "inside_threshold": (lambda v: 0 <= v <= 1, "in [0, 1]"),
     "epsilon_o": NON_NEGATIVE, "max_iter": AT_LEAST_1,
@@ -66,10 +70,12 @@ def timed(timings, key):
 
 @dataclass
 class PipelineResult:
-    """Resolved settings and stage outputs; a stage that did not run
-    leaves its output None and has no key in timings."""
+    """Resolved settings, the front's faces and the stage outputs; a stage
+    that did not run leaves its output None and has no key in timings."""
 
     acc_params: AccumulationParams
+    faces: OrientedFaceSet  # oriented by the front
+    normals: str            # "faces" or "estimate"
     track_step: float
     resid_tol: float
     accumulation: AccumulationResult | None = None
@@ -81,19 +87,34 @@ class PipelineResult:
     timings: dict = field(default_factory=dict)
 
 
-def run_pipeline(faces, radius, *, gridstep=1.0, track_step=None, resid_tol=None,
-                 stages=STAGES, centerline=None, **settings) -> PipelineResult:
-    """Run the named stages, in chain order, on oriented faces.
+def run_pipeline(surface, radius, *, gridstep=None, normals=None, normal_radius=None,
+                 orient="auto", track_step=None, resid_tol=None, stages=STAGES,
+                 centerline=None, **settings) -> PipelineResult:
+    """Give a TriMesh, or a VoxelSet in its lattice units, oriented faces
+    (face_normals or digital_surface_faces, estimate_digital_normals when
+    normals is "estimate", orient_inward), then run the named stages.
 
     stages is any subset of STAGES whose inputs it contains: STAGES[:k]
-    stops after the k-th stage. A given centerline takes the place of
-    accumulate and track; refine, if asked for, then refines it.
-    track_step defaults to the radius and resid_tol to 0.3 * gridstep.
+    stops after the k-th stage, () after the front. A given centerline
+    takes the place of accumulate and track; refine, if asked for, then
+    refines it. Defaults: gridstep the surface's step (median_face_size, 1
+    for voxels), normals "estimate" for voxels, "faces" otherwise,
+    normal_radius max(2, R/2), track_step R, resid_tol 0.3 * gridstep.
     Each other setting (see SETTINGS) goes to the stage that takes it,
-    which otherwise uses its own default; a name that no stage takes is
-    a TypeError. A setting, given or derived, outside LIMITS is a
-    ValueError, raised before any stage runs.
+    which otherwise uses its own default. Another surface or setting name
+    is a TypeError; a setting, given or derived, outside LIMITS an
+    OutOfRange (a ValueError), raised before the front runs.
     """
+    voxels = isinstance(surface, VoxelSet)
+    if not (voxels or isinstance(surface, TriMesh)):
+        raise TypeError(f"run_pipeline() takes a TriMesh or a VoxelSet, not a "
+                        f"{type(surface).__name__}")
+    normals = normals or ("estimate" if voxels else "faces")  # facet staircases vote poorly
+    if normals not in ("faces", "estimate"):
+        raise ValueError(f"unknown normals mode {normals!r}")
+    if gridstep is None:
+        gridstep = 1.0 if voxels else surface.median_face_size()
+    normal_radius = max(2.0, 0.5 * radius) if normal_radius is None else normal_radius
     kw = {stage: {name: settings.pop(name) for name in names if name in settings}
           for stage, (_, names) in SETTINGS.items()}
     if settings:
@@ -109,33 +130,43 @@ def run_pipeline(faces, radius, *, gridstep=1.0, track_step=None, resid_tol=None
         if _NEEDS.get(stage, stage) not in stages | given:
             raise ValueError(f"stage {stage!r} needs stage {_NEEDS[stage]!r}")
 
-    acc = AccumulationParams(radius=radius, gridstep=gridstep, **kw["accumulate"])
-    out = PipelineResult(
-        acc_params=acc, track_step=radius if track_step is None else track_step,
-        resid_tol=0.3 * gridstep if resid_tol is None else resid_tol,
-        raw=centerline, centerline=centerline)
-    values = {name: value for stage in kw.values() for name, value in stage.items()}
-    values.update(epsilon=acc.epsilon, track_step=out.track_step, resid_tol=out.resid_tol)
+    track_step = radius if track_step is None else track_step
+    resid_tol = 0.3 * gridstep if resid_tol is None else resid_tol
+    # a None setting takes its owner's default
+    values = {n: v for stage in kw.values() for n, v in stage.items() if v is not None}
+    values.update(radius=radius, gridstep=gridstep, normal_radius=normal_radius,
+                  track_step=track_step, resid_tol=resid_tol)
     for name, (test, must) in LIMITS.items():
         if name in values and not (math.isfinite(values[name]) and test(values[name])):
-            raise ValueError(f"{name} must be {must}, got {values[name]!r}")
-    t = out.timings
+            raise OutOfRange(f"{name} must be {must}, got {values[name]!r}")
+    acc = AccumulationParams(radius=radius, gridstep=gridstep, **kw["accumulate"])
+
+    t = {}
+    with timed(t, "normals"):
+        faces = (digital_surface_faces if voxels else face_normals)(surface)
+        if normals == "estimate":
+            faces = estimate_digital_normals(faces, normal_radius)
+    with timed(t, "orient"):
+        faces = orient_inward(faces, mode=orient, radius=radius)
+    out = PipelineResult(acc_params=acc, faces=faces, normals=normals,
+                         track_step=track_step, resid_tol=resid_tol,
+                         raw=centerline, centerline=centerline, timings=t)
     if "accumulate" in stages:
         with timed(t, "accumulate"):
             out.accumulation = compute_accumulation(faces, acc)
     if "track" in stages:
         with timed(t, "track"):
             out.raw = out.centerline = extract_centerline(
-                out.accumulation, out.track_step, acc.acc_radius, **kw["track"])
+                out.accumulation, track_step, acc.acc_radius, **kw["track"])
     if "refine" in stages:
         with timed(t, "refine"):
             out.centerline = optimize_centerline(
-                out.raw, faces, radius, acc.acc_radius, out.track_step,
+                out.raw, faces, radius, acc.acc_radius, track_step,
                 **kw["refine"])
     if "decompose" in stages:
         with timed(t, "decompose"):
             out.decomposition = decompose_centerline(
-                out.centerline, resid_tol=out.resid_tol, **kw["decompose"])
+                out.centerline, resid_tol=resid_tol, **kw["decompose"])
     if "reconstruct" in stages:
         with timed(t, "reconstruct"):
             out.tube = sweep_tube(out.centerline, radius, **kw["reconstruct"])

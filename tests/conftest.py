@@ -25,11 +25,9 @@ class CylinderCase:
         self.length = 100.0
         self.mesh, self.truth = tx.gen_tube([tx.Straight(self.length)],
                                             radius=self.radius, mesh_step=1.0)
-        self.faces = tx.orient_inward(tx.face_normals(self.mesh), mode="auto",
-                                      radius=self.radius)
-        self.params = tx.AccumulationParams(radius=self.radius,
-                                            gridstep=self.gridstep)
-        self.result = tx.compute_accumulation(self.faces, self.params)
+        run = tx.run_pipeline(self.mesh, self.radius, gridstep=self.gridstep,
+                              stages=("accumulate",))
+        self.faces, self.params, self.result = run.faces, run.acc_params, run.accumulation
 
     def axis_distance(self, points):
         """Distance of points to the exact axis segment."""
@@ -72,21 +70,23 @@ def bent_pipe():
     radius = 3.0
     segs = [tx.Straight(30.0), tx.Arc(15.0, math.pi / 2), tx.Straight(30.0)]
     mesh, truth = tx.gen_tube(segs, radius=radius, mesh_step=1.0)
-    faces = tx.orient_inward(tx.face_normals(mesh), mode="auto", radius=radius)
-    params = tx.AccumulationParams(radius=radius, gridstep=1.0)
-    result = tx.compute_accumulation(faces, params)
-    return {"radius": radius, "mesh": mesh, "truth": truth, "faces": faces,
-            "params": params, "result": result}
+    run = tx.run_pipeline(mesh, radius, gridstep=1.0, stages=("accumulate",))
+    return {"radius": radius, "mesh": mesh, "truth": truth, "faces": run.faces,
+            "params": run.acc_params, "result": run.accumulation}
 
 
-def capped_voxel_pipe():
-    """A small capped bent pipe, radius 3, the way the voxel path sees it:
-    boundary facets with covariance normals, oriented inward."""
+def capped_voxels():
+    """A small capped bent pipe, radius 3, voxelized at 1."""
     mesh, _ = tx.gen_tube([tx.Straight(10.0), tx.Arc(8.0, math.pi / 2),
                            tx.Straight(10.0)], radius=3.0, mesh_step=1.0,
                           cap_ends=True)
-    faces = tx.estimate_digital_normals(tx.digital_surface_faces(tx.voxelize(mesh, 1.0)), 2.0)
-    return tx.orient_inward(faces, mode="auto", radius=3.0)
+    return tx.voxelize(mesh, 1.0)
+
+
+def capped_voxel_pipe():
+    """capped_voxels the way the voxel path sees them: boundary facets
+    with covariance normals, oriented inward."""
+    return tx.run_pipeline(capped_voxels(), 3.0, stages=()).faces
 
 
 def quaternion_rotation(q):

@@ -25,9 +25,10 @@ def _rms(values):
     return math.sqrt(float(np.mean(np.square(values))))
 
 
-def _extract_refined(faces, radius, gridstep, *later):
-    """Accumulate -> track -> refine, then any later stages, in one run."""
-    return tx.run_pipeline(faces, radius, gridstep=gridstep,
+def _extract_refined(surface, radius, gridstep=None, *later):
+    """Accumulate -> track -> refine, then any later stages, in one run on
+    the surface's oriented faces (the surface's own gridstep if None)."""
+    return tx.run_pipeline(surface, radius, gridstep=gridstep,
                            stages=("accumulate", "track", "refine", *later))
 
 
@@ -82,8 +83,7 @@ def test_c2_clean_cylinder_centerline_accuracy(acceptance_report):
     # 0.2 voxels, all under 10 seconds.
     t0 = time.perf_counter()
     mesh, truth = tx.gen_tube([tx.Straight(100.0)], radius=5.0, mesh_step=1.0)
-    faces = tx.orient_inward(tx.face_normals(mesh), mode="auto", radius=5.0)
-    run = _extract_refined(faces, radius=5.0, gridstep=1.0)
+    run = _extract_refined(mesh, radius=5.0, gridstep=1.0)
     raw, refined = run.raw, run.centerline
     elapsed = time.perf_counter() - t0
     raw_rms = _rms(tx.distance_to_polyline(raw.points, truth.points))
@@ -109,9 +109,7 @@ def test_c3_degraded_cylinder_robustness(acceptance_report):
     details = []
     ok = True
     for name, degraded in cases.items():
-        faces = tx.orient_inward(tx.face_normals(degraded), mode="auto",
-                                 radius=5.0)
-        run = _extract_refined(faces, radius=5.0, gridstep=1.0)
+        run = _extract_refined(degraded, radius=5.0, gridstep=1.0)
         res = run.accumulation
         rms = _rms(tx.distance_to_polyline(run.centerline.points, truth.points))
         # voxel-index distance between the argmax and the axis point at the
@@ -134,9 +132,7 @@ def test_c4_five_segment_pipe_decomposition(acceptance_report):
     segs = [tx.Straight(30 * R), tx.Arc(5 * R, math.pi / 2),
             tx.Straight(30 * R), tx.Arc(5 * R, math.pi), tx.Straight(30 * R)]
     mesh, truth = tx.gen_tube(segs, radius=R, mesh_step=1.0)
-    faces = tx.orient_inward(tx.face_normals(mesh), mode="auto", radius=R)
-    g = mesh.median_face_size()
-    run = _extract_refined(faces, R, g, "decompose")
+    run = _extract_refined(mesh, R, None, "decompose")
     refined, dec = run.centerline, run.decomposition
 
     kinds = dec.kinds()
@@ -189,20 +185,14 @@ def test_c6_cross_input_consistency(acceptance_report):
     segs = [tx.Straight(30.0), tx.Arc(15.0, math.pi / 2), tx.Straight(30.0)]
     mesh, truth = tx.gen_tube(segs, radius=R, mesh_step=1.0)
 
-    faces = tx.orient_inward(tx.face_normals(mesh), mode="auto", radius=R)
-    line_mesh = _extract_refined(faces, R, g).centerline.points
+    line_mesh = _extract_refined(mesh, R, g).centerline.points
 
     capped, _ = tx.gen_tube(segs, radius=R, mesh_step=1.0, cap_ends=True)
     vol = tx.voxelize(capped, gridstep=g)
-    faces = tx.digital_surface_faces(vol)
-    faces = tx.estimate_digital_normals(faces, max(2.0, 0.5 * R / g))
-    faces = tx.orient_inward(faces, mode="auto", radius=R / g)
-    line_vox = vol.to_world(_extract_refined(faces, R / g, 1.0).centerline.points)
+    line_vox = vol.to_world(_extract_refined(vol, R / g).centerline.points)
 
     hm = tx.render_heightmap(mesh, view_axis="z", resolution=g)
-    faces = tx.orient_inward(tx.face_normals(tx.heightmap_to_mesh(hm)),
-                             mode="auto", radius=R)
-    line_hm = _extract_refined(faces, R, g).centerline.points
+    line_hm = _extract_refined(tx.heightmap_to_mesh(hm), R, g).centerline.points
 
     # arclength of the nearest ground-truth point, used to clip each pair
     # to the span both lines actually covered
@@ -287,9 +277,8 @@ def test_c9_reconstruction_error_away_from_junctions(acceptance_report):
     segs = [tx.Straight(30 * R), tx.Arc(5 * R, math.pi / 2),
             tx.Straight(30 * R), tx.Arc(5 * R, math.pi), tx.Straight(30 * R)]
     mesh, truth = tx.gen_tube(segs, radius=R, mesh_step=1.0)
-    faces = tx.orient_inward(tx.face_normals(mesh), mode="auto", radius=R)
-    g = mesh.median_face_size()
-    errors = _extract_refined(faces, R, g, "error_map").errors
+    run = _extract_refined(mesh, R, None, "error_map")
+    faces, errors, g = run.faces, run.errors, run.acc_params.gridstep
 
     junctions = truth.points[truth.junctions]
     dist_j = np.linalg.norm(faces.centers[:, None, :] - junctions[None, :, :],

@@ -310,10 +310,8 @@ def test_accumulate_npz_is_the_vote_table(tube_off, tmp_path):
     out = tmp_path / "acc"
     assert run(["accumulate", "--input", tube_off, "--radius", 4,
                 "--gridstep", 1.0, "--out-dir", out]) == 0
-    faces = tx.orient_inward(tx.face_normals(tx.load_mesh(tube_off)), mode="auto",
-                             radius=4.0)
-    res = tx.compute_accumulation(faces, tx.AccumulationParams(radius=4.0,
-                                                               gridstep=1.0))
+    res = tx.run_pipeline(tx.load_mesh(tube_off), 4.0, gridstep=1.0,
+                          stages=("accumulate",)).accumulation
     table = np.load(out / "accumulation.npz")
     assert set(table.files) == {"index", "counts", "directions", "origin",
                                 "gridstep", "dims"}
@@ -379,7 +377,7 @@ _DECOMPOSE = {"alpha_flat", "nu", "min_len", "resid_tol"}
 _LINE = {"points", "closed", "mean_spacing", "refined_points"}
 _CHAIN = {"accumulate", "track", "refine"}
 
-# subcommand -> (params, results, timings besides load/orient/write, the
+# subcommand -> (params, results, timings besides load/normals/orient/write, the
 # same timings with --centerline or None when the flag does not exist)
 _SUMMARY_KEYS = {
     "accumulate": (_PARAMS, {"max_acc", "max_pt", "domain_dims"},
@@ -418,7 +416,7 @@ def test_summary_key_sets(tube_off, tmp_path, command, with_centerline):
     summary = json.loads((out / "summary.json").read_text())
     assert set(summary["params"]) == params
     assert set(summary["results"]) == results
-    assert set(summary["timings"]) == timings | {"load", "orient", "write"}
+    assert set(summary["timings"]) == timings | {"load", "normals", "orient", "write"}
 
 
 def test_refine_accepts_centerline_csv(tube_off, tmp_path):
@@ -561,6 +559,40 @@ def test_voxels_the_lattice_cannot_index_are_an_input_error(tmp_path, capsys,
     assert err.startswith(f"tubeaxis pipeline: input error: {path}: ")
     assert message in err and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+def test_vertices_whose_faces_overflow_are_one_degenerate_face_line(tmp_path):
+    # an S:20 tube scaled by 1e200: finite vertices whose squared edges and
+    # cross products overflow. This once printed four numpy overflow
+    # warnings before the failure, and a traceback under -W error
+    mesh, _ = tx.gen_tube([tx.Straight(20.0)], radius=2.0, mesh_step=1.0)
+    path = tmp_path / "huge.off"
+    tx.write_off(tx.TriMesh(mesh.vertices * 1e200, mesh.faces), path)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "tubeaxis.cli", "pipeline", "--input",
+         str(path), "--radius", "3e200", "--out-dir", str(tmp_path / "out")],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr == ("tubeaxis pipeline: pipeline failure: DegenerateFace: face 0 "
+                           "has an area or an edge that overflows\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name,text,message", [
+    ("empty.xyz", "", "voxel set is empty"),
+    ("empty.off", "OFF\n3 0 0\n0 0 0\n1 0 0\n0 1 0\n", "no faces to accumulate"),
+    # its one face has no area and is dropped
+    ("flat.off", "OFF\n3 1 0\n0 0 0\n1 0 0\n2 0 0\n3 0 1 2\n", "no faces to accumulate")])
+@pytest.mark.parametrize("orient", ["auto", "keep"])
+def test_an_input_without_a_surface_is_an_input_error(tmp_path, capsys, name, text,
+                                                      message, orient):
+    path = tmp_path / name
+    path.write_text(text)
+    assert run(["pipeline", "--input", path, "--radius", 2, "--orient", orient,
+                "--out-dir", tmp_path / "out"]) == 1
+    err = capsys.readouterr().err
+    assert err.endswith(f"tubeaxis pipeline: input error: {message}\n")
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
 
 
 def _outcome(argv, capsys):

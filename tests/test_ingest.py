@@ -526,7 +526,7 @@ def test_write_artifacts_manifest(tmp_path, cylinder):
 
 
 def test_write_artifacts_names_each_file_in_the_manifest(tmp_path, cylinder):
-    run = tx.run_pipeline(cylinder.faces, cylinder.radius, gridstep=cylinder.gridstep)
+    run = tx.run_pipeline(cylinder.mesh, cylinder.radius, gridstep=cylinder.gridstep)
     out = tmp_path / "out"
     manifest = tx.write_artifacts(out, run.centerline, decomposition=run.decomposition,
                                   tube=run.tube, errors=run.errors,

@@ -283,7 +283,8 @@ def test_facets_with_coordinates_spread_past_2_pow_21():
 
 @pytest.mark.parametrize("bad", [2 ** 63 - 1, -2 ** 63])
 def test_facets_reject_int64_extremes(bad):
-    with pytest.raises(ValueError, match="int64"):
+    # a ParseError, which the command line reports as an input error
+    with pytest.raises(tx.ParseError, match="int64"):
         tx.digital_surface_faces(tx.VoxelSet(np.array([[0, 0, 0], [bad, 1, 2]])))
 
 
@@ -291,7 +292,7 @@ def test_facets_reject_key_space_beyond_int64():
     # 700,000 voxels spaced 3 apart along the diagonal need 2.1M distinct
     # values per axis, and 2.1M^3 keys do not fit in int64
     pts = np.repeat(3 * np.arange(700_000, dtype=np.int64)[:, None], 3, axis=1)
-    with pytest.raises(ValueError, match="too spread out"):
+    with pytest.raises(tx.ParseError, match="too spread out"):
         tx.digital_surface_faces(tx.VoxelSet(pts))
 
 

@@ -305,7 +305,7 @@ def test_error_map_distances_equal_the_full_scan_at_any_track_step(bent_pipe,
     # one radius out, each later round doubles the cells, and the
     # distances are those of the dense F x P pass either way
     faces, radius = bent_pipe["faces"], bent_pipe["radius"]
-    line = tx.run_pipeline(faces, radius, track_step=step,
+    line = tx.run_pipeline(bent_pipe["mesh"], radius, gridstep=1.0, track_step=step,
                            stages=("accumulate", "track", "refine")).centerline
     cells = []
     measure = rebuild._measure_by_cells
@@ -336,7 +336,7 @@ def test_error_map_rounds_at_a_fine_track_step_are_never_idle(bent_pipe, monkeyp
     # the faces inside the tube's radius. Every round settles faces; the
     # rounds of smaller cells, which settle none, are skipped
     faces, radius = bent_pipe["faces"], bent_pipe["radius"]
-    line = tx.run_pipeline(faces, radius, track_step=0.5,
+    line = tx.run_pipeline(bent_pipe["mesh"], radius, gridstep=1.0, track_step=0.5,
                            stages=("accumulate", "track", "refine")).centerline
     rounds = []
     measure = rebuild._measure_by_cells
