@@ -99,7 +99,6 @@ _STAGE_OPTIONS = {
     "refine": (
         ("--epsilon-o", "energy-drop convergence threshold"),
         ("--max-iter", "iteration cap per point"),
-        ("--area-weighting", "weight each surface point force by its face area"),
     ),
     "decompose": (
         ("--alpha-flat", "max per-vertex turn, radians, still considered straight"),
@@ -112,9 +111,10 @@ _STAGE_OPTIONS = {
     ),
 }
 
-# every numeric option with what it must be, checked before anything loads
-_LIMITS = {**LIMITS, "epsilon_acc": LIMITS["epsilon"], "hm_scale": POSITIVE,
-           "hm_spacing": POSITIVE, "mesh_step": POSITIVE, "sigma": NON_NEGATIVE}
+# every numeric option, by dest, with what it must be, checked before anything loads
+_LIMITS = {**LIMITS, "hm_scale": POSITIVE, "hm_spacing": POSITIVE, "mesh_step": POSITIVE,
+           "sigma": NON_NEGATIVE}
+_LIMITS["epsilon_acc"] = _LIMITS.pop("epsilon")  # the flag of accumulate's epsilon
 
 
 def _dest(flag):
@@ -127,11 +127,9 @@ _signature = functools.cache(inspect.signature)  # one per owner, not per flag
 def _setting(stage, name):
     """add_argument's keywords for a stage setting: the default that its
     owner's signature declares (SETTINGS; run_pipeline derives track_step
-    and resid_tol), typed as that default (None: float); a bool is a switch."""
+    and resid_tol), typed as that default (None: float)."""
     owner, names = SETTINGS[stage]
     default = _signature(owner if name in names else run_pipeline).parameters[name].default
-    if isinstance(default, bool):
-        return {"action": "store_true", "default": default}
     return {"type": float if default is None else type(default), "default": default}
 
 

@@ -6,7 +6,7 @@ class TubeAxisError(Exception):
 
 
 class OutOfRange(TubeAxisError, ValueError):
-    """A run_pipeline setting, given or derived, outside pipeline.LIMITS."""
+    """A setting, given or derived, outside pipeline.LIMITS."""
 
 
 class ParseError(TubeAxisError):

@@ -498,11 +498,19 @@ def load_pgm(path):
 
 
 def load_heightmap(path, scale=1.0, spacing=1.0) -> HeightMap:
-    """Load a PGM as a height map; gray values map to heights via ``scale``."""
+    """Load a PGM as a height map; gray values map to heights via ``scale``.
+    A height that is not finite is a ParseError naming the first such pixel."""
     gray = load_pgm(path)
     rows, cols = gray.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        heights = gray * float(scale)
+    finite = np.isfinite(heights)
+    if not finite.all():
+        row, col = divmod(int(np.argmin(finite)), cols)
+        raise ParseError(f"pixel at row {row}, column {col} (gray {gray[row, col]}) has a "
+                         f"non-finite height at scale {float(scale):g}", path=path)
     # pixel (col i, row j) -> heights[i, j]
-    return HeightMap(cols, rows, gray.T * float(scale), spacing=spacing)
+    return HeightMap(cols, rows, heights.T, spacing=spacing)
 
 
 def heightmap_to_mesh(hm: HeightMap) -> TriMesh:
@@ -582,7 +590,8 @@ def write_centerline_csv(centerline, path):
 
 
 def read_centerline_csv(path):
-    """Read back a centerline CSV; returns (points, directions)."""
+    """Read back a centerline CSV; returns (points, directions). A field
+    that is not a finite number is a ParseError naming its line."""
     points, directions = [], []
     with open(path) as fh:
         header = fh.readline()
@@ -598,6 +607,8 @@ def read_centerline_csv(path):
                 vals = [float(t) for t in parts[1:]]
             except ValueError:
                 raise ParseError("non-numeric field", line=ln, path=path)
+            if not all(map(math.isfinite, vals)):
+                raise ParseError("non-finite field", line=ln, path=path)
             points.append(vals[:3])
             directions.append(vals[3:])
     if not points:

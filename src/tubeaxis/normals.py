@@ -33,13 +33,13 @@ _FACET_DIRS = np.array([
 
 @dataclass
 class OrientedFaceSet:
-    """Face centers with unit normals and areas, in input face order.
+    """Face centers with unit normals, in input face order.
 
     Construction raises a ValueError naming the first face whose center
-    is not finite, whose area is not finite and >= 0, or whose normal n
-    has |n . n - 1| > _UNIT_TOL. So |n| <= 1 + 5e-13: a scan, which stops
-    short of acc_radius, stays inside the voxel that accumulation_domain
-    pads beyond acc_radius, and accumulate._march tests no bounds.
+    is not finite or whose normal n has |n . n - 1| > _UNIT_TOL. So
+    |n| <= 1 + 5e-13: a scan, which stops short of acc_radius, stays
+    inside the voxel that accumulation_domain pads beyond acc_radius, and
+    accumulate._march tests no bounds.
 
     The (3, F) columns of the centers and normals are made on first use
     and kept (see columns), so centers and normals must not be modified
@@ -48,27 +48,22 @@ class OrientedFaceSet:
 
     centers: np.ndarray
     normals: np.ndarray
-    areas: np.ndarray
     _columns: tuple | None = field(default=None, init=False, repr=False,
                                    compare=False)
 
     def __post_init__(self):
         self.centers = np.asarray(self.centers, dtype=float).reshape(-1, 3)
         self.normals = np.asarray(self.normals, dtype=float).reshape(-1, 3)
-        self.areas = np.asarray(self.areas, dtype=float).ravel()
-        n = len(self.centers)
-        if len(self.normals) != n or len(self.areas) != n:
-            raise ValueError("centers, normals and areas must have equal length")
+        if len(self.normals) != len(self.centers):
+            raise ValueError("centers and normals must have equal length")
         # NaN and inf fail every test below
         off = np.abs(np.einsum("ij,ij->i", self.normals, self.normals) - 1.0)
-        if not ((off <= _UNIT_TOL).all() and np.isfinite(self.centers).all()
-                and np.isfinite(self.areas).all() and (self.areas >= 0).all()):
-            ok = ((off <= _UNIT_TOL) & np.isfinite(self.centers).all(axis=1)
-                  & np.isfinite(self.areas) & (self.areas >= 0))
+        ok = (off <= _UNIT_TOL) & np.isfinite(self.centers).all(axis=1)
+        if not ok.all():
             f = int(np.argmin(ok))
-            raise ValueError(f"face {f} has center {self.centers[f]}, area {self.areas[f]} and "
-                             f"normal {self.normals[f]}, not a finite center, a finite area "
-                             f">= 0 and a unit normal (|n . n - 1| <= {_UNIT_TOL:g})")
+            raise ValueError(f"face {f} has center {self.centers[f]} and normal "
+                             f"{self.normals[f]}, not a finite center and a unit normal "
+                             f"(|n . n - 1| <= {_UNIT_TOL:g})")
 
     def __len__(self):
         return len(self.centers)
@@ -89,23 +84,22 @@ class OrientedFaceSet:
 
 
 def face_normals(mesh) -> OrientedFaceSet:
-    """Exact per-face normals, centroids and areas of a triangle mesh, from
-    its face geometry (TriMesh.geometry, computed once per mesh)."""
+    """Exact per-face normals and centroids of a triangle mesh, from its
+    face geometry (TriMesh.geometry, computed once per mesh)."""
     geometry = mesh.geometry()
     norms = geometry.norms
     if not np.all((norms > 1e-12) & (norms < np.inf)):
         bad = int(np.argmin(np.where(norms < np.inf, norms, 0.0)))
         raise DegenerateFace(f"face {bad} has an area that is zero or overflows")
-    return OrientedFaceSet(geometry.centers, geometry.cross / norms[:, None],
-                           0.5 * norms)
+    return OrientedFaceSet(geometry.centers, geometry.cross / norms[:, None])
 
 
 def digital_surface_faces(voxels) -> OrientedFaceSet:
     """Boundary facets of a voxel set with provisional outward axis normals.
 
     A voxel at lattice point p occupies the unit cube [p, p+1]^3; every cube
-    face adjacent to a non-set voxel becomes one facet of area 1 centered on
-    that cube face. Facets come in voxel order, and per voxel in
+    face adjacent to a non-set voxel becomes one facet centered on that
+    cube face. Facets come in voxel order, and per voxel in
     _FACET_DIRS order. Pass the result through estimate_digital_normals to
     get smoothed inward normals.
     """
@@ -132,9 +126,7 @@ def digital_surface_faces(voxels) -> OrientedFaceSet:
         absent[4, order], absent[5, order] = ~above, ~below
     vox, facet = np.nonzero(absent.T)
     dirs = _FACET_DIRS[facet]
-    return OrientedFaceSet(pts[vox] + 0.5 + 0.5 * dirs,
-                           dirs.astype(float),
-                           np.ones(len(vox)))
+    return OrientedFaceSet(pts[vox] + 0.5 + 0.5 * dirs, dirs.astype(float))
 
 
 def _next_keys_adjacent(sorted_keys):
@@ -237,7 +229,7 @@ def estimate_digital_normals(faces: OrientedFaceSet, radius: float) -> OrientedF
     # sign-match to outward, then flip inward
     opposed = (n * faces.normals[solved]).sum(axis=1) < 0
     normals[solved] = np.where(opposed[:, None], n, -n)
-    return OrientedFaceSet(centers, normals, faces.areas)
+    return OrientedFaceSet(centers, normals)
 
 
 def _least_eigenvector(cov):

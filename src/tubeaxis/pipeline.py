@@ -40,7 +40,7 @@ _NEEDS = {"track": "accumulate", "refine": "track", "decompose": "track",
 SETTINGS = {
     "accumulate": (AccumulationParams, ("epsilon",)),
     "track": (extract_centerline, ("inside_threshold", "max_angle")),
-    "refine": (optimize_centerline, ("epsilon_o", "max_iter", "area_weighting")),
+    "refine": (optimize_centerline, ("epsilon_o", "max_iter")),
     "decompose": (decompose_centerline, ("alpha_flat", "nu", "min_len")),
     "reconstruct": (sweep_tube, ("sides",)),
 }

@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import (CellHash, column_max, column_min, concat_ranges, frame_from_direction,
                    normalize)
-from .errors import DegenerateTangent, EmptyInput, TooSmall
+from .errors import DegenerateTangent, EmptyInput, OutOfRange, TooSmall
 from .ingest import TriMesh
 from .synth import _band_faces, _ring_vertices
 from .track import _polyline_directions
@@ -33,13 +33,16 @@ def sweep_tube(centerline, radius, sides=24) -> TriMesh:
     Ring frames are rotation-minimizing: each frame reuses the previous
     ring's first axis with the new tangent projected out, so consecutive
     rings never twist against each other. Ends stay open; a closed
-    centerline is stitched around the wrap.
+    centerline is stitched around the wrap. A radius or sides outside
+    pipeline.LIMITS is an OutOfRange (a ValueError).
     """
+    if not (np.isfinite(radius) and radius > 0):
+        raise OutOfRange(f"radius must be positive and finite, got {radius!r}")
+    if not sides >= 3:
+        raise OutOfRange(f"sides must be at least 3, got {sides!r}")
     points = np.atleast_2d(np.asarray(centerline.points, dtype=float))
     if len(points) < 2:
         raise TooSmall("sweep needs at least 2 centerline points")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
     steps = np.linalg.norm(np.diff(points, axis=0), axis=1)
     if np.any(steps <= _EPS):
         bad = int(np.argmin(steps))

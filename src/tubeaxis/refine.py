@@ -3,13 +3,13 @@
 Each centerline point C collects nearby surface points M_j (a slab
 orthogonal to the local tangent) and minimises the energy
 
-    E(C) = sum_j w_j (|C M_j| - R)^2
+    E(C) = sum_j (|C M_j| - R)^2
 
-whose gradient is g = 2 sum_j w_j u_j (R - |CM_j|), with u_j = CM_j/|CM_j|
-the unit vector from C to M_j. The resultant force f = sum_j w_j u_j
+whose gradient is g = 2 sum_j u_j (R - |CM_j|), with u_j = CM_j/|CM_j|
+the unit vector from C to M_j. The resultant force f = sum_j u_j
 (|CM_j| - R) equals -g/2 exactly. Each residual |CM_j| - R has gradient
 -u_j, so the Gauss-Newton step delta solves H delta = f with
-H = sum_j w_j u_j u_j^T (Ahn, Rauh & Warnecke, "Least-squares orthogonal
+H = sum_j u_j u_j^T (Ahn, Rauh & Warnecke, "Least-squares orthogonal
 distances fitting of circle, sphere, ellipse, hyperbola, and parabola",
 Pattern Recognition 2001). H is singular when every u_j lies in one
 plane (C inside the plane of a ring); the least-squares solve then gives
@@ -53,8 +53,7 @@ MAX_ITER = 1000
 def section_points(centerline, faces, i, acc_radius, track_step, near):
     """Face centers within acc_radius of C_i whose axial offset along the
     local direction d_i falls in the slab (-track_step/2, +track_step/2],
-    in face order, and the areas of their faces (the weights of area
-    weighting): returns (points, areas).
+    in face order.
 
     ``near`` holds the candidate face indices: at least those whose
     centers lie within acc_radius of C_i, such as a ball query's result
@@ -70,16 +69,15 @@ def section_points(centerline, faces, i, acc_radius, track_step, near):
     sel = near[(dist <= acc_radius) & (proj > -0.5 * track_step) & (proj <= 0.5 * track_step)]
     if len(sel) < 3:
         raise TooFewPoints(f"only {len(sel)} surface points near centerline point {i}")
-    return faces.centers[sel], faces.areas[sel]
+    return faces.centers[sel]
 
 
-def energy_and_gradient(c, points, radius, weights=None, *, units=None):
+def energy_and_gradient(c, points, radius, *, units=None):
     """Evaluate E, its gradient g and the resultant force f at center c.
 
-    Returns (E, g, f); g is -2 f exactly. Weights (face areas) multiply
-    each point's term. ``units``, an (N, 3) float array, receives the
-    unit vectors u_j when given, so a caller that steps from c does not
-    compute them again.
+    Returns (E, g, f); g is -2 f exactly. ``units``, an (N, 3) float
+    array, receives the unit vectors u_j when given, so a caller that
+    steps from c does not compute them again.
     """
     c = np.asarray(c, dtype=float)
     unit = np.subtract(np.atleast_2d(points), c, out=units)  # CM_j
@@ -94,25 +92,18 @@ def energy_and_gradient(c, points, radius, weights=None, *, units=None):
         raise CoincidentPoint(f"surface point {bad} coincides with the center")
     unit /= dist[:, None]
     resid = dist - radius
-    if weights is None:
-        e = float((resid * resid).sum())
-    else:
-        w = np.asarray(weights, dtype=float)
-        e = float((w * (resid * resid)).sum())
-        resid *= w
+    e = float((resid * resid).sum())
     f = np.einsum("i,ij->j", resid, unit)
     return e, -2.0 * f, f
 
 
-def _gauss_newton_step(units, weights, f):
+def _gauss_newton_step(units, f):
     """Least-squares solution delta of H delta = f, where
-    H = sum_j w_j u_j u_j^T over the unit vectors u_j."""
-    weighted = units if weights is None else units * weights[:, None]
-    return np.linalg.lstsq(weighted.T @ units, f, rcond=None)[0]
+    H = sum_j u_j u_j^T over the unit vectors u_j."""
+    return np.linalg.lstsq(units.T @ units, f, rcond=None)[0]
 
 
-def optimize_point(c0, points, radius, epsilon_o=EPSILON_O, max_iter=MAX_ITER,
-                   weights=None):
+def optimize_point(c0, points, radius, epsilon_o=EPSILON_O, max_iter=MAX_ITER):
     """Gauss-Newton descent of a single center with backtracking halving.
 
     Each iteration evaluates one candidate c + step * delta: the full
@@ -128,19 +119,16 @@ def optimize_point(c0, points, radius, epsilon_o=EPSILON_O, max_iter=MAX_ITER,
     """
     c = np.asarray(c0, dtype=float).copy()
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    if weights is not None:
-        weights = np.asarray(weights, dtype=float)
     units = np.empty(points.shape)
-    e, _, f = energy_and_gradient(c, points, radius, weights, units=units)
-    delta = _gauss_newton_step(units, weights, f)
+    e, _, f = energy_and_gradient(c, points, radius, units=units)
+    delta = _gauss_newton_step(units, f)
     step = 1.0
     for it in range(1, max_iter + 1):
         if math.sqrt(f.dot(f)) <= _MIN_DIST:  # np.linalg.norm(f)
             return c, e, it
         cand = c + step * delta
         try:
-            e_new, _, f_new = energy_and_gradient(cand, points, radius, weights,
-                                                  units=units)
+            e_new, _, f_new = energy_and_gradient(cand, points, radius, units=units)
         except CoincidentPoint:
             step *= 0.5
             continue
@@ -151,19 +139,17 @@ def optimize_point(c0, points, radius, epsilon_o=EPSILON_O, max_iter=MAX_ITER,
         c, e, f = cand, e_new, f_new
         if moved < epsilon_o:
             return c, e, it
-        delta = _gauss_newton_step(units, weights, f)
+        delta = _gauss_newton_step(units, f)
         step = 1.0
     return c, e, max_iter
 
 
 def optimize_centerline(centerline, faces, radius, acc_radius, track_step,
-                        epsilon_o=EPSILON_O, max_iter=MAX_ITER,
-                        area_weighting=False) -> Centerline:
+                        epsilon_o=EPSILON_O, max_iter=MAX_ITER) -> Centerline:
     """Refine every centerline point independently.
 
     Each point's section (section_points with acc_radius and track_step)
-    is fitted to the known radius by optimize_point; area_weighting
-    weights each face center by its face area. Points with fewer than 3
+    is fitted to the known radius by optimize_point. Points with fewer than 3
     associated surface points are passed through untouched; the returned
     centerline's `refined` mask records which points actually moved
     through the optimizer.
@@ -175,13 +161,12 @@ def optimize_centerline(centerline, faces, radius, acc_radius, track_step,
                                   acc_radius * (1.0 + _BALL_MARGIN))
     for i, near in enumerate(balls):
         try:
-            section, areas = section_points(centerline, faces, i, acc_radius,
-                                            track_step, near=near)
+            section = section_points(centerline, faces, i, acc_radius, track_step,
+                                     near=near)
         except TooFewPoints:
             continue
         pts[i], _, _ = optimize_point(pts[i], section, radius, epsilon_o=epsilon_o,
-                                      max_iter=max_iter,
-                                      weights=areas if area_weighting else None)
+                                      max_iter=max_iter)
         refined[i] = True
     dirs = _polyline_directions(pts, centerline.closed)
     return Centerline(points=pts, directions=dirs, closed=centerline.closed,

@@ -153,7 +153,7 @@ def _assert_march_matches_rowwise(faces, params):
 
 def _random_faces(rng, n, box=10.0):
     centers = rng.uniform(0, box, size=(n, 3))
-    return tx.OrientedFaceSet(centers, random_unit_vectors(rng, n), np.ones(n))
+    return tx.OrientedFaceSet(centers, random_unit_vectors(rng, n))
 
 
 # unit normals pointing out of a box along its axes and its diagonals
@@ -194,7 +194,7 @@ def test_duplicate_rays_hit_the_sign_rule():
     centers = np.tile(base.centers, (4, 1)) + rng.normal(scale=0.05,
                                                          size=(48, 3))
     normals = np.tile(base.normals, (4, 1))
-    faces = tx.OrientedFaceSet(centers, normals, np.ones(48))
+    faces = tx.OrientedFaceSet(centers, normals)
     res = _assert_matches_sequential_reference(
         faces, tx.AccumulationParams(radius=3.0, gridstep=0.7))
     kept = np.any(res.dirs != 0, axis=1)
@@ -212,7 +212,7 @@ def test_step_count_covers_distance_below_acc_radius():
 
 def test_single_ray_marks_a_line_of_voxels():
     faces = tx.OrientedFaceSet(np.array([[0.0, 0.0, 0.0]]),
-                               np.array([[1.0, 0.0, 0.0]]), np.ones(1))
+                               np.array([[1.0, 0.0, 0.0]]))
     params = tx.AccumulationParams(radius=2.0, epsilon=0.0, gridstep=1.0)
     res = tx.compute_accumulation(faces, params)
     assert res.max_acc == 1
@@ -238,13 +238,13 @@ def test_domain_pads_by_acc_radius_plus_one_voxel():
 
 
 def test_empty_faces_raise():
-    faces = tx.OrientedFaceSet(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0))
+    faces = tx.OrientedFaceSet(np.zeros((0, 3)), np.zeros((0, 3)))
     with pytest.raises(tx.EmptyInput):
         tx.compute_accumulation(faces, tx.AccumulationParams(radius=1.0))
 
 
 def test_scan_without_a_step_raises_too_small():
-    faces = tx.OrientedFaceSet(np.zeros((2, 3)), np.eye(3)[:2], np.ones(2))
+    faces = tx.OrientedFaceSet(np.zeros((2, 3)), np.eye(3)[:2])
     params = tx.AccumulationParams(radius=1e-12, gridstep=1.0)
     assert params.n_steps == 0
     with pytest.raises(tx.TooSmall, match="acc_radius .* gridstep"):
@@ -288,7 +288,7 @@ def test_packed_sort_overflow_is_loud():
     # 2 faces x 2 steps of events do not fit the packed keys; nothing of
     # the domain's size is allocated
     faces = tx.OrientedFaceSet(np.array([[0.0, 0, 0], [2.0 ** 21, 2.0 ** 21, 2.0 ** 20]]),
-                               np.array([[1.0, 0, 0], [-1.0, 0, 0]]), np.ones(2))
+                               np.array([[1.0, 0, 0], [-1.0, 0, 0]]))
     params = tx.AccumulationParams(radius=1.0, gridstep=1.0)
     assert 2 ** 62 < accumulation_domain(faces.centers, params).voxel_count < 2 ** 63
     with pytest.raises(tx.DomainTooLarge, match="overflow"):
@@ -301,7 +301,7 @@ def test_domain_too_large_to_index_is_loud():
     # 1e27 voxels; dims past the int64 range; a few voxels 1e17 from 0,
     # where a rounded scan position can miss its voxel by more than one
     for centers, gridstep in ((apart, 0.01), (apart, 1e-300), (apart[::-1] + 1e17, 1.0)):
-        faces = tx.OrientedFaceSet(centers, normals, np.ones(2))
+        faces = tx.OrientedFaceSet(centers, normals)
         params = tx.AccumulationParams(radius=1.0, gridstep=gridstep)
         with pytest.raises(tx.DomainTooLarge, match="too large to index"):
             tx.compute_accumulation(faces, params)
@@ -368,7 +368,7 @@ def test_table_matches_dense_grids_when_rays_point_out_of_the_box():
     rng = np.random.default_rng(4)
     centers, normals = _with_faces_on_the_box_extremes(rng.uniform(0, 6.0, size=(80, 3)),
                                                        random_unit_vectors(rng, 80))
-    faces = tx.OrientedFaceSet(centers, normals, np.ones(len(centers)))
+    faces = tx.OrientedFaceSet(centers, normals)
     params = tx.AccumulationParams(radius=4.0, gridstep=0.5)
     res = tx.compute_accumulation(faces, params)
     assert res.counts.sum() == len(faces) * params.n_steps
@@ -444,7 +444,7 @@ def test_march_tested_at_the_ends_matches_the_stepwise_march(seed):
     centers, normals = _with_faces_on_the_box_extremes(
         rng.integers(0, 21, size=(3 * n, 3)) * 0.5,
         np.vstack([random_unit_vectors(rng, n), axis_aligned, random_unit_vectors(rng, n)]))
-    faces = tx.OrientedFaceSet(centers, normals, np.ones(len(centers)))
+    faces = tx.OrientedFaceSet(centers, normals)
     domain = accumulation_domain(faces.centers, params)
     ids = _march(*faces.columns(), params, domain)
     assert ids.tobytes() == stepwise_march(*faces.columns(), params, domain).tobytes()
@@ -472,7 +472,7 @@ def test_march_of_unit_normals_stays_in_the_domain(q, shift, radius, gridstep, p
     centers, normals = _with_faces_on_the_box_extremes(
         rng.uniform(-10.0, 10.0, size=(60, 3)) @ rot.T + shift,
         random_unit_vectors(rng, 60) @ rot.T)
-    faces = tx.OrientedFaceSet(centers, normals, np.ones(len(centers)))
+    faces = tx.OrientedFaceSet(centers, normals)
     params = (tx.AccumulationParams(radius=radius, epsilon=0.0, gridstep=radius / 3.0)
               if probe else tx.AccumulationParams(radius=radius, gridstep=gridstep))
     domain = accumulation_domain(faces.centers, params)
@@ -528,7 +528,7 @@ def test_gate_wants_the_middle_eigenvalue_at_4_times_the_least(spread, kept):
     normals = np.stack([math.sqrt(spread) * np.cos(theta),
                         math.sqrt(0.03) * np.sin(theta), np.ones(90)], axis=1)
     normals /= np.linalg.norm(normals, axis=1)[:, None]
-    faces = tx.OrientedFaceSet(np.full((90, 3), 0.5), normals, np.ones(90))
+    faces = tx.OrientedFaceSet(np.full((90, 3), 0.5), normals)
     res = tx.compute_accumulation(faces, tx.AccumulationParams(radius=1.0, gridstep=1.0))
     d = res.direction_at(res.keys[np.argmax(res.counts)])
     assert res.max_acc == 90
@@ -559,8 +559,7 @@ def test_axis_voxel_direction_follows_the_axis_in_any_pose_and_face_order(q, shi
     params = tx.AccumulationParams(radius=3.0, gridstep=0.5)
     order = np.random.default_rng(seed).permutation(len(x))
     for index in (np.arange(len(x)), order):
-        faces = tx.OrientedFaceSet(centers[index], -radial[index] @ rot.T,
-                                   np.ones(len(x)))
+        faces = tx.OrientedFaceSet(centers[index], -radial[index] @ rot.T)
         res = tx.compute_accumulation(faces, params)
         idx, inside = res.domain.index_array(middle)
         assert inside[0]

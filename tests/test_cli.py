@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -204,6 +205,21 @@ def test_bad_gridstep_is_exit_1_before_loading(tmp_path, capsys, value):
     assert "--gridstep must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dest", list(cli._LIMITS))
+def test_every_numeric_flag_is_range_checked_before_loading(tmp_path, capsys, dest):
+    # -1 is outside every limit; the input does not exist, so the check
+    # comes first. Each key of _LIMITS is the dest of a flag
+    test, must = cli._LIMITS[dest]
+    assert not test(-1)
+    flag = "--" + dest.replace("_", "-")
+    args = (["synth", "--spec", "S:10"] if dest in ("mesh_step", "sigma")
+            else ["pipeline", "--input", tmp_path / "missing.off"])
+    rc = run(args + ["--radius", 2, f"{flag}=-1", "--out-dir", tmp_path / "out"])
+    assert rc == 1
+    assert capsys.readouterr().err.endswith(f"error: {flag} must be {must}\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["pipeline", "reconstruct"])
 def test_one_point_centerline_cannot_be_reconstructed(tube_off, tmp_path,
                                                       capsys, command):
@@ -372,7 +388,7 @@ def test_summary_is_deterministic_up_to_timings(tube_off, tmp_path):
 
 _PARAMS = {"radius", "epsilon_acc", "gridstep", "normals", "orient"}
 _TRACK = {"track_step", "inside_threshold", "max_angle"}
-_REFINE = {"epsilon_o", "max_iter", "area_weighting"}
+_REFINE = {"epsilon_o", "max_iter"}
 _DECOMPOSE = {"alpha_flat", "nu", "min_len", "resid_tol"}
 _LINE = {"points", "closed", "mean_spacing", "refined_points"}
 _CHAIN = {"accumulate", "track", "refine"}
@@ -417,6 +433,40 @@ def test_summary_key_sets(tube_off, tmp_path, command, with_centerline):
     assert set(summary["params"]) == params
     assert set(summary["results"]) == results
     assert set(summary["timings"]) == timings | {"load", "normals", "orient", "write"}
+
+
+@pytest.fixture(scope="module")
+def s30_run(tmp_path_factory):
+    """An S:30 tube (R=3) and the pipeline run on it: (tube, run's out dir)."""
+    tmp = tmp_path_factory.mktemp("s30")
+    assert run(["synth", "--spec", "S:30", "--radius", 3, "--out-dir", tmp]) == 0
+    assert run(["pipeline", "--input", tmp / "tube.off", "--radius", 3,
+                "--out-dir", tmp / "result"]) == 0
+    return tmp / "tube.off", tmp / "result"
+
+
+@pytest.mark.parametrize("token", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["refine", "decompose", "reconstruct", "error-map"])
+def test_a_non_finite_centerline_field_is_an_input_error(s30_run, tmp_path, capsys,
+                                                         command, token):
+    # refine, reconstruct and error-map once exited 0 with NaN in the
+    # summary (refine after a RuntimeWarning), decompose exited 1 with an
+    # SVD traceback
+    tube, result = s30_run
+    lines = (result / "centerline.csv").read_text().splitlines(keepends=True)
+    fields = lines[3].split(",")
+    fields[1] = token
+    lines[3] = ",".join(fields)
+    path = tmp_path / "centerline.csv"
+    path.write_text("".join(lines))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run([command, "--input", tube, "--radius", 3, "--centerline", path,
+                  "--out-dir", tmp_path / "out"])
+    assert rc == 1
+    assert capsys.readouterr().err == (f"tubeaxis {command}: input error: {path}:4: "
+                                       "non-finite field\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_refine_accepts_centerline_csv(tube_off, tmp_path):
@@ -578,6 +628,22 @@ def test_vertices_whose_faces_overflow_are_one_degenerate_face_line(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_heights_that_overflow_are_an_input_error(tmp_path):
+    # gray 255 at scale 1e307 overflows; this once printed a numpy warning
+    # and ended in a ValueError traceback from HeightMap
+    path = tmp_path / "map.pgm"
+    path.write_text("P2\n3 3\n255\n0 0 0\n0 255 0\n0 0 0\n")
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "tubeaxis.cli", "pipeline", "--input",
+         str(path), "--radius", "2", "--hm-scale", "1e307",
+         "--out-dir", str(tmp_path / "out")],
+        capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr == (f"tubeaxis pipeline: input error: {path}: pixel at row 1, "
+                           "column 1 (gray 255) has a non-finite height at scale 1e+307\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("name,text,message", [
     ("empty.xyz", "", "voxel set is empty"),
     ("empty.off", "OFF\n3 0 0\n0 0 0\n1 0 0\n0 1 0\n", "no faces to accumulate"),
@@ -648,7 +714,6 @@ _OWNERS = {
     "max_angle": (tx.extract_centerline, "max_angle"),
     "epsilon_o": (tx.optimize_centerline, "epsilon_o"),
     "max_iter": (tx.optimize_centerline, "max_iter"),
-    "area_weighting": (tx.optimize_centerline, "area_weighting"),
     "alpha_flat": (tx.decompose_centerline, "alpha_flat"),
     "nu": (tx.decompose_centerline, "nu"),
     "min_len": (tx.decompose_centerline, "min_len"),
@@ -677,5 +742,5 @@ def test_pipeline_without_flags_records_the_default_params(tube_off, tmp_path):
         "radius": 4.0, "epsilon_acc": 0.4, "gridstep": gridstep, "normals": "faces",
         "orient": "auto", "track_step": 4.0,
         "inside_threshold": 0.5, "max_angle": math.pi / 3, "epsilon_o": 0.001,
-        "max_iter": 1000, "area_weighting": False, "alpha_flat": 0.05, "nu": 0.15,
+        "max_iter": 1000, "alpha_flat": 0.05, "nu": 0.15,
         "min_len": 3, "resid_tol": 0.3 * gridstep, "sides": 24}

@@ -1,5 +1,8 @@
 """Mesh, voxel and height-map parsing plus artifact writers."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -479,6 +482,21 @@ def test_heightmap_mesh_shape(tmp_path):
     assert mesh.vertices[:, 0].max() == pytest.approx(6 * 0.5)
 
 
+@pytest.mark.parametrize("scale", [1e307, math.inf, math.nan])
+def test_heightmap_names_the_first_height_that_is_not_finite(tmp_path, scale):
+    # 255 * 1e307 overflows; this once printed a numpy warning before a
+    # ValueError from HeightMap. Gray 0 gives 0 * inf = NaN at scale inf
+    p = tmp_path / "h.pgm"
+    p.write_text("P2\n3 2\n255\n0 7 255\n255 1 2\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(tx.ParseError) as error:
+            tx.load_heightmap(p, scale=scale)
+    row, col, gray = (0, 2, 255) if scale == 1e307 else (0, 0, 0)
+    assert str(error.value) == (f"{p}: pixel at row {row}, column {col} (gray {gray}) "
+                                f"has a non-finite height at scale {scale:g}")
+
+
 def test_centerline_csv_roundtrip(tmp_path):
     rng = np.random.default_rng(5)
     pts = rng.normal(size=(9, 3)) * 10
@@ -495,6 +513,16 @@ def test_centerline_csv_rejects_garbage(tmp_path):
     path.write_text("index,x,y,z,dx,dy,dz\n0,1,2\n")
     with pytest.raises(tx.ParseError):
         tx.read_centerline_csv(path)
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400"])
+def test_centerline_csv_rejects_a_non_finite_field(tmp_path, token):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"index,x,y,z,dx,dy,dz\n0,0,0,0,1,0,0\n1,1,0,0,1,0,0\n"
+                    f"2,2,0,0,{token},0,0\n")
+    with pytest.raises(tx.ParseError) as error:
+        tx.read_centerline_csv(path)
+    assert str(error.value) == f"{path}:4: non-finite field"
 
 
 def test_decomposition_csv_columns(tmp_path):
@@ -586,7 +614,7 @@ def test_load_mesh_geometry_equals_separate_passes(tmp_path):
         fs = tx.face_normals(mesh)
         assert fs.normals.tobytes() == (cross / norms[:, None]).tobytes()
         assert fs.centers.tobytes() == ((a + b + c) / 3.0).tobytes()
-        assert fs.areas.tobytes() == (0.5 * norms).tobytes()
+        assert mesh.geometry().norms.tobytes() == norms.tobytes()
         assert mesh.median_face_size() == float(np.median(longest))
 
 

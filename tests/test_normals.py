@@ -68,7 +68,6 @@ def _assert_facets_match_reference(points):
     centers, normals = _facets_by_set_lookup(points)
     assert np.array_equal(fs.centers, centers)
     assert np.array_equal(fs.normals, normals)
-    assert np.array_equal(fs.areas, np.ones(len(centers)))
     return fs
 
 
@@ -77,7 +76,8 @@ def test_triangle_normal_area_center():
     mesh = tx.TriMesh(verts, np.array([[0, 1, 2]]))
     fs = tx.face_normals(mesh)
     assert np.allclose(fs.normals[0], [0, 0, 1], atol=1e-12)
-    assert fs.areas[0] == pytest.approx(2.0)
+    # the area, from the face geometry that face_normals reads
+    assert 0.5 * mesh.geometry().norms[0] == pytest.approx(2.0)
     assert np.allclose(fs.centers[0], [2 / 3, 2 / 3, 0])
 
 
@@ -104,13 +104,13 @@ def test_degenerate_face_raises():
 def test_flipped_negates_normals():
     rng = np.random.default_rng(2)
     fs = tx.OrientedFaceSet(rng.normal(size=(5, 3)),
-                            random_unit_vectors(rng, 5), np.ones(5))
+                            random_unit_vectors(rng, 5))
     assert np.array_equal(fs.flipped().normals, -fs.normals)
 
 
 def test_columns_are_made_once_and_flipped_negates_them():
     rng = np.random.default_rng(3)
-    fs = tx.OrientedFaceSet(rng.normal(size=(7, 3)), random_unit_vectors(rng, 7), np.ones(7))
+    fs = tx.OrientedFaceSet(rng.normal(size=(7, 3)), random_unit_vectors(rng, 7))
     centers, normals_ = fs.columns()
     assert centers.flags.c_contiguous and normals_.flags.c_contiguous
     assert centers.tobytes() == fs.centers.T.copy().tobytes()
@@ -129,16 +129,14 @@ def test_columns_are_made_once_and_flipped_negates_them():
     pytest.param("normals", [1.0 + 6e-13, 0.0, 0.0], id="normal-past-tolerance"),
     pytest.param("centers", [0.0, np.nan, 0.0], id="nan-center"),
     pytest.param("centers", [np.inf, 0.0, 0.0], id="inf-center"),
-    pytest.param("areas", -1.0, id="negative-area"),
-    pytest.param("areas", np.nan, id="nan-area"),
 ])
 def test_face_set_names_the_first_face_that_breaks_the_contract(field, value):
     faces = {"centers": np.arange(12.0).reshape(4, 3),
-             "normals": np.tile([0.0, 0.0, 1.0], (4, 1)), "areas": np.ones(4)}
+             "normals": np.tile([0.0, 0.0, 1.0], (4, 1))}
     faces[field][2] = faces[field][3] = value
-    center, normal, area = faces["centers"][2], faces["normals"][2], faces["areas"][2]
-    want = (f"face 2 has center {center}, area {area} and normal {normal}, not a finite "
-            "center, a finite area >= 0 and a unit normal (|n . n - 1| <= 1e-12)")
+    center, normal = faces["centers"][2], faces["normals"][2]
+    want = (f"face 2 has center {center} and normal {normal}, not a finite center "
+            "and a unit normal (|n . n - 1| <= 1e-12)")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError) as error:
@@ -148,7 +146,7 @@ def test_face_set_names_the_first_face_that_breaks_the_contract(field, value):
 
 def test_face_set_takes_normals_within_the_tolerance():
     normals = np.array([[1.0 + 4e-13, 0.0, 0.0], [0.0, 1.0 - 4e-13, 0.0]])
-    faces = tx.OrientedFaceSet(np.zeros((2, 3)), normals, np.zeros(2))
+    faces = tx.OrientedFaceSet(np.zeros((2, 3)), normals)
     assert faces.normals.tobytes() == normals.tobytes()
 
 
@@ -157,10 +155,10 @@ def test_nan_normals_fail_where_the_faces_are_built():
     # once met only after a numpy cast warning, as a bare reduction error
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=r"^face 0 has center \[0\. 0\. 0\.\], area "
-                           r"1\.0 and normal \[nan nan nan\]"):
+        with pytest.raises(ValueError, match=r"^face 0 has center \[0\. 0\. 0\.\] and "
+                           r"normal \[nan nan nan\]"):
             tx.OrientedFaceSet(np.arange(3.0)[:, None] * [1.0, 0.0, 0.0],
-                               np.full((3, 3), np.nan), np.ones(3))
+                               np.full((3, 3), np.nan))
 
 
 def test_orientation_probe_transposes_the_faces_once(monkeypatch):
@@ -182,7 +180,7 @@ def test_orientation_probe_transposes_the_faces_once(monkeypatch):
         oriented = tx.orient_inward(faces, mode="auto", radius=3.0)
         res = tx.compute_accumulation(oriented, tx.AccumulationParams(radius=3.0))
         assert made == [len(faces)]
-        fresh = tx.OrientedFaceSet(oriented.centers, oriented.normals, oriented.areas)
+        fresh = tx.OrientedFaceSet(oriented.centers, oriented.normals)
         assert np.array_equal(res.counts, tx.compute_accumulation(
             fresh, tx.AccumulationParams(radius=3.0)).counts)
 
@@ -379,7 +377,7 @@ def test_closed_form_eigenvectors_agree_with_eigh(eigh_rows, facets, radius, fal
 
 def _line_of_facets(direction, n=5):
     centers = np.arange(n)[:, None] * np.asarray(direction, dtype=float)
-    return tx.OrientedFaceSet(centers, np.tile([0.0, 0.0, 1.0], (n, 1)), np.ones(n))
+    return tx.OrientedFaceSet(centers, np.tile([0.0, 0.0, 1.0], (n, 1)))
 
 
 @pytest.mark.parametrize("faces,radius", [
@@ -387,9 +385,9 @@ def _line_of_facets(direction, n=5):
     (_line_of_facets([1, 0, 0]), 10.0),
     (_line_of_facets([0.3, -1.7, 2.9]), 20.0),
     (tx.OrientedFaceSet(np.vstack([np.eye(3), -np.eye(3)]),
-                        np.vstack([np.eye(3), -np.eye(3)]), np.ones(6)), 2.5),
+                        np.vstack([np.eye(3), -np.eye(3)])), 2.5),
     (tx.OrientedFaceSet(np.tile([1.5, -2.0, 3.0], (4, 1)),
-                        np.tile([0.0, 1.0, 0.0], (4, 1)), np.ones(4)), 1.0),
+                        np.tile([0.0, 1.0, 0.0], (4, 1))), 1.0),
 ], ids=["collinear", "collinear-oblique", "isotropic", "zero"])
 def test_rank_deficient_covariances_take_eigh(eigh_rows, faces, radius):
     est = tx.estimate_digital_normals(faces, radius)
@@ -559,7 +557,7 @@ def test_estimated_normals_on_digital_plane():
 def test_orient_keep_and_flip():
     rng = np.random.default_rng(3)
     fs = tx.OrientedFaceSet(rng.normal(size=(4, 3)),
-                            random_unit_vectors(rng, 4), np.ones(4))
+                            random_unit_vectors(rng, 4))
     assert tx.orient_inward(fs, mode="keep") is fs
     assert np.array_equal(tx.orient_inward(fs, mode="flip").normals,
                           -fs.normals)
@@ -600,7 +598,7 @@ def test_orient_auto_tie_raises():
     xs, ys = np.meshgrid(np.arange(20.0), np.arange(20.0), indexing="ij")
     centers = np.stack([xs.ravel(), ys.ravel(), np.zeros(xs.size)], axis=1)
     normals = np.tile([0.0, 0.0, 1.0], (len(centers), 1))
-    sheet = tx.OrientedFaceSet(centers, normals, np.ones(len(centers)))
+    sheet = tx.OrientedFaceSet(centers, normals)
     params = _probe_params(3.0)
     votes = [count_peak(f, params).max_acc for f in (sheet, sheet.flipped())]
     assert votes == [tx.compute_accumulation(sheet, params).max_acc] * 2
@@ -639,7 +637,7 @@ def test_probe_count_with_ids_past_int32():
     # more than 2**31 voxels: the fullest voxel's id does not fit int32
     centers = np.array([[0.0, 0.0, 0.0], [2000.0, 2000.0, 1000.0],
                         [2000.0, 2000.0, 1000.0]])
-    faces = tx.OrientedFaceSet(centers, np.tile([0.0, 0.0, -1.0], (3, 1)), np.ones(3))
+    faces = tx.OrientedFaceSet(centers, np.tile([0.0, 0.0, -1.0], (3, 1)))
     params = tx.AccumulationParams(radius=3.0, gridstep=1.0)
     assert accumulation_domain(faces.centers, params).voxel_count > 2 ** 31
     assert count_peak(faces, params).max_acc == 2

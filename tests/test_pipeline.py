@@ -81,7 +81,7 @@ def _same(output, expected):
                 == [(s.start, s.end) for s in expected.segments])
     if isinstance(expected, tx.OrientedFaceSet):
         return all(getattr(output, name).tobytes() == getattr(expected, name).tobytes()
-                   for name in ("centers", "normals", "areas"))
+                   for name in ("centers", "normals"))
     if isinstance(expected, tx.TriMesh):
         return (output.vertices.tobytes() == expected.vertices.tobytes()
                 and output.faces.tobytes() == expected.faces.tobytes())
@@ -179,8 +179,9 @@ def test_a_stage_without_its_input_is_rejected(cylinder, stages, given):
 
 def test_a_misspelt_setting_is_a_type_error(cylinder):
     # min_norm was the direction image's setting, which the normal tensor
-    # does without
-    for name, value in (("inside_treshold", 0.4), ("min_norm", 0.1)):
+    # does without; area_weighting weighted the refine fit by face area
+    for name, value in (("inside_treshold", 0.4), ("min_norm", 0.1),
+                        ("area_weighting", True)):
         with pytest.raises(TypeError, match=name):
             tx.run_pipeline(cylinder.mesh, cylinder.radius, **{name: value})
 
@@ -229,7 +230,7 @@ def test_an_out_of_range_auto_gridstep_fails_before_the_front(monkeypatch, verti
 # a value for every setting, none of them its default
 _GIVEN = {"accumulate": {"epsilon": 0.7},
           "track": {"inside_threshold": 0.4, "max_angle": 1.2},
-          "refine": {"epsilon_o": 0.01, "max_iter": 7, "area_weighting": True},
+          "refine": {"epsilon_o": 0.01, "max_iter": 7},
           "decompose": {"alpha_flat": 0.1, "nu": 0.2, "min_len": 4},
           "reconstruct": {"sides": 8}}
 

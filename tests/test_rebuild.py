@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tubeaxis as tx
-from tubeaxis import rebuild
+from tubeaxis import pipeline, rebuild
 from tubeaxis.track import Centerline, _polyline_directions
 
 from conftest import random_unit_vectors
@@ -107,6 +107,17 @@ def test_sweep_needs_two_points():
     cl = Centerline(points=np.zeros((1, 3)), directions=np.zeros((1, 3)))
     with pytest.raises(tx.TooSmall):
         tx.sweep_tube(cl, radius=1.0)
+
+
+@pytest.mark.parametrize("setting,value", [
+    # a NaN radius once gave faces of NaN vertices, and 2 sides a flat band
+    ("radius", math.nan), ("radius", math.inf), ("radius", 0.0), ("sides", 2)])
+def test_sweep_rejects_a_setting_outside_the_pipeline_limits(setting, value):
+    kw = {"radius": 2.0, "sides": 24, setting: value}
+    want = f"{setting} must be {pipeline.LIMITS[setting][1]}, got {value!r}"
+    with pytest.raises(tx.OutOfRange) as error:
+        tx.sweep_tube(_line_centerline(), **kw)
+    assert str(error.value) == want
 
 
 def _brute_distance(points, polyline, closed=False):
@@ -392,8 +403,7 @@ def test_error_map_zero_on_ideal_tube():
         centers.extend([x, 3.0 * math.cos(t), 3.0 * math.sin(t)]
                        for t in theta)
     centers = np.asarray(centers)
-    faces = tx.OrientedFaceSet(centers, np.tile([1.0, 0, 0], (len(centers), 1)),
-                               np.ones(len(centers)))
+    faces = tx.OrientedFaceSet(centers, np.tile([1.0, 0, 0], (len(centers), 1)))
     errs = tx.error_map(faces, cl, radius=3.0)
     assert errs.shape == (len(centers),)
     assert np.all(errs < 1e-20)
@@ -402,8 +412,7 @@ def test_error_map_zero_on_ideal_tube():
 def test_error_map_squares_the_offset():
     cl = _line_centerline()
     centers = np.array([[10.0, 3.5, 0.0], [10.0, 0.0, -2.5]])
-    faces = tx.OrientedFaceSet(centers, np.tile([0.0, 1, 0], (2, 1)),
-                               np.ones(2))
+    faces = tx.OrientedFaceSet(centers, np.tile([0.0, 1, 0], (2, 1)))
     errs = tx.error_map(faces, cl, radius=3.0)
     assert errs[0] == pytest.approx(0.25, abs=1e-12)
     assert errs[1] == pytest.approx(0.25, abs=1e-12)

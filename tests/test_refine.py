@@ -26,13 +26,13 @@ def _ring(center, radius, n, axis=(0.0, 0.0, 1.0), rng=None, rho_jitter=0.0):
                               + np.sin(theta)[:, None] * fr.v))
 
 
-def _fd_gradient(c, pts, radius, weights=None, h=1e-6):
+def _fd_gradient(c, pts, radius, h=1e-6):
     g = np.zeros(3)
     for a in range(3):
         dp = np.zeros(3)
         dp[a] = h
-        ep, _, _ = tx.energy_and_gradient(c + dp, pts, radius, weights)
-        em, _, _ = tx.energy_and_gradient(c - dp, pts, radius, weights)
+        ep, _, _ = tx.energy_and_gradient(c + dp, pts, radius)
+        em, _, _ = tx.energy_and_gradient(c - dp, pts, radius)
         g[a] = (ep - em) / (2 * h)
     return g
 
@@ -55,8 +55,7 @@ def test_force_is_exactly_half_negative_gradient():
     for _ in range(25):
         c = rng.normal(size=3)
         pts = c + rng.normal(size=(10, 3)) * 3
-        w = rng.uniform(0.1, 2.0, size=10)
-        _, g, f = tx.energy_and_gradient(c, pts, 1.5, weights=w)
+        _, g, f = tx.energy_and_gradient(c, pts, 1.5)
         assert np.array_equal(f, -g / 2.0)
 
 
@@ -123,18 +122,6 @@ def test_optimizer_never_increases_energy():
     assert e_end <= e_start
 
 
-def test_weights_equal_duplication():
-    rng = np.random.default_rng(5)
-    pts = rng.normal(size=(8, 3)) * 3 + 10
-    c = np.array([10.0, 10.0, 10.0])
-    doubled = np.vstack([pts, pts])
-    e_dup, g_dup, _ = tx.energy_and_gradient(c, doubled, 2.0)
-    e_w, g_w, _ = tx.energy_and_gradient(c, pts, 2.0,
-                                         weights=2.0 * np.ones(8))
-    assert e_w == pytest.approx(e_dup, rel=1e-12)
-    assert np.allclose(g_w, g_dup, atol=1e-12)
-
-
 def test_section_slab_bounds():
     cl = Centerline(points=np.array([[0.0, 0, 0], [4.0, 0, 0], [8.0, 0, 0]]),
                     directions=np.tile([1.0, 0, 0], (3, 1)))
@@ -145,10 +132,9 @@ def test_section_slab_bounds():
         [4.0, 9.0, 0.0],    # too far radially
         [5.0, -1.0, 0.0],   # proj +1, inside
     ])
-    faces = tx.OrientedFaceSet(centers, np.tile([0.0, 1, 0], (5, 1)),
-                               np.ones(5))
-    points, _ = tx.section_points(cl, faces, 1, acc_radius=5.0, track_step=4.0,
-                                  near=np.arange(len(centers)))
+    faces = tx.OrientedFaceSet(centers, np.tile([0.0, 1, 0], (5, 1)))
+    points = tx.section_points(cl, faces, 1, acc_radius=5.0, track_step=4.0,
+                               near=np.arange(len(centers)))
     got = {tuple(p) for p in points}
     assert tuple(centers[0]) in got
     assert tuple(centers[1]) in got
@@ -163,11 +149,6 @@ def _full_scan_section(cl, centers, i, acc_radius, track_step):
     sel = ((np.linalg.norm(rel, axis=1) <= acc_radius)
            & (proj > -0.5 * track_step) & (proj <= 0.5 * track_step))
     return centers[sel]
-
-
-def _row_of(centers, points):
-    """The index in centers of each of points (all distinct rows)."""
-    return [int(np.flatnonzero((centers == p).all(axis=1))[0]) for p in points]
 
 
 def test_section_tree_query_equals_full_scan():
@@ -186,23 +167,19 @@ def test_section_tree_query_equals_full_scan():
     rng = np.random.default_rng(7)
     cloud = [4.0, 0.0, 0.0] + rng.normal(size=(600, 3)) * 3.0
     centers = np.vstack([cloud[:300], planted, cloud[300:]])
-    faces = tx.OrientedFaceSet(centers, np.tile([0.0, 1, 0], (len(centers), 1)),
-                               rng.uniform(0.5, 1.5, len(centers)))
+    faces = tx.OrientedFaceSet(centers, np.tile([0.0, 1, 0], (len(centers), 1)))
     tree = cKDTree(centers)
     everything = np.arange(len(centers))
     for i in range(3):
         expected = _full_scan_section(cl, centers, i, 5.0, 4.0)
-        own, own_areas = tx.section_points(cl, faces, i, 5.0, 4.0, everything)
+        own = tx.section_points(cl, faces, i, 5.0, 4.0, everything)
         ball = tree.query_ball_point(cl.points[i], 5.0 * (1 + 1e-9))
-        shared, shared_areas = tx.section_points(cl, faces, i, 5.0, 4.0, ball)
+        shared = tx.section_points(cl, faces, i, 5.0, 4.0, ball)
         assert len(expected) >= 3
         assert np.array_equal(own, expected)
         assert np.array_equal(shared, expected)
-        # each point's weight is its own face's area
-        assert np.array_equal(own_areas, faces.areas[_row_of(centers, own)])
-        assert np.array_equal(own_areas, shared_areas)
     ball = tree.query_ball_point(cl.points[1], 5.0 * (1 + 1e-9))
-    got, _ = tx.section_points(cl, faces, 1, 5.0, 4.0, ball)
+    got = tx.section_points(cl, faces, 1, 5.0, 4.0, ball)
     kept = [bool((got == p).all(axis=1).any()) for p in planted]
     assert kept == [True, True, False, True, False, False]
 
@@ -211,7 +188,7 @@ def test_section_needs_three_points():
     cl = Centerline(points=np.array([[0.0, 0, 0], [4.0, 0, 0]]),
                     directions=np.tile([1.0, 0, 0], (2, 1)))
     faces = tx.OrientedFaceSet(np.array([[0.0, 1.0, 0.0]]),
-                               np.array([[0.0, 1, 0]]), np.ones(1))
+                               np.array([[0.0, 1, 0]]))
     with pytest.raises(tx.TooFewPoints):
         tx.section_points(cl, faces, 0, acc_radius=5.0, track_step=4.0,
                           near=np.arange(1))
@@ -223,8 +200,7 @@ def test_optimize_centerline_marks_unrefined_points():
     ring0 = _ring([0.0, 0, 0], 2.0, 12, axis=(1.0, 0, 0))
     ring1 = _ring([4.0, 0, 0], 2.0, 12, axis=(1.0, 0, 0))
     centers = np.vstack([ring0, ring1])
-    faces = tx.OrientedFaceSet(centers, np.tile([1.0, 0, 0], (24, 1)),
-                               np.ones(24))
+    faces = tx.OrientedFaceSet(centers, np.tile([1.0, 0, 0], (24, 1)))
     out = tx.optimize_centerline(cl, faces, 2.0, acc_radius=2.5, track_step=4.0)
     assert out.refined.tolist() == [True, True, False]
     assert np.allclose(out.points[2], pts[2])
@@ -240,20 +216,17 @@ def test_optimize_centerline_equals_one_section_query_per_point(bent_pipe):
     # a point far from the surface has no section and passes through
     raw = Centerline(points=np.vstack([raw.points, [[500.0, 0, 0]]]),
                      directions=np.vstack([raw.directions, [[1.0, 0, 0]]]))
-    out = tx.optimize_centerline(raw, faces, radius, acc_radius, radius,
-                                 area_weighting=True)
+    out = tx.optimize_centerline(raw, faces, radius, acc_radius, radius)
     balls = cKDTree(faces.centers).query_ball_point(raw.points,
                                                     acc_radius * (1 + 1e-9))
     expected = raw.points.copy()
     refined = np.zeros(len(raw), dtype=bool)
     for i in range(len(raw)):
         try:
-            section, areas = tx.section_points(raw, faces, i, acc_radius, radius,
-                                               balls[i])
+            section = tx.section_points(raw, faces, i, acc_radius, radius, balls[i])
         except tx.TooFewPoints:
             continue
-        expected[i] = tx.optimize_point(expected[i], section, radius,
-                                        weights=areas)[0]
+        expected[i] = tx.optimize_point(expected[i], section, radius)[0]
         refined[i] = True
     assert refined[:-1].all() and not refined[-1]
     assert np.array_equal(out.refined, refined)
@@ -274,19 +247,18 @@ def test_refined_cylinder_beats_raw(cylinder):
 
 
 def _gradient_walk(c0, points, radius, step_scale=0.5, epsilon_o=0.001,
-                   max_iter=1000, weights=None):
+                   max_iter=1000):
     """The fixed-step gradient walk Gauss-Newton replaced: steps along f of
     step_scale / (point count), halved while E would increase."""
     c = np.asarray(c0, dtype=float).copy()
-    denom = len(np.atleast_2d(points)) if weights is None else float(np.sum(weights))
-    step = step_scale / denom
-    e, _, f = tx.energy_and_gradient(c, points, radius, weights)
+    step = step_scale / len(np.atleast_2d(points))
+    e, _, f = tx.energy_and_gradient(c, points, radius)
     for it in range(1, max_iter + 1):
         if np.linalg.norm(f) <= 1e-12:
             return c, e, it
         cand = c + step * f
         try:
-            e_new, _, f_new = tx.energy_and_gradient(cand, points, radius, weights)
+            e_new, _, f_new = tx.energy_and_gradient(cand, points, radius)
         except tx.CoincidentPoint:
             step *= 0.5
             continue
@@ -309,7 +281,7 @@ def _bent_pipe_sections(bent_pipe):
         raw.points, acc_radius * (1 + 1e-9))
     return [(raw.points[i],
              tx.section_points(raw, bent_pipe["faces"], i, acc_radius, radius,
-                               balls[i])[0])
+                               balls[i]))
             for i in range(len(raw))]
 
 
@@ -373,28 +345,13 @@ def test_candidate_on_a_surface_point_is_halved():
     assert not np.any(np.all(c == pts, axis=1))
 
 
-def test_optimizer_weights_equal_duplication():
-    rng = np.random.default_rng(6)
-    pts = _ring(np.zeros(3), 3.0, 20, rng=rng, rho_jitter=0.3)
-    pts = pts + rng.normal(size=pts.shape) * 0.2
-    start = np.array([0.7, -0.4, 0.3])
-    twice = tx.optimize_point(start, pts, 3.0, weights=np.full(len(pts), 2.0))
-    doubled = tx.optimize_point(start, np.vstack([pts, pts]), 3.0)
-    counts = rng.integers(1, 4, size=len(pts))
-    weighted = tx.optimize_point(start, pts, 3.0, weights=counts.astype(float))
-    repeated = tx.optimize_point(start, np.repeat(pts, counts, axis=0), 3.0)
-    for (c_w, e_w, it_w), (c_d, e_d, it_d) in [(twice, doubled), (weighted, repeated)]:
-        assert it_w == it_d
-        assert np.allclose(c_w, c_d, rtol=0, atol=1e-12)
-        assert e_w == pytest.approx(e_d, rel=1e-12)
-
-
 # energy_and_gradient, _gauss_newton_step and optimize_point as they were
 # before an evaluation computed its unit vectors once and the step reused
-# them; kept verbatim as the reference for the bits of the refined points
+# them, less the face-area weights that the fit no longer takes; kept as
+# the reference for the bits of the refined points
 
 
-def _ref_energy_and_gradient(c, points, radius, weights=None):
+def _ref_energy_and_gradient(c, points, radius):
     c = np.asarray(c, dtype=float)
     rel = np.atleast_2d(points) - c  # CM_j
     dist = np.linalg.norm(rel, axis=1)
@@ -402,35 +359,31 @@ def _ref_energy_and_gradient(c, points, radius, weights=None):
         bad = int(np.argmin(dist))
         raise tx.CoincidentPoint(f"surface point {bad} coincides with the center")
     unit = rel / dist[:, None]
-    w = np.ones(len(dist)) if weights is None else np.asarray(weights, dtype=float)
-    e = float(np.sum(w * (dist - radius) ** 2))
-    g = 2.0 * np.einsum("i,ij->j", w * (radius - dist), unit)
-    f = np.einsum("i,ij->j", w * (dist - radius), unit)
+    e = float(np.sum((dist - radius) ** 2))
+    g = 2.0 * np.einsum("i,ij->j", radius - dist, unit)
+    f = np.einsum("i,ij->j", dist - radius, unit)
     return e, g, f
 
 
-def _ref_gauss_newton_step(c, points, weights, f):
+def _ref_gauss_newton_step(c, points, f):
     rel = points - c
     unit = rel / np.linalg.norm(rel, axis=1)[:, None]
-    weighted = unit if weights is None else unit * weights[:, None]
-    return np.linalg.lstsq(weighted.T @ unit, f, rcond=None)[0]
+    return np.linalg.lstsq(unit.T @ unit, f, rcond=None)[0]
 
 
 def _ref_optimize_point(c0, points, radius, epsilon_o=0.001, max_iter=1000,
-                        weights=None, evaluate=_ref_energy_and_gradient):
+                        evaluate=_ref_energy_and_gradient):
     c = np.asarray(c0, dtype=float).copy()
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    if weights is not None:
-        weights = np.asarray(weights, dtype=float)
-    e, _, f = evaluate(c, points, radius, weights)
-    delta = _ref_gauss_newton_step(c, points, weights, f)
+    e, _, f = evaluate(c, points, radius)
+    delta = _ref_gauss_newton_step(c, points, f)
     step = 1.0
     for it in range(1, max_iter + 1):
         if np.linalg.norm(f) <= 1e-12:
             return c, e, it
         cand = c + step * delta
         try:
-            e_new, _, f_new = evaluate(cand, points, radius, weights)
+            e_new, _, f_new = evaluate(cand, points, radius)
         except tx.CoincidentPoint:
             step *= 0.5
             continue
@@ -441,7 +394,7 @@ def _ref_optimize_point(c0, points, radius, epsilon_o=0.001, max_iter=1000,
         c, e, f = cand, e_new, f_new
         if moved < epsilon_o:
             return c, e, it
-        delta = _ref_gauss_newton_step(c, points, weights, f)
+        delta = _ref_gauss_newton_step(c, points, f)
         step = 1.0
     return c, e, max_iter
 
@@ -470,9 +423,8 @@ def _assert_optimize_point_equals_reference(monkeypatch, start, pts, radius, **k
 
 
 def _random_sections(rng, n):
-    """Noisy rings around random axes with starts off their centers, some
-    with face-area weights."""
-    for case in range(n):
+    """Noisy rings around random axes with starts off their centers."""
+    for _ in range(n):
         center = rng.normal(size=3) * 20
         radius = rng.uniform(1.0, 8.0)
         axis = rng.normal(size=3)
@@ -481,8 +433,7 @@ def _random_sections(rng, n):
                     rho_jitter=0.1 * radius)
         pts = pts + rng.normal(size=pts.shape) * 0.3 * rng.uniform(0, radius)
         start = center + rng.normal(size=3) * 0.3 * radius
-        weights = rng.uniform(0.2, 2.0, len(pts)) if case % 2 else None
-        yield start, pts, radius, weights
+        yield start, pts, radius
 
 
 @pytest.mark.parametrize("kw", [{}, {"epsilon_o": 0.0}, {"max_iter": 1},
@@ -490,37 +441,31 @@ def _random_sections(rng, n):
                                 {"epsilon_o": 0.0, "max_iter": 3}])
 def test_optimize_point_equals_the_reference_bit_for_bit(monkeypatch, kw):
     rng = np.random.default_rng(21)
-    for start, pts, radius, weights in _random_sections(rng, 40):
-        _assert_optimize_point_equals_reference(monkeypatch, start, pts, radius,
-                                                weights=weights, **kw)
+    for start, pts, radius in _random_sections(rng, 40):
+        _assert_optimize_point_equals_reference(monkeypatch, start, pts, radius, **kw)
 
 
 def test_optimize_point_equals_the_reference_on_pipe_sections(bent_pipe, monkeypatch):
     radius = bent_pipe["radius"]
-    areas = bent_pipe["faces"].areas
-    for i, (start, pts) in enumerate(_bent_pipe_sections(bent_pipe)):
-        weights = areas[:len(pts)] if i % 2 else None
-        _assert_optimize_point_equals_reference(monkeypatch, start, pts, radius,
-                                                weights=weights)
+    for start, pts in _bent_pipe_sections(bent_pipe):
+        _assert_optimize_point_equals_reference(monkeypatch, start, pts, radius)
 
 
 def test_optimize_point_equals_the_reference_when_a_candidate_hits_a_point(monkeypatch):
     # the full step from the origin lands on (1, 0, 0): it is halved
     pts = np.array([[1.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
-    for weights in (None, np.array([1.0, 1.0])):
-        for max_iter in (1, 2, 3, 1000):
-            _assert_optimize_point_equals_reference(
-                monkeypatch, np.zeros(3), pts, 1.0, weights=weights,
-                max_iter=max_iter)
+    for max_iter in (1, 2, 3, 1000):
+        _assert_optimize_point_equals_reference(monkeypatch, np.zeros(3), pts, 1.0,
+                                                max_iter=max_iter)
 
 
 def test_energy_and_gradient_equals_the_reference_and_fills_units():
     rng = np.random.default_rng(22)
-    for start, pts, radius, weights in _random_sections(rng, 30):
-        want = _ref_energy_and_gradient(start, pts, radius, weights)
+    for start, pts, radius in _random_sections(rng, 30):
+        want = _ref_energy_and_gradient(start, pts, radius)
         units = np.empty(pts.shape)
-        for got in (tx.energy_and_gradient(start, pts, radius, weights),
-                    tx.energy_and_gradient(start, pts, radius, weights, units=units)):
+        for got in (tx.energy_and_gradient(start, pts, radius),
+                    tx.energy_and_gradient(start, pts, radius, units=units)):
             assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
             assert got[2].tobytes() == want[2].tobytes()
             assert np.array_equal(got[1], want[1])

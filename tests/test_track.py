@@ -407,7 +407,7 @@ def test_rank_one_voxel_reads_zero_and_tracking_follows_the_ridge():
     centers = np.stack([np.arange(0.0, 40.0, 0.25), np.zeros(160), np.zeros(160)], axis=1)
     normals = np.tile([0.0, 1.0, 0.0], (160, 1))
     params = tx.AccumulationParams(radius=3.0, gridstep=1.0)
-    res = tx.compute_accumulation(tx.OrientedFaceSet(centers, normals, np.ones(160)),
+    res = tx.compute_accumulation(tx.OrientedFaceSet(centers, normals),
                                   params)
     assert res.max_acc > 1
     assert not np.any(res.dirs)
