@@ -15,7 +15,7 @@ from .decompose import (Decomposition, Segment, TangentSpacePolygon,
                         decompose_centerline, detect_arcs_and_lines,
                         fit_circle_3d, tangent_space_transform)
 from .errors import (Collinear, CoincidentPoint, DegenerateFace,
-                     DegenerateTangent, DomainTooLarge, DuplicatePoint,
+                     DomainTooLarge, DuplicatePoint,
                      EmptyInput, NotClosed, OutOfRange, ParseError, SeedInvalid,
                      SelfIntersecting, TooFewPoints, TooSmall, TubeAxisError,
                      UnsupportedFormat, ZeroDirection)
@@ -45,7 +45,7 @@ __all__ = [
     "TubeAxisError", "OutOfRange", "ParseError", "UnsupportedFormat", "TooSmall",
     "EmptyInput", "ZeroDirection", "DegenerateFace", "DomainTooLarge",
     "SeedInvalid", "TooFewPoints", "CoincidentPoint", "DuplicatePoint",
-    "Collinear", "SelfIntersecting", "NotClosed", "DegenerateTangent",
+    "Collinear", "SelfIntersecting", "NotClosed",
     "HeightMap", "TriMesh", "VoxelSet", "heightmap_to_mesh", "load_heightmap",
     "load_mesh", "load_volume", "read_centerline_csv", "write_artifacts",
     "write_off",

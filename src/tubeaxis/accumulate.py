@@ -35,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import GridDomain, ScalarGrid3, VectorGrid3, column_max, column_min
-from .errors import DomainTooLarge, EmptyInput, TooSmall
+from .errors import DomainTooLarge, EmptyInput, TooSmall, check_setting
 
 _STEP_EPS = 1e-9
 _INT64_MAX = np.iinfo(np.int64).max
@@ -54,7 +54,7 @@ class AccumulationParams:
     """Scan geometry: tube radius, slack, lattice resolution.
 
     acc_radius = radius + epsilon bounds the scan length; epsilon defaults
-    to 0.1*radius.
+    to 0.1*radius. A value outside errors.LIMITS is an OutOfRange.
     """
 
     radius: float
@@ -62,14 +62,11 @@ class AccumulationParams:
     gridstep: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.radius) and self.radius > 0):
-            raise ValueError("radius must be positive and finite")
-        if not (math.isfinite(self.gridstep) and self.gridstep > 0):
-            raise ValueError("gridstep must be positive and finite")
+        check_setting("radius", self.radius)
+        check_setting("gridstep", self.gridstep)
         if self.epsilon is None:
             object.__setattr__(self, "epsilon", 0.1 * self.radius)
-        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
-            raise ValueError("epsilon must be >= 0 and finite")
+        check_setting("epsilon", self.epsilon)
 
     @property
     def acc_radius(self):

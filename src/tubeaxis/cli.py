@@ -17,19 +17,18 @@ import argparse
 import functools
 import inspect
 import json
-import math
 import sys
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (EmptyInput, ParseError, TooSmall, TubeAxisError,
-                     UnsupportedFormat)
+from .errors import (LIMITS, EmptyInput, OutOfRange, ParseError, TooSmall, TubeAxisError,
+                     UnsupportedFormat, check_setting)
 from .ingest import (heightmap_to_mesh, load_heightmap, load_mesh, load_volume,
                      read_centerline_csv, write_artifacts, write_off,
                      write_truth_csv)
-from .pipeline import LIMITS, NON_NEGATIVE, POSITIVE, SETTINGS, STAGES, run_pipeline, timed
+from .pipeline import SETTINGS, STAGES, run_pipeline, timed
 from .rebuild import error_summary
 from .synth import degrade, gen_tube, parse_tube_spec
 from .track import Centerline
@@ -111,12 +110,6 @@ _STAGE_OPTIONS = {
     ),
 }
 
-# every numeric option, by dest, with what it must be, checked before anything loads
-_LIMITS = {**LIMITS, "hm_scale": POSITIVE, "hm_spacing": POSITIVE, "mesh_step": POSITIVE,
-           "sigma": NON_NEGATIVE}
-_LIMITS["epsilon_acc"] = _LIMITS.pop("epsilon")  # the flag of accumulate's epsilon
-
-
 def _dest(flag):
     return flag[2:].replace("-", "_")
 
@@ -133,26 +126,22 @@ def _setting(stage, name):
     return {"type": float if default is None else type(default), "default": default}
 
 
-def _checked(flag, value, limit=POSITIVE):
-    """The value as a float; a UsageError unless it is finite and in limit."""
-    test, must = limit
-    try:
-        value = float(value)
-    except ValueError:
-        raise UsageError(f"{flag} must be a number, got {value!r}") from None
-    if not (math.isfinite(value) and test(value)):
-        raise UsageError(f"{flag} must be {must}")
-    return value
-
-
 def _check_options(args):
-    """Range-check every numeric option; --gridstep becomes a float or None."""
+    """Check every numeric option with errors.check_setting before anything
+    loads, a UsageError naming the flag; --gridstep becomes None or a float."""
     if hasattr(args, "gridstep"):
-        args.gridstep = (None if args.gridstep == "auto"
-                         else _checked("--gridstep", args.gridstep))
-    for dest, limit in _LIMITS.items():
-        if getattr(args, dest, None) is not None:
-            _checked("--" + dest.replace("_", "-"), getattr(args, dest), limit)
+        try:
+            args.gridstep = None if args.gridstep == "auto" else float(args.gridstep)
+        except ValueError:
+            raise UsageError(f"--gridstep must be 'auto' or a number, "
+                             f"got {args.gridstep!r}") from None
+    for dest, value in vars(args).items():
+        name = "epsilon" if dest == "epsilon_acc" else dest  # accumulate's epsilon
+        if name in LIMITS and value is not None:
+            try:
+                check_setting(name, value)
+            except OutOfRange as exc:
+                raise UsageError(str(exc).replace(name, "--" + dest.replace("_", "-"), 1)) from None
 
 
 def _load_input(args, timings):
@@ -184,11 +173,16 @@ def _load_input(args, timings):
 
 
 def _read_centerline(path):
-    """A previously written centerline CSV, closed if its ends meet."""
+    """A previously written centerline CSV, closed if its ends meet. A
+    breach of the Centerline contract is a ParseError naming the file."""
     points, directions = read_centerline_csv(path)
-    closed = len(points) > 2 and (np.linalg.norm(points[0] - points[-1])
-                                  < 1.5 * np.linalg.norm(points[1] - points[0]))
-    return Centerline(points=points, directions=directions, closed=closed)
+    try:
+        centerline = Centerline(points=points, directions=directions)
+    except TubeAxisError as exc:
+        raise ParseError(str(exc), path=path) from None
+    centerline.closed = len(points) > 2 and (np.linalg.norm(points[0] - points[-1])
+                                             < 1.5 * np.linalg.norm(points[1] - points[0]))
+    return centerline
 
 
 def _write_summary(args, info, params, timings, results, outputs):
@@ -203,11 +197,10 @@ def _write_summary(args, info, params, timings, results, outputs):
 
 
 def _centerline_results(cl):
-    spacing = cl.segment_lengths()
     return {
         "points": len(cl),
         "closed": bool(cl.closed),
-        "mean_spacing": float(spacing.mean()) if len(spacing) else 0.0,
+        "mean_spacing": float(cl.segment_lengths().mean()),
         "refined_points": (int(cl.refined.sum()) if cl.refined is not None else 0),
     }
 

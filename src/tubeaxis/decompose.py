@@ -201,8 +201,6 @@ def fit_circle_3d(points):
 def _fit_line_3d(points):
     points = np.atleast_2d(points)
     centroid = points.mean(axis=0)
-    if len(points) == 1:
-        return centroid, np.array([1.0, 0.0, 0.0]), 0.0
     centered = points - centroid
     _, sv, vt = np.linalg.svd(centered, full_matrices=False)
     direction = vt[0]
@@ -246,10 +244,7 @@ def decompose_centerline(centerline, alpha_flat=0.05, nu=0.15, min_len=3, *,
     """
     points = centerline.points
     if len(points) < 3:
-        point, direction, residual = _fit_line_3d(points)
-        return Decomposition([Segment(start=0, end=len(points) - 1, kind="STRAIGHT",
-                                      point=point, direction=direction,
-                                      residual=residual)])
+        return Decomposition(_fit_segment(points, 0, len(points) - 1, "STRAIGHT", resid_tol))
     tsp = tangent_space_transform(points)
     ranges = detect_arcs_and_lines(tsp, alpha_flat=alpha_flat, nu=nu, min_len=min_len)
     segments = []

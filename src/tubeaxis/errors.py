@@ -1,4 +1,6 @@
-"""Exception types shared across the pipeline stages."""
+"""Exception types shared across the pipeline stages, and the settings' limits."""
+
+import math
 
 
 class TubeAxisError(Exception):
@@ -6,7 +8,33 @@ class TubeAxisError(Exception):
 
 
 class OutOfRange(TubeAxisError, ValueError):
-    """A setting, given or derived, outside pipeline.LIMITS."""
+    """A setting outside LIMITS, or a centerline coordinate past its bound."""
+
+
+POSITIVE = (lambda v: v > 0, "positive and finite")
+NON_NEGATIVE = (lambda v: v >= 0, "non-negative and finite")
+AT_LEAST_1 = (lambda v: v >= 1, "at least 1")
+
+# (test, wording) of what each numeric setting must be besides finite
+LIMITS = {
+    "radius": POSITIVE, "gridstep": POSITIVE, "normal_radius": POSITIVE,
+    "epsilon": NON_NEGATIVE, "track_step": POSITIVE, "max_angle": POSITIVE,
+    "inside_threshold": (lambda v: 0 <= v <= 1, "in [0, 1]"),
+    "epsilon_o": NON_NEGATIVE, "max_iter": AT_LEAST_1,
+    "alpha_flat": NON_NEGATIVE, "nu": NON_NEGATIVE, "min_len": AT_LEAST_1,
+    "resid_tol": NON_NEGATIVE, "sides": (lambda v: v >= 3, "at least 3"),
+    "mesh_step": POSITIVE, "sigma": NON_NEGATIVE, "hm_scale": POSITIVE,
+    "hm_spacing": POSITIVE,
+}
+
+
+def check_setting(name, value):
+    """Raise OutOfRange("<name> must be <must>, got <value!r>") unless the
+    value is finite and passes LIMITS[name]: every entry point that takes
+    a setting checks it here, in the same words."""
+    test, must = LIMITS[name]
+    if not (math.isfinite(value) and test(value)):
+        raise OutOfRange(f"{name} must be {must}, got {value!r}")
 
 
 class ParseError(TubeAxisError):
@@ -72,8 +100,4 @@ class SelfIntersecting(TubeAxisError):
 
 
 class NotClosed(TubeAxisError):
-    pass
-
-
-class DegenerateTangent(TubeAxisError):
     pass

@@ -673,10 +673,10 @@ def write_artifacts(out_dir, centerline, decomposition=None, tube=None, errors=N
     decomposition.csv, reconstructed.off (``tube``) and error_map.csv
     (``errors``) if given; without a centerline, accumulation.npz. Returns
     the manifest, which keys each path by its file name, dot made underscore.
-    An empty centerline, or neither, is EmptyInput."""
+    Neither is EmptyInput."""
     if centerline is None and accumulation is not None:
         files = (("accumulation.npz", write_accumulation_npz, accumulation),)
-    elif centerline is None or len(centerline.points) == 0:
+    elif centerline is None:
         raise EmptyInput("centerline is empty")
     else:
         files = (("centerline.obj", write_centerline_obj, centerline),

@@ -12,7 +12,6 @@ Every other setting is passed through to the stage that takes it
 
 from __future__ import annotations
 
-import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -21,7 +20,7 @@ import numpy as np
 
 from .accumulate import AccumulationParams, AccumulationResult, compute_accumulation
 from .decompose import Decomposition, decompose_centerline
-from .errors import OutOfRange
+from .errors import check_setting
 from .ingest import TriMesh, VoxelSet
 from .normals import (OrientedFaceSet, digital_surface_faces, estimate_digital_normals,
                       face_normals, orient_inward)
@@ -44,21 +43,6 @@ SETTINGS = {
     "decompose": (decompose_centerline, ("alpha_flat", "nu", "min_len")),
     "reconstruct": (sweep_tube, ("sides",)),
 }
-
-POSITIVE = (lambda v: v > 0, "positive and finite")
-NON_NEGATIVE = (lambda v: v >= 0, "non-negative and finite")
-AT_LEAST_1 = (lambda v: v >= 1, "at least 1")
-
-# (test, wording) of what each numeric setting must be besides finite
-LIMITS = {
-    "radius": POSITIVE, "gridstep": POSITIVE, "normal_radius": POSITIVE,
-    "epsilon": NON_NEGATIVE, "track_step": POSITIVE, "max_angle": POSITIVE,
-    "inside_threshold": (lambda v: 0 <= v <= 1, "in [0, 1]"),
-    "epsilon_o": NON_NEGATIVE, "max_iter": AT_LEAST_1,
-    "alpha_flat": NON_NEGATIVE, "nu": NON_NEGATIVE, "min_len": AT_LEAST_1,
-    "resid_tol": NON_NEGATIVE, "sides": (lambda v: v >= 3, "at least 3"),
-}
-
 
 @contextmanager
 def timed(timings, key):
@@ -102,7 +86,7 @@ def run_pipeline(surface, radius, *, gridstep=None, normals=None, normal_radius=
     normal_radius max(2, R/2), track_step R, resid_tol 0.3 * gridstep.
     Each other setting (see SETTINGS) goes to the stage that takes it,
     which otherwise uses its own default. Another surface or setting name
-    is a TypeError; a setting, given or derived, outside LIMITS an
+    is a TypeError; a setting, given or derived, outside errors.LIMITS an
     OutOfRange (a ValueError), raised before the front runs.
     """
     voxels = isinstance(surface, VoxelSet)
@@ -132,13 +116,12 @@ def run_pipeline(surface, radius, *, gridstep=None, normals=None, normal_radius=
 
     track_step = radius if track_step is None else track_step
     resid_tol = 0.3 * gridstep if resid_tol is None else resid_tol
-    # a None setting takes its owner's default
-    values = {n: v for stage in kw.values() for n, v in stage.items() if v is not None}
-    values.update(radius=radius, gridstep=gridstep, normal_radius=normal_radius,
+    values = dict(radius=radius, gridstep=gridstep, normal_radius=normal_radius,
                   track_step=track_step, resid_tol=resid_tol)
-    for name, (test, must) in LIMITS.items():
-        if name in values and not (math.isfinite(values[name]) and test(values[name])):
-            raise OutOfRange(f"{name} must be {must}, got {values[name]!r}")
+    # a None setting takes its owner's default
+    values.update((n, v) for stage in kw.values() for n, v in stage.items() if v is not None)
+    for name, value in values.items():
+        check_setting(name, value)
     acc = AccumulationParams(radius=radius, gridstep=gridstep, **kw["accumulate"])
 
     t = {}

@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import (CellHash, column_max, column_min, concat_ranges, frame_from_direction,
                    normalize)
-from .errors import DegenerateTangent, EmptyInput, OutOfRange, TooSmall
+from .errors import EmptyInput, check_setting
 from .ingest import TriMesh
 from .synth import _band_faces, _ring_vertices
 from .track import _polyline_directions
@@ -33,22 +33,13 @@ def sweep_tube(centerline, radius, sides=24) -> TriMesh:
     Ring frames are rotation-minimizing: each frame reuses the previous
     ring's first axis with the new tangent projected out, so consecutive
     rings never twist against each other. Ends stay open; a closed
-    centerline is stitched around the wrap. A radius or sides outside
-    pipeline.LIMITS is an OutOfRange (a ValueError).
+    centerline is stitched around the wrap; its contract gives every ring a
+    tangent. A radius or sides outside errors.LIMITS is an OutOfRange.
     """
-    if not (np.isfinite(radius) and radius > 0):
-        raise OutOfRange(f"radius must be positive and finite, got {radius!r}")
-    if not sides >= 3:
-        raise OutOfRange(f"sides must be at least 3, got {sides!r}")
-    points = np.atleast_2d(np.asarray(centerline.points, dtype=float))
-    if len(points) < 2:
-        raise TooSmall("sweep needs at least 2 centerline points")
-    steps = np.linalg.norm(np.diff(points, axis=0), axis=1)
-    if np.any(steps <= _EPS):
-        bad = int(np.argmin(steps))
-        raise DegenerateTangent(f"centerline points {bad} and {bad + 1} coincide")
-    closed = bool(getattr(centerline, "closed", False))
-    tangents = _polyline_directions(points, closed)
+    check_setting("radius", radius)
+    check_setting("sides", sides)
+    points = centerline.points
+    tangents = _polyline_directions(points, centerline.closed)
 
     u = frame_from_direction(tangents[0]).u
     us = np.empty_like(points)
@@ -61,7 +52,7 @@ def sweep_tube(centerline, radius, sides=24) -> TriMesh:
             u = u / nu
         us[k] = u
     vertices = _ring_vertices(points, us, np.cross(tangents, us), radius, sides)
-    return TriMesh(vertices, _band_faces(len(points), sides, closed))
+    return TriMesh(vertices, _band_faces(len(points), sides, centerline.closed))
 
 
 def distance_to_polyline(points, polyline, closed=False, *, min_reach=0.0):
@@ -201,12 +192,12 @@ def error_map(faces, centerline, radius):
     """Per-face squared deviation from the ideal tube surface.
 
     Each input face center M scores (dist(M, centerline) - radius)^2,
-    with exact point-to-polyline distances.
+    with exact point-to-polyline distances, finite by the Centerline's
+    contract. No centerline is EmptyInput.
     """
-    if centerline is None or len(centerline.points) == 0:
+    if centerline is None:
         raise EmptyInput("centerline is empty")
-    d = distance_to_polyline(faces.centers, centerline.points,
-                             closed=getattr(centerline, "closed", False),
+    d = distance_to_polyline(faces.centers, centerline.points, closed=centerline.closed,
                              min_reach=radius)
     return (d - radius) ** 2
 

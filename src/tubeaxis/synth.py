@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import frame_from_direction, normalize
-from .errors import NotClosed, SelfIntersecting, TooSmall
+from .errors import NotClosed, SelfIntersecting, TooSmall, check_setting
 from .ingest import HeightMap, TriMesh, VoxelSet
 
 _SCAN_PAIRS = 1 << 16  # pixel-face pairs one chunk of _scan_triangles tests
@@ -73,8 +73,8 @@ def gen_tube(segments, radius, mesh_step, cap_ends=False):
     """
     if not segments:
         raise TooSmall("tube spec is empty")
-    if radius <= 0 or mesh_step <= 0:
-        raise ValueError("radius and mesh_step must be positive")
+    check_setting("radius", radius)
+    check_setting("mesh_step", mesh_step)
     for seg in segments:
         if isinstance(seg, Arc) and seg.radius <= radius:
             raise SelfIntersecting(

@@ -26,10 +26,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import concat_ranges, digitize, frame_from_direction, normalize
-from .errors import SeedInvalid
+from .errors import DuplicatePoint, OutOfRange, SeedInvalid, TooFewPoints
 
 _MAX_TRACK_STEPS = 100000
 _ZERO_DIR = 1e-12
+# the largest coordinate magnitude of a centerline point: the squared
+# distance of two such points, at most 12 MAX_COORD^2, stays finite
+MAX_COORD = 1e150
 # the 8 corners of a trilinear cell, last axis fastest
 _CORNERS = np.array(list(itertools.product((0, 1), repeat=3)))
 # (row, column) of the lower triangle of a 3 x 3 matrix
@@ -38,6 +41,12 @@ _LOWER = ((0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2))
 
 @dataclass
 class Centerline:
+    """(n, 3) points along a tube's axis with a unit tangent each. Built
+    only to its contract, checked here once: at least 2 points
+    (TooFewPoints), coordinates finite and at most MAX_COORD in magnitude
+    (OutOfRange), consecutive points more than 1e-12 apart (DuplicatePoint).
+    """
+
     points: np.ndarray
     directions: np.ndarray
     closed: bool = False
@@ -46,6 +55,16 @@ class Centerline:
     def __post_init__(self):
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
         self.directions = np.atleast_2d(np.asarray(self.directions, dtype=float))
+        if len(self.points) < 2:
+            raise TooFewPoints(f"a centerline needs at least 2 points, got {len(self.points)}")
+        far = ~(np.abs(self.points) <= MAX_COORD).all(axis=1)  # NaN compares False
+        if far.any():
+            raise OutOfRange(f"centerline point {np.argmax(far)} has a coordinate that is "
+                             f"not finite or above {MAX_COORD:g} in magnitude")
+        steps = self.segment_lengths()
+        if steps.min() <= _ZERO_DIR:
+            raise DuplicatePoint(f"centerline points {np.argmin(steps)} and "
+                                 f"{np.argmin(steps) + 1} coincide")
 
     def __len__(self):
         return len(self.points)
@@ -306,19 +325,13 @@ def _polyline_directions(points, closed=False):
     """Per-point unit tangents by central differences (one-sided at open
     ends, wrapped when closed)."""
     points = np.atleast_2d(points)
-    n = len(points)
-    if n == 1:
-        return np.array([[1.0, 0.0, 0.0]])
-    dirs = np.empty_like(points)
-    if closed and n > 2:
-        nxt = np.roll(points, -1, axis=0)
-        prv = np.roll(points, 1, axis=0)
-        dirs = nxt - prv
+    if closed and len(points) > 2:
+        dirs = np.roll(points, -1, axis=0) - np.roll(points, 1, axis=0)
     else:
+        dirs = np.empty_like(points)
         dirs[0] = points[1] - points[0]
         dirs[-1] = points[-1] - points[-2]
-        if n > 2:
-            dirs[1:-1] = points[2:] - points[:-2]
+        dirs[1:-1] = points[2:] - points[:-2]
     norms = np.linalg.norm(dirs, axis=1)
     norms[norms == 0] = 1.0
     return dirs / norms[:, None]
@@ -350,6 +363,9 @@ def extract_centerline(res, track_step, acc_radius, inside_threshold=0.5,
         else:
             points = np.concatenate([bwd[::-1], fwd[1:]]) if len(bwd) > 1 else fwd
 
+    if len(points) < 2:
+        raise TooFewPoints("tracking stopped at the seed in both directions "
+                           f"(inside_threshold {inside_threshold:g}, max_angle {max_angle:g})")
     if not closed and len(points) > 2:
         closed = np.linalg.norm(points[0] - points[-1]) < track_step
     dirs = _polyline_directions(points, closed)

@@ -15,6 +15,7 @@ import pytest
 import tubeaxis as tx
 from tubeaxis import cli
 from tubeaxis.cli import build_parser, main
+from tubeaxis.errors import LIMITS
 
 
 def run(args):
@@ -205,18 +206,22 @@ def test_bad_gridstep_is_exit_1_before_loading(tmp_path, capsys, value):
     assert "--gridstep must be" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("dest", list(cli._LIMITS))
+@pytest.mark.parametrize("dest", [{"epsilon": "epsilon_acc"}.get(name, name)
+                                  for name in LIMITS])
 def test_every_numeric_flag_is_range_checked_before_loading(tmp_path, capsys, dest):
     # -1 is outside every limit; the input does not exist, so the check
-    # comes first. Each key of _LIMITS is the dest of a flag
-    test, must = cli._LIMITS[dest]
+    # comes first. Each key of LIMITS but epsilon (--epsilon-acc) is the
+    # dest of a flag, whose message is check_setting's with the flag
+    name = "epsilon" if dest == "epsilon_acc" else dest
+    test, must = LIMITS[name]
     assert not test(-1)
     flag = "--" + dest.replace("_", "-")
     args = (["synth", "--spec", "S:10"] if dest in ("mesh_step", "sigma")
             else ["pipeline", "--input", tmp_path / "missing.off"])
     rc = run(args + ["--radius", 2, f"{flag}=-1", "--out-dir", tmp_path / "out"])
     assert rc == 1
-    assert capsys.readouterr().err.endswith(f"error: {flag} must be {must}\n")
+    got = -1 if dest in ("max_iter", "min_len", "sides") else -1.0  # the flag's type
+    assert capsys.readouterr().err.endswith(f"error: {flag} must be {must}, got {got}\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -225,12 +230,12 @@ def test_one_point_centerline_cannot_be_reconstructed(tube_off, tmp_path,
                                                       capsys, command):
     # at inside threshold 1 tracking stops at the seed; pipeline once
     # exited 0 here, writing no tube and an error-map RMS over 1000. The
-    # input is valid, so the stage's TooSmall is a pipeline failure
+    # input is valid, so tracking's TooFewPoints is a pipeline failure
     rc = run([command, "--input", tube_off, "--radius", 4,
               "--inside-threshold", 1, "--out-dir", tmp_path / "out"])
     assert rc == 2
-    assert ("pipeline failure: TooSmall: sweep needs at least 2 centerline points"
-            in capsys.readouterr().err)
+    assert ("pipeline failure: TooFewPoints: tracking stopped at the seed in both "
+            "directions" in capsys.readouterr().err)
     assert not (tmp_path / "out" / "summary.json").exists()
 
 
@@ -467,6 +472,51 @@ def test_a_non_finite_centerline_field_is_an_input_error(s30_run, tmp_path, caps
     assert capsys.readouterr().err == (f"tubeaxis {command}: input error: {path}:4: "
                                        "non-finite field\n")
     assert not (tmp_path / "out").exists()
+
+
+def _cli_warnings_as_errors(*args):
+    """The command line in a subprocess under python -W error."""
+    return subprocess.run([sys.executable, "-W", "error", "-m", "tubeaxis.cli",
+                           *map(str, args)], capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("case,message", [
+    ("one-point", "a centerline needs at least 2 points, got 1"),
+    ("times-1e300", "centerline point 0 has a coordinate that is not finite or above "
+                    "1e+150 in magnitude")])
+@pytest.mark.parametrize("command", ["refine", "decompose", "reconstruct", "error-map"])
+def test_a_centerline_outside_its_contract_is_an_input_error(s30_run, tmp_path, command,
+                                                             case, message):
+    # one point once gave refine, decompose and error-map exit 0; at 1e300
+    # numpy warned, and under -W error every command ended in a traceback
+    tube, result = s30_run
+    header, *rows = (result / "centerline.csv").read_text().splitlines()
+    if case == "one-point":
+        rows = rows[:1]
+    else:
+        rows = [",".join([f[0], *("%.9g" % (float(x) * 1e300) for x in f[1:4]), *f[4:]])
+                for f in (row.split(",") for row in rows)]
+    path = tmp_path / "centerline.csv"
+    path.write_text("\n".join([header, *rows]) + "\n")
+    proc = _cli_warnings_as_errors(command, "--input", tube, "--radius", 3,
+                                   "--centerline", path, "--out-dir", tmp_path / "out")
+    assert proc.returncode == 1
+    assert proc.stderr == f"tubeaxis {command}: input error: {path}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["centerline", "pipeline"])
+def test_tracking_that_stops_at_the_seed_is_a_pipeline_failure(s30_run, tmp_path, command):
+    # at inside threshold 1 both runs stop at the seed; centerline once
+    # exited 0 with that one point
+    tube, _ = s30_run
+    proc = _cli_warnings_as_errors(command, "--input", tube, "--radius", 3,
+                                   "--inside-threshold", 1, "--out-dir", tmp_path / "out")
+    assert proc.returncode == 2
+    assert proc.stderr == (f"tubeaxis {command}: pipeline failure: TooFewPoints: tracking "
+                           "stopped at the seed in both directions (inside_threshold 1, "
+                           "max_angle 1.0472)\n")
+    assert not (tmp_path / "out" / "summary.json").exists()
 
 
 def test_refine_accepts_centerline_csv(tube_off, tmp_path):

@@ -1,6 +1,7 @@
 """Mesh, voxel and height-map parsing plus artifact writers."""
 
 import math
+import types
 import warnings
 
 import numpy as np
@@ -283,6 +284,12 @@ def _rowwise_face_scalar_csv(values):
     return "face,value\n" + "".join(f"{i},{_fmt(v)}\n" for i, v in enumerate(values))
 
 
+def _unchecked_centerline(points, directions, closed=False):
+    """What the centerline writers read of a Centerline, unchecked: the
+    writers format any values, which the Centerline contract rejects."""
+    return types.SimpleNamespace(points=points, directions=directions, closed=closed)
+
+
 def _special_rows(n, shift):
     """(n, 3) rows cycling through _SPECIAL_VALUES from index shift."""
     return np.resize(np.roll(_SPECIAL_VALUES, -shift), 3 * n).reshape(n, 3)
@@ -293,12 +300,12 @@ _ROW_WRITERS = {
                       tx.TriMesh(_special_rows(max(n, 3), 0),
                                  np.arange(3 * n).reshape(n, 3) % max(n, 3))),
     "obj": lambda n: (ingest.write_centerline_obj, _rowwise_obj,
-                      tx.Centerline(_special_rows(n, 1), _special_rows(n, 2), closed=False)),
+                      _unchecked_centerline(_special_rows(n, 1), _special_rows(n, 2))),
     "obj-closed": lambda n: (ingest.write_centerline_obj, _rowwise_obj,
-                             tx.Centerline(_special_rows(n, 3), _special_rows(n, 0),
-                                           closed=True)),
+                             _unchecked_centerline(_special_rows(n, 3), _special_rows(n, 0),
+                                                   closed=True)),
     "centerline-csv": lambda n: (write_centerline_csv, _rowwise_centerline_csv,
-                                 tx.Centerline(_special_rows(n, 4), _special_rows(n, 7))),
+                                 _unchecked_centerline(_special_rows(n, 4), _special_rows(n, 7))),
     "truth-csv": lambda n: (ingest.write_truth_csv, _rowwise_truth_csv,
                             tx.TubeTruth(_special_rows(n, 5), _special_rows(n, 6),
                                          ["S", "A", "A"][:n] + ["S"] * (n - 3),
@@ -583,11 +590,13 @@ def test_write_artifacts_writes_the_accumulation_without_a_centerline(tmp_path, 
     assert table["counts"].tobytes() == cylinder.result.counts.tobytes()
 
 
-def test_write_artifacts_empty_centerline_is_empty_input(tmp_path, cylinder):
-    empty = tx.Centerline(np.empty((0, 3)), np.empty((0, 3)))
-    for centerline, accumulation in ((empty, None), (empty, cylinder.result), (None, None)):
-        with pytest.raises(tx.EmptyInput, match="centerline is empty"):
-            tx.write_artifacts(tmp_path / "out", centerline, accumulation=accumulation)
+def test_write_artifacts_empty_centerline_is_empty_input(tmp_path):
+    # no Centerline is empty (it holds at least two points); none at all,
+    # and no accumulation either, writes nothing
+    with pytest.raises(tx.TooFewPoints):
+        tx.Centerline(np.empty((0, 3)), np.empty((0, 3)))
+    with pytest.raises(tx.EmptyInput, match="centerline is empty"):
+        tx.write_artifacts(tmp_path / "out", None)
     assert not (tmp_path / "out").exists()
 
 

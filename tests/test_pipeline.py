@@ -8,7 +8,9 @@ from conftest import capped_voxels
 
 import tubeaxis as tx
 from tubeaxis import pipeline
-from tubeaxis.pipeline import LIMITS, STAGES
+from tubeaxis.cli import main
+from tubeaxis.errors import LIMITS
+from tubeaxis.pipeline import STAGES
 
 
 def _front(surface, radius, normals=None, normal_radius=None, orient="auto"):
@@ -205,12 +207,31 @@ def _no_work(monkeypatch):
 
 @pytest.mark.parametrize("name", _OUT_OF_RANGE)
 def test_an_out_of_range_setting_fails_before_any_stage(cylinder, monkeypatch, name):
-    assert _OUT_OF_RANGE.keys() == LIMITS.keys()
+    assert _OUT_OF_RANGE.keys() == LIMITS.keys() - {"mesh_step", "sigma", "hm_scale",
+                                                     "hm_spacing"}
     _no_work(monkeypatch)
     settings = {"radius": cylinder.radius, name: _OUT_OF_RANGE[name]}
     with pytest.raises(tx.OutOfRange, match=f"^{name} must be"):
         tx.run_pipeline(cylinder.mesh, **settings)
     assert issubclass(tx.OutOfRange, ValueError)
+
+
+@pytest.mark.parametrize("value", [0.0, -2.0, math.nan, math.inf])
+def test_every_entry_point_words_a_bad_radius_alike(cylinder, tmp_path, capsys, value):
+    # one limits table and one check: the library's entry points raise its
+    # words, and the command line prints them with the flag's name
+    want = f"radius must be positive and finite, got {value!r}"
+    line = tx.Centerline([[0.0, 0, 0], [1, 0, 0]], np.zeros((2, 3)))
+    for call in (lambda: tx.run_pipeline(cylinder.mesh, value),
+                 lambda: tx.AccumulationParams(radius=value),
+                 lambda: tx.sweep_tube(line, value),
+                 lambda: tx.gen_tube([tx.Straight(10.0)], value, 1.0)):
+        with pytest.raises(tx.OutOfRange) as error:
+            call()
+        assert str(error.value) == want
+    assert main(["pipeline", "--input", str(tmp_path / "missing.off"),
+                 "--radius", str(value)]) == 1
+    assert capsys.readouterr().err == f"tubeaxis pipeline: error: --{want}\n"
 
 
 @pytest.mark.parametrize("vertices,faces,got", [

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tubeaxis as tx
-from tubeaxis import pipeline, rebuild
+from tubeaxis import rebuild
+from tubeaxis.errors import LIMITS
 from tubeaxis.track import Centerline, _polyline_directions
 
 from conftest import random_unit_vectors
@@ -104,9 +105,10 @@ def test_sweep_matches_the_per_ring_loops(closed):
 
 
 def test_sweep_needs_two_points():
-    cl = Centerline(points=np.zeros((1, 3)), directions=np.zeros((1, 3)))
-    with pytest.raises(tx.TooSmall):
-        tx.sweep_tube(cl, radius=1.0)
+    # the Centerline holds at least two points, so none with one reaches the sweep
+    with pytest.raises(tx.TooFewPoints):
+        tx.sweep_tube(Centerline(points=np.zeros((1, 3)), directions=np.zeros((1, 3))),
+                      radius=1.0)
 
 
 @pytest.mark.parametrize("setting,value", [
@@ -114,7 +116,7 @@ def test_sweep_needs_two_points():
     ("radius", math.nan), ("radius", math.inf), ("radius", 0.0), ("sides", 2)])
 def test_sweep_rejects_a_setting_outside_the_pipeline_limits(setting, value):
     kw = {"radius": 2.0, "sides": 24, setting: value}
-    want = f"{setting} must be {pipeline.LIMITS[setting][1]}, got {value!r}"
+    want = f"{setting} must be {LIMITS[setting][1]}, got {value!r}"
     with pytest.raises(tx.OutOfRange) as error:
         tx.sweep_tube(_line_centerline(), **kw)
     assert str(error.value) == want

@@ -5,17 +5,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 
 import tubeaxis as tx
 from tubeaxis.accumulate import AccumulationResult
 from tubeaxis.core import GridDomain
-from tubeaxis.track import (_local_direction, _lookup, _lower_quartile,
+from tubeaxis.ingest import write_centerline_csv
+from tubeaxis.track import (MAX_COORD, _local_direction, _lookup, _lower_quartile,
                             _polyline_directions, _ridge_direction,
                             _sample_trilinear, _voxel_dir, extract_patch,
                             is_inside_tube, patch_size)
 
-from conftest import capped_voxel_pipe
+from conftest import capped_voxel_pipe, random_unit_vectors
 
 
 def _field_result(domain, counts, dirs):
@@ -501,3 +504,50 @@ def test_raw_centerline_on_mesh_cylinder(cylinder):
     assert np.sqrt(np.mean(d ** 2)) < 1.0 * cylinder.gridstep
     span = cl.points[:, 0].max() - cl.points[:, 0].min()
     assert span > 0.8 * cylinder.length
+
+
+def _csv_precision(values):
+    """The values as the centerline CSV keeps them, to 9 significant digits."""
+    return np.array([float("%.9g" % v) for v in values.ravel()]).reshape(values.shape)
+
+
+@settings(max_examples=100)
+@given(n=st.integers(2, 200), scale=st.floats(1e-3, 1e6), seed=st.integers(0, 2 ** 32 - 1))
+def test_a_valid_centerline_builds_and_round_trips_bit_for_bit(tmp_path_factory, n, scale,
+                                                              seed):
+    # a walk of steps 0.5 to 2 under a random rotation, shift and scale, at
+    # the CSV's precision, whose rounding is far below the steps
+    rng = np.random.default_rng(seed)
+    steps = random_unit_vectors(rng, n - 1) * rng.uniform(0.5, 2.0, (n - 1, 1))
+    rotation, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    rotation *= np.sign(np.linalg.det(rotation))
+    walk = np.vstack([np.zeros(3), np.cumsum(steps, axis=0)])
+    points = _csv_precision((walk @ rotation.T + rng.uniform(-100, 100, 3)) * scale)
+    cl = tx.Centerline(points, _csv_precision(_polyline_directions(points)))
+    path = tmp_path_factory.getbasetemp() / "round_trip.csv"
+    write_centerline_csv(cl, path)
+    back = tx.Centerline(*tx.read_centerline_csv(path))
+    assert back.points.tobytes() == cl.points.tobytes()
+    assert back.directions.tobytes() == cl.directions.tobytes()
+    queries = points[0] + rng.normal(scale=10 * scale, size=(50, 3))
+    assert (tx.distance_to_polyline(queries, back.points).tobytes()
+            == tx.distance_to_polyline(queries, points).tobytes())
+
+
+@pytest.mark.parametrize("points,error,message", [
+    ([[1.0, 2, 3]], tx.TooFewPoints, "a centerline needs at least 2 points, got 1"),
+    ([[0.0, 0, 0], [1, 0, 0], [1, 0, 0], [2, 0, 0]], tx.DuplicatePoint,
+     "centerline points 1 and 2 coincide"),
+    ([[0.0, 0, 0], [1, 0, 0], [2, math.nan, 0]], tx.OutOfRange,
+     "centerline point 2 has a coordinate that is not finite or above 1e+150 in magnitude"),
+    ([[0.0, 0, 0], [0, 0, -2 * MAX_COORD]], tx.OutOfRange,
+     "centerline point 1 has a coordinate that is not finite or above 1e+150 in magnitude")])
+def test_a_centerline_outside_its_contract_is_refused(points, error, message):
+    with pytest.raises(error) as raised:
+        tx.Centerline(points, np.zeros_like(points))
+    assert str(raised.value) == message
+
+
+def test_a_centerline_may_reach_its_coordinate_bound():
+    points = np.array([[0.0, 0, 0], [MAX_COORD, -MAX_COORD, MAX_COORD]])
+    assert tx.Centerline(points, np.zeros_like(points)).points.tobytes() == points.tobytes()
