@@ -3,9 +3,10 @@ Splitting a bent pipe into straights and arcs
 =============================================
 
 A centerline is more useful once labeled: which spans are straight, which
-are circular bends, and with what radius. The tangent-space transform
-turns arcs into sloped line segments and straights into flat ones, so a
-2D segmentation does the hard part.
+are circular bends, and with what radius. Each span is the longest run
+that a line, or a circle, fits within one RMS tolerance in world units.
+The tangent-space transform shows the same split: arcs become sloped
+line segments and straights flat ones.
 """
 
 import math
@@ -23,7 +24,7 @@ print(f"pipe mesh: {mesh.n_faces} faces, ground-truth junctions at "
       f"{list(truth.junctions)}")
 
 # the chain through decompose, on the mesh's own gridstep (its median
-# longest edge); the arc planarity gate defaults to 0.3 gridstep
+# longest edge); the fit tolerance defaults to 0.05 radius
 run = tx.run_pipeline(mesh, radius=R,
                       stages=("accumulate", "track", "refine", "decompose"))
 line, dec = run.centerline, run.decomposition

@@ -12,8 +12,8 @@ from .accumulate import (AccumulationParams, AccumulationResult,
 from .core import (GridDomain, OrthonormalFrame, ScalarGrid3, VectorGrid3,
                    digitize, frame_from_direction, normalize)
 from .decompose import (Decomposition, Segment, TangentSpacePolygon,
-                        decompose_centerline, detect_arcs_and_lines,
-                        fit_circle_3d, tangent_space_transform)
+                        decompose_centerline, fit_circle_3d,
+                        tangent_space_transform)
 from .errors import (Collinear, CoincidentPoint, DegenerateFace,
                      DomainTooLarge, DuplicatePoint,
                      EmptyInput, NotClosed, OutOfRange, ParseError, SeedInvalid,
@@ -41,7 +41,7 @@ __all__ = [
     "GridDomain", "OrthonormalFrame", "ScalarGrid3", "VectorGrid3",
     "digitize", "frame_from_direction", "normalize",
     "Decomposition", "Segment", "TangentSpacePolygon", "decompose_centerline",
-    "detect_arcs_and_lines", "fit_circle_3d", "tangent_space_transform",
+    "fit_circle_3d", "tangent_space_transform",
     "TubeAxisError", "OutOfRange", "ParseError", "UnsupportedFormat", "TooSmall",
     "EmptyInput", "ZeroDirection", "DegenerateFace", "DomainTooLarge",
     "SeedInvalid", "TooFewPoints", "CoincidentPoint", "DuplicatePoint",

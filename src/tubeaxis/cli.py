@@ -100,10 +100,8 @@ _STAGE_OPTIONS = {
         ("--max-iter", "iteration cap per point"),
     ),
     "decompose": (
-        ("--alpha-flat", "max per-vertex turn, radians, still considered straight"),
-        ("--nu", "max midpoint deviation from the arc line, tangent-space units"),
-        ("--min-len", "ranges spanning fewer indices merge into their neighbor"),
-        ("--resid-tol", "arc planarity gate, world units (default 0.3*gridstep)"),
+        ("--resid-tol", "RMS distance, world units, within which a line fits a "
+                        "straight and a circle an arc (default 0.05*radius)"),
     ),
     "reconstruct": (
         ("--sides", "vertices per reconstructed ring"),
@@ -121,7 +119,7 @@ def _setting(stage, name):
     """add_argument's keywords for a stage setting: the default that its
     owner's signature declares (SETTINGS; run_pipeline derives track_step
     and resid_tol), typed as that default (None: float)."""
-    owner, names = SETTINGS[stage]
+    owner, names = SETTINGS.get(stage, (run_pipeline, ()))
     default = _signature(owner if name in names else run_pipeline).parameters[name].default
     return {"type": float if default is None else type(default), "default": default}
 

@@ -145,8 +145,10 @@ class CellHash:
 
     def cells(self, points):
         """(N, 3) int64 cell indices of points; outside the box they fall
-        below 0 or at or above ``dims``."""
-        return np.floor((points - self.origin) / self.cell).astype(np.int64)
+        below 0 or at or above ``dims``, clamped to _MAX_CELLS cells past
+        it: farther than any stencil reaches, and in int64 range."""
+        cells = np.floor((points - self.origin) / self.cell)
+        return np.clip(cells, -self._MAX_CELLS, 2 * self._MAX_CELLS, out=cells).astype(np.int64)
 
     def ranges(self, cells, columns):
         """Slices of ``order`` holding the points of cell runs.

@@ -1,15 +1,16 @@
-"""Straight/arc decomposition of a centerline via its tangent-space polygon.
+"""Straight/arc decomposition of a centerline by line and circle fits.
 
-The polyline maps to the plane: x accumulates segment length, y accumulates
-the unsigned turning angle at each vertex. Straight runs are flat there;
-constant-curvature runs put the per-segment midpoints on a line whose slope
-is the curvature (1/r). Detected arc runs are then fitted with 3D circles;
-non-planar constant-curvature runs (helices) fail the fit residual test and
-are bisected recursively, ending in flagged leaves.
+One left-to-right pass decides every segment by least-squares fits held
+to one RMS tolerance in world units: a run is straight while a line fits
+it, and an arc where a circle fits it and the next straight run. This
+stands in for the paper's linear-time arc recognition in the
+tangent-space plot (README, "Deviation from the paper"), which
+tangent_space_transform still draws.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -18,6 +19,7 @@ import numpy as np
 from .errors import Collinear, DuplicatePoint, TooFewPoints
 
 _EPS = 1e-12
+_SLIDE = 3  # indices a straight/arc junction may move
 
 
 @dataclass
@@ -47,7 +49,6 @@ class Segment:
     axis: np.ndarray | None = None
     extent: float | None = None
     residual: float = 0.0
-    flagged: bool = False
 
 
 @dataclass
@@ -81,81 +82,6 @@ def tangent_space_transform(points) -> TangentSpacePolygon:
     return TangentSpacePolygon(lengths=lengths, alphas=alphas, midpoints=midpoints)
 
 
-def _line_max_deviation(pts2):
-    """Max orthogonal deviation of 2D points from their least-squares line."""
-    pts2 = np.atleast_2d(pts2)
-    if len(pts2) < 3:
-        return 0.0
-    centered = pts2 - pts2.mean(axis=0)
-    _, _, vt = np.linalg.svd(centered, full_matrices=False)
-    normal = vt[-1]
-    return float(np.abs(centered @ normal).max())
-
-
-def _vertex_runs(alphas, n_segments, alpha_flat):
-    """Alternating flat/turning vertex runs -> point ranges with a shared
-    index at every junction (the turning side's boundary vertex)."""
-    n_vertices = n_segments - 1  # interior vertices 1..n_segments-1
-    flat = [alphas[i] <= alpha_flat for i in range(1, n_vertices + 1)]
-    runs = []  # (first_vertex, last_vertex, is_flat)
-    s = 0
-    for i in range(1, n_vertices):
-        if flat[i] != flat[s]:
-            runs.append((s + 1, i, flat[s]))
-            s = i
-    runs.append((s + 1, n_vertices, flat[s]))
-
-    ranges = []
-    for k, (va, vb, is_flat) in enumerate(runs):
-        start = 0 if k == 0 else (runs[k - 1][1] if not runs[k - 1][2] else va)
-        end = n_segments if k == len(runs) - 1 else (vb if not is_flat else runs[k + 1][0])
-        ranges.append((start, end, is_flat))
-    return ranges
-
-
-def detect_arcs_and_lines(tsp: TangentSpacePolygon, alpha_flat, nu, min_len):
-    """Label point ranges as straight or arc from the tangent-space plot.
-
-    Flat-angle runs become STRAIGHT. Turning runs are grown greedily while
-    their midpoints stay within orthogonal deviation nu of a fitted line,
-    splitting whenever the fit breaks. Ranges spanning fewer than min_len
-    indices are merged into their predecessor (or successor at the head).
-    Returns (start, end, kind) tuples over centerline point indices.
-    """
-    n = len(tsp.lengths)
-    labeled = []
-    for start, end, is_flat in _vertex_runs(tsp.alphas, n, alpha_flat):
-        if is_flat:
-            labeled.append((start, end, "STRAIGHT"))
-            continue
-        # grow arcs over segment indices [start, end-1]
-        sa = start
-        while sa < end:
-            sb = sa + 1
-            while sb < end and _line_max_deviation(tsp.midpoints[sa:sb + 1]) <= nu:
-                sb += 1
-            labeled.append((sa, min(sb, end), "ARC"))
-            sa = sb
-
-    merged = []
-    for start, end, kind in labeled:
-        if merged and (end - start + 1) < min_len:
-            prev = merged[-1]
-            merged[-1] = (prev[0], end, prev[2])
-        elif not merged and (end - start + 1) < min_len:
-            merged.append((start, end, None))  # head stub: adopt next kind
-        else:
-            if merged and merged[-1][2] is None:
-                stub = merged.pop()
-                merged.append((stub[0], end, kind))
-            else:
-                merged.append((start, end, kind))
-    if merged and merged[-1][2] is None:
-        s, e, _ = merged.pop()
-        merged.append((s, e, "STRAIGHT"))
-    return merged
-
-
 def fit_circle_3d(points):
     """Least-squares circle through 3D points.
 
@@ -173,81 +99,114 @@ def fit_circle_3d(points):
     _, sv, vt = np.linalg.svd(centered, full_matrices=False)
     if sv[1] <= max(1e-9 * sv[0], _EPS):
         raise Collinear("points have no planar spread")
-    e1, e2, normal = vt[0], vt[1], vt[2]
-
-    x = centered @ e1
-    y = centered @ e2
-    design = np.column_stack([2 * x, 2 * y, np.ones(len(x))])
-    sol, *_ = np.linalg.lstsq(design, x * x + y * y, rcond=None)
-    a, b, c = sol
-    r2 = c + a * a + b * b
-    if r2 <= _EPS:
+    x, y, z = (centered @ vt.T).T  # in-plane coordinates, then off-plane
+    # x and y sum to 0, are uncorrelated and have squared norms sv[0]^2 and
+    # sv[1]^2, so the normal matrix of [2x 2y 1] is diagonal: a, b and
+    # c = (sv[0]^2 + sv[1]^2) / n are sums, taken on x and y over sv[0],
+    # whose cubes cannot overflow; r^2 = c + a^2 + b^2
+    u, v = x / sv[0], y / sv[0]
+    w = u * u + v * v
+    a = sv[0] * (u @ w) / 2
+    b = sv[0] * (v @ w) / (2 * (sv[1] / sv[0]) ** 2)
+    radius = math.hypot(*sv[:2] / math.sqrt(len(points)), a, b)
+    if radius * radius <= _EPS:
         raise Collinear("degenerate circle fit")
-    radius = math.sqrt(r2)
-    center = centroid + a * e1 + b * e2
+    center = centroid + a * vt[0] + b * vt[1]
 
-    ang = np.sort(np.arctan2(y - b, x - a))
+    dx, dy = x - a, y - b
+    ang = np.sort(np.arctan2(dy, dx))
     gaps = np.diff(np.concatenate([ang, [ang[0] + 2 * math.pi]]))
-    extent = 2 * math.pi - float(gaps.max()) if len(ang) > 1 else 2 * math.pi
-
-    rel = points - center
-    z_off = rel @ normal
-    rho = np.linalg.norm(rel - np.outer(z_off, normal), axis=1)
-    residual = float(np.sqrt(np.mean(z_off ** 2 + (rho - radius) ** 2)))
-    return {"center": center, "radius": radius, "axis": normal,
+    extent = 2 * math.pi - float(gaps.max())
+    residual = float(np.sqrt(np.mean(z * z + (np.hypot(dx, dy) - radius) ** 2)))
+    return {"center": center, "radius": radius, "axis": vt[2],
             "extent": extent, "residual": residual}
 
 
 def _fit_line_3d(points):
-    points = np.atleast_2d(points)
+    """Centroid, unit direction (first to last point) and RMS distance of
+    the least-squares line through points."""
     centroid = points.mean(axis=0)
-    centered = points - centroid
-    _, sv, vt = np.linalg.svd(centered, full_matrices=False)
-    direction = vt[0]
-    if np.dot(direction, points[-1] - points[0]) < 0:
-        direction = -direction
-    dev = centered - np.outer(centered @ direction, direction)
-    residual = float(np.sqrt(np.mean(np.sum(dev * dev, axis=1))))
-    return centroid, direction, residual
+    _, sv, vt = np.linalg.svd(points - centroid, full_matrices=False)
+    direction = vt[0] if np.dot(vt[0], points[-1] - points[0]) >= 0 else -vt[0]
+    # the squared distances to the line sum to the other squared singular values
+    return centroid, direction, math.hypot(*sv[1:]) / math.sqrt(len(points))
 
 
-def _fit_segment(points, start, end, kind, resid_tol, min_pts=4):
-    """Fit one labeled range; arcs failing the residual test bisect."""
+def _fit(points, start, end, kind):
+    """The Segment of kind fitted to points[start:end + 1]; an arc on
+    collinear points has an infinite residual."""
     pts = points[start:end + 1]
     if kind == "STRAIGHT":
         point, direction, residual = _fit_line_3d(pts)
-        return [Segment(start=start, end=end, kind="STRAIGHT", point=point,
-                        direction=direction, residual=residual)]
+        return Segment(start, end, kind, point=point, direction=direction, residual=residual)
     try:
         fit = fit_circle_3d(pts)
     except Collinear:
-        point, direction, residual = _fit_line_3d(pts)
-        return [Segment(start=start, end=end, kind="STRAIGHT", point=point,
-                        direction=direction, residual=residual)]
-    if fit["residual"] <= resid_tol or (end - start + 1) < 2 * min_pts:
-        return [Segment(start=start, end=end, kind="ARC", center=fit["center"],
-                        radius=fit["radius"], axis=fit["axis"],
-                        extent=fit["extent"], residual=fit["residual"],
-                        flagged=fit["residual"] > resid_tol)]
-    mid = (start + end) // 2
-    return (_fit_segment(points, start, mid, "ARC", resid_tol, min_pts)
-            + _fit_segment(points, mid, end, "ARC", resid_tol, min_pts))
+        return Segment(start, end, kind, residual=math.inf)
+    return Segment(start, end, kind, center=fit["center"], radius=fit["radius"],
+                   axis=fit["axis"], extent=fit["extent"], residual=fit["residual"])
 
 
-def decompose_centerline(centerline, alpha_flat=0.05, nu=0.15, min_len=3, *,
-                         resid_tol) -> Decomposition:
-    """Full decomposition of a (refined) centerline.
+def _longest(fits, start, end, last):
+    """The last index e in [end, last] with fits(start, e), found by doubling
+    the step past end, then bisecting; fits(start, end) is taken as true."""
+    good, bad, step = end, last + 1, 1
+    while good < last and bad > last:
+        probe = min(good + step, last)
+        if fits(start, probe):
+            good, step = probe, 2 * step
+        else:
+            bad = probe
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        good, bad = (mid, bad) if fits(start, mid) else (good, mid)
+    return good
 
-    resid_tol is the arc planarity gate in world units (run_pipeline
-    passes 0.3 * gridstep); arcs above it are recursively bisected and any
-    stubborn leaves stay flagged.
+
+def decompose_centerline(centerline, *, resid_tol) -> Decomposition:
+    """Straight and arc segments of a (refined) centerline, chained through
+    shared boundary indices, each fitted within RMS resid_tol in world units
+    (run_pipeline passes 0.05 * radius).
+
+    From each segment's start, the longest run that a line fits is a
+    straight, unless a circle fits it together with the next such run (at
+    most as long again); then it is an arc, extended while its circle
+    fits. In two passes, each junction of a straight and an arc then
+    moves, by up to _SLIDE indices, to where the two fits' summed squared
+    residuals are least.
     """
     points = centerline.points
-    if len(points) < 3:
-        return Decomposition(_fit_segment(points, 0, len(points) - 1, "STRAIGHT", resid_tol))
-    tsp = tangent_space_transform(points)
-    ranges = detect_arcs_and_lines(tsp, alpha_flat=alpha_flat, nu=nu, min_len=min_len)
-    segments = []
-    for start, end, kind in ranges:
-        segments.extend(_fit_segment(points, start, end, kind, resid_tol))
-    return Decomposition(segments)
+    last = len(points) - 1
+    fit = functools.cache(lambda start, end, kind: _fit(points, start, end, kind))
+
+    def line(start, end):
+        return fit(start, end, "STRAIGHT").residual <= resid_tol
+
+    def circle(start, end):
+        return fit(start, end, "ARC").residual <= resid_tol
+
+    runs, start = [], 0  # [start, end, kind]
+    while start < last:
+        end, kind = _longest(line, start, start + 1, last), "STRAIGHT"
+        if end < last:
+            after = _longest(line, end, end + 1, min(2 * end - start, last))
+            if circle(start, after):
+                end, kind = _longest(circle, start, after, last), "ARC"
+        runs.append([start, end, kind])
+        start = end
+
+    def cost(a, j, b, kind_a, kind_b):
+        """Summed squared residuals of the fits on either side of j."""
+        ra, rb = fit(a, j, kind_a).residual, fit(j, b, kind_b).residual
+        return (j - a + 1) * ra * ra + (b - j + 1) * rb * rb
+
+    for _ in range(2):
+        for one, two in zip(runs, runs[1:]):
+            (a, j, kind_a), (_, b, kind_b) = one, two
+            if kind_a != kind_b:
+                # an arc keeps 3 points, a straight 2
+                lo = max(j - _SLIDE, a + 1 + (kind_a == "ARC"))
+                hi = min(j + _SLIDE, b - 1 - (kind_b == "ARC"))
+                one[1] = two[0] = min(range(lo, hi + 1), key=lambda k: (
+                    cost(a, k, b, kind_a, kind_b), abs(k - j)))
+    return Decomposition([fit(start, end, kind) for start, end, kind in runs])

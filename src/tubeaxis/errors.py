@@ -21,8 +21,7 @@ LIMITS = {
     "epsilon": NON_NEGATIVE, "track_step": POSITIVE, "max_angle": POSITIVE,
     "inside_threshold": (lambda v: 0 <= v <= 1, "in [0, 1]"),
     "epsilon_o": NON_NEGATIVE, "max_iter": AT_LEAST_1,
-    "alpha_flat": NON_NEGATIVE, "nu": NON_NEGATIVE, "min_len": AT_LEAST_1,
-    "resid_tol": NON_NEGATIVE, "sides": (lambda v: v >= 3, "at least 3"),
+    "resid_tol": POSITIVE, "sides": (lambda v: v >= 3, "at least 3"),
     "mesh_step": POSITIVE, "sigma": NON_NEGATIVE, "hm_scale": POSITIVE,
     "hm_spacing": POSITIVE,
 }

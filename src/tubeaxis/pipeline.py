@@ -40,7 +40,6 @@ SETTINGS = {
     "accumulate": (AccumulationParams, ("epsilon",)),
     "track": (extract_centerline, ("inside_threshold", "max_angle")),
     "refine": (optimize_centerline, ("epsilon_o", "max_iter")),
-    "decompose": (decompose_centerline, ("alpha_flat", "nu", "min_len")),
     "reconstruct": (sweep_tube, ("sides",)),
 }
 
@@ -83,7 +82,7 @@ def run_pipeline(surface, radius, *, gridstep=None, normals=None, normal_radius=
     takes the place of accumulate and track; refine, if asked for, then
     refines it. Defaults: gridstep the surface's step (median_face_size, 1
     for voxels), normals "estimate" for voxels, "faces" otherwise,
-    normal_radius max(2, R/2), track_step R, resid_tol 0.3 * gridstep.
+    normal_radius max(2, R/2), track_step R, resid_tol 0.05 * R.
     Each other setting (see SETTINGS) goes to the stage that takes it,
     which otherwise uses its own default. Another surface or setting name
     is a TypeError; a setting, given or derived, outside errors.LIMITS an
@@ -115,7 +114,7 @@ def run_pipeline(surface, radius, *, gridstep=None, normals=None, normal_radius=
             raise ValueError(f"stage {stage!r} needs stage {_NEEDS[stage]!r}")
 
     track_step = radius if track_step is None else track_step
-    resid_tol = 0.3 * gridstep if resid_tol is None else resid_tol
+    resid_tol = 0.05 * radius if resid_tol is None else resid_tol
     values = dict(radius=radius, gridstep=gridstep, normal_radius=normal_radius,
                   track_step=track_step, resid_tol=resid_tol)
     # a None setting takes its owner's default
@@ -148,8 +147,7 @@ def run_pipeline(surface, radius, *, gridstep=None, normals=None, normal_radius=
                 **kw["refine"])
     if "decompose" in stages:
         with timed(t, "decompose"):
-            out.decomposition = decompose_centerline(
-                out.centerline, resid_tol=resid_tol, **kw["decompose"])
+            out.decomposition = decompose_centerline(out.centerline, resid_tol=resid_tol)
     if "reconstruct" in stages:
         with timed(t, "reconstruct"):
             out.tube = sweep_tube(out.centerline, radius, **kw["reconstruct"])

@@ -209,9 +209,7 @@ def error_summary(errors):
     errors = np.asarray(errors, dtype=float).ravel()
     if errors.size == 0:
         return {"mean": 0.0, "max": 0.0, "rms": 0.0, "count": 0}
-    return {
-        "mean": float(errors.mean()),
-        "max": float(errors.max()),
-        "rms": float(np.sqrt(np.mean(errors ** 2))),
-        "count": int(errors.size),
-    }
+    scale = float(np.abs(errors).max())  # the squares of errors / scale cannot overflow
+    rms = scale * float(np.sqrt(np.mean((errors / scale) ** 2))) if scale > 0 else 0.0
+    return {"mean": float(errors.mean()), "max": float(errors.max()), "rms": rms,
+            "count": int(errors.size)}

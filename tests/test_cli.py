@@ -220,7 +220,7 @@ def test_every_numeric_flag_is_range_checked_before_loading(tmp_path, capsys, de
             else ["pipeline", "--input", tmp_path / "missing.off"])
     rc = run(args + ["--radius", 2, f"{flag}=-1", "--out-dir", tmp_path / "out"])
     assert rc == 1
-    got = -1 if dest in ("max_iter", "min_len", "sides") else -1.0  # the flag's type
+    got = -1 if dest in ("max_iter", "sides") else -1.0  # the flag's type
     assert capsys.readouterr().err.endswith(f"error: {flag} must be {must}, got {got}\n")
     assert not (tmp_path / "out").exists()
 
@@ -394,7 +394,7 @@ def test_summary_is_deterministic_up_to_timings(tube_off, tmp_path):
 _PARAMS = {"radius", "epsilon_acc", "gridstep", "normals", "orient"}
 _TRACK = {"track_step", "inside_threshold", "max_angle"}
 _REFINE = {"epsilon_o", "max_iter"}
-_DECOMPOSE = {"alpha_flat", "nu", "min_len", "resid_tol"}
+_DECOMPOSE = {"resid_tol"}
 _LINE = {"points", "closed", "mean_spacing", "refined_points"}
 _CHAIN = {"accumulate", "track", "refine"}
 
@@ -503,6 +503,28 @@ def test_a_centerline_outside_its_contract_is_an_input_error(s30_run, tmp_path, 
     assert proc.returncode == 1
     assert proc.stderr == f"tubeaxis {command}: input error: {path}: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command,factor", [("refine", 1e100), ("error-map", 1e100),
+                                            ("decompose", 1e148)])
+def test_a_far_centerline_runs_without_a_warning(s30_run, tmp_path, command, factor):
+    # inside the contract's bound but far from every face: refine's cells of
+    # its points must stay in int64 range, and the error map's RMS must not
+    # square its errors near 1e200 unscaled
+    tube, result = s30_run
+    header, *rows = (result / "centerline.csv").read_text().splitlines()
+    rows = [",".join([f[0], *("%.9g" % (float(x) * factor) for x in f[1:4]), *f[4:]])
+            for f in (row.split(",") for row in rows)]
+    path = tmp_path / "centerline.csv"
+    path.write_text("\n".join([header, *rows]) + "\n")
+    out = tmp_path / "out"
+    proc = _cli_warnings_as_errors(command, "--input", tube, "--radius", 3,
+                                   "--centerline", path, "--out-dir", out)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    if command == "error-map":
+        error = json.loads((out / "summary.json").read_text())["results"]["error"]
+        assert error["max"] > 1e200
+        assert error["rms"] == pytest.approx(error["max"], rel=1e-9)
 
 
 @pytest.mark.parametrize("command", ["centerline", "pipeline"])
@@ -764,9 +786,6 @@ _OWNERS = {
     "max_angle": (tx.extract_centerline, "max_angle"),
     "epsilon_o": (tx.optimize_centerline, "epsilon_o"),
     "max_iter": (tx.optimize_centerline, "max_iter"),
-    "alpha_flat": (tx.decompose_centerline, "alpha_flat"),
-    "nu": (tx.decompose_centerline, "nu"),
-    "min_len": (tx.decompose_centerline, "min_len"),
     "resid_tol": (tx.run_pipeline, "resid_tol"),
     "sides": (tx.sweep_tube, "sides"),
 }
@@ -792,5 +811,4 @@ def test_pipeline_without_flags_records_the_default_params(tube_off, tmp_path):
         "radius": 4.0, "epsilon_acc": 0.4, "gridstep": gridstep, "normals": "faces",
         "orient": "auto", "track_step": 4.0,
         "inside_threshold": 0.5, "max_angle": math.pi / 3, "epsilon_o": 0.001,
-        "max_iter": 1000, "alpha_flat": 0.05, "nu": 0.15,
-        "min_len": 3, "resid_tol": 0.3 * gridstep, "sides": 24}
+        "max_iter": 1000, "resid_tol": 0.05 * 4.0, "sides": 24}

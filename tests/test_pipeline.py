@@ -38,7 +38,7 @@ def _explicit_chain(case):
     refined = tx.optimize_centerline(raw, faces, radius, params.acc_radius, radius)
     return {"faces": faces, "gridstep": gridstep, "accumulation": res, "raw": raw,
             "centerline": refined,
-            "decomposition": tx.decompose_centerline(refined, resid_tol=0.3 * gridstep),
+            "decomposition": tx.decompose_centerline(refined, resid_tol=0.05 * radius),
             "tube": tx.sweep_tube(refined, radius, sides=24),
             "errors": tx.error_map(faces, refined, radius)}
 
@@ -107,7 +107,7 @@ def test_full_run_matches_the_explicit_chain(case):
     assert r.acc_params.gridstep == ref["gridstep"]
     assert r.track_step == case["radius"]
     assert r.acc_params.epsilon == 0.1 * case["radius"]
-    assert r.resid_tol == 0.3 * ref["gridstep"]
+    assert r.resid_tol == 0.05 * case["radius"]
 
 
 @pytest.mark.parametrize("k", range(0, len(STAGES) + 1))
@@ -192,7 +192,6 @@ def test_a_misspelt_setting_is_a_type_error(cylinder):
 _OUT_OF_RANGE = {"radius": 0.0, "gridstep": math.nan, "normal_radius": -2.0,
                  "epsilon": -0.1, "track_step": -1.0, "max_angle": math.inf,
                  "inside_threshold": 1.5, "epsilon_o": -0.1, "max_iter": 0,
-                 "alpha_flat": -0.1, "nu": math.nan, "min_len": 0,
                  "resid_tol": -1.0, "sides": 2}
 
 
@@ -252,7 +251,7 @@ def test_an_out_of_range_auto_gridstep_fails_before_the_front(monkeypatch, verti
 _GIVEN = {"accumulate": {"epsilon": 0.7},
           "track": {"inside_threshold": 0.4, "max_angle": 1.2},
           "refine": {"epsilon_o": 0.01, "max_iter": 7},
-          "decompose": {"alpha_flat": 0.1, "nu": 0.2, "min_len": 4},
+          "decompose": {},
           "reconstruct": {"sides": 8}}
 
 

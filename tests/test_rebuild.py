@@ -1,6 +1,7 @@
 """Tube sweeping, polyline distance and the per-face error map."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -426,6 +427,15 @@ def test_error_summary_stats():
     assert s["max"] == pytest.approx(0.09)
     assert s["mean"] == pytest.approx(np.mean(errs))
     assert s["rms"] == pytest.approx(np.sqrt(np.mean(errs ** 2)))
+
+
+def test_error_summary_rms_of_huge_errors_is_finite():
+    # the squares of these errors overflow float64; scaled by the max they do not
+    errs = np.array([8e200, 9e200, 1e201])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = tx.error_summary(errs)
+    assert s["rms"] == pytest.approx(1e200 * math.sqrt((64 + 81 + 100) / 3), rel=1e-15)
 
 
 def test_reconstruction_matches_generator(bent_pipe):
