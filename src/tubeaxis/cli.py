@@ -14,8 +14,6 @@ one is required, and so on).
 from __future__ import annotations
 
 import argparse
-import functools
-import inspect
 import json
 import sys
 from pathlib import Path
@@ -28,10 +26,10 @@ from .errors import (LIMITS, EmptyInput, OutOfRange, ParseError, TooSmall, TubeA
 from .ingest import (heightmap_to_mesh, load_heightmap, load_mesh, load_volume,
                      read_centerline_csv, write_artifacts, write_off,
                      write_truth_csv)
-from .pipeline import SETTINGS, STAGES, run_pipeline, timed
+from .pipeline import STAGES, run_pipeline, timed
 from .rebuild import error_summary
 from .synth import degrade, gen_tube, parse_tube_spec
-from .track import Centerline
+from .track import INSIDE_THRESHOLD, Centerline
 
 _INPUT_ERRORS = (ParseError, UnsupportedFormat, EmptyInput, TooSmall,
                  FileNotFoundError, IsADirectoryError, PermissionError)
@@ -84,44 +82,9 @@ _REPORTS = {
     "error": lambda r: error_summary(r.errors),
 }
 
-# the options of each stage as (flag, help); a flag's dest is the
-# run_pipeline keyword it sets and its key in the summary's params, and its
-# default and type come from the function that owns it (_setting)
-_STAGE_OPTIONS = {
-    "track": (
-        ("--track-step", "centerline sampling step (default: radius)"),
-        ("--inside-threshold",
-         "fraction of the run's reference vote level (lower quartile of the "
-         "accepted points) required to continue"),
-        ("--max-angle", "max turning angle per step, radians"),
-    ),
-    "refine": (
-        ("--epsilon-o", "energy-drop convergence threshold"),
-        ("--max-iter", "iteration cap per point"),
-    ),
-    "decompose": (
-        ("--resid-tol", "RMS distance, world units, within which a line fits a "
-                        "straight and a circle an arc (default 0.05*radius)"),
-    ),
-    "reconstruct": (
-        ("--sides", "vertices per reconstructed ring"),
-    ),
-}
-
-def _dest(flag):
-    return flag[2:].replace("-", "_")
-
-
-_signature = functools.cache(inspect.signature)  # one per owner, not per flag
-
-
-def _setting(stage, name):
-    """add_argument's keywords for a stage setting: the default that its
-    owner's signature declares (SETTINGS; run_pipeline derives track_step
-    and resid_tol), typed as that default (None: float)."""
-    owner, names = SETTINGS.get(stage, (run_pipeline, ()))
-    default = _signature(owner if name in names else run_pipeline).parameters[name].default
-    return {"type": float if default is None else type(default), "default": default}
+# the run_pipeline settings a subcommand can take; each is its flag's dest
+# and its key in the summary's params
+_SETTINGS = ("track_step", "inside_threshold", "resid_tol")
 
 
 def _check_options(args):
@@ -134,12 +97,11 @@ def _check_options(args):
             raise UsageError(f"--gridstep must be 'auto' or a number, "
                              f"got {args.gridstep!r}") from None
     for dest, value in vars(args).items():
-        name = "epsilon" if dest == "epsilon_acc" else dest  # accumulate's epsilon
-        if name in LIMITS and value is not None:
+        if dest in LIMITS and value is not None:
             try:
-                check_setting(name, value)
+                check_setting(dest, value)
             except OutOfRange as exc:
-                raise UsageError(str(exc).replace(name, "--" + dest.replace("_", "-"), 1)) from None
+                raise UsageError(str(exc).replace(dest, "--" + dest.replace("_", "-"), 1)) from None
 
 
 def _load_input(args, timings):
@@ -215,14 +177,10 @@ def _run(args):
     if getattr(args, "centerline", None):
         centerline = _read_centerline(args.centerline)
         stages = stages[-1:]
-    options = {_dest(flag): getattr(args, _dest(flag))
-               for stage in command.stages
-               for flag, _ in _STAGE_OPTIONS.get(stage, ())}
+    settings = {name: getattr(args, name) for name in _SETTINGS if hasattr(args, name)}
     try:
-        r = run_pipeline(surface, args.radius, gridstep=args.gridstep,
-                         normals=args.normals, normal_radius=args.normal_radius,
-                         orient=args.orient, epsilon=args.epsilon_acc, stages=stages,
-                         centerline=centerline, **options)
+        r = run_pipeline(surface, args.radius, gridstep=args.gridstep, normals=args.normals,
+                         orient=args.orient, stages=stages, centerline=centerline, **settings)
     except ParseError as exc:  # voxel coordinates the facet lattice cannot index
         raise ParseError(exc.reason, path=info["input_path"]) from None
     except EmptyInput:  # an empty voxel set, an input error as an empty mesh file is
@@ -238,8 +196,8 @@ def _run(args):
     results = {} if r.centerline is None else _centerline_results(r.centerline)
     results.update((key, _REPORTS[key](r)) for key in command.reports)
 
-    params = dict(options, radius=args.radius, epsilon_acc=r.acc_params.epsilon,
-                  gridstep=r.acc_params.gridstep, normals=r.normals, orient=args.orient)
+    params = dict(settings, radius=args.radius, gridstep=r.acc_params.gridstep,
+                  normals=r.normals, orient=args.orient)
     for key in ("track_step", "resid_tol"):
         if key in params:
             params[key] = getattr(r, key)
@@ -315,17 +273,12 @@ def _add_input_args(p):
     p.add_argument("--normals", choices=["faces", "estimate"], default=None,
                    help="face normals as given, or covariance-smoothed "
                         "(default: estimate for voxel inputs, faces otherwise)")
-    p.add_argument("--normal-radius", type=float, default=None,
-                   help="smoothing ball radius for --normals estimate "
-                        "(default radius/2, at least 2)")
     p.add_argument("--orient", choices=["auto", "keep", "flip"], default="auto",
                    help="inward normal resolution mode")
     p.add_argument("--hm-scale", type=float, default=1.0,
                    help="height per gray level for PGM height maps")
     p.add_argument("--hm-spacing", type=float, default=1.0,
                    help="pixel pitch in world units for PGM height maps")
-    p.add_argument("--epsilon-acc", **_setting("accumulate", "epsilon"),
-                   help="scan slack beyond the radius (default 0.1*radius)")
 
 
 def build_parser(commands=None):
@@ -344,9 +297,17 @@ def build_parser(commands=None):
             continue
         _add_common_args(p, "tube radius in input units")
         _add_input_args(p)
-        for stage in command.stages:
-            for flag, help in _STAGE_OPTIONS.get(stage, ()):
-                p.add_argument(flag, **_setting(stage, _dest(flag)), help=help)
+        if "track" in command.stages:
+            p.add_argument("--track-step", type=float, default=None,
+                           help="centerline sampling step (default: radius)")
+            p.add_argument("--inside-threshold", type=float, default=INSIDE_THRESHOLD,
+                           help="fraction of the run's reference vote level (lower "
+                                "quartile of the accepted points) required to continue "
+                                "(default: %(default)s)")
+        if "decompose" in command.stages:
+            p.add_argument("--resid-tol", type=float, default=None,
+                           help="RMS distance, world units, within which a line fits a "
+                                "straight and a circle an arc (default 0.05*radius)")
         if command.centerline:
             p.add_argument("--centerline", default=None,
                            help="reuse a centerline CSV instead of tracking")

@@ -16,10 +16,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import Collinear, DuplicatePoint, TooFewPoints
+from .errors import Collinear, DuplicatePoint, TooFewPoints, TooSmall
 
 _EPS = 1e-12
 _SLIDE = 3  # indices a straight/arc junction may move
+# the smallest tolerance, as a share of the largest coordinate magnitude:
+# rounding alone gives exact lines and circles fit residuals of up to
+# 8e-16 of it (measured at magnitudes 1 to 1e148), so a tolerance below
+# 1000 times that cannot tell a fit from rounding
+_ROUNDING = 1e-12
 
 
 @dataclass
@@ -173,9 +178,14 @@ def decompose_centerline(centerline, *, resid_tol) -> Decomposition:
     most as long again); then it is an arc, extended while its circle
     fits. In two passes, each junction of a straight and an arc then
     moves, by up to _SLIDE indices, to where the two fits' summed squared
-    residuals are least.
+    residuals are least. A resid_tol below _ROUNDING times the largest
+    coordinate magnitude is a TooSmall.
     """
     points = centerline.points
+    floor = _ROUNDING * float(np.abs(points).max())
+    if not resid_tol >= floor:  # NaN too
+        raise TooSmall(f"resid_tol {resid_tol:g} is below the rounding of the centerline's "
+                       f"coordinates, {_ROUNDING:g} times their largest magnitude: {floor:g}")
     last = len(points) - 1
     fit = functools.cache(lambda start, end, kind: _fit(points, start, end, kind))
 

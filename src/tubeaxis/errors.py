@@ -13,14 +13,11 @@ class OutOfRange(TubeAxisError, ValueError):
 
 POSITIVE = (lambda v: v > 0, "positive and finite")
 NON_NEGATIVE = (lambda v: v >= 0, "non-negative and finite")
-AT_LEAST_1 = (lambda v: v >= 1, "at least 1")
 
 # (test, wording) of what each numeric setting must be besides finite
 LIMITS = {
-    "radius": POSITIVE, "gridstep": POSITIVE, "normal_radius": POSITIVE,
-    "epsilon": NON_NEGATIVE, "track_step": POSITIVE, "max_angle": POSITIVE,
-    "inside_threshold": (lambda v: 0 <= v <= 1, "in [0, 1]"),
-    "epsilon_o": NON_NEGATIVE, "max_iter": AT_LEAST_1,
+    "radius": POSITIVE, "gridstep": POSITIVE, "epsilon": NON_NEGATIVE,
+    "track_step": POSITIVE, "inside_threshold": (lambda v: 0 <= v <= 1, "in [0, 1]"),
     "resid_tol": POSITIVE, "sides": (lambda v: v >= 3, "at least 3"),
     "mesh_step": POSITIVE, "sigma": NON_NEGATIVE, "hm_scale": POSITIVE,
     "hm_spacing": POSITIVE,

@@ -12,7 +12,8 @@ reports the line that is wrong. A loaded mesh keeps the face geometry
 (cross products, centers, longest edges) computed to drop its zero-area
 faces, for face_normals and median_face_size to reuse.
 
-Every text writer formats its rows by _write_rows, one bytes % per _ROWS
+Every text writer but write_decomposition_csv, whose few rows leave
+empty fields, formats its rows by _write_rows, one bytes % per _ROWS
 rows; write_artifacts names a run's files and keys its manifest by them.
 """
 

@@ -6,8 +6,7 @@ then any of decompose, reconstruct and error_map on the refined
 centerline. The command line, the tests and the demos all run their
 chains here, so every derived default is set in one place: run_pipeline
 (whose docstring lists them) and AccumulationParams (epsilon = 0.1 R).
-Every other setting is passed through to the stage that takes it
-(SETTINGS), whose signature holds its default.
+Every other stage setting is its stage's own default.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from .normals import (OrientedFaceSet, digital_surface_faces, estimate_digital_n
                       face_normals, orient_inward)
 from .rebuild import error_map, sweep_tube
 from .refine import optimize_centerline
-from .track import Centerline, extract_centerline
+from .track import INSIDE_THRESHOLD, Centerline, extract_centerline
 
 STAGES = ("accumulate", "track", "refine", "decompose", "reconstruct", "error_map")
 
@@ -34,14 +33,6 @@ STAGES = ("accumulate", "track", "refine", "decompose", "reconstruct", "error_ma
 _NEEDS = {"track": "accumulate", "refine": "track", "decompose": "track",
           "reconstruct": "track", "error_map": "track"}
 
-# the settings each stage takes, by keyword, with the function whose
-# signature declares their defaults
-SETTINGS = {
-    "accumulate": (AccumulationParams, ("epsilon",)),
-    "track": (extract_centerline, ("inside_threshold", "max_angle")),
-    "refine": (optimize_centerline, ("epsilon_o", "max_iter")),
-    "reconstruct": (sweep_tube, ("sides",)),
-}
 
 @contextmanager
 def timed(timings, key):
@@ -70,9 +61,9 @@ class PipelineResult:
     timings: dict = field(default_factory=dict)
 
 
-def run_pipeline(surface, radius, *, gridstep=None, normals=None, normal_radius=None,
-                 orient="auto", track_step=None, resid_tol=None, stages=STAGES,
-                 centerline=None, **settings) -> PipelineResult:
+def run_pipeline(surface, radius, *, gridstep=None, normals=None, orient="auto",
+                 track_step=None, inside_threshold=INSIDE_THRESHOLD, resid_tol=None,
+                 stages=STAGES, centerline=None) -> PipelineResult:
     """Give a TriMesh, or a VoxelSet in its lattice units, oriented faces
     (face_normals or digital_surface_faces, estimate_digital_normals when
     normals is "estimate", orient_inward), then run the named stages.
@@ -82,10 +73,10 @@ def run_pipeline(surface, radius, *, gridstep=None, normals=None, normal_radius=
     takes the place of accumulate and track; refine, if asked for, then
     refines it. Defaults: gridstep the surface's step (median_face_size, 1
     for voxels), normals "estimate" for voxels, "faces" otherwise,
-    normal_radius max(2, R/2), track_step R, resid_tol 0.05 * R.
-    Each other setting (see SETTINGS) goes to the stage that takes it,
-    which otherwise uses its own default. Another surface or setting name
-    is a TypeError; a setting, given or derived, outside errors.LIMITS an
+    track_step R, inside_threshold track.INSIDE_THRESHOLD, resid_tol
+    0.05 * R. The normals' smoothing radius is max(2, R/2); every other
+    stage setting is its stage's own default. Another surface is a
+    TypeError; a setting, given or derived, outside errors.LIMITS an
     OutOfRange (a ValueError), raised before the front runs.
     """
     voxels = isinstance(surface, VoxelSet)
@@ -97,12 +88,6 @@ def run_pipeline(surface, radius, *, gridstep=None, normals=None, normal_radius=
         raise ValueError(f"unknown normals mode {normals!r}")
     if gridstep is None:
         gridstep = 1.0 if voxels else surface.median_face_size()
-    normal_radius = max(2.0, 0.5 * radius) if normal_radius is None else normal_radius
-    kw = {stage: {name: settings.pop(name) for name in names if name in settings}
-          for stage, (_, names) in SETTINGS.items()}
-    if settings:
-        raise TypeError("run_pipeline() got an unexpected keyword argument "
-                        f"{next(iter(settings))!r}")
     stages = set(stages)
     given = {"accumulate", "track"} if centerline is not None else set()
     for stage in stages:
@@ -115,19 +100,17 @@ def run_pipeline(surface, radius, *, gridstep=None, normals=None, normal_radius=
 
     track_step = radius if track_step is None else track_step
     resid_tol = 0.05 * radius if resid_tol is None else resid_tol
-    values = dict(radius=radius, gridstep=gridstep, normal_radius=normal_radius,
-                  track_step=track_step, resid_tol=resid_tol)
-    # a None setting takes its owner's default
-    values.update((n, v) for stage in kw.values() for n, v in stage.items() if v is not None)
-    for name, value in values.items():
+    for name, value in dict(radius=radius, gridstep=gridstep, track_step=track_step,
+                            inside_threshold=inside_threshold,
+                            resid_tol=resid_tol).items():
         check_setting(name, value)
-    acc = AccumulationParams(radius=radius, gridstep=gridstep, **kw["accumulate"])
+    acc = AccumulationParams(radius=radius, gridstep=gridstep)
 
     t = {}
     with timed(t, "normals"):
         faces = (digital_surface_faces if voxels else face_normals)(surface)
         if normals == "estimate":
-            faces = estimate_digital_normals(faces, normal_radius)
+            faces = estimate_digital_normals(faces, max(2.0, 0.5 * radius))
     with timed(t, "orient"):
         faces = orient_inward(faces, mode=orient, radius=radius)
     out = PipelineResult(acc_params=acc, faces=faces, normals=normals,
@@ -139,18 +122,17 @@ def run_pipeline(surface, radius, *, gridstep=None, normals=None, normal_radius=
     if "track" in stages:
         with timed(t, "track"):
             out.raw = out.centerline = extract_centerline(
-                out.accumulation, track_step, acc.acc_radius, **kw["track"])
+                out.accumulation, track_step, acc.acc_radius, inside_threshold)
     if "refine" in stages:
         with timed(t, "refine"):
-            out.centerline = optimize_centerline(
-                out.raw, faces, radius, acc.acc_radius, track_step,
-                **kw["refine"])
+            out.centerline = optimize_centerline(out.raw, faces, radius, acc.acc_radius,
+                                                 track_step)
     if "decompose" in stages:
         with timed(t, "decompose"):
             out.decomposition = decompose_centerline(out.centerline, resid_tol=resid_tol)
     if "reconstruct" in stages:
         with timed(t, "reconstruct"):
-            out.tube = sweep_tube(out.centerline, radius, **kw["reconstruct"])
+            out.tube = sweep_tube(out.centerline, radius)
     if "error_map" in stages:
         with timed(t, "error_map"):
             out.errors = error_map(faces, out.centerline, radius)

@@ -44,8 +44,9 @@ _BALL_MARGIN = 1e-9  # relative radius padding of the candidate ball query
 # cell size of the face hash over acc_radius: smaller cells fit the ball
 # more closely, larger ones make fewer columns to look up
 _CELL_FRACTION = 0.25
-# the convergence settings of optimize_point and optimize_centerline: stop
-# when the accepted energy drop falls below EPSILON_O, or after MAX_ITER
+# optimize_point's default convergence settings, which optimize_centerline
+# uses: stop when the accepted energy drop falls below EPSILON_O, or after
+# MAX_ITER
 EPSILON_O = 0.001
 MAX_ITER = 1000
 
@@ -144,8 +145,7 @@ def optimize_point(c0, points, radius, epsilon_o=EPSILON_O, max_iter=MAX_ITER):
     return c, e, max_iter
 
 
-def optimize_centerline(centerline, faces, radius, acc_radius, track_step,
-                        epsilon_o=EPSILON_O, max_iter=MAX_ITER) -> Centerline:
+def optimize_centerline(centerline, faces, radius, acc_radius, track_step) -> Centerline:
     """Refine every centerline point independently.
 
     Each point's section (section_points with acc_radius and track_step)
@@ -165,8 +165,7 @@ def optimize_centerline(centerline, faces, radius, acc_radius, track_step,
                                      near=near)
         except TooFewPoints:
             continue
-        pts[i], _, _ = optimize_point(pts[i], section, radius, epsilon_o=epsilon_o,
-                                      max_iter=max_iter)
+        pts[i], _, _ = optimize_point(pts[i], section, radius)
         refined[i] = True
     dirs = _polyline_directions(pts, centerline.closed)
     return Centerline(points=pts, directions=dirs, closed=centerline.closed,

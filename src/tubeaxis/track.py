@@ -33,6 +33,13 @@ _ZERO_DIR = 1e-12
 # the largest coordinate magnitude of a centerline point: the squared
 # distance of two such points, at most 12 MAX_COORD^2, stays finite
 MAX_COORD = 1e150
+# how far a centerline direction's length may be from 1; the centerline
+# CSV's 9 significant digits keep it within 1e-9
+UNIT_TOL = 1e-6
+# the continuation gates: the share of the run's reference level a point
+# needs, and the largest turn per step, in radians
+INSIDE_THRESHOLD = 0.5
+MAX_ANGLE = math.pi / 3
 # the 8 corners of a trilinear cell, last axis fastest
 _CORNERS = np.array(list(itertools.product((0, 1), repeat=3)))
 # (row, column) of the lower triangle of a 3 x 3 matrix
@@ -44,7 +51,9 @@ class Centerline:
     """(n, 3) points along a tube's axis with a unit tangent each. Built
     only to its contract, checked here once: at least 2 points
     (TooFewPoints), coordinates finite and at most MAX_COORD in magnitude
-    (OutOfRange), consecutive points more than 1e-12 apart (DuplicatePoint).
+    (OutOfRange), consecutive points more than 1e-12 apart (DuplicatePoint),
+    and (n, 3) directions whose lengths are finite and within UNIT_TOL of 1
+    (OutOfRange).
     """
 
     points: np.ndarray
@@ -65,6 +74,14 @@ class Centerline:
         if steps.min() <= _ZERO_DIR:
             raise DuplicatePoint(f"centerline points {np.argmin(steps)} and "
                                  f"{np.argmin(steps) + 1} coincide")
+        if self.directions.shape != (len(self.points), 3):
+            raise OutOfRange(f"a centerline needs one direction per point, got "
+                             f"{self.directions.shape} for {len(self.points)} points")
+        with np.errstate(over="ignore"):  # a length that overflows is not 1
+            off = ~(np.abs(np.linalg.norm(self.directions, axis=1) - 1) <= UNIT_TOL)
+        if off.any():
+            raise OutOfRange(f"centerline direction {np.argmax(off)} is not a unit "
+                             f"vector within {UNIT_TOL:g}")
 
     def __len__(self):
         return len(self.points)
@@ -337,8 +354,8 @@ def _polyline_directions(points, closed=False):
     return dirs / norms[:, None]
 
 
-def extract_centerline(res, track_step, acc_radius, inside_threshold=0.5,
-                       max_angle=math.pi / 3) -> Centerline:
+def extract_centerline(res, track_step, acc_radius,
+                       inside_threshold=INSIDE_THRESHOLD) -> Centerline:
     """Full centerline through the accumulation maximum.
 
     Tracks forward and backward from the seed voxel and concatenates the
@@ -352,12 +369,12 @@ def extract_centerline(res, track_step, acc_radius, inside_threshold=0.5,
     seed = res.domain.voxel_center(res.max_pt)
 
     fwd, closed = track_direction(res, seed, True, track_step, acc_radius,
-                                  inside_threshold, max_angle)
+                                  inside_threshold, MAX_ANGLE)
     if closed:
         points = fwd
     else:
         bwd, closed_b = track_direction(res, seed, False, track_step, acc_radius,
-                                        inside_threshold, max_angle)
+                                        inside_threshold, MAX_ANGLE)
         if closed_b:
             points, closed = bwd, True
         else:
@@ -365,7 +382,7 @@ def extract_centerline(res, track_step, acc_radius, inside_threshold=0.5,
 
     if len(points) < 2:
         raise TooFewPoints("tracking stopped at the seed in both directions "
-                           f"(inside_threshold {inside_threshold:g}, max_angle {max_angle:g})")
+                           f"(inside_threshold {inside_threshold:g}, max_angle {MAX_ANGLE:g})")
     if not closed and len(points) > 2:
         closed = np.linalg.norm(points[0] - points[-1]) < track_step
     dirs = _polyline_directions(points, closed)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import settings
 
 import tubeaxis as tx
+from tubeaxis.track import _polyline_directions
 
 settings.register_profile("tubeaxis", derandomize=True, deadline=None, database=None)
 settings.load_profile("tubeaxis")
@@ -73,6 +74,12 @@ def bent_pipe():
     run = tx.run_pipeline(mesh, radius, gridstep=1.0, stages=("accumulate",))
     return {"radius": radius, "mesh": mesh, "truth": truth, "faces": run.faces,
             "params": run.acc_params, "result": run.accumulation}
+
+
+def centerline_of(points, closed=False):
+    """A Centerline through points with their central-difference tangents,
+    as tracking and refinement give them."""
+    return tx.Centerline(points, _polyline_directions(points, closed), closed=closed)
 
 
 def capped_voxels():

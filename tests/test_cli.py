@@ -152,15 +152,9 @@ def test_scan_without_a_step_is_exit_2(tmp_path, capsys):
     assert not (tmp_path / "out" / "summary.json").exists()
 
 
-@pytest.mark.parametrize("value", ["0", "-1.5", "nan", "inf"])
-def test_bad_normal_radius_is_exit_1(tmp_path, capsys, value):
-    vox = tmp_path / "v.xyz"
-    vox.write_text("".join(f"{i} {j} 0\n" for i in range(6) for j in range(6)))
-    rc = run(["accumulate", "--input", vox, "--radius", 2,
-              "--normal-radius", value, "--out-dir", tmp_path / "out"])
-    assert rc == 1
-    assert "--normal-radius must be positive and finite" in capsys.readouterr().err
-    assert not (tmp_path / "out" / "summary.json").exists()
+# the flags of the stage settings that became their stages' constants
+_REMOVED = ("--epsilon-acc", "--normal-radius", "--max-angle", "--epsilon-o",
+            "--max-iter", "--sides")
 
 
 @pytest.mark.parametrize("flag,value", [
@@ -170,11 +164,14 @@ def test_bad_normal_radius_is_exit_1(tmp_path, capsys, value):
     ("--sides", "0"), ("--sides", "-2"), ("--epsilon-acc", "-1"), ("--inside-threshold", "2"), ("--max-iter", "0"),
     ("--hm-spacing", "0")])
 def test_bad_gridstep_is_exit_1(tube_off, tmp_path, capsys, flag, value):
-    # the same holds for every range-checked stage option
+    # the same holds for every range-checked stage option; a removed flag
+    # takes no value at all
     rc = run(["pipeline", "--input", tube_off, "--radius", 4,
               f"{flag}={value}", "--out-dir", tmp_path / "out"])
     assert rc == 1
-    assert f"{flag} must be" in capsys.readouterr().err
+    want = (f"unrecognized arguments: {flag}={value}" if flag in _REMOVED
+            else f"{flag} must be")
+    assert want in capsys.readouterr().err
     assert not (tmp_path / "out" / "summary.json").exists()
 
 
@@ -185,6 +182,11 @@ _PIPE = ["pipeline", "--input", "missing.off", "--radius", "2"]
     pytest.param(_PIPE + ["--bogus", "1"], id="unknown-flag"),
     # the direction image's setting, gone with it
     pytest.param(_PIPE + ["--min-norm", "0.1"], id="removed-min-norm"),
+    # the stage settings that became constants, on every subcommand
+    *(pytest.param([command, *(["--spec", "S:10"] if command == "synth"
+                               else ["--input", "missing.off"]), "--radius", "2", flag, "1"],
+                   id=f"removed{flag}-{command}")
+      for flag in _REMOVED for command in [*cli.COMMANDS, "synth"]),
     pytest.param(_PIPE + ["--radius", "abc"], id="not-a-number"),
     pytest.param(_PIPE + ["--orient", "sideways"], id="bad-choice"),
     pytest.param(_PIPE + ["--seed", "1"], id="seed-outside-synth"),
@@ -206,22 +208,20 @@ def test_bad_gridstep_is_exit_1_before_loading(tmp_path, capsys, value):
     assert "--gridstep must be" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("dest", [{"epsilon": "epsilon_acc"}.get(name, name)
-                                  for name in LIMITS])
+@pytest.mark.parametrize("dest", [name for name in LIMITS if name not in ("epsilon", "sides")])
 def test_every_numeric_flag_is_range_checked_before_loading(tmp_path, capsys, dest):
     # -1 is outside every limit; the input does not exist, so the check
-    # comes first. Each key of LIMITS but epsilon (--epsilon-acc) is the
-    # dest of a flag, whose message is check_setting's with the flag
-    name = "epsilon" if dest == "epsilon_acc" else dest
-    test, must = LIMITS[name]
+    # comes first. Each key of LIMITS but the library's epsilon
+    # (AccumulationParams) and sides (sweep_tube) is the dest of a flag,
+    # whose message is check_setting's with the flag
+    test, must = LIMITS[dest]
     assert not test(-1)
     flag = "--" + dest.replace("_", "-")
     args = (["synth", "--spec", "S:10"] if dest in ("mesh_step", "sigma")
             else ["pipeline", "--input", tmp_path / "missing.off"])
     rc = run(args + ["--radius", 2, f"{flag}=-1", "--out-dir", tmp_path / "out"])
     assert rc == 1
-    got = -1 if dest in ("max_iter", "sides") else -1.0  # the flag's type
-    assert capsys.readouterr().err.endswith(f"error: {flag} must be {must}, got {got}\n")
+    assert capsys.readouterr().err.endswith(f"error: {flag} must be {must}, got -1.0\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -391,9 +391,8 @@ def test_summary_is_deterministic_up_to_timings(tube_off, tmp_path):
     assert (out / "centerline.csv").read_bytes() == first_csv
 
 
-_PARAMS = {"radius", "epsilon_acc", "gridstep", "normals", "orient"}
-_TRACK = {"track_step", "inside_threshold", "max_angle"}
-_REFINE = {"epsilon_o", "max_iter"}
+_PARAMS = {"radius", "gridstep", "normals", "orient"}
+_TRACK = {"track_step", "inside_threshold"}
 _DECOMPOSE = {"resid_tol"}
 _LINE = {"points", "closed", "mean_spacing", "refined_points"}
 _CHAIN = {"accumulate", "track", "refine"}
@@ -405,16 +404,15 @@ _SUMMARY_KEYS = {
                    {"accumulate"}, None),
     "centerline": (_PARAMS | _TRACK, _LINE | {"max_acc"},
                    {"accumulate", "track"}, None),
-    "refine": (_PARAMS | _TRACK | _REFINE, _LINE, _CHAIN, {"refine"}),
-    "decompose": (_PARAMS | _TRACK | _REFINE | _DECOMPOSE,
+    "refine": (_PARAMS | _TRACK, _LINE, _CHAIN, {"refine"}),
+    "decompose": (_PARAMS | _TRACK | _DECOMPOSE,
                   _LINE | {"segments", "kinds"}, _CHAIN | {"decompose"},
                   {"decompose"}),
-    "reconstruct": (_PARAMS | _TRACK | _REFINE | {"sides"},
-                    _LINE | {"reconstructed_faces"}, _CHAIN | {"reconstruct"},
-                    {"reconstruct"}),
-    "error-map": (_PARAMS | _TRACK | _REFINE, _LINE | {"error"},
+    "reconstruct": (_PARAMS | _TRACK, _LINE | {"reconstructed_faces"},
+                    _CHAIN | {"reconstruct"}, {"reconstruct"}),
+    "error-map": (_PARAMS | _TRACK, _LINE | {"error"},
                   _CHAIN | {"error_map"}, {"error_map"}),
-    "pipeline": (_PARAMS | _TRACK | _REFINE | _DECOMPOSE | {"sides"},
+    "pipeline": (_PARAMS | _TRACK | _DECOMPOSE,
                  _LINE | {"max_acc", "max_pt", "segments", "kinds", "error"},
                  _CHAIN | {"decompose", "reconstruct", "error_map"}, None),
 }
@@ -483,19 +481,26 @@ def _cli_warnings_as_errors(*args):
 @pytest.mark.parametrize("case,message", [
     ("one-point", "a centerline needs at least 2 points, got 1"),
     ("times-1e300", "centerline point 0 has a coordinate that is not finite or above "
-                    "1e+150 in magnitude")])
+                    "1e+150 in magnitude"),
+    ("direction-1000", "centerline direction 0 is not a unit vector within 1e-06"),
+    ("direction-0", "centerline direction 0 is not a unit vector within 1e-06")])
 @pytest.mark.parametrize("command", ["refine", "decompose", "reconstruct", "error-map"])
 def test_a_centerline_outside_its_contract_is_an_input_error(s30_run, tmp_path, command,
                                                              case, message):
     # one point once gave refine, decompose and error-map exit 0; at 1e300
-    # numpy warned, and under -W error every command ended in a traceback
+    # numpy warned, and under -W error every command ended in a traceback.
+    # Directions 1000,0,0 once gave refine exit 0 with no point refined,
+    # and 0,0,0 let every slab test pass
     tube, result = s30_run
     header, *rows = (result / "centerline.csv").read_text().splitlines()
     if case == "one-point":
         rows = rows[:1]
-    else:
+    elif case == "times-1e300":
         rows = [",".join([f[0], *("%.9g" % (float(x) * 1e300) for x in f[1:4]), *f[4:]])
                 for f in (row.split(",") for row in rows)]
+    else:
+        direction = "1000,0,0" if case == "direction-1000" else "0,0,0"
+        rows = [",".join([*row.split(",")[:4], direction]) for row in rows]
     path = tmp_path / "centerline.csv"
     path.write_text("\n".join([header, *rows]) + "\n")
     proc = _cli_warnings_as_errors(command, "--input", tube, "--radius", 3,
@@ -510,7 +515,9 @@ def test_a_centerline_outside_its_contract_is_an_input_error(s30_run, tmp_path, 
 def test_a_far_centerline_runs_without_a_warning(s30_run, tmp_path, command, factor):
     # inside the contract's bound but far from every face: refine's cells of
     # its points must stay in int64 range, and the error map's RMS must not
-    # square its errors near 1e200 unscaled
+    # square its errors near 1e200 unscaled. Decompose's tolerance, 0.15,
+    # lies far below the rounding of coordinates near 1e149: it once gave
+    # 19 straights with exit 0, and is a pipeline failure
     tube, result = s30_run
     header, *rows = (result / "centerline.csv").read_text().splitlines()
     rows = [",".join([f[0], *("%.9g" % (float(x) * factor) for x in f[1:4]), *f[4:]])
@@ -520,6 +527,13 @@ def test_a_far_centerline_runs_without_a_warning(s30_run, tmp_path, command, fac
     out = tmp_path / "out"
     proc = _cli_warnings_as_errors(command, "--input", tube, "--radius", 3,
                                    "--centerline", path, "--out-dir", out)
+    if command == "decompose":
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("tubeaxis decompose: pipeline failure: TooSmall: "
+                                      "resid_tol 0.15 is below the rounding of the "
+                                      "centerline's coordinates")
+        assert proc.stderr.count("\n") == 1 and not out.exists()
+        return
     assert (proc.returncode, proc.stderr) == (0, "")
     if command == "error-map":
         error = json.loads((out / "summary.json").read_text())["results"]["error"]
@@ -778,26 +792,14 @@ def test_main_builds_only_the_options_of_the_subcommand_it_runs(monkeypatch, tmp
     assert built == [f"tubeaxis {name}" for name in _NAMES]
 
 
-# the function whose signature owns each stage flag's default, by dest
-_OWNERS = {
-    "epsilon_acc": (tx.AccumulationParams, "epsilon"),
-    "track_step": (tx.run_pipeline, "track_step"),
-    "inside_threshold": (tx.extract_centerline, "inside_threshold"),
-    "max_angle": (tx.extract_centerline, "max_angle"),
-    "epsilon_o": (tx.optimize_centerline, "epsilon_o"),
-    "max_iter": (tx.optimize_centerline, "max_iter"),
-    "resid_tol": (tx.run_pipeline, "resid_tol"),
-    "sides": (tx.sweep_tube, "sides"),
-}
-
-
 @pytest.mark.parametrize("command", list(_SUMMARY_KEYS))
 def test_stage_flag_defaults_are_their_owners_defaults(command):
+    # each stage flag sets the run_pipeline keyword of its name, and its
+    # default is that keyword's (None: run_pipeline derives it)
     args = build_parser().parse_args([command, "--input", "x.off", "--radius", "1"])
     dests = _SUMMARY_KEYS[command][0] - {"radius", "gridstep", "normals", "orient"}
     for dest in dests:
-        owner, name = _OWNERS[dest]
-        default = inspect.signature(owner).parameters[name].default
+        default = inspect.signature(tx.run_pipeline).parameters[dest].default
         value = getattr(args, dest)
         assert value == default and type(value) is type(default), dest
 
@@ -808,7 +810,5 @@ def test_pipeline_without_flags_records_the_default_params(tube_off, tmp_path):
     params = json.loads((out / "summary.json").read_text())["params"]
     gridstep = params["gridstep"]
     assert params == {
-        "radius": 4.0, "epsilon_acc": 0.4, "gridstep": gridstep, "normals": "faces",
-        "orient": "auto", "track_step": 4.0,
-        "inside_threshold": 0.5, "max_angle": math.pi / 3, "epsilon_o": 0.001,
-        "max_iter": 1000, "resid_tol": 0.05 * 4.0, "sides": 24}
+        "radius": 4.0, "gridstep": gridstep, "normals": "faces", "orient": "auto",
+        "track_step": 4.0, "inside_threshold": 0.5, "resid_tol": 0.05 * 4.0}

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import tubeaxis as tx
-from tubeaxis.track import Centerline
+from conftest import centerline_of
 
 
 def _ngon(n, r, wrap=1):
@@ -144,7 +144,7 @@ def test_planarity_gate_has_no_default():
     # the fit tolerance is in world units and scales with the tube (the
     # chain passes 0.05 R), so no fixed default fits every input
     pts = _sas_polyline()
-    cl = Centerline(points=pts, directions=np.zeros_like(pts))
+    cl = centerline_of(pts)
     with pytest.raises(TypeError, match="resid_tol"):
         tx.decompose_centerline(cl)
     with pytest.raises(TypeError):
@@ -153,7 +153,7 @@ def test_planarity_gate_has_no_default():
 
 def test_detect_straight_arc_straight():
     pts = _sas_polyline()
-    cl = Centerline(points=pts, directions=np.zeros_like(pts))
+    cl = centerline_of(pts)
     dec = tx.decompose_centerline(cl, resid_tol=0.3)
     assert dec.kinds() == "SAS"
     s0, a, s1 = dec.segments
@@ -169,7 +169,7 @@ def test_junctions_land_on_turning_side():
     pts = _sas_polyline()
     tsp = tx.tangent_space_transform(pts)
     first_turn = int(np.flatnonzero(tsp.alphas > 0.05)[0])
-    cl = Centerline(points=pts, directions=np.zeros_like(pts))
+    cl = centerline_of(pts)
     dec = tx.decompose_centerline(cl, resid_tol=0.3)
     assert abs(dec.segments[0].end - first_turn) <= 1
 
@@ -181,7 +181,7 @@ def test_single_vertex_kink_merges_into_straights():
     pts = [i * 3.0 * d1 for i in range(6)]
     pts += [pts[-1] + i * 3.0 * d2 for i in range(1, 6)]
     pts = np.asarray(pts)
-    cl = Centerline(points=pts, directions=np.zeros_like(pts))
+    cl = centerline_of(pts)
     dec = tx.decompose_centerline(cl, resid_tol=0.5)
     assert dec.kinds().count("A") == 0
     assert len(dec.segments) <= 2
@@ -191,7 +191,7 @@ def test_helix_is_flagged_or_split():
     theta = np.linspace(0, 1.5 * math.pi, 40)
     pts = np.column_stack([12 * np.cos(theta), 12 * np.sin(theta),
                            4.0 * theta])
-    cl = Centerline(points=pts, directions=np.zeros_like(pts))
+    cl = centerline_of(pts)
     dec = tx.decompose_centerline(cl, resid_tol=0.3)
     arcs = [s for s in dec.segments if s.kind == "ARC"]
     assert arcs
@@ -200,7 +200,7 @@ def test_helix_is_flagged_or_split():
 
 def test_decompose_covers_every_index():
     pts = _sas_polyline()
-    cl = Centerline(points=pts, directions=np.zeros_like(pts))
+    cl = centerline_of(pts)
     dec = tx.decompose_centerline(cl, resid_tol=0.3)
     assert dec.segments[0].start == 0
     assert dec.segments[-1].end == len(pts) - 1
@@ -225,7 +225,7 @@ def test_wide_ring_is_one_arc():
     # under 0.03 rad, but no line fits the run
     theta = np.linspace(0.0, 0.95 * 2 * math.pi, 200)
     pts = np.column_stack([50 * np.cos(theta), 50 * np.sin(theta), np.zeros(200)])
-    dec = tx.decompose_centerline(Centerline(pts, np.zeros_like(pts)), resid_tol=0.05)
+    dec = tx.decompose_centerline(centerline_of(pts), resid_tol=0.05)
     assert dec.kinds() == "A"
     assert dec.segments[0].radius == pytest.approx(50.0, rel=1e-9)
 
@@ -298,3 +298,17 @@ def test_bend_radius_and_track_step_sweep(k):
         refined = tx.optimize_centerline(raw, run.faces, radius, acc_r, f * radius)
         kinds = tx.decompose_centerline(refined, resid_tol=0.05 * radius).kinds()
         assert kinds == "SAS" or (k, f) in _TOO_FEW_STEPS, (f, kinds)
+
+
+@pytest.mark.parametrize("scale", [1e12, 1e148])
+def test_a_tolerance_below_the_coordinates_rounding_is_too_small(bent_pipe, scale):
+    # bent_pipe's axis scaled up: its fits' residuals are rounding once
+    # resid_tol is below 1e-12 of the largest coordinate magnitude; at 1e148
+    # a tolerance of 0.15 once gave 19 straights
+    line = centerline_of(bent_pipe["truth"].points * scale)
+    floor = 1e-12 * np.abs(line.points).max()
+    with pytest.raises(tx.TooSmall) as raised:
+        tx.decompose_centerline(line, resid_tol=0.15)
+    assert str(raised.value) == ("resid_tol 0.15 is below the rounding of the centerline's "
+                                 f"coordinates, 1e-12 times their largest magnitude: {floor:g}")
+    assert tx.decompose_centerline(line, resid_tol=0.15 * scale).kinds() == "SAS"

@@ -508,6 +508,7 @@ def test_centerline_csv_roundtrip(tmp_path):
     rng = np.random.default_rng(5)
     pts = rng.normal(size=(9, 3)) * 10
     dirs = rng.normal(size=(9, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     path = tmp_path / "c.csv"
     write_centerline_csv(tx.Centerline(pts, dirs), path)
     p2, d2 = tx.read_centerline_csv(path)

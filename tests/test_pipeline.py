@@ -13,15 +13,14 @@ from tubeaxis.errors import LIMITS
 from tubeaxis.pipeline import STAGES
 
 
-def _front(surface, radius, normals=None, normal_radius=None, orient="auto"):
+def _front(surface, radius, normals=None, orient="auto"):
     """(oriented faces, gridstep) written out with the defaults run_pipeline
     derives: a mesh's exact face normals and median face size, a voxel
-    set's smoothed facet normals and step 1."""
+    set's facet normals smoothed over max(2, R/2) and step 1."""
     voxels = isinstance(surface, tx.VoxelSet)
     faces = tx.digital_surface_faces(surface) if voxels else tx.face_normals(surface)
     if (normals or ("estimate" if voxels else "faces")) == "estimate":
-        faces = tx.estimate_digital_normals(
-            faces, max(2.0, radius / 2) if normal_radius is None else normal_radius)
+        faces = tx.estimate_digital_normals(faces, max(2.0, radius / 2))
     gridstep = 1.0 if voxels else surface.median_face_size()
     return tx.orient_inward(faces, mode=orient, radius=radius), gridstep
 
@@ -149,9 +148,9 @@ def test_the_auto_gridstep_is_the_surfaces_own_step(cylinder, bent_pipe):
 
 
 @pytest.mark.parametrize("kind,settings", [
-    ("mesh", {"normals": "estimate"}), ("mesh", {"normals": "estimate", "normal_radius": 3.5}),
+    ("mesh", {"normals": "estimate"}), ("mesh", {"normals": "estimate", "orient": "keep"}),
     ("mesh", {"orient": "flip"}), ("voxels", {"normals": "faces"}),
-    ("voxels", {"normal_radius": 2.5}), ("voxels", {"orient": "keep"})])
+    ("voxels", {"normals": "estimate", "orient": "flip"}), ("voxels", {"orient": "keep"})])
 def test_the_front_settings_reach_the_written_out_front(bent_pipe, kind, settings):
     surface = bent_pipe["mesh"] if kind == "mesh" else capped_voxels()
     r = tx.run_pipeline(surface, 3.0, stages=(), **settings)
@@ -181,18 +180,19 @@ def test_a_stage_without_its_input_is_rejected(cylinder, stages, given):
 
 def test_a_misspelt_setting_is_a_type_error(cylinder):
     # min_norm was the direction image's setting, which the normal tensor
-    # does without; area_weighting weighted the refine fit by face area
+    # does without; area_weighting weighted the refine fit by face area.
+    # The last six are their stages' constants now
     for name, value in (("inside_treshold", 0.4), ("min_norm", 0.1),
-                        ("area_weighting", True)):
+                        ("area_weighting", True), ("epsilon", 0.7), ("normal_radius", 3.5),
+                        ("max_angle", 1.2), ("epsilon_o", 0.01), ("max_iter", 7),
+                        ("sides", 8)):
         with pytest.raises(TypeError, match=name):
             tx.run_pipeline(cylinder.mesh, cylinder.radius, **{name: value})
 
 
 # a value outside its limits for every range-checked setting
-_OUT_OF_RANGE = {"radius": 0.0, "gridstep": math.nan, "normal_radius": -2.0,
-                 "epsilon": -0.1, "track_step": -1.0, "max_angle": math.inf,
-                 "inside_threshold": 1.5, "epsilon_o": -0.1, "max_iter": 0,
-                 "resid_tol": -1.0, "sides": 2}
+_OUT_OF_RANGE = {"radius": 0.0, "gridstep": math.nan, "track_step": -1.0,
+                 "inside_threshold": 1.5, "resid_tol": -1.0}
 
 
 def _no_work(monkeypatch):
@@ -206,8 +206,10 @@ def _no_work(monkeypatch):
 
 @pytest.mark.parametrize("name", _OUT_OF_RANGE)
 def test_an_out_of_range_setting_fails_before_any_stage(cylinder, monkeypatch, name):
+    # the rest of LIMITS is the command line's synth and height map settings,
+    # AccumulationParams' epsilon and sweep_tube's sides
     assert _OUT_OF_RANGE.keys() == LIMITS.keys() - {"mesh_step", "sigma", "hm_scale",
-                                                     "hm_spacing"}
+                                                     "hm_spacing", "epsilon", "sides"}
     _no_work(monkeypatch)
     settings = {"radius": cylinder.radius, name: _OUT_OF_RANGE[name]}
     with pytest.raises(tx.OutOfRange, match=f"^{name} must be"):
@@ -220,7 +222,7 @@ def test_every_entry_point_words_a_bad_radius_alike(cylinder, tmp_path, capsys, 
     # one limits table and one check: the library's entry points raise its
     # words, and the command line prints them with the flag's name
     want = f"radius must be positive and finite, got {value!r}"
-    line = tx.Centerline([[0.0, 0, 0], [1, 0, 0]], np.zeros((2, 3)))
+    line = tx.Centerline([[0.0, 0, 0], [1, 0, 0]], [[1.0, 0, 0], [1, 0, 0]])
     for call in (lambda: tx.run_pipeline(cylinder.mesh, value),
                  lambda: tx.AccumulationParams(radius=value),
                  lambda: tx.sweep_tube(line, value),
@@ -247,12 +249,10 @@ def test_an_out_of_range_auto_gridstep_fails_before_the_front(monkeypatch, verti
         tx.run_pipeline(tx.TriMesh(vertices, faces), 3.0)
 
 
-# a value for every setting, none of them its default
-_GIVEN = {"accumulate": {"epsilon": 0.7},
-          "track": {"inside_threshold": 0.4, "max_angle": 1.2},
-          "refine": {"epsilon_o": 0.01, "max_iter": 7},
-          "decompose": {},
-          "reconstruct": {"sides": 8}}
+# a value for every stage setting, none of them its default, and the
+# stages that read it
+_GIVEN = {"track_step": (4.5, ["track", "refine"]), "inside_threshold": (0.4, ["track"]),
+          "resid_tol": (0.3, ["decompose"])}
 
 
 def test_each_setting_reaches_only_its_stage(cylinder, monkeypatch):
@@ -260,7 +260,7 @@ def test_each_setting_reaches_only_its_stage(cylinder, monkeypatch):
 
     def spy(stage, fn):
         def call(*args, **kwargs):
-            seen[stage] = kwargs
+            seen[stage] = [*args, *kwargs.values()]
             return fn(*args, **kwargs)
         monkeypatch.setattr(pipeline, fn.__name__, call)
 
@@ -270,14 +270,12 @@ def test_each_setting_reaches_only_its_stage(cylinder, monkeypatch):
                       ("decompose", pipeline.decompose_centerline),
                       ("reconstruct", pipeline.sweep_tube)):
         spy(stage, fn)
-    settings = {k: v for given in _GIVEN.values() for k, v in given.items()}
     r = tx.run_pipeline(cylinder.mesh, cylinder.radius, gridstep=cylinder.gridstep,
-                        **settings)
-    assert {stage: {k: v for k, v in kw.items() if k in settings}
-            for stage, kw in seen.items()} == _GIVEN
-    assert r.acc_params.epsilon == 0.7
-    # sides=8 gives 8-vertex rings
-    assert r.tube.n_vertices == 8 * len(r.centerline)
+                        **{name: value for name, (value, _) in _GIVEN.items()})
+    for name, (value, stages) in _GIVEN.items():
+        assert [stage for stage, args in seen.items()
+                if any(isinstance(a, float) and a == value for a in args)] == stages, name
+    assert (r.track_step, r.resid_tol) == (4.5, 0.3)
 
 
 def test_every_public_name_resolves_once():

@@ -12,8 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tubeaxis as tx
-from conftest import quaternion_rotation
-from tubeaxis.track import Centerline
+from conftest import centerline_of, quaternion_rotation
 
 _UNIT = st.floats(-1.0, 1.0)
 _QUATERNION = st.tuples(_UNIT, _UNIT, _UNIT, _UNIT).filter(lambda q: np.linalg.norm(q) > 0.1)
@@ -47,8 +46,7 @@ def test_kinds_match_the_spec_in_any_pose_and_scale(segments, q, shift, log_scal
     scale = 10.0 ** log_scale
     _, truth = tx.gen_tube(segments, 0.5, 1.0)
     points = scale * truth.points @ quaternion_rotation(q).T + np.asarray(shift)
-    dec = tx.decompose_centerline(Centerline(points, np.zeros_like(points)),
-                                  resid_tol=0.05 * scale)
+    dec = tx.decompose_centerline(centerline_of(points), resid_tol=0.05 * scale)
     assert dec.kinds() == "".join("A" if isinstance(s, tx.Arc) else "S" for s in segments)
     assert dec.segments[0].start == 0 and dec.segments[-1].end == len(points) - 1
     assert all(a.end == b.start for a, b in zip(dec.segments, dec.segments[1:]))

@@ -13,7 +13,7 @@ from tubeaxis import rebuild
 from tubeaxis.errors import LIMITS
 from tubeaxis.track import Centerline, _polyline_directions
 
-from conftest import random_unit_vectors
+from conftest import centerline_of, random_unit_vectors
 
 
 def _line_centerline(n=11, step=2.0):
@@ -63,7 +63,7 @@ def test_sweep_frames_do_not_twist():
     # a gentle s-curve: consecutive ring vertex 0 positions stay close
     t = np.linspace(0, 1, 40)
     pts = np.column_stack([20 * t, 3 * np.sin(2 * t), np.zeros(40)])
-    cl = Centerline(points=pts, directions=np.zeros((40, 3)))
+    cl = centerline_of(pts)
     mesh = tx.sweep_tube(cl, radius=1.0, sides=12)
     ring0 = mesh.vertices[0::12]  # vertex 0 of each ring
     jumps = np.linalg.norm(np.diff(ring0, axis=0), axis=1)
@@ -98,7 +98,7 @@ def _sweep_per_ring(points, radius, sides, closed):
 def test_sweep_matches_the_per_ring_loops(closed):
     theta = np.linspace(0, 2 * math.pi, 90, endpoint=False)
     pts = np.column_stack([20 * np.cos(theta), 20 * np.sin(theta), 3 * np.sin(3 * theta)])
-    cl = Centerline(points=pts, directions=np.zeros_like(pts), closed=closed)
+    cl = centerline_of(pts, closed)
     mesh = tx.sweep_tube(cl, radius=2.0, sides=24)
     vertices, faces = _sweep_per_ring(pts, 2.0, 24, closed)
     assert mesh.vertices.tobytes() == vertices.tobytes()

@@ -550,4 +550,21 @@ def test_a_centerline_outside_its_contract_is_refused(points, error, message):
 
 def test_a_centerline_may_reach_its_coordinate_bound():
     points = np.array([[0.0, 0, 0], [MAX_COORD, -MAX_COORD, MAX_COORD]])
-    assert tx.Centerline(points, np.zeros_like(points)).points.tobytes() == points.tobytes()
+    directions = _polyline_directions(points)
+    assert tx.Centerline(points, directions).points.tobytes() == points.tobytes()
+
+
+@pytest.mark.parametrize("directions,message", [
+    ([[1.0, 0, 0]], "a centerline needs one direction per point, got (1, 3) for 2 points"),
+    # 0 let every slab test of refine pass, 1000 let none
+    ([[0.0, 0, 0], [1, 0, 0]], "centerline direction 0 is not a unit vector within 1e-06"),
+    ([[1.0, 0, 0], [1000, 0, 0]], "centerline direction 1 is not a unit vector within 1e-06"),
+    ([[1.0, 0, 0], [1 + 2e-6, 0, 0]], "centerline direction 1 is not a unit vector within 1e-06"),
+    ([[1.0, 0, 0], [math.nan, 0, 0]], "centerline direction 1 is not a unit vector within 1e-06"),
+    # a length that overflows, without a warning
+    ([[1e200, 0, 0], [1, 0, 0]], "centerline direction 0 is not a unit vector within 1e-06")])
+def test_centerline_directions_must_be_unit_vectors(directions, message):
+    with pytest.raises(tx.OutOfRange) as raised:
+        tx.Centerline([[0.0, 0, 0], [1, 0, 0]], directions)
+    assert str(raised.value) == message
+    assert tx.Centerline([[0.0, 0, 0], [1, 0, 0]], [[1.0, 0, 0], [1 - 9e-7, 0, 0]])
