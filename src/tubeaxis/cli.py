@@ -4,7 +4,8 @@ Each file subcommand is one row of COMMANDS: the stages it runs (through
 tubeaxis.pipeline.run_pipeline) and the results it reports. accumulate,
 centerline, refine, decompose, reconstruct and error-map run the chain up
 to their own stage; with --centerline, the last four run only their own
-stage on a centerline read from a CSV. pipeline runs every stage; synth
+stage on a centerline read from a CSV. A run takes and records the settings
+its stages read (pipeline.READS). pipeline runs every stage; synth
 writes a ground-truth tube. Exit codes: 0 on success, 1 on input problems
 (bad flags or option values, missing file, parse error), 2 when a stage
 fails on valid input (weak accumulation seed, open surface where a closed
@@ -26,7 +27,7 @@ from .errors import (LIMITS, EmptyInput, OutOfRange, ParseError, TooSmall, TubeA
 from .ingest import (heightmap_to_mesh, load_heightmap, load_mesh, load_volume,
                      read_centerline_csv, write_artifacts, write_off,
                      write_truth_csv)
-from .pipeline import STAGES, run_pipeline, timed
+from .pipeline import READS, STAGES, run_pipeline, timed
 from .rebuild import error_summary
 from .synth import degrade, gen_tube, parse_tube_spec
 from .track import INSIDE_THRESHOLD, Centerline
@@ -82,15 +83,14 @@ _REPORTS = {
     "error": lambda r: error_summary(r.errors),
 }
 
-# the run_pipeline settings a subcommand can take; each is its flag's dest
-# and its key in the summary's params
-_SETTINGS = ("track_step", "inside_threshold", "resid_tol")
+def _reads(stages):
+    return {name for stage in stages for name in READS[stage]}
 
 
 def _check_options(args):
     """Check every numeric option with errors.check_setting before anything
     loads, a UsageError naming the flag; --gridstep becomes None or a float."""
-    if hasattr(args, "gridstep"):
+    if getattr(args, "gridstep", None) is not None:
         try:
             args.gridstep = None if args.gridstep == "auto" else float(args.gridstep)
         except ValueError:
@@ -117,6 +117,10 @@ def _load_input(args, timings):
             raise UnsupportedFormat(f"cannot infer input type from {path.name!r}; "
                                     "pass --input-type")
 
+    calibration = {name: value for name in ("scale", "spacing")
+                   if (value := getattr(args, "hm_" + name)) is not None}
+    if calibration and kind != "heightmap":
+        raise UsageError(f"--hm-{min(calibration)} applies to height maps, not to {kind}")
     info = {"input_path": str(path), "input_type": kind}
     with timed(timings, "load"):
         if kind == "mesh":
@@ -126,7 +130,7 @@ def _load_input(args, timings):
             surface = load_volume(path)
             info.update(n_voxels=len(surface))
         else:
-            hm = load_heightmap(path, scale=args.hm_scale, spacing=args.hm_spacing)
+            hm = load_heightmap(path, **calibration)
             surface = heightmap_to_mesh(hm)
             info.update(heightmap_size=[hm.width, hm.height])
     return surface, info
@@ -146,11 +150,10 @@ def _read_centerline(path):
 
 
 def _write_summary(args, info, params, timings, results, outputs):
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     summary = {"command": args.command, "input": info, "params": params,
                "results": results, "outputs": outputs, "timings": timings}
-    path = Path(args.json_summary) if args.json_summary else out_dir / "summary.json"
+    path = Path(args.json_summary or Path(args.out_dir) / "summary.json")
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         json.dump(summary, fh, sort_keys=True, indent=2)
         fh.write("\n")
@@ -169,18 +172,23 @@ def _centerline_results(cl):
 
 
 def _run(args):
-    """Load the input, run the subcommand's stages, write and report."""
+    """Check the options, load the input, run the stages, write and report."""
     command = COMMANDS[args.command]
+    csv = getattr(args, "centerline", None)
+    stages = command.stages[-1:] if csv else command.stages
+    read = _reads(stages)
+    for dest in sorted(_reads(command.stages) - read):  # read by accumulate or track alone
+        if getattr(args, dest) is not None:
+            raise UsageError(f"--{dest.replace('_', '-')} has no effect with --centerline, "
+                             "which takes the place of accumulate and track")
+    _check_options(args)
     timings = {}
     surface, info = _load_input(args, timings)
-    stages, centerline = command.stages, None
-    if getattr(args, "centerline", None):
-        centerline = _read_centerline(args.centerline)
-        stages = stages[-1:]
-    settings = {name: getattr(args, name) for name in _SETTINGS if hasattr(args, name)}
+    centerline = _read_centerline(csv) if csv else None
+    settings = {dest: value for dest in read if (value := getattr(args, dest)) is not None}
     try:
-        r = run_pipeline(surface, args.radius, gridstep=args.gridstep, normals=args.normals,
-                         orient=args.orient, stages=stages, centerline=centerline, **settings)
+        r = run_pipeline(surface, args.radius, stages=stages, centerline=centerline,
+                         **settings)
     except ParseError as exc:  # voxel coordinates the facet lattice cannot index
         raise ParseError(exc.reason, path=info["input_path"]) from None
     except EmptyInput:  # an empty voxel set, an input error as an empty mesh file is
@@ -196,16 +204,13 @@ def _run(args):
     results = {} if r.centerline is None else _centerline_results(r.centerline)
     results.update((key, _REPORTS[key](r)) for key in command.reports)
 
-    params = dict(settings, radius=args.radius, gridstep=r.acc_params.gridstep,
-                  normals=r.normals, orient=args.orient)
-    for key in ("track_step", "resid_tol"):
-        if key in params:
-            params[key] = getattr(r, key)
+    params = {name: r.settings[name] for name in ("radius", *read)}
     _write_summary(args, info, params, timings, results, outputs)
     return 0
 
 
 def _synth(args):
+    _check_options(args)
     timings = {}
     try:
         segments = parse_tube_spec(args.spec)
@@ -261,24 +266,34 @@ def _add_common_args(p, radius_help):
                    help="summary path (default <out-dir>/summary.json)")
 
 
-def _add_input_args(p):
+def _add_input_args(p, stages):
+    def setting(dest, **spec):  # a run_pipeline keyword; None stands for its default
+        if dest in _reads(stages):
+            p.add_argument("--" + dest.replace("_", "-"), **spec)
+
     p.add_argument("--input", required=True,
                    help="input file (mesh, voxel list or height map)")
     p.add_argument("--input-type", choices=["mesh", "voxels", "heightmap", "auto"],
                    default="auto")
-    p.add_argument("--gridstep", default="auto",
-                   help="lattice step; 'auto' uses the median longest triangle "
-                        "edge (meshes; height maps, where a flat cell's diagonal "
-                        "gives sqrt(2) * --hm-spacing) or 1 (voxels)")
-    p.add_argument("--normals", choices=["faces", "estimate"], default=None,
-                   help="face normals as given, or covariance-smoothed "
-                        "(default: estimate for voxel inputs, faces otherwise)")
-    p.add_argument("--orient", choices=["auto", "keep", "flip"], default="auto",
-                   help="inward normal resolution mode")
-    p.add_argument("--hm-scale", type=float, default=1.0,
-                   help="height per gray level for PGM height maps")
-    p.add_argument("--hm-spacing", type=float, default=1.0,
-                   help="pixel pitch in world units for PGM height maps")
+    p.add_argument("--hm-scale", type=float,
+                   help="height per gray level for PGM height maps (default 1)")
+    p.add_argument("--hm-spacing", type=float,
+                   help="pixel pitch in world units for PGM height maps (default 1)")
+    setting("gridstep", help="lattice step; 'auto' (default) is the median longest "
+                             "triangle edge (sqrt(2) * --hm-spacing on a flat height "
+                             "map), 1 for voxels")
+    setting("normals", choices=["faces", "estimate"],
+            help="face normals as given, or covariance-smoothed "
+                 "(default: estimate for voxel inputs, faces otherwise)")
+    setting("orient", choices=["auto", "keep", "flip"],
+            help="inward normal resolution mode (default: auto)")
+    setting("track_step", type=float, help="centerline sampling step (default: radius)")
+    setting("inside_threshold", type=float,
+            help="fraction of the run's reference vote level (lower quartile of the "
+                 f"accepted points) required to continue (default: {INSIDE_THRESHOLD})")
+    setting("resid_tol", type=float,
+            help="RMS distance, world units, within which a line fits a straight and "
+                 "a circle an arc (default 0.05*radius)")
 
 
 def build_parser(commands=None):
@@ -296,18 +311,7 @@ def build_parser(commands=None):
         if commands is not None and name not in commands:
             continue
         _add_common_args(p, "tube radius in input units")
-        _add_input_args(p)
-        if "track" in command.stages:
-            p.add_argument("--track-step", type=float, default=None,
-                           help="centerline sampling step (default: radius)")
-            p.add_argument("--inside-threshold", type=float, default=INSIDE_THRESHOLD,
-                           help="fraction of the run's reference vote level (lower "
-                                "quartile of the accepted points) required to continue "
-                                "(default: %(default)s)")
-        if "decompose" in command.stages:
-            p.add_argument("--resid-tol", type=float, default=None,
-                           help="RMS distance, world units, within which a line fits a "
-                                "straight and a circle an arc (default 0.05*radius)")
+        _add_input_args(p, command.stages)
         if command.centerline:
             p.add_argument("--centerline", default=None,
                            help="reuse a centerline CSV instead of tracking")
@@ -349,7 +353,6 @@ def main(argv=None):
         parser.print_help(sys.stderr)
         return 1
     try:
-        _check_options(args)
         return args.func(args)
     except UsageError as exc:
         print(f"tubeaxis {args.command}: error: {exc}", file=sys.stderr)

@@ -29,6 +29,11 @@ from .track import INSIDE_THRESHOLD, Centerline, extract_centerline
 
 STAGES = ("accumulate", "track", "refine", "decompose", "reconstruct", "error_map")
 
+# the settings besides radius that each stage reads (the normals only cast votes)
+READS = {"accumulate": ("gridstep", "normals", "orient"),
+         "track": ("track_step", "inside_threshold"), "refine": ("track_step",),
+         "decompose": ("resid_tol",), "reconstruct": (), "error_map": ()}
+
 # the stage whose output each stage reads
 _NEEDS = {"track": "accumulate", "refine": "track", "decompose": "track",
           "reconstruct": "track", "error_map": "track"}
@@ -48,10 +53,8 @@ class PipelineResult:
     that did not run leaves its output None and has no key in timings."""
 
     acc_params: AccumulationParams
-    faces: OrientedFaceSet  # oriented by the front
-    normals: str            # "faces" or "estimate"
-    track_step: float
-    resid_tol: float
+    faces: OrientedFaceSet  # oriented by the front; as built if a centerline was given
+    settings: dict          # radius and the six settings, given or derived
     accumulation: AccumulationResult | None = None
     raw: Centerline | None = None         # tracked, or the given centerline
     centerline: Centerline | None = None  # refined if refine ran, else raw
@@ -64,9 +67,10 @@ class PipelineResult:
 def run_pipeline(surface, radius, *, gridstep=None, normals=None, orient="auto",
                  track_step=None, inside_threshold=INSIDE_THRESHOLD, resid_tol=None,
                  stages=STAGES, centerline=None) -> PipelineResult:
-    """Give a TriMesh, or a VoxelSet in its lattice units, oriented faces
-    (face_normals or digital_surface_faces, estimate_digital_normals when
-    normals is "estimate", orient_inward), then run the named stages.
+    """Give a TriMesh, or a VoxelSet in its lattice units, faces (face_normals
+    or digital_surface_faces) that, unless a centerline is given, are smoothed
+    (estimate_digital_normals when normals is "estimate") and oriented
+    (orient_inward) for the votes alone. Then run the named stages.
 
     stages is any subset of STAGES whose inputs it contains: STAGES[:k]
     stops after the k-th stage, () after the front. A given centerline
@@ -100,21 +104,22 @@ def run_pipeline(surface, radius, *, gridstep=None, normals=None, orient="auto",
 
     track_step = radius if track_step is None else track_step
     resid_tol = 0.05 * radius if resid_tol is None else resid_tol
-    for name, value in dict(radius=radius, gridstep=gridstep, track_step=track_step,
-                            inside_threshold=inside_threshold,
-                            resid_tol=resid_tol).items():
+    settings = dict(radius=radius, gridstep=gridstep, track_step=track_step,
+                    inside_threshold=inside_threshold, resid_tol=resid_tol)
+    for name, value in settings.items():
         check_setting(name, value)
+    settings.update(normals=normals, orient=orient)
     acc = AccumulationParams(radius=radius, gridstep=gridstep)
 
     t = {}
     with timed(t, "normals"):
         faces = (digital_surface_faces if voxels else face_normals)(surface)
-        if normals == "estimate":
+        if centerline is None and normals == "estimate":
             faces = estimate_digital_normals(faces, max(2.0, 0.5 * radius))
-    with timed(t, "orient"):
-        faces = orient_inward(faces, mode=orient, radius=radius)
-    out = PipelineResult(acc_params=acc, faces=faces, normals=normals,
-                         track_step=track_step, resid_tol=resid_tol,
+    if centerline is None:
+        with timed(t, "orient"):
+            faces = orient_inward(faces, mode=orient, radius=radius)
+    out = PipelineResult(acc_params=acc, faces=faces, settings=settings,
                          raw=centerline, centerline=centerline, timings=t)
     if "accumulate" in stages:
         with timed(t, "accumulate"):

@@ -397,21 +397,23 @@ _DECOMPOSE = {"resid_tol"}
 _LINE = {"points", "closed", "mean_spacing", "refined_points"}
 _CHAIN = {"accumulate", "track", "refine"}
 
-# subcommand -> (params, results, timings besides load/normals/orient/write, the
-# same timings with --centerline or None when the flag does not exist)
+# subcommand -> (params, results, timings besides load/normals/orient/write, and
+# with --centerline the params and the timings besides load/normals/write, or
+# None when the flag does not exist: such a run records the settings its one
+# stage reads, and the front neither smooths nor orients)
 _SUMMARY_KEYS = {
     "accumulate": (_PARAMS, {"max_acc", "max_pt", "domain_dims"},
                    {"accumulate"}, None),
     "centerline": (_PARAMS | _TRACK, _LINE | {"max_acc"},
                    {"accumulate", "track"}, None),
-    "refine": (_PARAMS | _TRACK, _LINE, _CHAIN, {"refine"}),
+    "refine": (_PARAMS | _TRACK, _LINE, _CHAIN, ({"radius", "track_step"}, {"refine"})),
     "decompose": (_PARAMS | _TRACK | _DECOMPOSE,
                   _LINE | {"segments", "kinds"}, _CHAIN | {"decompose"},
-                  {"decompose"}),
+                  ({"radius", "resid_tol"}, {"decompose"})),
     "reconstruct": (_PARAMS | _TRACK, _LINE | {"reconstructed_faces"},
-                    _CHAIN | {"reconstruct"}, {"reconstruct"}),
+                    _CHAIN | {"reconstruct"}, ({"radius"}, {"reconstruct"})),
     "error-map": (_PARAMS | _TRACK, _LINE | {"error"},
-                  _CHAIN | {"error_map"}, {"error_map"}),
+                  _CHAIN | {"error_map"}, ({"radius"}, {"error_map"})),
     "pipeline": (_PARAMS | _TRACK | _DECOMPOSE,
                  _LINE | {"max_acc", "max_pt", "segments", "kinds", "error"},
                  _CHAIN | {"decompose", "reconstruct", "error_map"}, None),
@@ -422,20 +424,80 @@ _SUMMARY_KEYS = {
     *((c, False) for c in _SUMMARY_KEYS),
     *((c, True) for c, keys in _SUMMARY_KEYS.items() if keys[3] is not None)])
 def test_summary_key_sets(tube_off, tmp_path, command, with_centerline):
-    params, results, timings, cl_timings = _SUMMARY_KEYS[command]
-    extra = []
+    params, results, timings, reuse = _SUMMARY_KEYS[command]
+    extra, front = [], {"normals", "orient"}
     if with_centerline:
         assert run(["centerline", "--input", tube_off, "--radius", 4,
                     "--out-dir", tmp_path / "cl"]) == 0
         extra = ["--centerline", tmp_path / "cl" / "centerline.csv"]
-        timings = cl_timings
+        (params, timings), front = reuse, {"normals"}
     out = tmp_path / "out"
     assert run([command, "--input", tube_off, "--radius", 4, *extra,
                 "--out-dir", out]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert set(summary["params"]) == params
     assert set(summary["results"]) == results
-    assert set(summary["timings"]) == timings | {"load", "normals", "orient", "write"}
+    assert set(summary["timings"]) == timings | front | {"load", "write"}
+
+
+# a value other than the default for each stage flag, and the ones that a
+# --centerline run of each subcommand reads
+_STAGE_FLAG_VALUES = {"--gridstep": "auto", "--normals": "estimate", "--orient": "flip",
+                      "--track-step": "3", "--inside-threshold": "0.4", "--resid-tol": "0.3"}
+_CENTERLINE_READS = {"refine": {"--track-step"}, "decompose": {"--resid-tol"},
+                     "reconstruct": set(), "error-map": set()}
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    *((command, flag, value) for command, kept in _CENTERLINE_READS.items()
+      for flag, value in _STAGE_FLAG_VALUES.items() if flag not in kept),
+    # only the height map loader reads these, whatever the subcommand
+    *((command, flag, "2") for command in ("pipeline", "decompose")
+      for flag in ("--hm-scale", "--hm-spacing"))])
+@pytest.mark.parametrize("kind", ["mesh", "voxels"])
+def test_a_flag_the_run_does_not_read_is_refused(s30_run, tmp_path, capsys, command,
+                                                 flag, value, kind):
+    # each once exited 0, and the stage flags were recorded in params
+    tube, result = s30_run
+    if kind == "voxels":  # refused before the file is read
+        tube = tmp_path / "tube.xyz"
+        tube.write_text("0 0 0\n")
+    extra = [] if command == "pipeline" else ["--centerline", result / "centerline.csv"]
+    assert run([command, "--input", tube, "--radius", 3, *extra, flag, value,
+                "--out-dir", tmp_path / "out"]) == 1
+    # --resid-tol is no flag of refine, reconstruct and error-map: argparse
+    # prints its usage before the error
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and f" {flag}" in errors[0]
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_centerline_run_neither_smooths_nor_orients(s30_run, tmp_path, monkeypatch):
+    # refine and the error map read face centers alone; the normals only
+    # cast the votes, which a --centerline run does not cast
+    tube, result = s30_run
+    voxels = tmp_path / "tube.xyz"
+    mesh, _ = tx.gen_tube(tx.parse_tube_spec("S:30"), 3.0, 1.0, cap_ends=True)
+    np.savetxt(voxels, tx.voxelize(mesh, 1.0).points, fmt="%d")
+    called = []
+    for name in ("estimate_digital_normals", "orient_inward"):
+        monkeypatch.setattr(tx.pipeline, name, lambda *a, name=name, **k: called.append(name))
+    for surface in (tube, voxels):
+        for command in _CENTERLINE_READS:
+            assert run([command, "--input", surface, "--radius", 3, "--centerline",
+                        result / "centerline.csv", "--out-dir", tmp_path / command]) == 0
+    assert called == []
+
+
+def test_json_summary_into_a_missing_directory(s30_run, tmp_path):
+    # the summary's directory is made as --out-dir is; the run once wrote
+    # every artifact, then exited 1 with no summary
+    tube, result = s30_run
+    path = tmp_path / "nodir" / "x" / "s.json"
+    assert run(["decompose", "--input", tube, "--radius", 3, "--centerline",
+                result / "centerline.csv", "--out-dir", tmp_path / "out",
+                "--json-summary", path]) == 0
+    assert json.loads(path.read_text())["outputs"]["decomposition_csv"]
 
 
 @pytest.fixture(scope="module")
@@ -794,14 +856,13 @@ def test_main_builds_only_the_options_of_the_subcommand_it_runs(monkeypatch, tmp
 
 @pytest.mark.parametrize("command", list(_SUMMARY_KEYS))
 def test_stage_flag_defaults_are_their_owners_defaults(command):
-    # each stage flag sets the run_pipeline keyword of its name, and its
-    # default is that keyword's (None: run_pipeline derives it)
+    # each stage flag sets the run_pipeline keyword of its name, and left
+    # out it is None and not passed, so the keyword keeps its default (the
+    # values are test_pipeline_without_flags_records_the_default_params's)
     args = build_parser().parse_args([command, "--input", "x.off", "--radius", "1"])
-    dests = _SUMMARY_KEYS[command][0] - {"radius", "gridstep", "normals", "orient"}
-    for dest in dests:
-        default = inspect.signature(tx.run_pipeline).parameters[dest].default
-        value = getattr(args, dest)
-        assert value == default and type(value) is type(default), dest
+    for dest in _SUMMARY_KEYS[command][0] - {"radius"}:
+        assert dest in inspect.signature(tx.run_pipeline).parameters, dest
+        assert getattr(args, dest) is None, dest
 
 
 def test_pipeline_without_flags_records_the_default_params(tube_off, tmp_path):

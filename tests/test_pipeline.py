@@ -102,11 +102,13 @@ def test_full_run_matches_the_explicit_chain(case):
     for name in _OUTPUT.values():
         assert _same(getattr(r, name), ref[name]), name
     assert set(r.timings) == {*_FRONT, *STAGES}
-    assert r.normals == ("estimate" if isinstance(case["surface"], tx.VoxelSet) else "faces")
+    assert r.settings == {
+        "radius": case["radius"], "gridstep": ref["gridstep"],
+        "normals": "estimate" if isinstance(case["surface"], tx.VoxelSet) else "faces",
+        "orient": "auto", "track_step": case["radius"], "inside_threshold": 0.5,
+        "resid_tol": 0.05 * case["radius"]}
     assert r.acc_params.gridstep == ref["gridstep"]
-    assert r.track_step == case["radius"]
     assert r.acc_params.epsilon == 0.1 * case["radius"]
-    assert r.resid_tol == 0.05 * case["radius"]
 
 
 @pytest.mark.parametrize("k", range(0, len(STAGES) + 1))
@@ -125,13 +127,15 @@ def test_stop_after_each_stage(case, k):
 
 
 def test_given_centerline_takes_the_place_of_accumulate_and_track(case):
+    # the front builds the faces and stops: refine and the error map read
+    # their centers alone, so neither smoothing nor orientation runs
     ref = case["reference"]
     r = tx.run_pipeline(case["surface"], case["radius"], stages=STAGES[2:],
                         centerline=ref["raw"])
     assert r.accumulation is None and r.raw is ref["raw"]
     for name in ("centerline", "decomposition", "tube", "errors"):
         assert _same(getattr(r, name), ref[name]), name
-    assert set(r.timings) == {*_FRONT, *STAGES[2:]}
+    assert set(r.timings) == {"normals", *STAGES[2:]}
 
     # without refine, the later stages read the given centerline as it is
     r = tx.run_pipeline(case["surface"], case["radius"], stages=["error_map"],
@@ -155,7 +159,8 @@ def test_the_front_settings_reach_the_written_out_front(bent_pipe, kind, setting
     surface = bent_pipe["mesh"] if kind == "mesh" else capped_voxels()
     r = tx.run_pipeline(surface, 3.0, stages=(), **settings)
     assert _same(r.faces, _front(surface, 3.0, **settings)[0])
-    assert r.normals == settings.get("normals", "faces" if kind == "mesh" else "estimate")
+    assert r.settings["normals"] == settings.get("normals",
+                                                 "faces" if kind == "mesh" else "estimate")
 
 
 def test_a_surface_that_is_not_a_mesh_or_voxels_is_a_type_error(cylinder):
@@ -275,7 +280,7 @@ def test_each_setting_reaches_only_its_stage(cylinder, monkeypatch):
     for name, (value, stages) in _GIVEN.items():
         assert [stage for stage, args in seen.items()
                 if any(isinstance(a, float) and a == value for a in args)] == stages, name
-    assert (r.track_step, r.resid_tol) == (4.5, 0.3)
+    assert (r.settings["track_step"], r.settings["resid_tol"]) == (4.5, 0.3)
 
 
 def test_every_public_name_resolves_once():
