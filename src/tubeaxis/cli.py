@@ -32,8 +32,8 @@ from .rebuild import error_summary
 from .synth import degrade, gen_tube, parse_tube_spec
 from .track import INSIDE_THRESHOLD, Centerline
 
-_INPUT_ERRORS = (ParseError, UnsupportedFormat, EmptyInput, TooSmall,
-                 FileNotFoundError, IsADirectoryError, PermissionError)
+_INPUT_ERRORS = (ParseError, UnsupportedFormat, EmptyInput, TooSmall, FileNotFoundError,
+                 FileExistsError, IsADirectoryError, NotADirectoryError, PermissionError)
 
 _INPUT_TYPES = {".off": "mesh", ".obj": "mesh", ".vox": "voxels", ".txt": "voxels",
                 ".xyz": "voxels", ".pts": "voxels", ".pgm": "heightmap"}
@@ -88,8 +88,12 @@ def _reads(stages):
 
 
 def _check_options(args):
-    """Check every numeric option with errors.check_setting before anything
-    loads, a UsageError naming the flag; --gridstep becomes None or a float."""
+    """Check that no output path runs through a file, then every numeric option
+    (errors.check_setting, a UsageError naming the flag); --gridstep becomes None or a float."""
+    out = Path(args.out_dir)
+    for part in (out, *out.parents, *Path(args.json_summary or out).parents):
+        if part.exists() and not part.is_dir():
+            raise NotADirectoryError(f"output path {part} is not a directory")
     if getattr(args, "gridstep", None) is not None:
         try:
             args.gridstep = None if args.gridstep == "auto" else float(args.gridstep)
@@ -189,8 +193,6 @@ def _run(args):
     try:
         r = run_pipeline(surface, args.radius, stages=stages, centerline=centerline,
                          **settings)
-    except ParseError as exc:  # voxel coordinates the facet lattice cannot index
-        raise ParseError(exc.reason, path=info["input_path"]) from None
     except EmptyInput:  # an empty voxel set, an input error as an empty mesh file is
         raise
     except TubeAxisError as exc:

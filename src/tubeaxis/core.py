@@ -174,7 +174,7 @@ class CellHash:
         cell is at most r, so that they hold every point within r of a
         point of that cell. ``forward`` keeps one of each pair of opposite
         offsets and the cell itself: ox > 0, or ox == 0 and oy > 0, or
-        ox == oy == 0 and oz >= 0."""
+        ox == oy == 0 and oz >= 0; rows go in (ox, oy) order, so that column leads."""
         if (r, forward) not in self._stencils:
             reach = int(r // self.cell) + 1
             gap2 = (np.maximum(np.arange(reach + 1) - 1, 0) * self.cell) ** 2

@@ -10,7 +10,8 @@ block; it reads every number to the bits the line reader gives. Every
 other file, and every malformed one, goes through the line reader, which
 reports the line that is wrong. A loaded mesh keeps the face geometry
 (cross products, centers, longest edges) computed to drop its zero-area
-faces, for face_normals and median_face_size to reuse.
+faces, for face_normals and median_face_size to reuse; a loaded voxel set
+keeps the lattice keys it was deduped by, for digital_surface_faces.
 
 Every text writer but write_decomposition_csv, whose few rows leave
 empty fields, formats its rows by _write_rows, one bytes % per _ROWS
@@ -150,12 +151,14 @@ class VoxelSet:
 
     ``origin``/``gridstep`` are optional bookkeeping describing how the
     lattice maps back into some source world frame; processing always
-    happens in lattice units.
+    happens in lattice units. The lattice keys are kept once made (see
+    lattice), so points must not be modified in place after it.
     """
 
     points: np.ndarray
     origin: np.ndarray = field(default_factory=lambda: np.zeros(3))
     gridstep: float = 1.0
+    _lattice: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=np.int64).reshape(-1, 3)
@@ -164,9 +167,51 @@ class VoxelSet:
     def __len__(self):
         return len(self.points)
 
+    def lattice(self):
+        """(keys, strides), _lattice_keys of the points, made once."""
+        self._lattice = self._lattice or _lattice_keys(self.points)
+        return self._lattice
+
     def to_world(self, lattice_coords):
         """Lift lattice-unit coordinates back to the source world frame."""
         return self.origin + self.gridstep * np.asarray(lattice_coords, dtype=float)
+
+
+def _lattice_keys(pts, path=None):
+    """(keys, strides): distinct int64 keys for the (N, 3) int64 lattice
+    points and their 6 neighbours, which sort as the points do by (x, y, z).
+
+    Each axis is compressed to the sorted distinct values of x-1, x and x+1
+    over the points, so a point's neighbours are exactly one rank away and
+    p+d has key key(p) + d @ strides. They are the distinct values of
+    v-1, v and v+1 over the axis's distinct values v, and a point's rank
+    is its position among them. Keys are mixed-radix over the axis sizes;
+    the product of the sizes is checked to fit in int64, so no two lattice
+    points share a key. Either check fails as a ParseError naming path.
+    """
+    info = np.iinfo(np.int64)
+    if len(pts) and (pts.min() <= info.min or pts.max() >= info.max):
+        raise ParseError("voxel coordinates must lie strictly inside the int64 range", path=path)
+    ranks = np.empty_like(pts)
+    sizes = []
+    for axis in range(3):
+        v = _sorted_distinct(pts[:, axis])
+        values = _sorted_distinct(np.concatenate([v - 1, v, v + 1]))
+        ranks[:, axis] = np.searchsorted(values, pts[:, axis])
+        sizes.append(len(values))
+    if sizes[0] * sizes[1] * sizes[2] > info.max:
+        raise ParseError(f"voxel coordinates too spread out to index "
+                         f"({sizes[0]} x {sizes[1]} x {sizes[2]} distinct values)", path=path)
+    strides = np.array([sizes[1] * sizes[2], sizes[2], 1], dtype=np.int64)
+    return ranks @ strides, strides
+
+
+def _sorted_distinct(a):
+    """np.unique(a) by sorting: numpy's hashing path, which np.unique takes
+    when it returns no indices, is many times slower on millions of
+    distinct values."""
+    a = np.sort(a)
+    return np.concatenate([a[:1], a[1:][a[1:] != a[:-1]]])
 
 
 @dataclass
@@ -403,7 +448,8 @@ def load_mesh(path) -> TriMesh:
 
 
 def load_volume(path) -> VoxelSet:
-    """Load an ASCII "x y z" voxel list; duplicates are removed.
+    """Load an ASCII "x y z" voxel list: deduped by its lattice keys, which it
+    keeps, in their (x, y, z) order; a ParseError where they cannot index it.
 
     A plain file (ASCII, no comments, 3 integers on every non-blank line)
     is parsed by numpy's C text reader. Every other file, including every
@@ -415,14 +461,16 @@ def load_volume(path) -> VoxelSet:
     pts = _parse_voxel_list(data)
     if pts is None:
         pts = _load_volume_lines(path)
-    # the rows of np.unique(pts, axis=0), without its structured-view sort
-    pts = pts[np.lexsort(pts.T[::-1])]
-    first = np.ones(len(pts), dtype=bool)
-    first[1:] = np.logical_or.reduce([col[1:] != col[:-1] for col in pts.T])
-    unique = pts[first]
-    if len(unique) != len(pts):
-        logger.warning("%s: removed %d duplicate voxel(s)", path, len(pts) - len(unique))
-    return VoxelSet(unique)
+    # the rows of np.unique(pts, axis=0), as the keys sort in (x, y, z) order
+    keys, strides = _lattice_keys(pts, path)
+    order = np.argsort(keys)
+    keys = keys[order]
+    first = np.diff(keys, prepend=-1) != 0  # the keys are not negative
+    volume = VoxelSet(pts[order[first]])
+    volume._lattice = keys[first], strides
+    if len(volume) != len(pts):
+        logger.warning("%s: removed %d duplicate voxel(s)", path, len(pts) - len(volume))
+    return volume
 
 
 def _parse_voxel_list(data):

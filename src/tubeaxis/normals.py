@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import CellHash, concat_ranges
-from .errors import DegenerateFace, EmptyInput, ParseError, SeedInvalid
+from .errors import DegenerateFace, EmptyInput, SeedInvalid
 
 _CELL_MARGIN = 1e-9  # relative cell padding, so rounding never drops a pair
 _UNIT_TOL = 1e-12  # largest |n . n - 1| of a face normal (see OrientedFaceSet)
@@ -103,14 +103,14 @@ def digital_surface_faces(voxels) -> OrientedFaceSet:
     _FACET_DIRS order. Pass the result through estimate_digital_normals to
     get smoothed inward normals.
     """
-    pts = np.asarray(voxels.points, dtype=np.int64).reshape(-1, 3)
+    pts = voxels.points
     if len(pts) == 0:
         raise EmptyInput("voxel set is empty")
-    keys, strides = _lattice_keys(pts)
+    keys, strides = voxels.lattice()
     # a neighbour p+d is set iff its key is among the sorted voxel keys;
     # load_volume's points come in key order, so the sort is usually done
-    order = None if np.all(keys[:-1] <= keys[1:]) else np.argsort(keys, kind="stable")
-    sorted_keys = keys if order is None else keys[order]
+    order = slice(None) if np.all(keys[:-1] <= keys[1:]) else np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
     absent = np.empty((6, len(pts)), dtype=bool)
     # +-x, +-y: one row of needles per direction, sorted like the keys,
     # which searchsorted walks faster than interleaved ones
@@ -120,10 +120,7 @@ def digital_surface_faces(voxels) -> OrientedFaceSet:
     # +-z (stride 1): key + 1 is set iff it is the next distinct key, and
     # key - 1 iff it is the previous one
     above, below = _next_keys_adjacent(sorted_keys)
-    if order is None:
-        absent[4], absent[5] = ~above, ~below
-    else:
-        absent[4, order], absent[5, order] = ~above, ~below
+    absent[4, order], absent[5, order] = ~above, ~below
     vox, facet = np.nonzero(absent.T)
     dirs = _FACET_DIRS[facet]
     return OrientedFaceSet(pts[vox] + 0.5 + 0.5 * dirs, dirs.astype(float))
@@ -137,43 +134,6 @@ def _next_keys_adjacent(sorted_keys):
     copies = np.diff(np.r_[starts, len(sorted_keys)])
     return (np.repeat(np.r_[adjacent, False], copies),
             np.repeat(np.r_[False, adjacent], copies))
-
-
-def _lattice_keys(pts):
-    """(keys, strides): distinct int64 keys for lattice points and their
-    6 neighbours.
-
-    Each axis is compressed to the sorted distinct values of x-1, x and x+1
-    over the points, so a point's neighbours are exactly one rank away and
-    p+d has key key(p) + d @ strides. They are the distinct values of
-    v-1, v and v+1 over the axis's distinct values v, and a point's rank
-    is its position among them. Keys are mixed-radix over the axis sizes;
-    the product of the sizes is checked to fit in int64, so no two lattice
-    points share a key.
-    """
-    info = np.iinfo(np.int64)
-    if pts.min() <= info.min or pts.max() >= info.max:
-        raise ParseError("voxel coordinates must lie strictly inside the int64 range")
-    ranks = np.empty_like(pts)
-    sizes = []
-    for axis in range(3):
-        v = _sorted_distinct(pts[:, axis])
-        values = _sorted_distinct(np.concatenate([v - 1, v, v + 1]))
-        ranks[:, axis] = np.searchsorted(values, pts[:, axis])
-        sizes.append(len(values))
-    if sizes[0] * sizes[1] * sizes[2] > info.max:
-        raise ParseError(f"voxel coordinates too spread out to index "
-                         f"({sizes[0]} x {sizes[1]} x {sizes[2]} distinct values)")
-    strides = np.array([sizes[1] * sizes[2], sizes[2], 1], dtype=np.int64)
-    return ranks @ strides, strides
-
-
-def _sorted_distinct(a):
-    """np.unique(a) by sorting: numpy's hashing path, which np.unique takes
-    when it returns no indices, is many times slower on millions of
-    distinct values."""
-    a = np.sort(a)
-    return a[np.concatenate([[True], a[1:] != a[:-1]])]
 
 
 def estimate_digital_normals(faces: OrientedFaceSet, radius: float) -> OrientedFaceSet:
@@ -285,25 +245,26 @@ def _ball_neighbourhoods(centers, radius):
     members[sum(counts[:i]) : sum(counts[:i + 1])]. Same sets as
     a k-d tree's query_ball_point, each center included.
 
-    Centers are hashed in cells of about radius/2. Each cell is paired
-    with the cells of the forward half of the stencil that can hold a
-    center within radius, and every pair (i, j), i before j in cell order,
-    is tested as d^2 <= radius^2. A passing pair writes the keys i*n + j
-    and j*n + i into one key array sized by the candidate count, after the
-    self keys i*n + i; sorting it in place orders the keys by center, then
-    by neighbour, so the counts and members are read off the keys.
+    Centers are hashed in cells of about radius/2. Each cell lists the centers
+    of its forward stencil, own column first, so its own centers lead; center
+    i (in cell order) is tested against the tail of its cell's list after
+    itself, as d^2 <= radius^2. A passing pair writes the keys i*n + j and
+    j*n + i into one key array sized by the candidate count, after the self
+    keys i*n + i; sorting it in place orders the keys by center, then by
+    neighbour, so the counts and members are read off the keys.
     """
     n = len(centers)
     grid = CellHash(centers, 0.5 * radius * (1.0 + _CELL_MARGIN))
-    # the cells in sorted order, each with the slices of its columns
     first_of_cell = np.flatnonzero(np.diff(grid.keys, prepend=-1))
     cell_start, cell_stop = grid.ranges(grid.cells(centers[grid.order[first_of_cell]]),
                                         grid.stencil(radius, forward=True))
+    lists = concat_ranges(cell_start.ravel(), cell_stop.ravel())
+    list_stop = np.cumsum((cell_stop - cell_start).sum(axis=1))
+    # i's place in its cell's list is its place among the cell's centers
     cell_of = np.repeat(np.arange(len(first_of_cell)), np.diff(np.r_[first_of_cell, n]))
-    # j runs over the column slices of i's cell, past i itself
-    start = np.maximum(cell_start[cell_of], np.arange(1, n + 1)[:, None])
-    stop = cell_stop[cell_of]
-    lens = np.maximum(stop - start, 0).sum(axis=1)
+    stop = list_stop[cell_of]
+    start = np.arange(1, n + 1) + np.r_[0, list_stop[:-1]][cell_of] - first_of_cell[cell_of]
+    lens = stop - start
     bounds = np.searchsorted(np.cumsum(lens), np.arange(0, lens.sum(), _CHUNK_PAIRS),
                              side="right")
     # 32-bit keys, where they fit, sort about twice as fast
@@ -313,21 +274,20 @@ def _ball_neighbourhoods(centers, radius):
     used = n
     order = grid.order.astype(key_type)
     for lo, hi in zip(bounds, np.r_[bounds[1:], n]):
-        j = concat_ranges(start[lo:hi].ravel(), stop[lo:hi].ravel())
-        i = np.repeat(np.arange(lo, hi), lens[lo:hi])
+        j = lists[concat_ranges(start[lo:hi], stop[lo:hi])]
         d2 = np.zeros(len(j))
         for coord in grid.coords:
             delta = coord[j]
-            delta -= coord[i]
+            delta -= np.repeat(coord[lo:hi], lens[lo:hi])
             delta *= delta
             d2 += delta
-        near = d2 <= radius * radius
-        oi, oj = order[i[near]], order[j[near]]
+        near = np.flatnonzero(d2 <= radius * radius)
+        passes = np.diff(np.searchsorted(near, np.cumsum(lens[lo:hi])), prepend=0)
+        oi, oj = np.repeat(order[lo:hi], passes), order[j[near]]
         m = len(oi)
         keys[used:used + m] = oi * key_type(n) + oj
         keys[used + m:used + 2 * m] = oj * key_type(n) + oi
         used += 2 * m
-    del start, stop  # freed before the members are made, which set the peak
     keys = keys[:used]
     keys.sort()
     counts = np.diff(np.searchsorted(keys, np.arange(n + 1, dtype=key_type) * key_type(n)))

@@ -500,6 +500,41 @@ def test_json_summary_into_a_missing_directory(s30_run, tmp_path):
     assert json.loads(path.read_text())["outputs"]["decomposition_csv"]
 
 
+@pytest.mark.parametrize("where", ["summary", "out-dir"])
+@pytest.mark.parametrize("command", ["pipeline", "synth"])
+def test_an_output_path_through_a_file_is_an_input_error(s30_run, tmp_path, capsys,
+                                                         command, where):
+    # a summary under a file once ended in a FileExistsError traceback after
+    # every artifact was written, an out-dir under one in a NotADirectoryError
+    # traceback; both are now refused before anything loads or is written
+    tube, _ = s30_run
+    blocker = tmp_path / "tube.off"
+    blocker.write_text("a file\n")
+    out = tmp_path / "out"
+    paths = (["--out-dir", out, "--json-summary", blocker / "s.json"] if where == "summary"
+             else ["--out-dir", blocker / "x"])
+    args = [command, "--spec", "S:10"] if command == "synth" else [command, "--input", tube]
+    assert run(args + ["--radius", 3, *paths]) == 1
+    assert capsys.readouterr().err == (f"tubeaxis {command}: input error: output path "
+                                       f"{blocker} is not a directory\n")
+    assert not out.exists() and blocker.read_text() == "a file\n"
+
+
+@pytest.mark.parametrize("command", ["pipeline", "synth"])
+def test_an_out_dir_through_a_dangling_link_is_an_input_error(s30_run, tmp_path, capsys,
+                                                              command):
+    # no file lies on the path, so the run goes ahead, and making the
+    # directory raises FileExistsError: one input error line, no traceback
+    tube, _ = s30_run
+    link = tmp_path / "link"
+    link.symlink_to(tmp_path / "missing")
+    args = [command, "--spec", "S:10"] if command == "synth" else [command, "--input", tube]
+    assert run(args + ["--radius", 3, "--out-dir", link / "x"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"tubeaxis {command}: input error: ") and err.count("\n") == 1
+    assert "File exists" in err and not (tmp_path / "missing").exists()
+
+
 @pytest.fixture(scope="module")
 def s30_run(tmp_path_factory):
     """An S:30 tube (R=3) and the pipeline run on it: (tube, run's out dir)."""

@@ -18,6 +18,9 @@ from tubeaxis.ingest import (_load_off_lines, _load_volume_lines,
                              write_face_scalar_csv, write_off)
 
 
+_I64 = np.iinfo(np.int64)
+
+
 def _write(path, text):
     path.write_text(text)
     return str(path)
@@ -401,11 +404,15 @@ def test_volume_bulk_and_line_parsers_agree(tmp_path, text, bulk):
     if bulk:
         assert fast.dtype == ref.dtype and fast.shape == ref.shape
         assert fast.tobytes() == ref.tobytes()
+    if np.isin(ref, [_I64.min, _I64.max]).any():
+        # read alike by both parsers, then refused by the facet lattice
+        with pytest.raises(tx.ParseError, match="int64 range") as got:
+            tx.load_volume(p)
+        assert got.value.path == p
+        return
     vol = tx.load_volume(p)
     assert np.array_equal(vol.points, np.unique(ref, axis=0))
 
-
-_I64 = np.iinfo(np.int64)
 
 
 @pytest.mark.parametrize("rows", [
@@ -422,6 +429,12 @@ def test_volume_dedup_equals_numpy_unique(tmp_path, rows, caplog):
     # the same voxels through the bulk parser and through the line reader
     for p in (_write(tmp_path / "plain.xyz", text),
               _write(tmp_path / "commented.xyz", "# x y z\n" + text)):
+        if np.isin(pts, [_I64.min, _I64.max]).any():
+            # the int64 extremes have no neighbours the facet lattice can key
+            with pytest.raises(tx.ParseError, match="int64 range") as err:
+                tx.load_volume(p)
+            assert err.value.path == p
+            continue
         caplog.clear()
         with caplog.at_level("WARNING", logger="tubeaxis.ingest"):
             vol = tx.load_volume(p)
@@ -429,6 +442,43 @@ def test_volume_dedup_equals_numpy_unique(tmp_path, rows, caplog):
         assert vol.points.dtype == np.int64
         removed = len(pts) - len(expected)
         assert (f"removed {removed} duplicate voxel(s)" in caplog.text) == (removed > 0)
+
+
+def test_loaded_voxels_keep_their_lattice_keys(tmp_path):
+    # load_volume sorts and dedupes by the keys, and hands them on
+    rng = np.random.default_rng(30)
+    rows = rng.integers(-4, 5, size=(400, 3)) * [1, 7, 2 ** 40]
+    p = _write(tmp_path / "v.xyz", "".join(f"{x} {y} {z}\n" for x, y, z in rows))
+    vol = tx.load_volume(p)
+    assert vol._lattice is not None and len(vol) < len(rows)
+    keys, strides = vol.lattice()
+    want_keys, want_strides = ingest._lattice_keys(vol.points)
+    assert np.array_equal(keys, want_keys) and np.array_equal(strides, want_strides)
+    assert np.all(keys[1:] > keys[:-1])
+
+
+def test_a_hand_built_voxel_set_makes_its_keys_on_first_use():
+    pts = np.random.default_rng(31).integers(-3, 4, size=(50, 3))
+    vol = tx.VoxelSet(pts)
+    assert vol._lattice is None
+    keys, strides = vol.lattice()
+    want_keys, want_strides = ingest._lattice_keys(vol.points)
+    assert np.array_equal(keys, want_keys) and np.array_equal(strides, want_strides)
+    assert vol.lattice()[0] is keys  # made once
+
+
+@pytest.mark.parametrize("points, message", [
+    (lambda: [(0, 0, 0), (_I64.max, 1, 2)], "int64 range"),
+    (lambda: [(0, 0, 0), (0, _I64.min, 0)], "int64 range"),
+    # 2.1M distinct values per axis: 2.1M^3 lattice keys do not fit in int64
+    (lambda: np.repeat(3 * np.arange(700_000), 3).reshape(-1, 3), "too spread out"),
+], ids=["int64-max", "int64-min", "too-spread-out"])
+def test_voxels_the_lattice_cannot_index_fail_at_load(tmp_path, points, message):
+    p = tmp_path / "v.xyz"
+    np.savetxt(p, np.asarray(points(), dtype=np.int64), fmt="%d")
+    with pytest.raises(tx.ParseError, match=message) as err:
+        tx.load_volume(p)
+    assert err.value.path == p and str(err.value).startswith(f"{p}: ")
 
 
 @pytest.mark.parametrize("text", ["1 2 3\n4 5 6\n1 2 3\n",

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 import tubeaxis as tx
-from tubeaxis import accumulate, normals
+from tubeaxis import accumulate, ingest, normals
 from tubeaxis.accumulate import accumulation_domain, count_peak
+from tubeaxis.core import CellHash
 from tubeaxis.normals import _FACET_DIRS, _ball_neighbourhoods
 
 from conftest import capped_voxel_pipe, quaternion_rotation, random_unit_vectors
@@ -217,12 +218,12 @@ def test_facets_match_set_lookup_with_shuffled_points():
     mesh, _ = tx.gen_tube(tx.parse_tube_spec("S:12,A:8:60,S:6"), 3.0, 1.0,
                           cap_ends=True)
     pts = tx.voxelize(mesh, 1.0).points
-    keys = normals._lattice_keys(np.asarray(pts, dtype=np.int64))[0]
+    keys = ingest._lattice_keys(np.asarray(pts, dtype=np.int64))[0]
     assert np.all(keys[1:] > keys[:-1])
     rng = np.random.default_rng(8)
     for _ in range(3):
         shuffled = pts[rng.permutation(len(pts))]
-        keys = normals._lattice_keys(np.asarray(shuffled, dtype=np.int64))[0]
+        keys = ingest._lattice_keys(np.asarray(shuffled, dtype=np.int64))[0]
         assert not np.all(keys[1:] >= keys[:-1])
         _assert_facets_match_reference(shuffled)
 
@@ -257,7 +258,7 @@ def test_facets_above_and_below_match_set_lookup(seed, columns, height, spread,
     pts = _voxel_columns(rng, columns, height, spread)
     if "duplicated" in arrange:
         pts = np.vstack([pts, pts[rng.integers(0, len(pts), size=len(pts) // 2 + 1)]])
-    pts = pts[np.argsort(normals._lattice_keys(pts)[0], kind="stable")]
+    pts = pts[np.argsort(ingest._lattice_keys(pts)[0], kind="stable")]
     if "shuffled" in arrange:
         pts = pts[rng.permutation(len(pts))]
     _assert_facets_match_reference(pts)
@@ -478,6 +479,60 @@ def test_ball_neighbourhoods_with_64_bit_keys():
 ], ids=["no-pairs", "coincident", "all-coincident", "single"])
 def test_ball_neighbourhoods_without_pairs_and_with_coincident_centers(pts):
     _assert_ball_neighbourhoods_match_query_ball_point(pts, 1.0)
+
+
+def _ball_neighbourhoods_by_brute_force(pts, radius):
+    """Reference: every pair tested as d^2 <= radius^2, O(n^2), in the
+    arithmetic of _ball_neighbourhoods (coordinate differences squared,
+    summed over x, y, z from zero)."""
+    d2 = np.zeros((len(pts), len(pts)))
+    for axis in range(3):
+        delta = pts[None, :, axis] - pts[:, None, axis]
+        d2 += delta * delta
+    near = d2 <= radius * radius
+    return near.sum(axis=1), np.nonzero(near)[1]
+
+
+def _posed_voxel_surfaces(rng):
+    """Facet centers of random voxel blobs, each moved by a random proper
+    axis rotation and an integer translation of up to 1e6 per axis."""
+    for _ in range(4):
+        pts = rng.integers(-3, 4, size=(rng.integers(20, 120), 3))
+        rot = np.eye(3, dtype=np.int64)[rng.permutation(3)] * rng.choice([-1, 1], size=3)
+        rot[0] *= round(np.linalg.det(rot))
+        shift = rng.integers(-10 ** 6, 10 ** 6 + 1, size=3)
+        yield tx.digital_surface_faces(tx.VoxelSet(pts @ rot.T + shift)).centers
+
+
+def _ball_layouts(layout):
+    """(centers, radius) pairs of one layout for the brute-force check."""
+    rng = np.random.default_rng(30)
+    if layout == "posed-voxels":
+        return [(c, r) for c in _posed_voxel_surfaces(rng) for r in (0.6, 1.0, 2.5, 4.0)]
+    if layout == "mesh-centers":
+        # the --normals estimate path: exact face centers at max(2, R/2),
+        # at their place and moved by a float translation of up to 1e6
+        mesh, _ = tx.gen_tube(tx.parse_tube_spec("S:6,A:5:60"), 2.0, 0.8)
+        centers = tx.face_normals(mesh).centers
+        return [(centers, 2.0), (centers + rng.uniform(-1e6, 1e6, size=3), 2.0)]
+    if layout == "one-cell":
+        pts = rng.uniform(0.0, 1.9, size=(300, 3))
+        return [(np.vstack([pts, pts[:20]]), 4.0)]
+    # one point per cell: lattice steps of 1 are longer than the cells
+    pts = np.indices((9, 8, 7)).reshape(3, -1).T + rng.uniform(-0.02, 0.02, size=(504, 3))
+    return [(pts, 1.9)]
+
+
+@pytest.mark.parametrize("layout", ["posed-voxels", "mesh-centers", "one-cell",
+                                    "one-point-per-cell"])
+def test_ball_neighbourhoods_match_brute_force(layout):
+    for pts, radius in _ball_layouts(layout):
+        counts, members = _ball_neighbourhoods(pts, radius)
+        want_counts, want_members = _ball_neighbourhoods_by_brute_force(pts, radius)
+        assert np.array_equal(counts, want_counts)
+        assert np.array_equal(members, want_members)
+        cells = len(np.unique(CellHash(pts, 0.5 * radius * (1 + normals._CELL_MARGIN)).keys))
+        assert cells == {"one-cell": 1, "one-point-per-cell": len(pts)}.get(layout, cells)
 
 
 def test_covariance_normals_memory_follows_the_pairs():
